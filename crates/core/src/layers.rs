@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use appmult_kernels::{backward_dw, backward_dx, forward_acc, GemmShape, Kernel};
 use appmult_mult::MultiplierLut;
-use appmult_nn::layers::{col2im, im2col, nchw_to_rows, rows_to_nchw, Conv2dSpec};
+use appmult_nn::layers::{col2im, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2dSpec};
 use appmult_nn::{Module, Parameter, Tensor};
 use appmult_pool::Pool;
 
@@ -53,6 +53,34 @@ fn scheme_params(scheme: QuantScheme, lo: f32, hi: f32, bits: u32) -> QuantParam
         QuantScheme::Unsigned => QuantParams::from_range(lo, hi, bits),
         QuantScheme::SignedOffset => QuantParams::signed_symmetric(lo.abs().max(hi.abs()), bits),
     }
+}
+
+/// Activation quantizer for one forward pass. Train-mode batches, and the
+/// first batch an uncalibrated layer sees, are folded into the EMA
+/// observer first. An empty batch quantizes nothing, so on an
+/// uncalibrated layer it takes the `[0, 0]` range and leaves the observer
+/// uncalibrated.
+fn activation_params(
+    observer: &mut Observer,
+    input: &Tensor,
+    train: bool,
+    scheme: QuantScheme,
+    bits: u32,
+) -> QuantParams {
+    if train || observer.range().is_none() {
+        let rejected_before = observer.rejected();
+        observer.observe(input);
+        let rejected = observer.rejected() - rejected_before;
+        if rejected > 0 {
+            appmult_obs::global().counter_add("observer.rejections", rejected as u64);
+        }
+    }
+    let (lo, hi) = match observer.range() {
+        Some(range) => range,
+        None if input.is_empty() => (0.0, 0.0),
+        None => panic!("observer has seen no data"),
+    };
+    scheme_params(scheme, lo, hi, bits)
 }
 
 /// Shared quantized-GEMM state cached between forward and backward.
@@ -149,11 +177,11 @@ impl GemmCache {
 
 /// Minimum multiply-accumulate count below which a LUT-GEMM dispatch runs
 /// serially instead of fanning out across pool workers. Spawn + join costs
-/// tens of microseconds per `run_rows` call; at roughly a nanosecond per
-/// table-gather MAC, shapes under ~64k MACs finish faster on the calling
-/// thread than the spawn overhead alone (the small-shape 0.86x regression
-/// recorded in `BENCH_par.json`). Serial and parallel paths are
-/// bit-identical, so the floor is purely a scheduling decision.
+/// tens of microseconds per `run_rows` call (perfbench's `pool.dispatch_us`
+/// row measures it); at roughly a nanosecond per table-gather MAC, shapes
+/// under ~64k MACs finish faster on the calling thread than the spawn
+/// overhead alone. Serial and parallel paths are bit-identical, so the
+/// floor is purely a scheduling decision.
 const PAR_FLOOR_MACS: usize = 1 << 16;
 
 /// Work-size floor in *output elements* for a GEMM whose per-element cost
@@ -167,8 +195,9 @@ fn quantize_slice(values: &[f32], params: &QuantParams) -> (Vec<u16>, Vec<bool>)
     let mut q = Vec::with_capacity(values.len());
     let mut clip = Vec::with_capacity(values.len());
     for &v in values {
-        q.push(params.quantize(v) as u16);
-        clip.push(params.in_range(v));
+        let (code, keep) = params.quantize_clip(v);
+        q.push(code as u16);
+        clip.push(keep);
     }
     (q, clip)
 }
@@ -510,29 +539,25 @@ impl ApproxConv2d {
 
 impl Module for ApproxConv2d {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let obs = appmult_obs::global();
-        let _span = obs.span("conv2d.forward");
+        let _span = appmult_obs::global().span("conv2d.forward");
         let s = input.shape();
         assert_eq!(s.len(), 4, "expected NCHW input");
         let (n, h, w) = (s[0], s[2], s[3]);
         let (oh, ow) = self.spec.out_hw(h, w);
         let bits = self.lut.bits();
 
-        if train || self.observer.range().is_none() {
-            let rejected_before = self.observer.rejected();
-            self.observer.observe(input);
-            let rejected = self.observer.rejected() - rejected_before;
-            if rejected > 0 {
-                obs.counter_add("observer.rejections", rejected as u64);
-            }
-        }
-        let (xlo, xhi) = self.observer.range().expect("observer has seen no data");
-        let xq_params = scheme_params(self.scheme, xlo, xhi, bits);
+        let xq_params = activation_params(&mut self.observer, input, train, self.scheme, bits);
         let (wlo, whi) = self.weight.value.min_max();
         let wq_params = scheme_params(self.scheme, wlo, whi, bits);
 
-        let cols = im2col(input, &self.spec);
-        let (xq, xclip) = quantize_slice(cols.as_slice(), &xq_params);
+        // Eq. 7 is elementwise, so it commutes with the im2col gather:
+        // quantize each input pixel once, then unfold its code and clip
+        // flag into every patch that reads it. Padding taps take the code
+        // and flag of 0.0, exactly what quantizing a zero-padded patch gives.
+        let (pixel_q, pixel_clip) = quantize_slice(input.as_slice(), &xq_params);
+        let (pad_q, pad_clip) = xq_params.quantize_clip(0.0);
+        let xq = im2col_gather(&pixel_q, s, &self.spec, pad_q as u16);
+        let xclip = im2col_gather(&pixel_clip, s, &self.spec, pad_clip);
         let (wq, wclip) = quantize_slice(self.weight.value.as_slice(), &wq_params);
 
         let k = self.spec.patch_len();
@@ -695,21 +720,11 @@ impl ApproxLinear {
 
 impl Module for ApproxLinear {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let obs = appmult_obs::global();
-        let _span = obs.span("linear.forward");
+        let _span = appmult_obs::global().span("linear.forward");
         assert_eq!(input.shape().len(), 2, "expected [N, in] input");
         assert_eq!(input.shape()[1], self.in_features(), "feature mismatch");
         let bits = self.lut.bits();
-        if train || self.observer.range().is_none() {
-            let rejected_before = self.observer.rejected();
-            self.observer.observe(input);
-            let rejected = self.observer.rejected() - rejected_before;
-            if rejected > 0 {
-                obs.counter_add("observer.rejections", rejected as u64);
-            }
-        }
-        let (xlo, xhi) = self.observer.range().expect("observer has seen no data");
-        let xq_params = scheme_params(self.scheme, xlo, xhi, bits);
+        let xq_params = activation_params(&mut self.observer, input, train, self.scheme, bits);
         let (wlo, whi) = self.weight.value.min_max();
         let wq_params = scheme_params(self.scheme, wlo, whi, bits);
         let (xq, xclip) = quantize_slice(input.as_slice(), &xq_params);
@@ -1398,6 +1413,44 @@ mod tests {
             let dx = conv.backward(&Tensor::zeros(&[0, 2, 4, 4]));
             assert_eq!(dx.shape(), &[0, 1, 4, 4]);
         }
+    }
+
+    #[test]
+    fn empty_train_batches_leave_the_observer_range_alone() {
+        // A zero-sized batch has no extrema: folding min_max's (0, 0)
+        // placeholder would shrink a calibrated range, or pin a fresh one
+        // to (0, 0) and clip every later activation.
+        let (lut, grads) = exact8();
+        let mut lin = ApproxLinear::with_params(
+            ramp(&[3, 4], 1.0),
+            Tensor::zeros(&[3]),
+            lut.clone(),
+            grads.clone(),
+            QuantConfig::default(),
+        );
+        let mut conv = ApproxConv2d::with_params(
+            Conv2dSpec::same(1, 2, 3),
+            ramp(&[2, 9], 1.0),
+            Tensor::zeros(&[2]),
+            lut,
+            grads,
+            QuantConfig::default(),
+        );
+        lin.forward(&Tensor::zeros(&[0, 4]), true);
+        conv.forward(&Tensor::zeros(&[0, 1, 4, 4]), true);
+        assert_eq!(lin.observer.range(), None, "linear: fresh range not pinned");
+        assert_eq!(conv.observer.range(), None, "conv: fresh range not pinned");
+
+        lin.forward(&ramp(&[3, 4], 1.5), true);
+        conv.forward(&ramp(&[2, 1, 4, 4], 1.5), true);
+        let (lin_range, conv_range) = (lin.observer.range(), conv.observer.range());
+        assert!(lin_range.is_some() && conv_range.is_some());
+        lin.forward(&Tensor::zeros(&[0, 4]), true);
+        conv.forward(&Tensor::zeros(&[0, 1, 4, 4]), true);
+        assert_eq!(lin.observer.range(), lin_range, "linear: range moved");
+        assert_eq!(conv.observer.range(), conv_range, "conv: range moved");
+        assert_eq!(lin.observer_rejections(), 0);
+        assert_eq!(conv.observer_rejections(), 0);
     }
 
     #[test]

@@ -116,19 +116,28 @@ impl QuantParams {
         (1u32 << self.bits) - 1
     }
 
+    /// Quantizes one value (Eq. 7) and reports whether it fell inside the
+    /// code range: `(quantize(v), in_range(v))` from a single rounding of
+    /// `v / s + Z`. NaN maps to code 0 and, like `+/-Inf`, counts as out of
+    /// range.
+    #[inline]
+    pub fn quantize_clip(&self, v: f32) -> (u32, bool) {
+        let q = (v / self.scale + self.zero_point as f32).round();
+        let qmax = self.qmax() as f32;
+        (q.clamp(0.0, qmax) as u32, q >= 0.0 && q <= qmax)
+    }
+
     /// Quantizes one value (Eq. 7), clamping to the code range.
     #[inline]
     pub fn quantize(&self, v: f32) -> u32 {
-        let q = (v / self.scale + self.zero_point as f32).round();
-        q.clamp(0.0, self.qmax() as f32) as u32
+        self.quantize_clip(v).0
     }
 
     /// Whether `v` quantizes without clamping — the clipped-STE condition
     /// for `Q'(v) != 0`.
     #[inline]
     pub fn in_range(&self, v: f32) -> bool {
-        let q = (v / self.scale + self.zero_point as f32).round();
-        q >= 0.0 && q <= self.qmax() as f32
+        self.quantize_clip(v).1
     }
 
     /// Dequantizes one code: `s * (q - Z)`.
@@ -216,8 +225,11 @@ impl Observer {
 
     /// Folds a batch's min/max into the running range. Non-finite extrema
     /// are rejected: the previous range (if any) is kept and the rejection
-    /// is counted instead.
+    /// is counted instead. An empty tensor has no extrema and is ignored.
     pub fn observe(&mut self, t: &Tensor) {
+        if t.is_empty() {
+            return;
+        }
         let (lo, hi) = t.min_max();
         if !lo.is_finite() || !hi.is_finite() {
             self.rejected += 1;
@@ -289,6 +301,55 @@ mod tests {
         assert!(!q.in_range(50.0));
         assert!(!q.in_range(-50.0));
         assert!(q.in_range(0.5));
+    }
+
+    #[test]
+    fn quantize_clip_agrees_with_the_two_rounding_formula_on_corners() {
+        // The pre-`quantize_clip` formulas, each rounding on its own.
+        let two_round = |p: &QuantParams, v: f32| {
+            let q = (v / p.scale + p.zero_point as f32).round();
+            let qmax = p.qmax() as f32;
+            (q.clamp(0.0, qmax) as u32, q >= 0.0 && q <= qmax)
+        };
+        // Scale 1 puts exact .5 ties at v = n + 0.5 - Z.
+        let unit = QuantParams {
+            scale: 1.0,
+            zero_point: 3,
+            bits: 4,
+        };
+        let params = [
+            unit,
+            QuantParams::from_range(-0.73, 1.9, 6),
+            QuantParams::signed_symmetric(1.27, 8),
+        ];
+        for p in &params {
+            let qmax = p.qmax() as f32;
+            let z = p.zero_point as f32;
+            let mut corners = vec![0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            // qmax +/- 0.5 and the -0.5 tie below code 0, in value space.
+            for code in [qmax - 0.5, qmax + 0.5, -0.5, 0.5, 2.5] {
+                corners.push((code - z) * p.scale);
+            }
+            for v in corners {
+                let got = p.quantize_clip(v);
+                assert_eq!(got, two_round(p, v), "{p:?} at {v}");
+                assert_eq!(got, (p.quantize(v), p.in_range(v)), "{p:?} at {v}");
+            }
+        }
+        // Round-half-away-from-zero at the range edges of `unit`
+        // (qmax = 15, Z = 3).
+        assert_eq!(unit.quantize_clip(11.5), (15, true), "14.5 rounds to qmax");
+        assert_eq!(
+            unit.quantize_clip(12.5),
+            (15, false),
+            "15.5 rounds past qmax"
+        );
+        assert_eq!(unit.quantize_clip(-3.5), (0, false), "-0.5 rounds to -1");
+        assert_eq!(unit.quantize_clip(-3.49), (0, true), "-0.49 rounds to -0");
+        assert_eq!(unit.quantize_clip(-0.0), (3, true));
+        assert_eq!(unit.quantize_clip(f32::NAN), (0, false));
+        assert_eq!(unit.quantize_clip(f32::INFINITY), (15, false));
+        assert_eq!(unit.quantize_clip(f32::NEG_INFINITY), (0, false));
     }
 
     #[test]
@@ -416,6 +477,20 @@ mod tests {
         obs.observe(&Tensor::from_vec(vec![-1.0, f32::NAN, 1.0], &[3]));
         assert_eq!(obs.range(), Some((-1.0, 1.0)));
         assert_eq!(obs.rejected(), 0);
+    }
+
+    #[test]
+    fn empty_batches_are_ignored() {
+        let mut obs = Observer::new(0.5);
+        obs.observe(&Tensor::zeros(&[0, 3]));
+        assert!(
+            obs.range().is_none(),
+            "an empty first batch calibrates nothing"
+        );
+        obs.observe(&Tensor::from_vec(vec![-1.0, 2.0], &[2]));
+        obs.observe(&Tensor::zeros(&[0]));
+        assert_eq!(obs.range(), Some((-1.0, 2.0)), "no pull toward (0, 0)");
+        assert_eq!(obs.rejected(), 0, "not counted as a rejection");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The im2col representation is the backbone of the whole workspace: the
 //! approximate LUT-based convolution in `appmult-retrain` reuses
-//! [`im2col`] / [`col2im`] and replaces only the inner product.
+//! [`im2col_gather`] (on quantized codes) / [`col2im`] and replaces only
+//! the inner product.
 
 use crate::init::kaiming_normal;
 use crate::module::{Module, Parameter};
@@ -69,43 +70,65 @@ impl Conv2dSpec {
 ///
 /// Panics if `input` is not rank 4 or its channel count mismatches `spec`.
 pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
-    let shape = input.shape();
+    let s = input.shape();
+    let cols = im2col_gather(input.as_slice(), s, spec, 0.0);
+    let (oh, ow) = spec.out_hw(s[2], s[3]);
+    Tensor::from_vec(cols, &[s[0] * oh * ow, spec.patch_len()])
+}
+
+/// The gather behind [`im2col`], over any element type: unfolds the
+/// NCHW buffer `data` of the given `shape` into row-major
+/// `[N * OH * OW, Cin * k * k]` patch rows, filling padding taps with
+/// `pad`.
+///
+/// Gathering commutes with any elementwise map `f`: gathering `f(x)` with
+/// pad `f(0.0)` equals mapping `f` over `im2col(x)`. The approximate conv
+/// relies on this to quantize each input pixel once and gather the codes.
+///
+/// # Panics
+///
+/// Panics if `shape` is not rank 4, its channel count mismatches `spec`,
+/// or `data.len()` is not the product of `shape`.
+pub fn im2col_gather<T: Copy>(data: &[T], shape: &[usize], spec: &Conv2dSpec, pad: T) -> Vec<T> {
     assert_eq!(shape.len(), 4, "expected NCHW input");
     let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
     assert_eq!(c, spec.in_channels, "channel mismatch");
+    assert_eq!(data.len(), n * c * h * w, "data does not match shape");
     let (oh, ow) = spec.out_hw(h, w);
     let k = spec.kernel;
     let patch = spec.patch_len();
-    let mut out = vec![0.0f32; n * oh * ow * patch];
-    let data = input.as_slice();
+    let mut out = vec![pad; n * oh * ow * patch];
     for ni in 0..n {
         for oy in 0..oh {
+            // Valid kernel rows: 0 <= oy * stride + ky - padding < h.
+            let iy0 = oy * spec.stride;
+            let ky_lo = spec.padding.saturating_sub(iy0);
+            let ky_hi = (h + spec.padding).saturating_sub(iy0).min(k);
             for ox in 0..ow {
                 let row = ((ni * oh + oy) * ow + ox) * patch;
-                let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-                let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
+                // Valid kernel columns form one contiguous run, so each
+                // (channel, kernel row) is a single slice copy.
+                let ix0 = ox * spec.stride;
+                let kx_lo = spec.padding.saturating_sub(ix0);
+                let kx_hi = (w + spec.padding).saturating_sub(ix0).min(k);
+                if kx_lo >= kx_hi {
+                    continue;
+                }
+                let run = kx_hi - kx_lo;
+                let x_lo = ix0 + kx_lo - spec.padding;
                 for ci in 0..c {
                     let base_in = (ni * c + ci) * h * w;
-                    let base_out = row + ci * k * k;
-                    for ky in 0..k {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            out[base_out + ky * k + kx] =
-                                data[base_in + iy as usize * w + ix as usize];
-                        }
+                    let base_out = row + ci * k * k + kx_lo;
+                    for ky in ky_lo..ky_hi {
+                        let src = base_in + (iy0 + ky - spec.padding) * w + x_lo;
+                        let dst = base_out + ky * k;
+                        out[dst..dst + run].copy_from_slice(&data[src..src + run]);
                     }
                 }
             }
         }
     }
-    Tensor::from_vec(out, &[n * oh * ow, patch])
+    out
 }
 
 /// Folds patch-row gradients back into an NCHW gradient (the adjoint of

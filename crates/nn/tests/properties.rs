@@ -3,7 +3,7 @@
 //! Deterministic cases drawn from the in-tree `appmult-rng` stream
 //! (proptest is unavailable in the offline build environment).
 
-use appmult_nn::layers::{im2col, nchw_to_rows, rows_to_nchw, Conv2dSpec};
+use appmult_nn::layers::{im2col, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2dSpec};
 use appmult_nn::loss::{softmax, softmax_cross_entropy};
 use appmult_nn::metrics::top_k_accuracy;
 use appmult_nn::Tensor;
@@ -64,6 +64,57 @@ fn unit_kernel_im2col_is_permutation() {
         a.sort_by(f32::total_cmp);
         b.sort_by(f32::total_cmp);
         assert_eq!(a, b);
+    }
+}
+
+/// The generic gather commutes with elementwise maps: gathering `f(x)`
+/// with pad `f(0.0)` equals mapping `f` over `im2col(x)`, for an `f` into
+/// another element type. `im2col` itself matches the definition: each
+/// entry is the input tap it names, or 0 where that tap is padding.
+#[test]
+fn gather_commutes_with_elementwise_maps() {
+    let mut rng = Rng64::seed_from_u64(0xA5);
+    // An arbitrary non-monotone map into a different element type.
+    let f = |v: f32| ((v * 7.3).sin() * 1000.0) as i32 ^ (v.to_bits() as i32 & 3);
+    for _ in 0..96 {
+        let k = 1 + rng.below(5) as usize;
+        let spec = Conv2dSpec {
+            in_channels: 1 + rng.below(3) as usize,
+            out_channels: 1,
+            kernel: k,
+            stride: 1 + rng.below(3) as usize,
+            padding: rng.below(3) as usize,
+        };
+        // Smallest input the kernel fits, plus a random (often odd) margin.
+        let min_hw = k.saturating_sub(2 * spec.padding).max(1);
+        let (h, w) = (
+            min_hw + rng.below(6) as usize,
+            min_hw + rng.below(6) as usize,
+        );
+        let n = rng.below(3) as usize;
+        let shape = [n, spec.in_channels, h, w];
+        let x = Tensor::from_vec(random_data(&mut rng, shape.iter().product()), &shape);
+        let cols = im2col(&x, &spec);
+        let mapped: Vec<i32> = x.as_slice().iter().map(|&v| f(v)).collect();
+        let gathered = im2col_gather(&mapped, &shape, &spec, f(0.0));
+        let want: Vec<i32> = cols.as_slice().iter().map(|&v| f(v)).collect();
+        assert_eq!(gathered, want, "{spec:?} on {shape:?}");
+
+        let (oh, ow) = spec.out_hw(h, w);
+        assert_eq!(cols.shape(), &[n * oh * ow, spec.patch_len()]);
+        for (r, row) in cols.as_slice().chunks(spec.patch_len()).enumerate() {
+            let (ni, oy, ox) = (r / (oh * ow), r / ow % oh, r % ow);
+            for (t, &got) in row.iter().enumerate() {
+                let (ci, ky, kx) = (t / (k * k), t / k % k, t % k);
+                let iy = (oy * spec.stride + ky).checked_sub(spec.padding);
+                let ix = (ox * spec.stride + kx).checked_sub(spec.padding);
+                let want = match (iy, ix) {
+                    (Some(iy), Some(ix)) if iy < h && ix < w => x.at(&[ni, ci, iy, ix]),
+                    _ => 0.0,
+                };
+                assert_eq!(got.to_bits(), want.to_bits(), "{spec:?} row {r} tap {t}");
+            }
+        }
     }
 }
 
