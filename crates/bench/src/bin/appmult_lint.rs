@@ -25,7 +25,7 @@ use appmult_bench::{markdown_table, write_results, Args};
 use appmult_verify::{lint_zoo, MultiplierEquiv, Severity};
 
 fn main() -> ExitCode {
-    let args = Args::from_env();
+    let args = Args::from_env("", "fail-on-warn");
     let fail_on_warn = args.flag("fail-on-warn");
     let report = lint_zoo();
 

@@ -29,7 +29,10 @@ use appmult_bench::dse_driver::{run_dse_bench, DseBenchConfig};
 use appmult_bench::{write_results, Args};
 
 fn main() -> ExitCode {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        "seed bits mu lambda generations max-mutations frontier-out",
+        "include-syn rung require-dominance",
+    );
     let mut cfg = DseBenchConfig::smoke(args.get_or("seed", 1u64));
     cfg.bits = args.get_or("bits", cfg.bits);
     cfg.mu = args.get_or("mu", cfg.mu);

@@ -43,7 +43,7 @@ fn draw_faults(circuit: &MultiplierCircuit, count: usize, seed: u64) -> Vec<Faul
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("bits seed hws faults epochs", "wallace");
     let bits: u32 = args.get_or("bits", 8);
     let seed: u64 = args.get_or("seed", 1);
     let hws: u32 = args.get_or("hws", 16);

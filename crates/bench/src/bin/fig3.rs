@@ -17,7 +17,7 @@ use appmult_mult::{zoo, Multiplier};
 use appmult_retrain::{GradientLut, GradientMode};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("wf hws", "");
     let wf: u32 = args.get_or("wf", 10);
     let hws: u32 = args.get_or("hws", 4);
 

@@ -103,7 +103,8 @@ fn panel(rows: &[ComparisonRow], refs: &[(String, f64)], bits: u32) -> String {
 }
 
 fn main() {
-    let _args = Args::from_env();
+    // No flags: any argument is a usage error.
+    Args::from_env("", "");
     let (rows, refs) = load_cached().unwrap_or_else(compute);
 
     let mut csv = String::from("name,bits,norm_power,method,accuracy_pct\n");

@@ -21,7 +21,7 @@ use appmult_mult::{zoo, Multiplier};
 use appmult_retrain::GradientMode;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("epochs", "");
     let mut scale = Scale::cpu_cifar100();
     scale.model.width_div = 12; // R34/R50 are deep; keep the sweep CPU-sized
     scale.retrain_epochs = args.get_or("epochs", scale.retrain_epochs);

@@ -27,7 +27,10 @@ use appmult_bench::grad_matrix_driver::{run_grad_matrix, GradMatrixConfig};
 use appmult_bench::{write_results, Args};
 
 fn main() -> ExitCode {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        "seed hws lsq-window pretrain-epochs retrain-epochs grid-out",
+        "assert-beats-ste",
+    );
     let mut cfg = GradMatrixConfig::smoke(args.get_or("seed", 1u64));
     cfg.hws = args.get_or("hws", cfg.hws);
     cfg.lsq_window = args.get_or("lsq-window", cfg.lsq_window);

@@ -21,7 +21,7 @@ use appmult_mult::{zoo, Multiplier};
 use appmult_retrain::{candidates_for_bits, select_hws, GradientMode};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("epochs mult", "");
     let mut scale = Scale::cpu_cifar10();
     scale.retrain_epochs = args.get_or("epochs", 3);
     let kind = ModelKind::LeNet;

@@ -41,6 +41,7 @@ use appmult_circuit::{ExhaustiveTable, MultiplierCircuit};
 use appmult_kernels::{backward_dw, backward_dx, forward_acc, GemmShape, Kernel};
 use appmult_mult::{Multiplier, TruncatedMultiplier};
 use appmult_nn::{Module, Tensor};
+use appmult_obs::json::{self, Layout};
 use appmult_pool::{set_global_threads, Pool};
 use appmult_retrain::{ApproxConv2d, GradientLut, GradientMode, QuantConfig};
 use appmult_rng::Rng64;
@@ -113,10 +114,98 @@ fn random_tensor(shape: &[usize], seed: u64) -> Tensor {
     Tensor::from_vec(data, shape)
 }
 
+/// A `{:.4}` number, the precision of every timing in both reports.
+fn fixed4(v: f64) -> String {
+    format!("{v:.4}")
+}
+
+/// Renders `BENCH_kernels.json`: the swept GEMM shape (`m` batch rows) and
+/// one row per (op, threads) pair.
+fn kernels_json(
+    m: usize,
+    shape: GemmShape,
+    tiled: &str,
+    reps: usize,
+    rows: &[KernelRow],
+) -> String {
+    json::document(|w| {
+        w.key("shape").object(Layout::Inline, |w| {
+            w.key("m").raw(m);
+            w.key("j").raw(shape.j);
+            w.key("k").raw(shape.k);
+            w.key("bits").raw(shape.bits);
+        });
+        w.key("tiled").str(tiled);
+        w.key("reps").raw(reps);
+        w.key("rows").array(Layout::Pretty, |w| {
+            for r in rows {
+                w.object(Layout::Inline, |w| {
+                    w.key("op").str(r.op);
+                    w.key("threads").raw(r.threads);
+                    w.key("naive_ms").raw(fixed4(r.naive_ms));
+                    w.key("tiled_ms").raw(fixed4(r.tiled_ms));
+                    w.key("speedup").raw(fixed4(r.speedup()));
+                    w.key("naive_gmacs").raw(fixed4(r.gmacs(r.naive_ms)));
+                    w.key("tiled_gmacs").raw(fixed4(r.gmacs(r.tiled_ms)));
+                    w.key("identical").raw(r.identical);
+                });
+            }
+        });
+    })
+}
+
+/// Renders `BENCH_par.json`: the run shape, the serial-vs-parallel rows,
+/// the observability on/off rows, and the null-sink cost (`ns_per_op` per
+/// call, `null_pct` of one serial conv forward).
+fn par_json(
+    (threads, host, reps): (usize, usize, usize),
+    rows: &[BenchRow],
+    obs_rows: &[ObsRow],
+    ns_per_op: f64,
+    null_pct: f64,
+) -> String {
+    json::document(|w| {
+        w.key("threads").raw(threads);
+        w.key("host_parallelism").raw(host);
+        w.key("reps").raw(reps);
+        w.key("benches").array(Layout::Pretty, |w| {
+            for r in rows {
+                w.object(Layout::Inline, |w| {
+                    w.key("name").str(r.name);
+                    w.key("serial_ms").raw(fixed4(r.serial_ms));
+                    w.key("parallel_ms").raw(fixed4(r.parallel_ms));
+                    w.key("speedup").raw(fixed4(r.speedup()));
+                    w.key("identical").raw(r.identical);
+                });
+            }
+        });
+        w.key("obs").array(Layout::Pretty, |w| {
+            for r in obs_rows {
+                w.object(Layout::Inline, |w| {
+                    w.key("name").str(&r.name);
+                    w.key("off_ms").raw(fixed4(r.off_ms));
+                    w.key("on_ms").raw(fixed4(r.on_ms));
+                    w.key("overhead_pct").raw(fixed4(r.overhead_pct()));
+                });
+            }
+        });
+        w.key("null_sink").object(Layout::Inline, |w| {
+            w.key("ns_per_op").raw(fixed4(ns_per_op));
+            w.key("pct_of_conv_forward")
+                .raw(format_args!("{null_pct:.6}"));
+        });
+    })
+}
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        "threads reps assert-overhead assert-kernel-speedup",
+        "assert-small-shape",
+    );
     let threads = args.get_or("threads", Pool::global().threads().max(4));
     let reps = args.get_or("reps", 5usize);
+    let overhead_limit: Option<f64> = args.get("assert-overhead");
+    let min_kernel_speedup: Option<f64> = args.get("assert-kernel-speedup");
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!("par_scale: {threads} threads vs serial, best of {reps} (host parallelism {host})");
 
@@ -545,75 +634,11 @@ fn main() {
     );
     println!("{kernel_table}");
 
-    let kernel_json: Vec<String> = kernel_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"op\": \"{}\", \"threads\": {}, \"naive_ms\": {:.4}, ",
-                    "\"tiled_ms\": {:.4}, \"speedup\": {:.4}, \"naive_gmacs\": {:.4}, ",
-                    "\"tiled_gmacs\": {:.4}, \"identical\": {}}}"
-                ),
-                r.op,
-                r.threads,
-                r.naive_ms,
-                r.tiled_ms,
-                r.speedup(),
-                r.gmacs(r.naive_ms),
-                r.gmacs(r.tiled_ms),
-                r.identical
-            )
-        })
-        .collect();
-    let kernels_json = format!(
-        "{{\n  \"shape\": {{\"m\": {km}, \"j\": {kj}, \"k\": {kk}, \"bits\": {}}},\n  \
-         \"tiled\": \"{}\",\n  \"reps\": {kreps},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        kshape.bits,
-        tiled.label(),
-        kernel_json.join(",\n")
-    );
+    let kernels_json = kernels_json(km, kshape, &tiled.label(), kreps, &kernel_rows);
     let kpath = write_results("BENCH_kernels.json", &kernels_json);
     println!("wrote {}", kpath.display());
 
-    let benches: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"serial_ms\": {:.4}, ",
-                    "\"parallel_ms\": {:.4}, \"speedup\": {:.4}, \"identical\": {}}}"
-                ),
-                r.name,
-                r.serial_ms,
-                r.parallel_ms,
-                r.speedup(),
-                r.identical
-            )
-        })
-        .collect();
-    let obs_json: Vec<String> = obs_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"off_ms\": {:.4}, ",
-                    "\"on_ms\": {:.4}, \"overhead_pct\": {:.4}}}"
-                ),
-                r.name,
-                r.off_ms,
-                r.on_ms,
-                r.overhead_pct()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"threads\": {threads},\n  \"host_parallelism\": {host},\n  \
-         \"reps\": {reps},\n  \"benches\": [\n{}\n  ],\n  \"obs\": [\n{}\n  ],\n  \
-         \"null_sink\": {{\"ns_per_op\": {ns_per_op:.4}, \
-         \"pct_of_conv_forward\": {null_pct:.6}}}\n}}\n",
-        benches.join(",\n"),
-        obs_json.join(",\n")
-    );
+    let json = par_json((threads, host, reps), &rows, &obs_rows, ns_per_op, null_pct);
     let path = write_results("BENCH_par.json", &json);
     println!("wrote {}", path.display());
 
@@ -625,10 +650,7 @@ fn main() {
         kernel_rows.iter().all(|r| r.identical),
         "tiled kernels must be bit-identical to naive"
     );
-    if let Some(min_speedup) = args
-        .value("assert-kernel-speedup")
-        .and_then(|v| v.parse::<f64>().ok())
-    {
+    if let Some(min_speedup) = min_kernel_speedup {
         for r in kernel_rows.iter().filter(|r| r.op == "forward") {
             assert!(
                 r.speedup() >= min_speedup,
@@ -661,10 +683,7 @@ fn main() {
             small.serial_ms
         );
     }
-    if let Some(limit) = args
-        .value("assert-overhead")
-        .and_then(|v| v.parse::<f64>().ok())
-    {
+    if let Some(limit) = overhead_limit {
         for r in &obs_rows {
             assert!(
                 r.overhead_pct() < limit,
@@ -674,5 +693,86 @@ fn main() {
             );
         }
         println!("observability overhead within the {limit}% budget");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernels_layout_is_locked_on_fixed_rows() {
+        let row = |op, threads, naive_ms, tiled_ms| KernelRow {
+            op,
+            threads,
+            naive_ms,
+            tiled_ms,
+            identical: true,
+            macs: 1_228_800,
+        };
+        let json = kernels_json(
+            512,
+            GemmShape {
+                j: 16,
+                k: 150,
+                bits: 8,
+            },
+            "tiled-64x16x64",
+            9,
+            &[row("forward", 1, 2.0, 1.0), row("dx", 8, 1.5, 1.6)],
+        );
+        let expected = r#"{
+  "shape": {"m": 512, "j": 16, "k": 150, "bits": 8},
+  "tiled": "tiled-64x16x64",
+  "reps": 9,
+  "rows": [
+    {"op": "forward", "threads": 1, "naive_ms": 2.0000, "tiled_ms": 1.0000, "speedup": 2.0000, "naive_gmacs": 0.6144, "tiled_gmacs": 1.2288, "identical": true},
+    {"op": "dx", "threads": 8, "naive_ms": 1.5000, "tiled_ms": 1.6000, "speedup": 0.9375, "naive_gmacs": 0.8192, "tiled_gmacs": 0.7680, "identical": true}
+  ]
+}
+"#;
+        assert_eq!(json, expected);
+    }
+
+    #[test]
+    fn par_layout_is_locked_on_fixed_rows() {
+        let json = par_json(
+            (4, 2, 5),
+            &[BenchRow {
+                name: "conv_forward",
+                serial_ms: 3.0,
+                parallel_ms: 2.0,
+                identical: true,
+            }],
+            &[
+                ObsRow {
+                    name: "gemm_forward".to_string(),
+                    off_ms: 1.0,
+                    on_ms: 1.05,
+                },
+                ObsRow {
+                    name: "gemm_backward".to_string(),
+                    off_ms: 2.0,
+                    on_ms: 1.9,
+                },
+            ],
+            0.123_456,
+            0.000_012_345,
+        );
+        let expected = r#"{
+  "threads": 4,
+  "host_parallelism": 2,
+  "reps": 5,
+  "benches": [
+    {"name": "conv_forward", "serial_ms": 3.0000, "parallel_ms": 2.0000, "speedup": 1.5000, "identical": true}
+  ],
+  "obs": [
+    {"name": "gemm_forward", "off_ms": 1.0000, "on_ms": 1.0500, "overhead_pct": 5.0000},
+    {"name": "gemm_backward", "off_ms": 2.0000, "on_ms": 1.9000, "overhead_pct": -5.0000}
+  ],
+  "null_sink": {"ns_per_op": 0.1235, "pct_of_conv_forward": 0.000012}
+}
+"#;
+        assert_eq!(json, expected);
     }
 }

@@ -18,7 +18,10 @@ use appmult_bench::serve_driver::{run_serve_bench, ServeBenchOptions};
 use appmult_bench::Args;
 
 fn main() {
-    let opts = ServeBenchOptions::from_args(&Args::from_env());
+    let opts = ServeBenchOptions::from_args(&Args::from_env(
+        "duration-ms overload-x chaos",
+        "assert-overload assert-fairness",
+    ));
     let report = run_serve_bench(&opts);
     println!(
         "serve_bench done: served {}/{} (shed {}, lost {}), capacity {:.0} req/s, \

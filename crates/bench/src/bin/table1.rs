@@ -18,7 +18,7 @@ use appmult_circuit::CostModel;
 use appmult_mult::zoo;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("", "skip-syn");
     let skip_syn = args.flag("skip-syn");
     let model = CostModel::asap7();
 

@@ -27,7 +27,7 @@ use appmult_mult::zoo;
 use appmult_mult::Multiplier;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("model epochs", "quick full select-hws");
     let model_name = args.value("model").unwrap_or("vgg").to_string();
     let quick = args.flag("quick");
     let full = args.flag("full");
@@ -62,8 +62,8 @@ fn main() {
         scale.model.width_div = 8;
         scale.retrain_epochs = 8;
     }
-    if let Some(e) = args.value("epochs") {
-        scale.retrain_epochs = e.parse().expect("--epochs must be an integer");
+    if let Some(e) = args.get("epochs") {
+        scale.retrain_epochs = e;
     }
 
     let names: Vec<&str> = if quick {

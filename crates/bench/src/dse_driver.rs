@@ -237,9 +237,7 @@ pub fn run_dse_bench(cfg: &DseBenchConfig) -> DseBenchOutcome {
         });
     }
 
-    let threads = Pool::global().threads();
-    let kernel = appmult_kernels::Kernel::global().label();
-    let json = dse_json(&search_cfg, &result, threads, &kernel);
+    let json = dse_json(&search_cfg, &result, &crate::run_config());
     let frontier_doc = frontier_json(&search_cfg, &result);
 
     let rows: Vec<Vec<String>> = result

@@ -13,6 +13,8 @@
 use std::sync::Arc;
 
 use appmult_mult::{Multiplier, MultiplierLut, SignMagnitudeMultiplier, TruncatedMultiplier};
+use appmult_obs::json::{self, Layout};
+use appmult_obs::Value;
 use appmult_pool::Pool;
 use appmult_retrain::{GradientLut, GradientMode, QuantScheme, SmoothingKernel};
 
@@ -304,10 +306,8 @@ pub fn run_grad_matrix(cfg: &GradMatrixConfig) -> GradMatrixOutcome {
         }
     }
 
-    let threads = Pool::global().threads();
-    let kernel = appmult_kernels::Kernel::global().label();
-    let json = grad_matrix_json(cfg, &cells, float_top1 * 100.0, Some((threads, &kernel)));
-    let grid_json = grad_matrix_json(cfg, &cells, float_top1 * 100.0, None);
+    let json = grad_matrix_json(cfg, &cells, float_top1 * 100.0, &crate::run_config());
+    let grid_json = grad_matrix_json(cfg, &cells, float_top1 * 100.0, &[]);
 
     let estimator_keys: Vec<String> = cfg
         .estimators
@@ -345,88 +345,50 @@ pub fn run_grad_matrix(cfg: &GradMatrixConfig) -> GradMatrixOutcome {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes a run. With `env: Some((threads, kernel))` this is the full
-/// `results/GRAD_MATRIX.json`; with `None` the machine-independent grid
-/// document (the CI determinism artefact).
+/// Serializes a run. With the run environment in `env` (`threads`,
+/// `kernel`) this is the full `results/GRAD_MATRIX.json`; with an empty
+/// `env`, the machine-independent grid document (the CI determinism
+/// artefact).
 fn grad_matrix_json(
     cfg: &GradMatrixConfig,
     cells: &[GradMatrixCell],
     float_top1_pct: f64,
-    env: Option<(usize, &str)>,
+    env: &[(&str, Value)],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"schema\": \"{GRAD_MATRIX_SCHEMA_VERSION}\",\n"
-    ));
-    out.push_str("  \"config\": {\n");
-    out.push_str(&format!("    \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("    \"hws\": {},\n", cfg.hws));
-    out.push_str(&format!("    \"lsq_window\": {},\n", cfg.lsq_window));
-    out.push_str(&format!(
-        "    \"pretrain_epochs\": {},\n",
-        cfg.pretrain_epochs
-    ));
-    out.push_str(&format!("    \"retrain_epochs\": {}", cfg.retrain_epochs));
-    if let Some((threads, kernel)) = env {
-        out.push_str(&format!(",\n    \"threads\": {threads},\n"));
-        out.push_str(&format!("    \"kernel\": \"{}\"\n", json_escape(kernel)));
-    } else {
-        out.push('\n');
-    }
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"float_top1_pct\": {float_top1_pct},\n"));
-    out.push_str(&format!(
-        "  \"float_top1_pct_bits\": {},\n",
-        float_top1_pct.to_bits()
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"design\": \"{}\",\n",
-            json_escape(&c.design)
-        ));
-        out.push_str(&format!("      \"scheme\": \"{}\",\n", c.scheme));
-        out.push_str(&format!("      \"bits\": {},\n", c.bits));
-        out.push_str(&format!(
-            "      \"estimator\": \"{}\",\n",
-            json_escape(&c.estimator)
-        ));
-        out.push_str(&format!("      \"family\": \"{}\",\n", c.family));
-        for (key, value) in [
-            ("initial_pct", c.initial_pct),
-            ("final_pct", c.final_pct),
-            ("grad_err", c.grad_err),
-        ] {
-            out.push_str(&format!("      \"{key}\": {value},\n"));
-            out.push_str(&format!("      \"{key}_bits\": {}", value.to_bits()));
-            if key == "grad_err" {
-                out.push('\n');
-            } else {
-                out.push_str(",\n");
+    json::document(|w| {
+        w.key("schema").str(GRAD_MATRIX_SCHEMA_VERSION);
+        w.key("config").object(Layout::Pretty, |w| {
+            w.key("seed").raw(cfg.seed);
+            w.key("hws").raw(cfg.hws);
+            w.key("lsq_window").raw(cfg.lsq_window);
+            w.key("pretrain_epochs").raw(cfg.pretrain_epochs);
+            w.key("retrain_epochs").raw(cfg.retrain_epochs);
+            for (key, value) in env {
+                w.key(key).value(value);
             }
-        }
-        out.push_str("    }");
-        out.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+        });
+        w.key("float_top1_pct").f64(float_top1_pct);
+        w.key("float_top1_pct_bits").raw(float_top1_pct.to_bits());
+        w.key("cells").array(Layout::Pretty, |w| {
+            for c in cells {
+                w.object(Layout::Pretty, |w| {
+                    w.key("design").str(&c.design);
+                    w.key("scheme").str(c.scheme);
+                    w.key("bits").raw(c.bits);
+                    w.key("estimator").str(&c.estimator);
+                    w.key("family").str(c.family);
+                    for (key, value) in [
+                        ("initial_pct", c.initial_pct),
+                        ("final_pct", c.final_pct),
+                        ("grad_err", c.grad_err),
+                    ] {
+                        w.key(key).f64(value);
+                        w.key(&format!("{key}_bits")).raw(value.to_bits());
+                    }
+                });
+            }
+        });
+    })
 }
 
 #[cfg(test)]

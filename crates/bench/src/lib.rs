@@ -402,45 +402,85 @@ pub fn hardware_normalized(entry: &ZooEntry) -> (f64, f64) {
     }
 }
 
-/// Minimal CLI flag reader: `--flag` presence and `--key value` pairs.
+/// Minimal CLI flag reader: `--key value` pairs and `--flag` switches,
+/// checked against the names each binary declares, so a mistyped flag or
+/// value fails the run instead of silently switching a gate off.
 #[derive(Debug, Clone)]
 pub struct Args {
-    raw: Vec<String>,
+    values: Vec<(String, String)>,
+    flags: Vec<String>,
 }
 
 impl Args {
-    /// Captures the process arguments.
-    pub fn from_env() -> Self {
-        Self {
-            raw: std::env::args().skip(1).collect(),
-        }
+    /// Parses the process arguments against the binary's declared names:
+    /// `values` and `flags` are space-separated lists of the flags that
+    /// take a value and of the switches. Any error is printed and exits
+    /// with status 2.
+    pub fn from_env(values: &str, flags: &str) -> Self {
+        let raw = std::env::args().skip(1).collect();
+        Self::from_vec(raw, values, flags).unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// Builds from an explicit list (for tests).
-    pub fn from_vec(raw: Vec<String>) -> Self {
-        Self { raw }
+    /// Parses an explicit argument list; the error names the undeclared
+    /// `--flag`, the stray token, or the value flag missing its value.
+    pub fn from_vec(raw: Vec<String>, values: &str, flags: &str) -> Result<Self, String> {
+        let mut args = Self {
+            values: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut raw = raw.into_iter();
+        while let Some(arg) = raw.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument `{arg}`"));
+            };
+            if values.split_whitespace().any(|v| v == name) {
+                let value = raw.next().ok_or(format!("`{arg}` needs a value"))?;
+                args.values.push((name.to_string(), value));
+            } else if flags.split_whitespace().any(|f| f == name) {
+                args.flags.push(name.to_string());
+            } else {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+        }
+        Ok(args)
     }
 
     /// Whether `--name` is present.
     pub fn flag(&self, name: &str) -> bool {
-        self.raw.iter().any(|a| a == &format!("--{name}"))
+        self.flags.iter().any(|f| f == name)
     }
 
-    /// The value following `--name`, if any.
+    /// The value following the first `--name`, if any.
     pub fn value(&self, name: &str) -> Option<&str> {
-        let key = format!("--{name}");
-        self.raw
-            .windows(2)
-            .find(|w| w[0] == key)
-            .map(|w| w[1].as_str())
+        let pair = self.values.iter().find(|(k, _)| k == name);
+        pair.map(|(_, v)| v.as_str())
     }
 
-    /// Parsed value following `--name`, or `default`.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The value following `--name`, parsed; the error names the flag and
+    /// the value that does not parse as a `T`.
+    fn try_get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("invalid value `{v}` for `--{name}`"))
+        };
+        self.value(name).map(parse).transpose()
     }
+
+    /// The value following `--name`, parsed; exits with status 2 naming
+    /// the flag and the value when it does not parse as a `T`.
+    pub fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.try_get(name).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// [`get`](Self::get), or `default` when the flag is absent.
+    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.get(name).unwrap_or(default)
+    }
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// Artifacts of one observability-demo retraining run (see [`run_obs_demo`]).
@@ -719,13 +759,46 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
 mod tests {
     use super::*;
 
+    fn parse(raw: &[&str]) -> Result<Args, String> {
+        let raw = raw.iter().map(ToString::to_string).collect();
+        Args::from_vec(raw, "epochs batch assert-overhead", "full quick")
+    }
+
     #[test]
     fn args_parse_flags_and_values() {
-        let a = Args::from_vec(vec!["--full".into(), "--epochs".into(), "7".into()]);
+        let a = parse(&["--full", "--epochs", "7"]).expect("valid");
         assert!(a.flag("full"));
         assert!(!a.flag("quick"));
         assert_eq!(a.get_or("epochs", 3usize), 7);
         assert_eq!(a.get_or("batch", 32usize), 32);
+        assert_eq!(a.try_get::<f64>("assert-overhead"), Ok(None));
+        let a = parse(&["--assert-overhead", "5"]).expect("valid");
+        assert_eq!(a.try_get::<f64>("assert-overhead"), Ok(Some(5.0)));
+    }
+
+    #[test]
+    fn args_name_unknown_flags_stray_arguments_and_bad_values() {
+        assert_eq!(
+            parse(&["--require-dominanse"]).unwrap_err(),
+            "unknown flag `--require-dominanse`"
+        );
+        assert_eq!(
+            parse(&["--full", "7"]).unwrap_err(),
+            "unexpected argument `7`"
+        );
+        assert_eq!(
+            parse(&["--epochs"]).unwrap_err(),
+            "`--epochs` needs a value"
+        );
+        // `--key=value` is not a supported spelling, so it is rejected too.
+        assert!(parse(&["--epochs=7"]).is_err());
+        for bad in ["5%", "1,5"] {
+            let a = parse(&["--assert-overhead", bad]).expect("the flag is known");
+            assert_eq!(
+                a.try_get::<f64>("assert-overhead"),
+                Err(format!("invalid value `{bad}` for `--assert-overhead`"))
+            );
+        }
     }
 
     #[test]

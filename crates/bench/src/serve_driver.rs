@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 use appmult_mult::{FaultyMultiplier, Multiplier};
 use appmult_nn::layers::{Relu, Sequential};
 use appmult_nn::Tensor;
+use appmult_obs::json::{self, Layout};
 use appmult_retrain::{ApproxLinear, GradientLut, GradientMode, QuantConfig};
 use appmult_rng::Rng64;
 use appmult_serve::{
@@ -241,6 +242,121 @@ fn sorted_ok_ms<F: Fn(&Outcome) -> bool>(outcomes: &[Outcome], keep: F) -> Vec<f
     ms
 }
 
+/// One phase row of `BENCH_serve.json`.
+struct PhaseFigures {
+    name: &'static str,
+    submitted: usize,
+    /// Resolved requests per outcome label, in report order.
+    outcomes: Vec<(&'static str, usize)>,
+    ok_p50: f64,
+    ok_p99: f64,
+}
+
+/// Everything `BENCH_serve.json` reports, gathered after the drive so the
+/// writer is a function of these figures alone.
+struct ServeFigures<'a> {
+    /// Run environment (`threads`, `kernel`), then the engine settings.
+    config: &'a [(&'a str, appmult_obs::Value)],
+    capacity_rps: f64,
+    overload_x: f64,
+    duration_ms: u128,
+    phases: Vec<PhaseFigures>,
+    p99_budget_ms: f64,
+    /// Submitted, served, shed, lost.
+    totals: [usize; 4],
+    /// Served p50 and p99, rejected p50 and p99.
+    latency_ms: [f64; 4],
+    fair_share: f64,
+    share_bound: f64,
+    min_share: f64,
+    shares: &'a [ModelShare],
+    /// Worker panics, model rebuilds, scrubbed inputs, deadline drops,
+    /// prefetched LUTs.
+    faults: [u64; 5],
+}
+
+/// Renders `BENCH_serve.json`.
+fn bench_serve_json(f: &ServeFigures<'_>) -> String {
+    let ms = |v: f64| format!("{v:.3}");
+    json::document(|w| {
+        w.key("config").object(Layout::Pretty, |w| {
+            for (key, value) in f.config {
+                w.key(key).value(value);
+            }
+        });
+        w.key("capacity_rps")
+            .raw(format_args!("{:.1}", f.capacity_rps));
+        w.key("overload_x").f64(f.overload_x);
+        w.key("duration_ms").raw(f.duration_ms);
+        w.key("phases").array(Layout::Pretty, |w| {
+            for p in &f.phases {
+                w.object(Layout::Inline, |w| {
+                    w.key("phase").str(p.name);
+                    w.key("submitted").raw(p.submitted);
+                    for (label, n) in &p.outcomes {
+                        w.key(label).raw(n);
+                    }
+                });
+            }
+        });
+        w.key("phase_latency_ms").array(Layout::Pretty, |w| {
+            for p in &f.phases {
+                w.object(Layout::Inline, |w| {
+                    w.key("phase").str(p.name);
+                    w.key("ok_p50").raw(ms(p.ok_p50));
+                    w.key("ok_p99").raw(ms(p.ok_p99));
+                    w.key("budget_p99")
+                        .raw(format_args!("{:.1}", f.p99_budget_ms));
+                    w.key("within_budget").raw(p.ok_p99 <= f.p99_budget_ms);
+                });
+            }
+        });
+        w.key("totals").object(Layout::Inline, |w| {
+            for (key, n) in ["submitted", "served", "shed", "lost"].iter().zip(f.totals) {
+                w.key(key).raw(n);
+            }
+        });
+        w.key("latency_ms").object(Layout::Inline, |w| {
+            let keys = ["ok_p50", "ok_p99", "reject_p50", "reject_p99"];
+            for (key, v) in keys.iter().zip(f.latency_ms) {
+                w.key(key).raw(ms(v));
+            }
+        });
+        w.key("fairness").object(Layout::Inline, |w| {
+            let share = |v: f64| format!("{v:.4}");
+            w.key("phase").str(PHASES[MULTIMODEL]);
+            w.key("fair_share").raw(share(f.fair_share));
+            w.key("bound").raw(share(f.share_bound));
+            w.key("min_share").raw(share(f.min_share));
+            w.key("holds").raw(f.min_share >= f.share_bound);
+            w.key("models").array(Layout::Pretty, |w| {
+                for s in f.shares {
+                    w.object(Layout::Inline, |w| {
+                        w.key("model").str(s.model);
+                        w.key("submitted").raw(s.submitted);
+                        w.key("served").raw(s.served);
+                        w.key("share").raw(share(s.share));
+                        w.key("ok_p50_ms").raw(ms(s.ok_p50_ms));
+                        w.key("ok_p99_ms").raw(ms(s.ok_p99_ms));
+                    });
+                }
+            });
+        });
+        w.key("faults").object(Layout::Inline, |w| {
+            let keys = [
+                "worker_panics",
+                "model_rebuilds",
+                "inputs_scrubbed",
+                "deadline_dropped",
+                "luts_prefetched",
+            ];
+            for (key, n) in keys.iter().zip(f.faults) {
+                w.key(key).raw(n);
+            }
+        });
+    })
+}
+
 /// Runs the full bench (see the module docs) and writes
 /// `results/BENCH_serve.json`.
 ///
@@ -269,7 +385,8 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchReport {
         chaos_panic_every: (opts.chaos > 0).then_some(opts.chaos),
         ..EngineConfig::default()
     };
-    let cfg_header = cfg.describe();
+    let mut config_header = crate::run_config();
+    config_header.extend(cfg.describe());
     let workers = cfg.workers;
     let engine = Engine::start(Arc::clone(&registry), cfg);
     println!(
@@ -561,90 +678,40 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchReport {
     );
 
     // ---- results/BENCH_serve.json with a self-describing config header ----
-    let mut config_fields: Vec<(String, String)> = vec![
-        (
-            "threads".to_string(),
-            appmult_pool::Pool::global().threads().to_string(),
-        ),
-        (
-            "kernel".to_string(),
-            format!("\"{}\"", appmult_kernels::Kernel::global().label()),
-        ),
-    ];
-    config_fields.extend(
-        cfg_header
+    let json = bench_serve_json(&ServeFigures {
+        config: &config_header,
+        capacity_rps,
+        overload_x: opts.overload_x,
+        duration_ms: opts.duration.as_millis(),
+        phases: PHASES
             .iter()
-            .map(|(k, v)| ((*k).to_string(), v.clone())),
-    );
-    let config_json: Vec<String> = config_fields
-        .iter()
-        .map(|(k, v)| format!("    \"{k}\": {v}"))
-        .collect();
-    let phase_json: Vec<String> = PHASES
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let by_label: Vec<String> = labels
-                .iter()
-                .map(|l| format!("\"{l}\": {}", counts[i].get(l).copied().unwrap_or(0)))
-                .collect();
-            format!(
-                "    {{\"phase\": \"{name}\", \"submitted\": {}, {}}}",
-                driver.submitted[i],
-                by_label.join(", ")
-            )
-        })
-        .collect();
-    let phase_latency_json: Vec<String> = PHASES
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let ok = sorted_ok_ms(&outcomes, |o| o.0 == i);
-            format!(
-                "    {{\"phase\": \"{name}\", \"ok_p50\": {:.3}, \"ok_p99\": {:.3}, \
-                 \"budget_p99\": {p99_budget_ms:.1}, \"within_budget\": {}}}",
-                percentile(&ok, 0.50),
-                phase_p99_ms[i],
-                phase_p99_ms[i] <= p99_budget_ms,
-            )
-        })
-        .collect();
-    let share_json: Vec<String> = shares
-        .iter()
-        .map(|s| {
-            format!(
-                "      {{\"model\": \"{}\", \"submitted\": {}, \"served\": {}, \
-                 \"share\": {:.4}, \"ok_p50_ms\": {:.3}, \"ok_p99_ms\": {:.3}}}",
-                s.model, s.submitted, s.served, s.share, s.ok_p50_ms, s.ok_p99_ms
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"config\": {{\n{}\n  }},\n  \"capacity_rps\": {capacity_rps:.1},\n  \
-         \"overload_x\": {},\n  \"duration_ms\": {},\n  \"phases\": [\n{}\n  ],\n  \
-         \"phase_latency_ms\": [\n{}\n  ],\n  \
-         \"totals\": {{\"submitted\": {total_submitted}, \"served\": {served}, \
-         \"shed\": {shed_total}, \"lost\": {lost}}},\n  \
-         \"latency_ms\": {{\"ok_p50\": {:.3}, \"ok_p99\": {:.3}, \
-         \"reject_p50\": {:.3}, \"reject_p99\": {:.3}}},\n  \
-         \"fairness\": {{\"phase\": \"multimodel\", \"fair_share\": {fair_share:.4}, \
-         \"bound\": {share_bound:.4}, \"min_share\": {min_share:.4}, \"holds\": {}, \
-         \"models\": [\n{}\n    ]}},\n  \
-         \"faults\": {{\"worker_panics\": {panics}, \"model_rebuilds\": {rebuilds}, \
-         \"inputs_scrubbed\": {scrubbed}, \"deadline_dropped\": {deadline_dropped}, \
-         \"luts_prefetched\": {prefetched}}}\n}}\n",
-        config_json.join(",\n"),
-        opts.overload_x,
-        opts.duration.as_millis(),
-        phase_json.join(",\n"),
-        phase_latency_json.join(",\n"),
-        percentile(&ok_ms, 0.50),
-        percentile(&ok_ms, 0.99),
-        percentile(&rej_ms, 0.50),
-        percentile(&rej_ms, 0.99),
-        min_share >= share_bound,
-        share_json.join(",\n"),
-    );
+            .enumerate()
+            .map(|(i, &name)| PhaseFigures {
+                name,
+                submitted: driver.submitted[i],
+                outcomes: labels
+                    .iter()
+                    .map(|&l| (l, counts[i].get(l).copied().unwrap_or(0)))
+                    .collect(),
+                ok_p50: percentile(&sorted_ok_ms(&outcomes, |o| o.0 == i), 0.50),
+                ok_p99: phase_p99_ms[i],
+            })
+            .collect(),
+        p99_budget_ms,
+        totals: [total_submitted, served, shed_total, lost],
+        latency_ms: [
+            (&ok_ms, 0.50),
+            (&ok_ms, 0.99),
+            (&rej_ms, 0.50),
+            (&rej_ms, 0.99),
+        ]
+        .map(|(ms, p)| percentile(ms, p)),
+        fair_share,
+        share_bound,
+        min_share,
+        shares: &shares,
+        faults: [panics, rebuilds, scrubbed, deadline_dropped, prefetched],
+    });
     let path = write_results("BENCH_serve.json", &json);
     println!("wrote {}", path.display());
 
@@ -711,5 +778,83 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchReport {
         share_bound,
         phase_p99_ms,
         p99_budget_ms,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_serve_layout_is_locked_on_fixed_figures() {
+        let phase = |name, submitted, ok, shed, p50, p99| PhaseFigures {
+            name,
+            submitted,
+            outcomes: vec![("ok", ok), ("shed", shed)],
+            ok_p50: p50,
+            ok_p99: p99,
+        };
+        let share = |model, submitted, served, share| ModelShare {
+            model,
+            submitted,
+            served,
+            share,
+            ok_p50_ms: 1.25,
+            ok_p99_ms: 9.0,
+        };
+        let json = bench_serve_json(&ServeFigures {
+            config: &[
+                ("threads", 2u64.into()),
+                ("kernel", "tiled-64x16x64".into()),
+                ("queue_capacity", 48u64.into()),
+                ("scrub_nonfinite", true.into()),
+            ],
+            capacity_rps: 1234.56,
+            overload_x: 2.5,
+            duration_ms: 300,
+            phases: vec![
+                phase("steady", 10, 10, 0, 0.5, 1.0),
+                phase("overload", 40, 25, 15, 2.0, 123.4567),
+            ],
+            p99_budget_ms: 5000.0,
+            totals: [50, 35, 15, 0],
+            latency_ms: [1.0, 100.0, 0.01, 0.2],
+            fair_share: 0.5,
+            share_bound: 0.25,
+            min_share: 1.0 / 3.0,
+            shares: &[
+                share("clean", 30, 20, 2.0 / 3.0),
+                share("faulty", 12, 10, 1.0 / 3.0),
+            ],
+            faults: [3, 0, 4, 5, 2],
+        });
+        let expected = r#"{
+  "config": {
+    "threads": 2,
+    "kernel": "tiled-64x16x64",
+    "queue_capacity": 48,
+    "scrub_nonfinite": true
+  },
+  "capacity_rps": 1234.6,
+  "overload_x": 2.5,
+  "duration_ms": 300,
+  "phases": [
+    {"phase": "steady", "submitted": 10, "ok": 10, "shed": 0},
+    {"phase": "overload", "submitted": 40, "ok": 25, "shed": 15}
+  ],
+  "phase_latency_ms": [
+    {"phase": "steady", "ok_p50": 0.500, "ok_p99": 1.000, "budget_p99": 5000.0, "within_budget": true},
+    {"phase": "overload", "ok_p50": 2.000, "ok_p99": 123.457, "budget_p99": 5000.0, "within_budget": true}
+  ],
+  "totals": {"submitted": 50, "served": 35, "shed": 15, "lost": 0},
+  "latency_ms": {"ok_p50": 1.000, "ok_p99": 100.000, "reject_p50": 0.010, "reject_p99": 0.200},
+  "fairness": {"phase": "multimodel", "fair_share": 0.5000, "bound": 0.2500, "min_share": 0.3333, "holds": true, "models": [
+      {"model": "clean", "submitted": 30, "served": 20, "share": 0.6667, "ok_p50_ms": 1.250, "ok_p99_ms": 9.000},
+      {"model": "faulty", "submitted": 12, "served": 10, "share": 0.3333, "ok_p50_ms": 1.250, "ok_p99_ms": 9.000}
+    ]},
+  "faults": {"worker_panics": 3, "model_rebuilds": 0, "inputs_scrubbed": 4, "deadline_dropped": 5, "luts_prefetched": 2}
+}
+"#;
+        assert_eq!(json, expected);
     }
 }

@@ -1,15 +1,19 @@
 //! `results/DSE.json` serialization (schema `appmult-dse/v1`).
 //!
-//! Hand-rolled line-oriented JSON like the rest of the workspace (the
-//! repo is zero-dependency). Every float is emitted twice: once as the
-//! shortest-round-trip decimal for humans, once as its IEEE-754 bit
-//! pattern (`*_bits` / `objective_bits`) so the determinism regression
-//! can compare frontiers bit-for-bit without parsing decimals.
+//! Built through the workspace's one JSON encoder
+//! ([`appmult_obs::json`]), like every other report. Every float is
+//! emitted twice: once as the shortest-round-trip decimal for humans, once
+//! as its IEEE-754 bit pattern (`*_bits` / `objective_bits`) so the
+//! determinism regression can compare frontiers bit-for-bit without
+//! parsing decimals.
 //!
 //! [`frontier_json`] deliberately excludes anything machine-dependent
 //! (thread count, kernel): two runs with the same config must produce
 //! byte-identical frontier files regardless of `APPMULT_THREADS`. The
 //! full [`dse_json`] adds the run environment in its config header.
+
+use appmult_obs::json::{self, JsonWriter, Layout};
+use appmult_obs::Value;
 
 use crate::eval::{DseConfig, Objective};
 use crate::search::{Candidate, DseResult};
@@ -17,53 +21,35 @@ use crate::search::{Candidate, DseResult};
 /// Version tag in the `schema` field of `results/DSE.json`.
 pub const DSE_SCHEMA_VERSION: &str = "appmult-dse/v1";
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn write_objective(o: &Objective, key: &str, w: &mut JsonWriter) {
+    w.key(key).object(Layout::Inline, |w| {
+        w.key("hw").f64(o.hw);
+        w.key("err").f64(o.err);
+        w.key("proxy").f64(o.proxy);
+    });
+    w.key(&format!("{key}_bits")).array(Layout::Inline, |w| {
+        for v in [o.hw, o.err, o.proxy] {
+            w.raw(v.to_bits());
         }
-    }
-    out
+    });
 }
 
-fn objective_fields(o: &Objective, indent: &str, out: &mut String) {
-    out.push_str(&format!(
-        "{indent}\"objective\": {{\"hw\": {}, \"err\": {}, \"proxy\": {}}},\n",
-        o.hw, o.err, o.proxy
-    ));
-    out.push_str(&format!(
-        "{indent}\"objective_bits\": [{}, {}, {}],\n",
-        o.hw.to_bits(),
-        o.err.to_bits(),
-        o.proxy.to_bits()
-    ));
-}
-
-fn frontier_entry(cfg: &DseConfig, c: &Candidate, out: &mut String) {
+fn frontier_entry(cfg: &DseConfig, c: &Candidate, w: &mut JsonWriter) {
     let e = &c.eval;
-    out.push_str("    {\n");
-    out.push_str(&format!(
-        "      \"name\": \"{}\",\n",
-        json_escape(&c.design_name(cfg.bits))
-    ));
-    out.push_str(&format!("      \"id\": {},\n", c.id));
+    w.key("name").str(&c.design_name(cfg.bits));
+    w.key("id").raw(c.id);
+    w.key("parent");
     match c.parent {
-        Some(p) => out.push_str(&format!("      \"parent\": {p},\n")),
-        None => out.push_str("      \"parent\": null,\n"),
-    }
-    out.push_str(&format!("      \"bits\": {},\n", cfg.bits));
-    let lineage: Vec<String> = c
-        .mutations
-        .iter()
-        .map(|m| format!("\"{}\"", json_escape(m)))
-        .collect();
-    out.push_str(&format!("      \"mutations\": [{}],\n", lineage.join(", ")));
-    objective_fields(&e.objective, "      ", out);
+        Some(p) => w.raw(p),
+        None => w.null(),
+    };
+    w.key("bits").raw(cfg.bits);
+    w.key("mutations").array(Layout::Inline, |w| {
+        for m in &c.mutations {
+            w.str(m);
+        }
+    });
+    write_objective(&e.objective, "objective", w);
     for (key, value) in [
         ("delay_ps", e.cost.delay_ps),
         ("area_um2", e.cost.area_um2),
@@ -71,106 +57,79 @@ fn frontier_entry(cfg: &DseConfig, c: &Candidate, out: &mut String) {
         ("nmed", e.metrics.nmed),
         ("error_rate", e.metrics.error_rate),
     ] {
-        out.push_str(&format!("      \"{key}\": {value},\n"));
-        out.push_str(&format!("      \"{key}_bits\": {},\n", value.to_bits()));
+        w.key(key).f64(value);
+        w.key(&format!("{key}_bits")).raw(value.to_bits());
     }
-    out.push_str(&format!("      \"max_ed\": {},\n", e.metrics.max_ed));
-    out.push_str(&format!("      \"hws\": {},\n", e.hws));
+    w.key("max_ed").raw(e.metrics.max_ed);
+    w.key("hws").raw(e.hws);
+    w.key("rung");
     match c.rung {
-        Some(r) => out.push_str(&format!("      \"rung\": {r},\n")),
-        None => out.push_str("      \"rung\": null,\n"),
-    }
-    out.push_str(&format!("      \"depth\": {},\n", e.depth));
-    out.push_str(&format!("      \"live_gates\": {},\n", e.live_gates));
-    out.push_str("      \"critical_path\": [\n");
-    for (i, g) in e.critical_path.iter().enumerate() {
-        let comma = if i + 1 == e.critical_path.len() {
-            ""
-        } else {
-            ","
-        };
-        out.push_str(&format!(
-            "        {{\"signal\": \"n{}\", \"gate\": \"{}\", \"delay_ps\": {}, \"arrival_ps\": {}}}{comma}\n",
-            g.signal.index(),
-            g.kind,
-            g.delay_ps,
-            g.arrival_ps
-        ));
-    }
-    out.push_str("      ],\n");
-    out.push_str(&format!(
-        "      \"netlist\": \"{}\"\n",
-        json_escape(&appmult_circuit::to_netlist_text(&c.netlist))
-    ));
-    out.push_str("    }");
+        Some(r) => w.f64(r),
+        None => w.null(),
+    };
+    w.key("depth").raw(e.depth);
+    w.key("live_gates").raw(e.live_gates);
+    w.key("critical_path").array(Layout::Pretty, |w| {
+        for g in &e.critical_path {
+            g.write_json(w);
+        }
+    });
+    w.key("netlist")
+        .str(&appmult_circuit::to_netlist_text(&c.netlist));
 }
 
-fn frontier_array(cfg: &DseConfig, result: &DseResult, out: &mut String) {
-    out.push_str("  \"frontier\": [\n");
-    for (i, c) in result.frontier.iter().enumerate() {
-        frontier_entry(cfg, c, out);
-        out.push_str(if i + 1 == result.frontier.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
-    }
-    out.push_str("  ]\n");
+fn frontier_array(cfg: &DseConfig, result: &DseResult, w: &mut JsonWriter) {
+    w.key("frontier").array(Layout::Pretty, |w| {
+        for c in &result.frontier {
+            w.object(Layout::Pretty, |w| frontier_entry(cfg, c, w));
+        }
+    });
 }
 
 /// Frontier-only JSON: everything that must be **byte-identical** across
 /// thread counts for the same `(config, seeds)`.
 pub fn frontier_json(cfg: &DseConfig, result: &DseResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{DSE_SCHEMA_VERSION}\",\n"));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"bits\": {},\n", cfg.bits));
-    frontier_array(cfg, result, &mut out);
-    out.push_str("}\n");
-    out
+    json::document(|w| {
+        w.key("schema").str(DSE_SCHEMA_VERSION);
+        w.key("seed").raw(cfg.seed);
+        w.key("bits").raw(cfg.bits);
+        frontier_array(cfg, result, w);
+    })
 }
 
-/// The full `results/DSE.json` document: config header (including the
-/// run environment), per-generation statistics, and the frontier.
-pub fn dse_json(cfg: &DseConfig, result: &DseResult, threads: usize, kernel: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{DSE_SCHEMA_VERSION}\",\n"));
-    out.push_str("  \"config\": {\n");
-    out.push_str(&format!("    \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("    \"bits\": {},\n", cfg.bits));
-    out.push_str(&format!("    \"mu\": {},\n", cfg.mu));
-    out.push_str(&format!("    \"lambda\": {},\n", cfg.lambda));
-    out.push_str(&format!("    \"generations\": {},\n", cfg.generations));
-    out.push_str(&format!("    \"max_mutations\": {},\n", cfg.max_mutations));
-    out.push_str(&format!("    \"rung\": {},\n", cfg.rung.is_some()));
-    out.push_str(&format!("    \"threads\": {threads},\n"));
-    out.push_str(&format!("    \"kernel\": \"{}\"\n", json_escape(kernel)));
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"evaluated\": {},\n", result.evaluated));
-    out.push_str(&format!("  \"invalid\": {},\n", result.invalid));
-    out.push_str("  \"generations\": [\n");
-    for (i, s) in result.stats.iter().enumerate() {
-        let comma = if i + 1 == result.stats.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"generation\": {}, \"evaluated\": {}, \"invalid\": {}, \"frontier_size\": {}, \"best\": {{\"hw\": {}, \"err\": {}, \"proxy\": {}}}, \"best_bits\": [{}, {}, {}]}}{comma}\n",
-            s.generation,
-            s.evaluated,
-            s.invalid,
-            s.frontier_size,
-            s.best.hw,
-            s.best.err,
-            s.best.proxy,
-            s.best.hw.to_bits(),
-            s.best.err.to_bits(),
-            s.best.proxy.to_bits()
-        ));
-    }
-    out.push_str("  ],\n");
-    frontier_array(cfg, result, &mut out);
-    out.push_str("}\n");
-    out
+/// The full `results/DSE.json` document: config header ending in the run
+/// environment `env` (`threads`, `kernel`), per-generation statistics, and
+/// the frontier.
+pub fn dse_json(cfg: &DseConfig, result: &DseResult, env: &[(&str, Value)]) -> String {
+    json::document(|w| {
+        w.key("schema").str(DSE_SCHEMA_VERSION);
+        w.key("config").object(Layout::Pretty, |w| {
+            w.key("seed").raw(cfg.seed);
+            w.key("bits").raw(cfg.bits);
+            w.key("mu").raw(cfg.mu);
+            w.key("lambda").raw(cfg.lambda);
+            w.key("generations").raw(cfg.generations);
+            w.key("max_mutations").raw(cfg.max_mutations);
+            w.key("rung").raw(cfg.rung.is_some());
+            for (key, value) in env {
+                w.key(key).value(value);
+            }
+        });
+        w.key("evaluated").raw(result.evaluated);
+        w.key("invalid").raw(result.invalid);
+        w.key("generations").array(Layout::Pretty, |w| {
+            for s in &result.stats {
+                w.object(Layout::Inline, |w| {
+                    w.key("generation").raw(s.generation);
+                    w.key("evaluated").raw(s.evaluated);
+                    w.key("invalid").raw(s.invalid);
+                    w.key("frontier_size").raw(s.frontier_size);
+                    write_objective(&s.best, "best", w);
+                });
+            }
+        });
+        frontier_array(cfg, result, w);
+    })
 }
 
 #[cfg(test)]
@@ -195,7 +154,11 @@ mod tests {
         let (cfg, result) = tiny_result();
         for doc in [
             frontier_json(&cfg, &result),
-            dse_json(&cfg, &result, 1, "scalar"),
+            dse_json(
+                &cfg,
+                &result,
+                &[("threads", 1u64.into()), ("kernel", "scalar".into())],
+            ),
         ] {
             assert!(doc.contains(DSE_SCHEMA_VERSION));
             let opens = doc.matches('{').count();
@@ -222,7 +185,11 @@ mod tests {
     #[test]
     fn full_json_embeds_run_environment() {
         let (cfg, result) = tiny_result();
-        let doc = dse_json(&cfg, &result, 8, "unrolled");
+        let doc = dse_json(
+            &cfg,
+            &result,
+            &[("threads", 8u64.into()), ("kernel", "unrolled".into())],
+        );
         assert!(doc.contains("\"threads\": 8"));
         assert!(doc.contains("\"kernel\": \"unrolled\""));
         assert!(doc.contains("\"generations\": ["));

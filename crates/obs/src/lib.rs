@@ -25,9 +25,13 @@
 //! allocation, no locking, no clock reads — cheap enough to leave in the
 //! hot kernels permanently (the `par_scale` benchmark asserts the
 //! overhead). A recording sink ([`ObsSink::recording`]) accumulates into
-//! an internal registry and serializes to the hand-rolled
-//! `appmult-obs/v1` JSON schema ([`ObsSink::to_json`]) plus a plain-text
-//! summary table ([`ObsSink::summary`]).
+//! an internal registry and serializes to the `appmult-obs/v1` JSON
+//! schema ([`ObsSink::to_json`]) plus a plain-text summary table
+//! ([`ObsSink::summary`]).
+//!
+//! The crate also owns the workspace's one JSON encoder, [`json`]: every
+//! report file (LINT, ANALYZE, DSE, GRAD_MATRIX, the BENCH files and this
+//! crate's own report) is written through it.
 //!
 //! Hot paths that have no configuration handle (the LUT-GEMM kernels, the
 //! pool) read the process-wide sink via [`global`]; it defaults to the
@@ -51,12 +55,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
+
+use json::{JsonWriter, Layout};
 
 /// Schema identifier written into every report.
 pub const SCHEMA: &str = "appmult-obs/v1";
@@ -115,54 +123,6 @@ impl From<bool> for Value {
     fn from(v: bool) -> Self {
         Self::Bool(v)
     }
-}
-
-impl Value {
-    fn render(&self, out: &mut String) {
-        match self {
-            Self::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Self::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Self::F64(v) => render_f64(out, *v),
-            Self::Str(v) => render_str(out, v),
-            Self::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-        }
-    }
-}
-
-/// Writes `v` as JSON, mapping non-finite floats to `null` (JSON has no
-/// NaN/Inf literals and a poisoned run must still produce a parseable
-/// report).
-fn render_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Writes `v` as a JSON string with the mandatory escapes.
-fn render_str(out: &mut String, v: &str) {
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Number of fixed log2 buckets per histogram: exponents `-32..=31`.
@@ -237,21 +197,20 @@ pub struct Event {
 impl Event {
     /// Renders the event as a single-line JSON object (one JSONL record).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"seq\": {}, \"t_us\": {}, \"kind\": ",
-            self.seq, self.t_us
-        );
-        render_str(&mut out, &self.kind);
-        for (k, v) in &self.fields {
-            out.push_str(", ");
-            render_str(&mut out, k);
-            out.push_str(": ");
-            v.render(&mut out);
-        }
-        out.push('}');
-        out
+        let mut w = JsonWriter::new();
+        self.write(&mut w);
+        w.finish()
+    }
+
+    fn write(&self, w: &mut JsonWriter) {
+        w.object(Layout::Inline, |w| {
+            w.key("seq").raw(self.seq);
+            w.key("t_us").raw(self.t_us);
+            w.key("kind").str(&self.kind);
+            for (k, v) in &self.fields {
+                w.key(k).value(v);
+            }
+        });
     }
 }
 
@@ -453,87 +412,66 @@ impl ObsSink {
     /// the object entirely, keeping the schema additive.
     pub fn to_json_with_config(&self, config: &[(&str, Value)]) -> String {
         let Some(rec) = &self.rec else {
-            return format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"recording\": false\n}}\n");
+            return json::document(|w| {
+                w.key("schema").str(SCHEMA);
+                w.key("recording").raw(false);
+            });
         };
         let inner = rec.inner.lock().expect("obs registry poisoned");
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        if !config.is_empty() {
-            out.push_str("  \"config\": {");
-            for (i, (key, value)) in config.iter().enumerate() {
-                out.push_str(if i == 0 { "\n" } else { ",\n" });
-                out.push_str("    ");
-                render_str(&mut out, key);
-                out.push_str(": ");
-                value.render(&mut out);
+        json::document(|w| {
+            w.key("schema").str(SCHEMA);
+            if !config.is_empty() {
+                w.key("config").object(Layout::Pretty, |w| {
+                    for (key, value) in config {
+                        w.key(key).value(value);
+                    }
+                });
             }
-            out.push_str("\n  },\n");
-        }
-        out.push_str("  \"recording\": true,\n");
-
-        out.push_str("  \"counters\": {");
-        for (i, (name, value)) in inner.counters.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            render_str(&mut out, name);
-            let _ = write!(out, ": {value}");
-        }
-        out.push_str("\n  },\n");
-
-        out.push_str("  \"gauges\": {");
-        for (i, (name, value)) in inner.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            render_str(&mut out, name);
-            out.push_str(": ");
-            render_f64(&mut out, *value);
-        }
-        out.push_str("\n  },\n");
-
-        out.push_str("  \"histograms\": [");
-        for (i, (name, hist)) in inner.hists.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\n      \"name\": ");
-            render_str(&mut out, name);
-            out.push_str(",\n");
-            let _ = writeln!(out, "      \"count\": {},", hist.count);
-            out.push_str("      \"sum\": ");
-            render_f64(&mut out, hist.sum);
-            out.push_str(",\n      \"min\": ");
-            render_f64(&mut out, if hist.count == 0 { f64::NAN } else { hist.min });
-            out.push_str(",\n      \"max\": ");
-            render_f64(&mut out, if hist.count == 0 { f64::NAN } else { hist.max });
-            out.push_str(",\n      \"buckets\": [");
-            for (j, (exp, count)) in hist.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
+            w.key("recording").raw(true);
+            w.key("counters").object(Layout::Pretty, |w| {
+                for (name, value) in &inner.counters {
+                    w.key(name).raw(value);
                 }
-                let _ = write!(out, "{{\"log2\": {exp}, \"count\": {count}}}");
-            }
-            out.push_str("]\n    }");
-        }
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"threads\": [");
-        for (i, (tag, nanos)) in inner.threads.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"thread\": ");
-            render_str(&mut out, tag);
-            out.push_str(", \"busy_us\": ");
-            render_f64(&mut out, *nanos as f64 / 1_000.0);
-            out.push('}');
-        }
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"events\": [");
-        for (i, event) in inner.events.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            out.push_str(&event.to_json_line());
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+            });
+            w.key("gauges").object(Layout::Pretty, |w| {
+                for (name, value) in &inner.gauges {
+                    w.key(name).f64(*value);
+                }
+            });
+            w.key("histograms").array(Layout::Pretty, |w| {
+                for (name, hist) in &inner.hists {
+                    let empty = hist.count == 0;
+                    w.object(Layout::Pretty, |w| {
+                        w.key("name").str(name);
+                        w.key("count").raw(hist.count);
+                        w.key("sum").f64(hist.sum);
+                        w.key("min").f64(if empty { f64::NAN } else { hist.min });
+                        w.key("max").f64(if empty { f64::NAN } else { hist.max });
+                        w.key("buckets").array(Layout::Inline, |w| {
+                            for (exp, count) in &hist.buckets {
+                                w.object(Layout::Inline, |w| {
+                                    w.key("log2").raw(exp);
+                                    w.key("count").raw(count);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("threads").array(Layout::Pretty, |w| {
+                for (tag, nanos) in &inner.threads {
+                    w.object(Layout::Inline, |w| {
+                        w.key("thread").str(tag);
+                        w.key("busy_us").f64(*nanos as f64 / 1_000.0);
+                    });
+                }
+            });
+            w.key("events").array(Layout::Pretty, |w| {
+                for event in &inner.events {
+                    event.write(w);
+                }
+            });
+        })
     }
 
     /// Renders the registry as a plain-text end-of-run summary table.
@@ -800,11 +738,130 @@ mod tests {
         assert!(lines[1].contains("\"loss\": null"));
     }
 
+    /// A recording sink with fixed contents: no clock reads, so the
+    /// report's bytes depend only on what is recorded here.
+    fn fixed_sink() -> ObsSink {
+        let mut inner = Inner::default();
+        inner.counters.insert("lut.lookups".into(), 15);
+        inner.counters.insert("odd \"name\"".into(), 0);
+        inner.gauges.insert("lr".into(), 0.05);
+        inner.gauges.insert("poisoned".into(), f64::NAN);
+        let mut hist = Histogram::default();
+        for v in [1.0, 1.9, 4.0, 0.3] {
+            hist.record(v);
+        }
+        inner.hists.insert("span.epoch".into(), hist);
+        inner.hists.insert("unused".into(), Histogram::default());
+        inner.threads.insert("main".into(), 1_234_567);
+        inner.threads.insert("ThreadId(7)".into(), 500);
+        inner.events.push(Event {
+            seq: 0,
+            t_us: 42,
+            kind: "epoch".into(),
+            fields: vec![
+                ("epoch".into(), 3u64.into()),
+                ("loss".into(), 0.5f64.into()),
+                ("delta".into(), (-2i64).into()),
+                ("note".into(), "tab\there".into()),
+                ("diverged".into(), false.into()),
+            ],
+        });
+        inner.events.push(Event {
+            seq: 1,
+            t_us: 1_000_001,
+            kind: "rollback".into(),
+            fields: vec![("loss".into(), f64::INFINITY.into())],
+        });
+        ObsSink {
+            rec: Some(Arc::new(Recorder {
+                start: Instant::now(),
+                inner: Mutex::new(inner),
+            })),
+        }
+    }
+
     #[test]
-    fn string_escaping_is_json_safe() {
-        let mut out = String::new();
-        render_str(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+    fn report_layout_is_locked_on_fixed_contents() {
+        let json = fixed_sink().to_json_with_config(&[
+            ("threads", 2u64.into()),
+            ("kernel", "tiled-64x16x64".into()),
+        ]);
+        let expected = r#"{
+  "schema": "appmult-obs/v1",
+  "config": {
+    "threads": 2,
+    "kernel": "tiled-64x16x64"
+  },
+  "recording": true,
+  "counters": {
+    "lut.lookups": 15,
+    "odd \"name\"": 0
+  },
+  "gauges": {
+    "lr": 0.05,
+    "poisoned": null
+  },
+  "histograms": [
+    {
+      "name": "span.epoch",
+      "count": 4,
+      "sum": 7.2,
+      "min": 0.3,
+      "max": 4,
+      "buckets": [{"log2": -2, "count": 1}, {"log2": 0, "count": 2}, {"log2": 2, "count": 1}]
+    },
+    {
+      "name": "unused",
+      "count": 0,
+      "sum": 0,
+      "min": null,
+      "max": null,
+      "buckets": []
+    }
+  ],
+  "threads": [
+    {"thread": "ThreadId(7)", "busy_us": 0.5},
+    {"thread": "main", "busy_us": 1234.567}
+  ],
+  "events": [
+    {"seq": 0, "t_us": 42, "kind": "epoch", "epoch": 3, "loss": 0.5, "delta": -2, "note": "tab\there", "diverged": false},
+    {"seq": 1, "t_us": 1000001, "kind": "rollback", "loss": null}
+  ]
+}
+"#;
+        assert_eq!(json, expected);
+    }
+
+    #[test]
+    fn empty_report_and_event_lines_are_locked() {
+        let json = ObsSink::recording().to_json();
+        let expected = r#"{
+  "schema": "appmult-obs/v1",
+  "recording": true,
+  "counters": {
+  },
+  "gauges": {
+  },
+  "histograms": [
+  ],
+  "threads": [
+  ],
+  "events": [
+  ]
+}
+"#;
+        assert_eq!(json, expected);
+        assert_eq!(
+            ObsSink::null().to_json(),
+            "{\n  \"schema\": \"appmult-obs/v1\",\n  \"recording\": false\n}\n"
+        );
+        let jsonl = fixed_sink().events_jsonl();
+        assert_eq!(
+            jsonl,
+            "{\"seq\": 0, \"t_us\": 42, \"kind\": \"epoch\", \"epoch\": 3, \"loss\": 0.5, \
+             \"delta\": -2, \"note\": \"tab\\there\", \"diverged\": false}\n\
+             {\"seq\": 1, \"t_us\": 1000001, \"kind\": \"rollback\", \"loss\": null}\n"
+        );
     }
 
     #[test]

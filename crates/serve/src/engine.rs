@@ -66,9 +66,8 @@ use std::time::{Duration, Instant};
 
 use appmult_nn::Tensor;
 
-use crate::queue::{Priority, PushError};
 use crate::registry::{ForwardError, Registry};
-use crate::sched::DrrQueue;
+use crate::sched::{DrrQueue, Priority, PushError};
 
 /// Typed reason a request was not served. Every variant maps to a
 /// `serve.reject.*` counter on the global obs sink.
@@ -393,18 +392,18 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// The batch policy as stable `(key, value)` pairs for self-describing
     /// result files (`results/*.json` headers).
-    pub fn describe(&self) -> Vec<(&'static str, String)> {
+    pub fn describe(&self) -> Vec<(&'static str, appmult_obs::Value)> {
         vec![
-            ("queue_capacity", self.queue_capacity.to_string()),
-            ("workers", self.workers.to_string()),
-            ("max_batch", self.max_batch.to_string()),
+            ("queue_capacity", self.queue_capacity.into()),
+            ("workers", self.workers.into()),
+            ("max_batch", self.max_batch.into()),
             (
                 "max_batch_wait_us",
-                self.max_batch_wait.as_micros().to_string(),
+                (self.max_batch_wait.as_micros() as u64).into(),
             ),
-            ("max_retries", self.max_retries.to_string()),
-            ("scrub_nonfinite", self.scrub_nonfinite.to_string()),
-            ("drr_quantum_macs", self.drr_quantum_macs.to_string()),
+            ("max_retries", u64::from(self.max_retries).into()),
+            ("scrub_nonfinite", self.scrub_nonfinite.into()),
+            ("drr_quantum_macs", self.drr_quantum_macs.into()),
         ]
     }
 }

@@ -3,7 +3,7 @@
 //! The ROADMAP's serving half: a long-lived layer that loads retrained
 //! checkpoints and product LUTs **once** and coalesces concurrent requests
 //! into batches sized for the tiled kernels, while staying predictable
-//! under overload. Four pieces:
+//! under overload. Three pieces:
 //!
 //! * [`Registry`] — models (checkpoint bytes + live instance + poisoned
 //!   rebuild path) and a shared [`LutCache`] with LRU eviction, with warm
@@ -12,8 +12,6 @@
 //! * [`DrrQueue`] — per-model sub-queues (strict priority lanes, FIFO
 //!   within lane) scheduled by **deficit round-robin** in estimated MACs,
 //!   so one hot model cannot starve coalescing for every other model;
-//! * [`BoundedQueue`] — the zero-dep bounded MPMC priority queue the DRR
-//!   scheduler grew out of, kept as a standalone building block;
 //! * [`Engine`] — admission control with typed [`Rejection`]s, per-request
 //!   deadlines enforced *before* kernel dispatch, caller-side cancellation
 //!   via [`Ticket::wait_timeout`], size-or-deadline batching, worker panic
@@ -59,13 +57,11 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod queue;
 mod registry;
 mod sched;
 
 pub use engine::{Engine, EngineConfig, Rejection, Request, ServeResult, Ticket};
-pub use queue::{BoundedQueue, Priority, PushError};
 pub use registry::{
     ForwardError, LutBuilder, LutCache, LutHandle, ModelFactory, ModelSpec, Registry,
 };
-pub use sched::DrrQueue;
+pub use sched::{DrrQueue, Priority, PushError};

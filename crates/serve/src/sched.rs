@@ -1,8 +1,8 @@
 //! Per-model sub-queues scheduled by deficit round-robin (DRR).
 //!
-//! [`BoundedQueue`](crate::BoundedQueue) is a single queue with priority
-//! lanes; the PR-6 batcher coalesced on it with a predicate pop that always
-//! chased the model of the *first* job in priority order. Under sustained
+//! The first batcher kept one shared queue with priority lanes and
+//! coalesced on it with a predicate pop that always chased the model of
+//! the *first* job in priority order. Under sustained
 //! multi-model traffic that starves every other model: a cold model's job
 //! sits behind the entire hot backlog (unboundedly, if the hot traffic
 //! rides a higher priority lane), and when it finally surfaces it gets a
@@ -42,7 +42,34 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::queue::{Priority, PushError};
+/// Request priority lane. Higher lanes are always served first; the
+/// degradation ladder sheds lower lanes first under sustained overload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Priority {
+    /// Served first; shed last (only when the queue is effectively full).
+    High = 0,
+    /// Default lane.
+    Normal = 1,
+    /// Best-effort traffic; first to be shed under overload.
+    Low = 2,
+}
+
+impl Priority {
+    /// Lane index (0 = highest).
+    pub fn lane(self) -> usize {
+        self as usize
+    }
+}
+
+/// Why a push was refused. The item is handed back alongside the reason so
+/// no request is ever silently dropped by the queue itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushError {
+    /// The queue is at capacity.
+    Full,
+    /// [`DrrQueue::close`] has been called.
+    Closed,
+}
 
 /// One queued item plus its estimated dispatch cost in MACs.
 struct Item<T> {

@@ -1,18 +1,20 @@
 //! Fairness tests for the per-model DRR scheduler — including the pre-fix
 //! starvation reproducer (ROADMAP open item 2).
 //!
-//! The old dispatch popped the global head of a single [`BoundedQueue`]
-//! and then *predicate-chased* that model. With hot traffic riding a
+//! The old dispatch popped the global head of a single shared priority
+//! queue and then *predicate-chased* that model. With hot traffic riding a
 //! higher priority lane, the head is always the hot model, so a cold
 //! model's job is starved for as long as the hot backlog refills — the
-//! reproducer below demonstrates exactly that against the old algorithm,
-//! and that [`DrrQueue`] serves the same workload within one rotation.
+//! reproducer below replays exactly that algorithm on a test-local model
+//! of the old queue, and shows that [`DrrQueue`] serves the same workload
+//! within one rotation.
 //!
 //! On top: property tests (vendored `appmult_rng::prop` harness) that a
 //! saturated two-model engine gives the cold model ≥ ⅓ of batches with no
 //! unbounded waits, and that FIFO-within-priority still holds per
 //! sub-queue.
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -20,25 +22,54 @@ use std::time::Duration;
 use appmult_nn::layers::Sequential;
 use appmult_nn::{Module, Parameter, Tensor};
 use appmult_rng::prop;
-use appmult_serve::{
-    BoundedQueue, DrrQueue, Engine, EngineConfig, ModelSpec, Priority, Registry, Request,
-};
+use appmult_serve::{DrrQueue, Engine, EngineConfig, ModelSpec, Priority, Registry, Request};
 
 const TICK: Duration = Duration::from_millis(5);
 
-/// The old engine's coalescing step, verbatim in miniature: pop the global
-/// head, then chase its model with `pop_matching_wait`.
-fn old_coalesce(
-    q: &BoundedQueue<(&'static str, u32)>,
-    max_batch: usize,
-) -> Vec<(&'static str, u32)> {
-    let Some(first) = q.pop_wait(TICK) else {
+/// Single-threaded model of the old shared queue: one FIFO per priority
+/// lane, popped highest lane first.
+#[derive(Default)]
+struct OldQueue {
+    lanes: [VecDeque<(&'static str, u32)>; 3],
+}
+
+impl OldQueue {
+    fn push(&mut self, job: (&'static str, u32), priority: Priority) {
+        self.lanes[priority.lane()].push_back(job);
+    }
+
+    /// Removes the front job of the highest non-empty lane.
+    fn pop_head(&mut self) -> Option<(&'static str, u32)> {
+        self.lanes.iter_mut().find_map(VecDeque::pop_front)
+    }
+
+    /// Removes the first job (highest lane first, FIFO within a lane) that
+    /// `matches` accepts; skipped jobs keep their order.
+    fn pop_matching(
+        &mut self,
+        matches: impl Fn(&(&'static str, u32)) -> bool,
+    ) -> Option<(&'static str, u32)> {
+        self.lanes.iter_mut().find_map(|lane| {
+            let pos = lane.iter().position(&matches)?;
+            lane.remove(pos)
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum()
+    }
+}
+
+/// The old engine's coalescing step in miniature: pop the global head,
+/// then chase its model with matching pops.
+fn old_coalesce(q: &mut OldQueue, max_batch: usize) -> Vec<(&'static str, u32)> {
+    let Some(first) = q.pop_head() else {
         return Vec::new();
     };
     let model = first.0;
     let mut batch = vec![first];
     while batch.len() < max_batch {
-        match q.pop_matching_wait(Duration::ZERO, |j| j.0 == model) {
+        match q.pop_matching(|j| j.0 == model) {
             Some(job) => batch.push(job),
             None => break,
         }
@@ -52,18 +83,18 @@ fn old_coalesce(
 /// batches are all hot — because the global head is always the hot model.
 #[test]
 fn old_scheduler_starves_the_cold_model() {
-    let q: BoundedQueue<(&'static str, u32)> = BoundedQueue::new(64);
-    q.push(("cold", 0), Priority::Normal).unwrap();
+    let mut q = OldQueue::default();
+    q.push(("cold", 0), Priority::Normal);
     let mut seq = 0u32;
     let mut hot_queued = 0usize;
     for _round in 0..50 {
         // Open-loop hot refill: the High lane never runs dry.
         while hot_queued < 8 {
-            q.push(("hot", seq), Priority::High).unwrap();
+            q.push(("hot", seq), Priority::High);
             seq += 1;
             hot_queued += 1;
         }
-        let batch = old_coalesce(&q, 4);
+        let batch = old_coalesce(&mut q, 4);
         assert!(
             batch.iter().all(|&(model, _)| model == "hot"),
             "this reproducer documents the bug: under sustained hot traffic \

@@ -1,12 +1,11 @@
-//! Property tests (vendored `appmult_rng::prop` harness) for the bounded
-//! queue and the batcher's robustness invariants:
+//! Property tests (vendored `appmult_rng::prop` harness) for the batcher's
+//! robustness invariants (FIFO-within-priority of the scheduler is covered
+//! per sub-queue in `fairness.rs`):
 //!
-//! 1. FIFO-within-priority: popping the queue yields a stable sort of the
-//!    pushed sequence by priority lane.
-//! 2. No request is lost or double-executed across worker panic/restart:
+//! 1. No request is lost or double-executed across worker panic/restart:
 //!    every ticket resolves exactly once, and the model executes exactly
 //!    the samples that were served.
-//! 3. Deadline-expired requests never reach a kernel: they resolve as
+//! 2. Deadline-expired requests never reach a kernel: they resolve as
 //!    `DeadlineExceeded` with zero model executions.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,58 +15,7 @@ use std::time::Duration;
 use appmult_nn::layers::Sequential;
 use appmult_nn::{Module, Parameter, Tensor};
 use appmult_rng::prop;
-use appmult_serve::{
-    BoundedQueue, Engine, EngineConfig, ModelSpec, Priority, Registry, Rejection, Request,
-};
-
-fn lane(code: u8) -> Priority {
-    match code % 3 {
-        0 => Priority::High,
-        1 => Priority::Normal,
-        _ => Priority::Low,
-    }
-}
-
-/// Property 1: for any push sequence, popping everything yields exactly a
-/// stable sort by priority lane — FIFO within each lane, lanes strictly
-/// ordered.
-#[test]
-fn prop_queue_pops_are_a_stable_sort_by_priority() {
-    prop::forall_with(
-        "queue FIFO-within-priority",
-        0x5E11,
-        64,
-        |rng, case| {
-            let n = if case < 4 { case } else { rng.index(40) + 1 };
-            (0..n)
-                .map(|i| (rng.index(256) as u8, i as u16))
-                .collect::<Vec<(u8, u16)>>()
-        },
-        |ops| {
-            // Shrink: halve, and drop each element in turn.
-            let mut candidates = vec![ops[..ops.len() / 2].to_vec()];
-            for i in 0..ops.len() {
-                let mut c = ops.clone();
-                c.remove(i);
-                candidates.push(c);
-            }
-            candidates
-        },
-        |ops| {
-            let q = BoundedQueue::new(ops.len().max(1));
-            for &(p, id) in ops {
-                q.push(id, lane(p)).expect("sized to fit");
-            }
-            let popped: Vec<u16> =
-                std::iter::from_fn(|| q.pop_wait(Duration::from_millis(1))).collect();
-            let mut expect: Vec<(usize, u16)> =
-                ops.iter().map(|&(p, id)| (lane(p).lane(), id)).collect();
-            expect.sort_by_key(|&(lane, _)| lane); // stable: FIFO within lane
-            let expect: Vec<u16> = expect.into_iter().map(|(_, id)| id).collect();
-            popped == expect
-        },
-    );
-}
+use appmult_serve::{Engine, EngineConfig, ModelSpec, Registry, Rejection, Request};
 
 /// An identity model that counts every sample it forwards — the probe for
 /// "executed exactly once" and "never reached a kernel".
@@ -108,7 +56,7 @@ fn sample(i: usize) -> Tensor {
     Tensor::from_vec(vec![i as f32, -(i as f32)], &[2])
 }
 
-/// Property 2: across chaos-injected worker panics and restarts, every
+/// Property 1: across chaos-injected worker panics and restarts, every
 /// request resolves exactly once (served or `WorkerPanicked`) and the
 /// model executes exactly the served samples — nothing lost, nothing run
 /// twice. Chaos panics fire *before* the model runs, so a requeued job
@@ -161,7 +109,7 @@ fn prop_no_request_lost_or_double_executed_across_panics() {
     );
 }
 
-/// Property 3: requests whose deadline expires while queued resolve as
+/// Property 2: requests whose deadline expires while queued resolve as
 /// `DeadlineExceeded` and never reach the model; fresh requests submitted
 /// afterwards are served normally by the same workers.
 #[test]

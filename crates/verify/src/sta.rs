@@ -15,6 +15,7 @@
 //! the zoo sweep's negative controls.
 
 use appmult_circuit::{CostModel, GateCosts, GateKind, Netlist, Signal};
+use appmult_obs::json::{JsonWriter, Layout};
 
 use crate::analysis::AnalysisContext;
 use crate::diag::Diagnostic;
@@ -30,6 +31,20 @@ pub struct StaGate {
     pub delay_ps: f64,
     /// Arrival time at this gate's output, in ps.
     pub arrival_ps: f64,
+}
+
+impl StaGate {
+    /// Writes the gate as one inline JSON object (`signal`, `gate`,
+    /// `delay_ps`, `arrival_ps`), the critical-path row of the ANALYZE and
+    /// DSE reports.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(Layout::Inline, |w| {
+            w.key("signal").str(&self.signal.to_string());
+            w.key("gate").str(&self.kind.to_string());
+            w.key("delay_ps").f64(self.delay_ps);
+            w.key("arrival_ps").f64(self.arrival_ps);
+        });
+    }
 }
 
 /// Full static timing report of one netlist.

@@ -13,6 +13,7 @@
 
 use appmult_circuit::{fault_sites, CostModel, HardwareCost, MultiplierCircuit};
 use appmult_mult::{zoo, FaultyMultiplier, Multiplier, MultiplierLut};
+use appmult_obs::json::{self, JsonWriter, Layout};
 use appmult_retrain::{GradientLut, GradientMode};
 
 use crate::analysis::analyze_netlist;
@@ -154,86 +155,17 @@ impl ZooLintReport {
     /// full static-analysis detail (critical path, slack histogram) lives
     /// in the [`ZooLintReport::analysis_json`] report instead.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"appmult-lint/v2\",\n");
-        out.push_str(&format!("  \"design_count\": {},\n", self.designs.len()));
-        out.push_str(&format!("  \"errors\": {},\n", self.error_count()));
-        out.push_str(&format!("  \"warnings\": {},\n", self.warning_count()));
-        out.push_str("  \"designs\": [\n");
-        for (i, d) in self.designs.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&d.name)));
-            out.push_str(&format!("      \"bits\": {},\n", d.bits));
-            out.push_str(&format!("      \"kind\": \"{}\",\n", d.kind.as_str()));
-            out.push_str(&format!("      \"errors\": {},\n", d.error_count()));
-            out.push_str(&format!("      \"warnings\": {},\n", d.warning_count()));
-            match &d.equivalence {
-                Some(MultiplierEquiv::Equivalent {
-                    patterns,
-                    exhaustive,
-                }) => {
-                    out.push_str("      \"equivalence\": {\n");
-                    out.push_str("        \"status\": \"equivalent\",\n");
-                    out.push_str(&format!("        \"exhaustive\": {exhaustive},\n"));
-                    out.push_str(&format!("        \"patterns\": {patterns}\n"));
-                    out.push_str("      },\n");
+        json::document(|w| {
+            w.key("schema").str("appmult-lint/v2");
+            w.key("design_count").raw(self.designs.len());
+            w.key("errors").raw(self.error_count());
+            w.key("warnings").raw(self.warning_count());
+            w.key("designs").array(Layout::Pretty, |w| {
+                for d in &self.designs {
+                    w.object(Layout::Pretty, |w| d.write_lint_json(w));
                 }
-                Some(MultiplierEquiv::Counterexample(c)) => {
-                    out.push_str("      \"equivalence\": {\n");
-                    out.push_str("        \"status\": \"counterexample\",\n");
-                    out.push_str(&format!("        \"w\": {},\n", c.w));
-                    out.push_str(&format!("        \"x\": {},\n", c.x));
-                    out.push_str(&format!("        \"got\": {},\n", c.got));
-                    out.push_str(&format!("        \"expected\": {}\n", c.expected));
-                    out.push_str("      },\n");
-                }
-                None => out.push_str("      \"equivalence\": null,\n"),
-            }
-            match &d.analysis {
-                Some(a) => {
-                    out.push_str("      \"analysis\": {\n");
-                    out.push_str(&format!("        \"delay_ps\": {},\n", a.cost.delay_ps));
-                    out.push_str(&format!("        \"area_um2\": {},\n", a.cost.area_um2));
-                    out.push_str(&format!("        \"power_uw\": {},\n", a.cost.power_uw));
-                    out.push_str(&format!("        \"depth\": {},\n", a.depth));
-                    out.push_str(&format!("        \"live_gates\": {},\n", a.live_gates));
-                    out.push_str(&format!(
-                        "        \"duplicate_gates\": {},\n",
-                        a.duplicate_gates
-                    ));
-                    out.push_str(&format!("        \"const_gates\": {},\n", a.const_gates));
-                    out.push_str(&format!(
-                        "        \"stuck_outputs\": {},\n",
-                        a.stuck_outputs
-                    ));
-                    out.push_str(&format!(
-                        "        \"sta_matches_cost_model\": {}\n",
-                        a.sta_matches_cost_model
-                    ));
-                    out.push_str("      },\n");
-                }
-                None => out.push_str("      \"analysis\": null,\n"),
-            }
-            out.push_str("      \"diagnostics\": [\n");
-            for (j, diag) in d.diagnostics.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"pass\": \"{}\", \"severity\": \"{}\", \"location\": \"{}\", \"message\": \"{}\"}}{}\n",
-                    json_escape(diag.pass),
-                    diag.severity.as_str(),
-                    json_escape(&diag.location),
-                    json_escape(&diag.message),
-                    if j + 1 < d.diagnostics.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("      ]\n");
-            out.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < self.designs.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+            });
+        })
     }
 
     /// Serializes the static-analysis sweep to the `appmult-analyze/v1`
@@ -243,84 +175,104 @@ impl ZooLintReport {
     /// no netlist to analyze); `design_count` still counts every design in
     /// the sweep so the omission is visible.
     pub fn analysis_json(&self) -> String {
-        let analyzed: Vec<&DesignReport> = self
+        let analyzed: Vec<(&DesignReport, &DesignAnalysis)> = self
             .designs
             .iter()
-            .filter(|d| d.analysis.is_some())
+            .filter_map(|d| Some((d, d.analysis.as_ref()?)))
             .collect();
-        let mut out = String::with_capacity(8192);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"appmult-analyze/v1\",\n");
-        out.push_str(&format!("  \"design_count\": {},\n", self.designs.len()));
-        out.push_str(&format!("  \"analyzed_count\": {},\n", analyzed.len()));
-        out.push_str("  \"designs\": [\n");
-        for (i, d) in analyzed.iter().enumerate() {
-            let a = d.analysis.as_ref().expect("filtered to analyzed designs");
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&d.name)));
-            out.push_str(&format!("      \"bits\": {},\n", d.bits));
-            out.push_str(&format!("      \"kind\": \"{}\",\n", d.kind.as_str()));
-            out.push_str(&format!("      \"delay_ps\": {},\n", a.cost.delay_ps));
-            out.push_str(&format!("      \"area_um2\": {},\n", a.cost.area_um2));
-            out.push_str(&format!("      \"power_uw\": {},\n", a.cost.power_uw));
-            out.push_str(&format!("      \"depth\": {},\n", a.depth));
-            out.push_str(&format!("      \"live_gates\": {},\n", a.live_gates));
-            out.push_str(&format!(
-                "      \"duplicate_gates\": {},\n",
-                a.duplicate_gates
-            ));
-            out.push_str(&format!("      \"const_gates\": {},\n", a.const_gates));
-            out.push_str(&format!("      \"stuck_outputs\": {},\n", a.stuck_outputs));
-            out.push_str(&format!(
-                "      \"sta_matches_cost_model\": {},\n",
-                a.sta_matches_cost_model
-            ));
-            out.push_str(&format!(
-                "      \"slack_bucket_ps\": {},\n",
-                a.cost.delay_ps / a.slack_histogram.len().max(1) as f64
-            ));
-            out.push_str(&format!(
-                "      \"slack_histogram\": [{}],\n",
-                a.slack_histogram
-                    .iter()
-                    .map(u32::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-            out.push_str("      \"critical_path\": [\n");
-            for (j, g) in a.critical_path.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"signal\": \"{}\", \"gate\": \"{}\", \"delay_ps\": {}, \"arrival_ps\": {}}}{}\n",
-                    g.signal,
-                    g.kind,
-                    g.delay_ps,
-                    g.arrival_ps,
-                    if j + 1 < a.critical_path.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("      ]\n");
-            out.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < analyzed.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|w| {
+            w.key("schema").str("appmult-analyze/v1");
+            w.key("design_count").raw(self.designs.len());
+            w.key("analyzed_count").raw(analyzed.len());
+            w.key("designs").array(Layout::Pretty, |w| {
+                for (d, a) in &analyzed {
+                    w.object(Layout::Pretty, |w| {
+                        d.write_identity(w);
+                        a.write_summary(w);
+                        w.key("slack_bucket_ps")
+                            .f64(a.cost.delay_ps / a.slack_histogram.len().max(1) as f64);
+                        w.key("slack_histogram").array(Layout::Inline, |w| {
+                            for n in &a.slack_histogram {
+                                w.raw(n);
+                            }
+                        });
+                        w.key("critical_path").array(Layout::Pretty, |w| {
+                            for g in &a.critical_path {
+                                g.write_json(w);
+                            }
+                        });
+                    });
+                }
+            });
+        })
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl DesignReport {
+    /// The `name`, `bits` and `kind` members both reports open with.
+    fn write_identity(&self, w: &mut JsonWriter) {
+        w.key("name").str(&self.name);
+        w.key("bits").raw(self.bits);
+        w.key("kind").str(self.kind.as_str());
     }
-    out
+
+    /// The members of one `appmult-lint/v2` design record.
+    fn write_lint_json(&self, w: &mut JsonWriter) {
+        self.write_identity(w);
+        w.key("errors").raw(self.error_count());
+        w.key("warnings").raw(self.warning_count());
+        w.key("equivalence");
+        match &self.equivalence {
+            Some(MultiplierEquiv::Equivalent {
+                patterns,
+                exhaustive,
+            }) => w.object(Layout::Pretty, |w| {
+                w.key("status").str("equivalent");
+                w.key("exhaustive").raw(exhaustive);
+                w.key("patterns").raw(patterns);
+            }),
+            Some(MultiplierEquiv::Counterexample(c)) => w.object(Layout::Pretty, |w| {
+                w.key("status").str("counterexample");
+                w.key("w").raw(c.w);
+                w.key("x").raw(c.x);
+                w.key("got").raw(c.got);
+                w.key("expected").raw(c.expected);
+            }),
+            None => w.null(),
+        };
+        w.key("analysis");
+        match &self.analysis {
+            Some(a) => w.object(Layout::Pretty, |w| a.write_summary(w)),
+            None => w.null(),
+        };
+        w.key("diagnostics").array(Layout::Pretty, |w| {
+            for diag in &self.diagnostics {
+                w.object(Layout::Inline, |w| {
+                    w.key("pass").str(diag.pass);
+                    w.key("severity").str(diag.severity.as_str());
+                    w.key("location").str(&diag.location);
+                    w.key("message").str(&diag.message);
+                });
+            }
+        });
+    }
+}
+
+impl DesignAnalysis {
+    /// The cost, structure and STA-agreement members shared by the LINT
+    /// `analysis` object and the ANALYZE design records.
+    fn write_summary(&self, w: &mut JsonWriter) {
+        w.key("delay_ps").f64(self.cost.delay_ps);
+        w.key("area_um2").f64(self.cost.area_um2);
+        w.key("power_uw").f64(self.cost.power_uw);
+        w.key("depth").raw(self.depth);
+        w.key("live_gates").raw(self.live_gates);
+        w.key("duplicate_gates").raw(self.duplicate_gates);
+        w.key("const_gates").raw(self.const_gates);
+        w.key("stuck_outputs").raw(self.stuck_outputs);
+        w.key("sta_matches_cost_model")
+            .raw(self.sta_matches_cost_model);
+    }
 }
 
 /// Runs every applicable pass over one multiplier.
@@ -698,11 +650,5 @@ mod tests {
         assert!(json.contains("\"critical_path\": ["));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }
