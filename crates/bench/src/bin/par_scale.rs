@@ -427,7 +427,7 @@ fn main() {
     let ktable = lut.entries();
     let kgw = grads.wrt_w_table().as_slice();
     let kgx = grads.wrt_x_table().as_slice();
-    let tiled = Kernel::tiled_default();
+    let tiled = Kernel::Tiled;
     let kreps = reps.max(9);
     let mut kernel_rows = Vec::new();
     for t in [1usize, 8] {

@@ -487,7 +487,7 @@ impl ApproxConv2d {
         }
     }
 
-    /// The GEMM kernel this layer runs (resolved from the environment at
+    /// The GEMM kernel this layer runs ([`Kernel::global`] at
     /// construction).
     pub fn kernel(&self) -> Kernel {
         self.kernel
@@ -676,7 +676,7 @@ impl ApproxLinear {
         }
     }
 
-    /// The GEMM kernel this layer runs (resolved from the environment at
+    /// The GEMM kernel this layer runs ([`Kernel::global`] at
     /// construction).
     pub fn kernel(&self) -> Kernel {
         self.kernel
@@ -983,7 +983,7 @@ mod tests {
         // Eq. 9 must hold per gradient mode *and* per kernel engine: a
         // fresh layer is gradchecked under both the naive and the tiled
         // backward kernels.
-        let kernels = [Kernel::Naive, Kernel::tiled_default()];
+        let kernels = [Kernel::Naive, Kernel::Tiled];
         for (mode, kernel) in modes
             .iter()
             .flat_map(|mo| kernels.iter().map(move |ke| (mo.clone(), *ke)))
@@ -1140,7 +1140,7 @@ mod tests {
             GradientMode::Surrogate,
         ];
         let (m, j, k) = (2usize, 3usize, 4usize);
-        let kernels = [Kernel::Naive, Kernel::tiled_default()];
+        let kernels = [Kernel::Naive, Kernel::Tiled];
         for (mode, kernel) in modes
             .iter()
             .flat_map(|mo| kernels.iter().map(move |ke| (mo.clone(), *ke)))
@@ -1251,7 +1251,7 @@ mod tests {
         // *implementation* instead: dL/dx from backward equals the direct
         // evaluation of the Eq. 9 sum.
         let (lut, grads) = exact8();
-        for kernel in [Kernel::Naive, Kernel::tiled_default()] {
+        for kernel in [Kernel::Naive, Kernel::Tiled] {
             let mut conv = ApproxConv2d::with_params(
                 Conv2dSpec {
                     in_channels: 1,
@@ -1344,15 +1344,7 @@ mod tests {
         let y_ref = gemm_forward(&layer.cache, &lut, bias, Pool::serial(), Kernel::Naive);
         let (dw_ref, dx_ref) =
             gemm_backward(&layer.cache, &grads, &g, Pool::serial(), Kernel::Naive);
-        for kernel in [
-            Kernel::Naive,
-            Kernel::tiled_default(),
-            Kernel::Tiled {
-                mj: 2,
-                jk: 2,
-                kk: 3,
-            },
-        ] {
+        for kernel in [Kernel::Naive, Kernel::Tiled] {
             let y = gemm_forward(&layer.cache, &lut, bias, pool, kernel);
             assert_eq!(
                 bits_of(&y_ref),
@@ -1381,7 +1373,7 @@ mod tests {
         // A legitimate m = 0 batch must round-trip both layers under both
         // kernels without tripping the populated-cache guard.
         let (lut, grads) = exact8();
-        for kernel in [Kernel::Naive, Kernel::tiled_default()] {
+        for kernel in [Kernel::Naive, Kernel::Tiled] {
             let mut lin = ApproxLinear::with_params(
                 ramp(&[3, 4], 1.0),
                 Tensor::zeros(&[3]),
@@ -1480,14 +1472,16 @@ mod tests {
 
     #[test]
     fn parallel_gemm_is_bit_identical_to_serial() {
-        // Shapes deliberately not divisible by the worker counts, plus
-        // single-row and single-column degenerate cases.
+        // Shapes deliberately not divisible by the worker counts, single-row
+        // and single-column degenerate cases, and one shape one past the
+        // tiled kernel's 64 × 16 × 64 extents in every dimension.
         for &(m, j, k) in &[
             (5usize, 3usize, 7usize),
             (1, 1, 1),
             (17, 5, 11),
             (4, 2, 1),
             (1, 8, 3),
+            (65, 17, 65),
         ] {
             for threads in [1usize, 2, 3, 4, 8] {
                 assert_gemm_parity(m, j, k, threads);

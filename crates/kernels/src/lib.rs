@@ -26,14 +26,15 @@
 //! accumulation order exactly (ascending `j` for `dX`, ascending `m` for
 //! `dW` — tiles only regroup *which rows are visited when*, never the
 //! order of additions into one output element), so every kernel in this
-//! crate is bit-identical to every other for all shapes, tile sizes, and
-//! worker partitions. The differential conformance suite in the workspace
+//! crate is bit-identical to every other for all shapes and worker
+//! partitions. The differential conformance suite in the workspace
 //! root enforces this.
 //!
-//! Kernel selection follows the same pattern as `appmult-pool`:
-//! [`set_global_kernel`] override, else the `APPMULT_KERNEL` environment
-//! variable (`naive`, `tiled`, or `tiled:MJxJKxKK`), else the auto-tuned
-//! tiled default.
+//! Kernel selection: the [`set_global_kernel`] override, else
+//! [`Kernel::Tiled`]. Layers copy [`Kernel::global`] at construction and
+//! can be switched per instance, which is how the tests substitute
+//! [`Kernel::Naive`]. The tile extents are compile-time constants
+//! (`64 × 16 × 64`; DESIGN.md §11 gives the reasons).
 //!
 //! The kernels are chunk-level: callers (the `appmult-retrain` layers)
 //! partition output rows across `appmult-pool` workers and invoke a kernel
@@ -50,7 +51,7 @@
 //! let wq = [1u16, 1]; // one weight row [1, 1]
 //! let xq = [1u16, 0]; // one batch row [1, 0]
 //! let mut acc = [0i64; 1];
-//! forward_acc(Kernel::tiled_default(), shape, &table, &wq, &xq, &mut acc);
+//! forward_acc(Kernel::Tiled, shape, &table, &wq, &xq, &mut acc);
 //! assert_eq!(acc, [1]); // 1*1 + 1*0
 //! ```
 
@@ -59,8 +60,15 @@
 
 use std::sync::Mutex;
 
-/// Name of the environment variable that selects the kernel.
-pub const KERNEL_ENV: &str = "APPMULT_KERNEL";
+/// Batch-dimension (M) tile extent of the tiled kernel: the reuse
+/// distance of each hoisted LUT row.
+const MJ: usize = 64;
+/// Output-dimension (J) tile extent of the tiled forward kernel.
+const JK: usize = 16;
+/// Reduction-dimension (K) tile extent: the hoisted-row working set
+/// (≤ 64 × 2^B × 4 bytes) stays L2-resident while the operand tiles stay
+/// in L1.
+const KK: usize = 64;
 
 /// Process-wide override installed by [`set_global_kernel`].
 static GLOBAL_OVERRIDE: Mutex<Option<Kernel>> = Mutex::new(None);
@@ -71,164 +79,41 @@ pub enum Kernel {
     /// Reference scalar triple loop: one dependent 2-D table gather per
     /// MAC, no blocking. The conformance baseline.
     Naive,
-    /// Cache-blocked kernel. `mj`/`jk`/`kk` are the tile extents along the
-    /// batch (M), output (J), and reduction (K) dimensions; zero extents
-    /// are treated as 1.
-    Tiled {
-        /// Batch-dimension (M) tile extent.
-        mj: usize,
-        /// Output-dimension (J) tile extent.
-        jk: usize,
-        /// Reduction-dimension (K) tile extent.
-        kk: usize,
-    },
+    /// Cache-blocked kernel with fixed `64 × 16 × 64` tiles along the
+    /// batch (M), output (J), and reduction (K) dimensions.
+    Tiled,
 }
-
-/// Error returned by [`Kernel::parse`] for unrecognized specs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelParseError(String);
-
-impl std::fmt::Display for KernelParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid kernel spec {:?} (expected \"naive\", \"tiled\", or \"tiled:MJxJKxKK\")",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for KernelParseError {}
 
 impl Kernel {
-    /// The auto-tuned tiled configuration: M-tiles of 64 batch rows (the
-    /// reuse distance of each hoisted LUT row), J-tiles of 16 output
-    /// channels, K-tiles of 64 reduction steps (the hoisted-row working
-    /// set, ≤ 64 × 2^B × 4 bytes, stays L2-resident while the operand
-    /// tiles stay in L1).
+    /// [`Kernel::Tiled`]. Kept only because the perfbench harness calls
+    /// it; code in this workspace names `Kernel::Tiled`.
     pub const fn tiled_default() -> Self {
-        Kernel::Tiled {
-            mj: 64,
-            jk: 16,
-            kk: 64,
-        }
+        Kernel::Tiled
     }
 
-    /// Parses a kernel spec: `naive`, `tiled`, or `tiled:MJxJKxKK` with
-    /// three positive tile extents (e.g. `tiled:64x16x64`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`KernelParseError`] naming the offending spec if it is
-    /// not one of the forms above.
-    pub fn parse(spec: &str) -> Result<Self, KernelParseError> {
-        let err = || KernelParseError(spec.to_string());
-        match spec.trim() {
-            "naive" => Ok(Kernel::Naive),
-            "tiled" => Ok(Self::tiled_default()),
-            s => {
-                let dims = s.strip_prefix("tiled:").ok_or_else(err)?;
-                let mut parts = dims.split('x').map(|p| p.trim().parse::<usize>());
-                let mut next = || parts.next().ok_or_else(err)?.map_err(|_| err());
-                let (mj, jk, kk) = (next()?, next()?, next()?);
-                if parts.next().is_some() || mj == 0 || jk == 0 || kk == 0 {
-                    return Err(err());
-                }
-                Ok(Kernel::Tiled { mj, jk, kk })
-            }
-        }
-    }
-
-    /// The kernel configured by the environment: the [`set_global_kernel`]
-    /// override if installed, else `APPMULT_KERNEL`, else
-    /// [`Kernel::tiled_default`]. Unparseable environment values fall back
-    /// to the default (mirroring `APPMULT_THREADS` handling).
+    /// The [`set_global_kernel`] override if installed, else
+    /// [`Kernel::Tiled`].
     pub fn global() -> Self {
-        if let Some(k) = *GLOBAL_OVERRIDE.lock().expect("kernel override lock") {
-            return k;
-        }
-        kernel_from_env(std::env::var(KERNEL_ENV).ok().as_deref())
+        GLOBAL_OVERRIDE
+            .lock()
+            .expect("kernel override lock")
+            .unwrap_or(Kernel::Tiled)
     }
 
     /// Short human-readable label (`naive`, `tiled:64x16x64`).
     pub fn label(&self) -> String {
-        match *self {
+        match self {
             Kernel::Naive => "naive".to_string(),
-            Kernel::Tiled { mj, jk, kk } => format!("tiled:{mj}x{jk}x{kk}"),
-        }
-    }
-
-    /// Whether this is a tiled configuration.
-    pub fn is_tiled(&self) -> bool {
-        matches!(self, Kernel::Tiled { .. })
-    }
-
-    /// Tile extents clamped to at least 1 (the naive kernel reports the
-    /// degenerate `(usize::MAX, usize::MAX, usize::MAX)` single tile).
-    fn tile_extents(&self) -> (usize, usize, usize) {
-        match *self {
-            Kernel::Naive => (usize::MAX, usize::MAX, usize::MAX),
-            Kernel::Tiled { mj, jk, kk } => (mj.max(1), jk.max(1), kk.max(1)),
+            Kernel::Tiled => format!("tiled:{MJ}x{JK}x{KK}"),
         }
     }
 }
 
-/// Installs a process-wide kernel override that takes precedence over
-/// `APPMULT_KERNEL` (pass `None` to remove it). Intended for benchmark
-/// harnesses; tests should prefer the explicit-kernel APIs.
+/// Installs a process-wide kernel override that replaces the
+/// [`Kernel::Tiled`] default (pass `None` to remove it). Intended for
+/// benchmark harnesses; tests should prefer the explicit-kernel APIs.
 pub fn set_global_kernel(kernel: Option<Kernel>) {
     *GLOBAL_OVERRIDE.lock().expect("kernel override lock") = kernel;
-}
-
-/// Strict variant of [`set_global_kernel`]: parses `spec` and installs the
-/// result as the process-wide override.
-///
-/// # Errors
-///
-/// Returns the [`KernelParseError`] without touching the override if
-/// `spec` does not parse.
-pub fn try_set_global_kernel_str(spec: &str) -> Result<Kernel, KernelParseError> {
-    let k = Kernel::parse(spec)?;
-    set_global_kernel(Some(k));
-    Ok(k)
-}
-
-/// Kernel specs that already produced an `env.parse_error` event, so each
-/// offending setting warns exactly once per process (keyed by value: tests
-/// exercising different garbage specs stay independent).
-static WARNED_SPECS: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-/// Resolves a kernel from an `APPMULT_KERNEL`-style value; anything unset
-/// or unparseable falls back to [`Kernel::tiled_default`]. Unset and empty
-/// values are silent, but a present-and-malformed spec additionally emits a
-/// one-time `env.parse_error` event on the global [`appmult_obs`] sink so
-/// the typo is visible instead of silently ignored.
-fn kernel_from_env(value: Option<&str>) -> Kernel {
-    match value {
-        None => Kernel::tiled_default(),
-        Some(v) if v.trim().is_empty() => Kernel::tiled_default(),
-        Some(v) => match Kernel::parse(v) {
-            Ok(k) => k,
-            Err(e) => {
-                let mut warned = WARNED_SPECS
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if !warned.iter().any(|w| w == v) {
-                    warned.push(v.to_string());
-                    appmult_obs::global().event(
-                        "env.parse_error",
-                        &[
-                            ("var", KERNEL_ENV.into()),
-                            ("value", v.into()),
-                            ("error", e.to_string().into()),
-                            ("fallback", Kernel::tiled_default().label().into()),
-                        ],
-                    );
-                }
-                Kernel::tiled_default()
-            }
-        },
-    }
 }
 
 /// Shape of one LUT-GEMM: `J` output rows, `K` reduction steps, `B`-bit
@@ -254,6 +139,17 @@ impl GemmShape {
         assert!(self.k > 0, "k must be positive");
         assert_eq!(len % self.k, 0, "{what} length {len} not a multiple of k");
         len / self.k
+    }
+
+    /// Checks, for every kernel alike, that a table of `len` entries is the
+    /// full `2^bits × 2^bits` product or gradient table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is not.
+    fn check_table(&self, len: usize) {
+        let n = 1usize << self.bits;
+        assert_eq!(len, n * n, "table must be 2^bits x 2^bits");
     }
 }
 
@@ -285,9 +181,9 @@ impl TileStats {
 ///
 /// # Panics
 ///
-/// Panics if slice lengths are inconsistent with `shape`, or if a code
-/// indexes past `table` (codes must be `< 2^bits` against a full
-/// `2^bits × 2^bits` table).
+/// Panics if slice lengths are inconsistent with `shape`, if `table` is
+/// not `2^bits × 2^bits` (checked under every kernel), or if a code
+/// indexes past `table` (codes must be `< 2^bits`).
 pub fn forward_acc(
     kernel: Kernel,
     shape: GemmShape,
@@ -300,6 +196,7 @@ pub fn forward_acc(
     let rows = shape.rows_of(xq.len(), "xq");
     assert_eq!(wq.len(), j * k, "wq length mismatch");
     assert_eq!(acc.len(), rows * j, "acc length mismatch");
+    shape.check_table(table.len());
     if let Kernel::Naive = kernel {
         for (x_row, acc_row) in xq.chunks_exact(k).zip(acc.chunks_exact_mut(j)) {
             for (ji, a) in acc_row.iter_mut().enumerate() {
@@ -314,9 +211,6 @@ pub fn forward_acc(
         return;
     }
 
-    let (mjt, jkt, kkt) = kernel.tile_extents();
-    let n = 1usize << bits;
-    assert_eq!(table.len(), n * n, "table must be 2^bits x 2^bits");
     // `(base | x) & mask` with a power-of-two table length proves the
     // index in range, so LLVM drops the per-gather bounds check. Operand
     // codes are < 2^bits (the quantizer clamps to qmax), so the mask
@@ -325,12 +219,12 @@ pub fn forward_acc(
     let mut stats = TileStats::default();
     acc.fill(0);
     let mut bases: Vec<u32> = Vec::new();
-    for m0 in (0..rows).step_by(mjt) {
-        let mt = mjt.min(rows - m0);
-        for j0 in (0..j).step_by(jkt) {
-            let jt = jkt.min(j - j0);
-            for k0 in (0..k).step_by(kkt) {
-                let kt = kkt.min(k - k0);
+    for m0 in (0..rows).step_by(MJ) {
+        let mt = MJ.min(rows - m0);
+        for j0 in (0..j).step_by(JK) {
+            let jt = JK.min(j - j0);
+            for k0 in (0..k).step_by(KK) {
+                let kt = KK.min(k - k0);
                 stats.tiles += 1;
                 // Hoist the LUT row base (`wv << bits`) of every weight
                 // code in this (J-tile, K-tile) block once; each row is
@@ -433,7 +327,8 @@ fn dot_row(table: &[u32], mask: usize, bases: &[u32], x: &[u16]) -> i64 {
 ///
 /// # Panics
 ///
-/// Panics on inconsistent slice lengths or out-of-range codes.
+/// Panics on inconsistent slice lengths, a `table` that is not
+/// `2^bits × 2^bits` (checked under every kernel), or out-of-range codes.
 #[allow(clippy::too_many_arguments)]
 pub fn backward_dx(
     kernel: Kernel,
@@ -451,6 +346,7 @@ pub fn backward_dx(
     assert_eq!(wq.len(), j * k, "wq length mismatch");
     assert_eq!(g.len(), rows * j, "g length mismatch");
     assert_eq!(dx.len(), rows * k, "dx length mismatch");
+    shape.check_table(table.len());
     if let Kernel::Naive = kernel {
         for (mi, (dx_row, x_row)) in dx.chunks_exact_mut(k).zip(xq.chunks_exact(k)).enumerate() {
             for ji in 0..j {
@@ -468,9 +364,6 @@ pub fn backward_dx(
         return;
     }
 
-    let (_, _, kkt) = kernel.tile_extents();
-    let n = 1usize << bits;
-    assert_eq!(table.len(), n * n, "table must be 2^bits x 2^bits");
     let mask = table.len() - 1;
     let mut stats = TileStats::default();
     // The f32 accumulation into dx[mi][kk] runs over `ji`; keeping the
@@ -481,8 +374,8 @@ pub fn backward_dx(
     // sweep cannot be split without reordering additions.
     for mi in 0..rows {
         let g_row = &g[mi * j..(mi + 1) * j];
-        for k0 in (0..k).step_by(kkt) {
-            let kt = kkt.min(k - k0);
+        for k0 in (0..k).step_by(KK) {
+            let kt = KK.min(k - k0);
             stats.tiles += 1;
             let mut c = 0;
             while c + 8 <= kt {
@@ -532,7 +425,8 @@ pub fn backward_dx(
 ///
 /// # Panics
 ///
-/// Panics on inconsistent slice lengths or out-of-range codes.
+/// Panics on inconsistent slice lengths, a `table` that is not
+/// `2^bits × 2^bits` (checked under every kernel), or out-of-range codes.
 #[allow(clippy::too_many_arguments)]
 pub fn backward_dw(
     kernel: Kernel,
@@ -552,6 +446,7 @@ pub fn backward_dw(
     assert!(ji0 + rows <= j, "weight-row chunk exceeds J");
     assert_eq!(g.len(), m * j, "g length mismatch");
     assert_eq!(dw.len(), rows * k, "dw length mismatch");
+    shape.check_table(table.len());
     if let Kernel::Naive = kernel {
         for (r, (dw_row, w_row)) in dw
             .chunks_exact_mut(k)
@@ -574,9 +469,6 @@ pub fn backward_dw(
         return;
     }
 
-    let (_, _, kkt) = kernel.tile_extents();
-    let n = 1usize << bits;
-    assert_eq!(table.len(), n * n, "table must be 2^bits x 2^bits");
     let mask = table.len() - 1;
     let mut stats = TileStats::default();
     // The f32 accumulation into dw[ji][kk] runs over `mi`; the whole
@@ -591,8 +483,8 @@ pub fn backward_dw(
         .enumerate()
     {
         let ji = ji0 + r;
-        for k0 in (0..k).step_by(kkt) {
-            let kt = kkt.min(k - k0);
+        for k0 in (0..k).step_by(KK) {
+            let kt = KK.min(k - k0);
             stats.tiles += 1;
             stats.hoists += kt as u64;
             let mut c = 0;
@@ -659,102 +551,54 @@ mod tests {
         (table, ftable, wq, xq, g)
     }
 
+    /// `(seed, m, j, k)` shapes below, at, one past, and two tiles past
+    /// the fixed `64 × 16 × 64` extents, plus a zero batch.
+    const CROSSING: [(u64, usize, usize, usize); 8] = [
+        (1, 5, 3, 7),
+        (2, 64, 16, 64),
+        (3, 65, 17, 65),
+        (4, 1, 1, 1),
+        (5, 7, 2, 130),
+        (6, 0, 3, 4),
+        (7, 128, 32, 128),
+        (8, 129, 33, 130),
+    ];
+
     #[test]
     fn tiled_forward_matches_naive_on_awkward_shapes() {
-        for (seed, m, j, k, tile) in [
-            (1u64, 5usize, 3usize, 7usize, (2usize, 2usize, 3usize)),
-            (2, 65, 17, 65, (64, 16, 64)),
-            (3, 1, 1, 1, (64, 16, 64)),
-            (4, 7, 2, 130, (4, 1, 64)),
-            (5, 0, 3, 4, (2, 2, 2)),
-        ] {
+        for (seed, m, j, k) in CROSSING {
             let bits = 6;
             let shape = GemmShape { j, k, bits };
             let (table, _, wq, xq, _) = random_setup(seed, m, j, k, bits);
             let mut naive = vec![i64::MIN; m * j];
             let mut tiled = vec![i64::MAX; m * j];
             forward_acc(Kernel::Naive, shape, &table, &wq, &xq, &mut naive);
-            let (mj, jk, kk) = tile;
-            forward_acc(
-                Kernel::Tiled { mj, jk, kk },
-                shape,
-                &table,
-                &wq,
-                &xq,
-                &mut tiled,
-            );
+            forward_acc(Kernel::Tiled, shape, &table, &wq, &xq, &mut tiled);
             assert_eq!(naive, tiled, "seed={seed} m={m} j={j} k={k}");
         }
     }
 
     #[test]
     fn tiled_backward_matches_naive_bit_for_bit() {
-        for (seed, m, j, k, tile) in [
-            (10u64, 9usize, 4usize, 11usize, (4usize, 2usize, 4usize)),
-            (11, 33, 7, 19, (8, 3, 5)),
-            (12, 1, 1, 1, (64, 16, 64)),
-            (13, 0, 2, 3, (1, 1, 1)),
-        ] {
+        for (seed, m, j, k) in CROSSING {
             let bits = 5;
             let shape = GemmShape { j, k, bits };
-            let (_, ftable, wq, xq, g) = random_setup(seed, m, j, k, bits);
-            let (mj, jk, kk) = tile;
-            let tiled_kernel = Kernel::Tiled { mj, jk, kk };
-
-            let mut dx_n = vec![0.0f32; m * k];
-            let mut dx_t = vec![0.0f32; m * k];
-            backward_dx(
-                Kernel::Naive,
-                shape,
-                &ftable,
-                &wq,
-                &xq,
-                &g,
-                0.37,
-                1.5,
-                &mut dx_n,
-            );
-            backward_dx(
-                tiled_kernel,
-                shape,
-                &ftable,
-                &wq,
-                &xq,
-                &g,
-                0.37,
-                1.5,
-                &mut dx_t,
-            );
+            let (_, ftable, wq, xq, g) = random_setup(seed + 10, m, j, k, bits);
             let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits_of(&dx_n), bits_of(&dx_t), "dx seed={seed}");
-
-            let mut dw_n = vec![0.0f32; j * k];
-            let mut dw_t = vec![0.0f32; j * k];
-            backward_dw(
-                Kernel::Naive,
-                shape,
-                &ftable,
-                &wq,
-                0,
-                &xq,
-                &g,
-                0.81,
-                -2.25,
-                &mut dw_n,
-            );
-            backward_dw(
-                tiled_kernel,
-                shape,
-                &ftable,
-                &wq,
-                0,
-                &xq,
-                &g,
-                0.81,
-                -2.25,
-                &mut dw_t,
-            );
-            assert_eq!(bits_of(&dw_n), bits_of(&dw_t), "dw seed={seed}");
+            let dx = |kernel| {
+                let mut dx = vec![0.0f32; m * k];
+                backward_dx(kernel, shape, &ftable, &wq, &xq, &g, 0.37, 1.5, &mut dx);
+                bits_of(&dx)
+            };
+            assert_eq!(dx(Kernel::Naive), dx(Kernel::Tiled), "dx seed={seed}");
+            let dw = |kernel| {
+                let mut dw = vec![0.0f32; j * k];
+                backward_dw(
+                    kernel, shape, &ftable, &wq, 0, &xq, &g, 0.81, -2.25, &mut dw,
+                );
+                bits_of(&dw)
+            };
+            assert_eq!(dw(Kernel::Naive), dw(Kernel::Tiled), "dw seed={seed}");
         }
     }
 
@@ -762,15 +606,12 @@ mod tests {
     fn chunked_invocation_matches_whole_buffer() {
         // Worker partitioning: running the kernel per chunk of batch rows
         // (forward/dx) or weight rows (dw) must reproduce the whole-buffer
-        // result exactly — tiles compose with pool chunks.
-        let (m, j, k, bits) = (13usize, 5usize, 9usize, 6u32);
+        // result exactly — tiles compose with pool chunks, including
+        // chunks that start or end inside a tile.
+        let (m, j, k, bits) = (133usize, 33usize, 130usize, 6u32);
         let shape = GemmShape { j, k, bits };
         let (table, ftable, wq, xq, g) = random_setup(99, m, j, k, bits);
-        let kernel = Kernel::Tiled {
-            mj: 4,
-            jk: 2,
-            kk: 4,
-        };
+        let kernel = Kernel::Tiled;
 
         let mut whole = vec![0i64; m * j];
         forward_acc(kernel, shape, &table, &wq, &xq, &mut whole);
@@ -823,125 +664,62 @@ mod tests {
         assert_eq!(bits_of(&dw_whole), bits_of(&dw_chunked));
     }
 
+    /// A table that is not `2^bits × 2^bits` is rejected by every kernel
+    /// and every entry point, even when all codes index inside it.
     #[test]
-    fn kernel_spec_parsing() {
-        assert_eq!(Kernel::parse("naive"), Ok(Kernel::Naive));
-        assert_eq!(Kernel::parse("tiled"), Ok(Kernel::tiled_default()));
-        assert_eq!(
-            Kernel::parse("tiled:8x4x32"),
-            Ok(Kernel::Tiled {
-                mj: 8,
-                jk: 4,
-                kk: 32
-            })
-        );
-        for bad in [
-            "",
-            "fast",
-            "tiled:",
-            "tiled:8x4",
-            "tiled:8x4x0",
-            "tiled:axbxc",
-            "tiled:1x2x3x4",
-        ] {
-            assert!(Kernel::parse(bad).is_err(), "{bad:?} should be rejected");
+    fn every_kernel_rejects_a_mis_sized_table() {
+        let (m, j, k, bits) = (3usize, 2usize, 5usize, 2u32);
+        let shape = GemmShape { j, k, bits };
+        let (_, _, wq, xq, g) = random_setup(5, m, j, k, bits);
+        // 32 entries where 2^2 × 2^2 = 16 are expected; codes < 4 index
+        // at most entry 15, so only the size check can object.
+        let table = vec![1u32; 32];
+        let ftable = vec![0.5f32; 32];
+        let rejects = |run: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("mis-sized table accepted");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(msg.contains("table must be 2^bits x 2^bits"), "{msg}");
+        };
+        for kernel in [Kernel::Naive, Kernel::Tiled] {
+            rejects(&|| forward_acc(kernel, shape, &table, &wq, &xq, &mut vec![0; m * j]));
+            rejects(&|| {
+                let mut dx = vec![0.0; m * k];
+                backward_dx(kernel, shape, &ftable, &wq, &xq, &g, 1.0, 0.0, &mut dx);
+            });
+            rejects(&|| {
+                let mut dw = vec![0.0; j * k];
+                backward_dw(kernel, shape, &ftable, &wq, 0, &xq, &g, 1.0, 0.0, &mut dw);
+            });
         }
-        let msg = Kernel::parse("bogus").unwrap_err().to_string();
-        assert!(msg.contains("bogus"), "{msg}");
     }
 
+    /// The labels are the `"kernel"` header of every JSON artifact.
     #[test]
-    fn env_resolution_falls_back_to_tiled_default() {
-        assert_eq!(kernel_from_env(Some("naive")), Kernel::Naive);
-        assert_eq!(
-            kernel_from_env(Some("tiled:2x2x2")),
-            Kernel::Tiled {
-                mj: 2,
-                jk: 2,
-                kk: 2
-            }
-        );
-        assert_eq!(kernel_from_env(None), Kernel::tiled_default());
-        assert_eq!(kernel_from_env(Some("garbage")), Kernel::tiled_default());
-    }
-
-    #[test]
-    fn try_set_global_kernel_str_rejects_garbage_without_side_effects() {
-        set_global_kernel(None);
-        assert!(try_set_global_kernel_str("bogus:1x2").is_err());
-        assert_eq!(*GLOBAL_OVERRIDE.lock().expect("lock"), None);
-        assert_eq!(try_set_global_kernel_str("naive"), Ok(Kernel::Naive));
-        assert_eq!(Kernel::global(), Kernel::Naive);
-        set_global_kernel(None);
-    }
-
-    /// A malformed (present, non-empty) env spec warns exactly once per
-    /// offending value on the global obs sink; empty values are silent.
-    #[test]
-    fn env_parse_failure_warns_once() {
-        let obs = appmult_obs::ObsSink::recording();
-        appmult_obs::set_global(&obs);
-        // A spec no other test uses, so the per-value dedup is ours alone.
-        assert_eq!(
-            kernel_from_env(Some("kernel-warn-probe")),
-            Kernel::tiled_default()
-        );
-        assert_eq!(
-            kernel_from_env(Some("kernel-warn-probe")),
-            Kernel::tiled_default()
-        );
-        assert_eq!(kernel_from_env(Some("  ")), Kernel::tiled_default()); // silent
-        appmult_obs::set_global(&appmult_obs::ObsSink::null());
-        let hits = obs
-            .events()
-            .iter()
-            .filter(|e| {
-                e.kind == "env.parse_error" && e.to_json_line().contains("kernel-warn-probe")
-            })
-            .count();
-        assert_eq!(hits, 1, "expected exactly one warning event");
-    }
-
-    #[test]
-    fn labels_round_trip_through_parse() {
-        for k in [
-            Kernel::Naive,
-            Kernel::tiled_default(),
-            Kernel::Tiled {
-                mj: 3,
-                jk: 5,
-                kk: 7,
-            },
-        ] {
-            assert_eq!(Kernel::parse(&k.label()), Ok(k));
-        }
+    fn labels_name_the_fixed_extents() {
+        assert_eq!(Kernel::Naive.label(), "naive");
+        assert_eq!(Kernel::Tiled.label(), "tiled:64x16x64");
+        assert_eq!(Kernel::tiled_default(), Kernel::Tiled);
     }
 
     #[test]
     fn tile_counters_reach_the_recording_sink() {
         let obs = appmult_obs::ObsSink::recording();
         appmult_obs::set_global(&obs);
-        let (m, j, k, bits) = (8usize, 4usize, 8usize, 4u32);
+        let (m, j, k, bits) = (65usize, 17usize, 65usize, 4u32);
         let shape = GemmShape { j, k, bits };
         let (table, _, wq, xq, _) = random_setup(7, m, j, k, bits);
         let mut acc = vec![0i64; m * j];
-        forward_acc(
-            Kernel::Tiled {
-                mj: 4,
-                jk: 2,
-                kk: 4,
-            },
-            shape,
-            &table,
-            &wq,
-            &xq,
-            &mut acc,
-        );
+        forward_acc(Kernel::Tiled, shape, &table, &wq, &xq, &mut acc);
         appmult_obs::set_global(&appmult_obs::ObsSink::null());
-        // 2 M-tiles × 2 J-tiles × 2 K-tiles; each K-tile hoists jt × kt =
-        // 2 × 4 rows. (>= rather than ==: concurrent sibling tests may
-        // also hit the global sink while it is installed.)
+        // One past each extent: 2 M-tiles × 2 J-tiles × 2 K-tiles. Each
+        // M-tile hoists every (j, k) weight code once, 2 × 17 × 65 rows.
+        // (>= rather than ==: concurrent sibling tests may also hit the
+        // global sink while it is installed.)
         assert!(obs.counter("kernel.tiles") >= 8);
-        assert!(obs.counter("kernel.lut_row_hoists") >= 64);
+        assert!(obs.counter("kernel.lut_row_hoists") >= 2 * 17 * 65);
     }
 }

@@ -51,14 +51,11 @@ use std::sync::Mutex;
 /// Name of the environment variable that pins the worker count.
 pub const THREADS_ENV: &str = "APPMULT_THREADS";
 
-/// Why an `APPMULT_THREADS`-style value could not be parsed.
-///
-/// Returned by [`parse_threads`] and [`try_set_global_threads_str`]; the
-/// same failure on the environment-variable path surfaces once per
+/// Why an `APPMULT_THREADS` value could not be parsed. Surfaces once per
 /// offending value as an `env.parse_error` event on the global
 /// [`appmult_obs`] sink before falling back to auto-detection.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadsParseError {
+enum ThreadsParseError {
     /// The value is not a base-10 unsigned integer.
     NotANumber(String),
     /// The value parsed but a pool needs at least one worker.
@@ -76,37 +73,16 @@ impl std::fmt::Display for ThreadsParseError {
     }
 }
 
-impl std::error::Error for ThreadsParseError {}
-
-/// Parses an `APPMULT_THREADS`-style value into a worker count.
-///
-/// Leading/trailing whitespace is ignored. Unlike the environment fallback
-/// path, this is strict: empty strings, zero, and garbage are errors.
-///
-/// # Errors
-///
-/// [`ThreadsParseError::NotANumber`] if the trimmed value is not a base-10
-/// unsigned integer, [`ThreadsParseError::Zero`] if it is `0`.
-pub fn parse_threads(value: &str) -> Result<usize, ThreadsParseError> {
+/// Parses an `APPMULT_THREADS` value into a worker count. Leading and
+/// trailing whitespace is ignored; empty strings, zero, and garbage are
+/// errors ([`threads_from_env`] decides which of them stay silent).
+fn parse_threads(value: &str) -> Result<usize, ThreadsParseError> {
     let trimmed = value.trim();
     match trimmed.parse::<usize>() {
         Ok(0) => Err(ThreadsParseError::Zero),
         Ok(n) => Ok(n),
         Err(_) => Err(ThreadsParseError::NotANumber(trimmed.to_string())),
     }
-}
-
-/// Strict variant of [`set_global_threads`]: parses `value` and installs it
-/// as the process-wide override.
-///
-/// # Errors
-///
-/// Returns the [`ThreadsParseError`] without touching the override if
-/// `value` does not parse.
-pub fn try_set_global_threads_str(value: &str) -> Result<usize, ThreadsParseError> {
-    let n = parse_threads(value)?;
-    set_global_threads(n);
-    Ok(n)
 }
 
 /// Values that already produced an `env.parse_error` event, so each
@@ -460,14 +436,92 @@ mod tests {
         assert!(msg.contains(THREADS_ENV) && msg.contains("lots"), "{msg}");
     }
 
+    /// Digit runs at and just past `usize::MAX`, and a zero-padded run.
+    fn long_digit_runs() -> [String; 4] {
+        [
+            usize::MAX.to_string(),
+            format!("{}0", usize::MAX),
+            (usize::MAX as u128 + 1).to_string(),
+            "0".repeat(40) + "5",
+        ]
+    }
+
+    /// The reference reading of an `APPMULT_THREADS` value: after trimming,
+    /// an optional `+` then ASCII digits whose value is positive and fits
+    /// in `usize` (computed with checked arithmetic, not `str::parse`).
+    fn expected_threads(value: &str) -> Option<usize> {
+        let t = value.trim();
+        let digits = t.strip_prefix('+').unwrap_or(t);
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let n = digits.bytes().try_fold(0usize, |n, b| {
+            n.checked_mul(10)?.checked_add(usize::from(b - b'0'))
+        })?;
+        (n > 0).then_some(n)
+    }
+
+    /// Fuzz of the env decoder: it never panics, always yields at least one
+    /// worker, and returns `n` exactly when the trimmed value is a positive
+    /// decimal that fits in `usize` — every other value, from the empty
+    /// string to NUL bytes and overflowing digit runs, gets the fallback.
     #[test]
-    fn try_set_global_threads_str_rejects_garbage_without_side_effects() {
-        set_global_threads(0);
-        assert!(try_set_global_threads_str("banana").is_err());
-        assert_eq!(GLOBAL_OVERRIDE.load(Ordering::Relaxed), 0);
-        assert_eq!(try_set_global_threads_str(" 6 "), Ok(6));
-        assert_eq!(Pool::global().threads(), 6);
-        set_global_threads(0);
+    fn threads_env_decoder_accepts_exactly_positive_decimals() {
+        // Digits, signs, ASCII and Unicode whitespace, NUL, a BOM,
+        // non-ASCII digits, and the long runs.
+        let fragments: Vec<String> = [
+            "0", "1", "7", "9", "+", "-", "+0", " ", "\t", "\n", "\u{a0}", "\u{2003}", "\u{3000}",
+            "\u{85}", "\u{feff}", "\0", "x", ".", "_", "e3", "\u{663}", "\u{ff11}",
+        ]
+        .map(String::from)
+        .into_iter()
+        .chain(long_digit_runs())
+        .collect();
+        let corners: Vec<String> = [
+            "",
+            "\0",
+            "0",
+            "+0",
+            "-0",
+            "+1",
+            "-1",
+            "++1",
+            "00",
+            "007",
+            " \t8\n",
+            "\u{3000}4\u{3000}",
+            "1\u{0}2",
+            "1 2",
+            "\u{663}",
+        ]
+        .map(String::from)
+        .into_iter()
+        .chain(long_digit_runs())
+        .chain([format!("+{}", usize::MAX)])
+        .collect();
+        let fallback = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        appmult_rng::prop::forall_with(
+            "APPMULT_THREADS decodes exactly the positive decimals",
+            0x7EAD5,
+            400,
+            |rng, case| {
+                corners.get(case).cloned().unwrap_or_else(|| {
+                    (0..rng.below(7))
+                        .map(|_| fragments[rng.index(fragments.len())].as_str())
+                        .collect()
+                })
+            },
+            |v: &String| {
+                // Drop one character at a time.
+                v.char_indices()
+                    .map(|(i, ch)| format!("{}{}", &v[..i], &v[i + ch.len_utf8()..]))
+                    .collect()
+            },
+            |v: &String| {
+                let got = std::panic::catch_unwind(|| threads_from_env(Some(v)));
+                matches!(got, Ok(n) if n >= 1 && n == expected_threads(v).unwrap_or(fallback))
+            },
+        );
     }
 
     /// A malformed (present, non-empty) env value warns exactly once per

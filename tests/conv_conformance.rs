@@ -394,7 +394,7 @@ fn approx_conv_is_bit_identical_to_the_f32_im2col_reference() {
             let want = reference(c, &ops, *scheme, lut, grads);
             [1usize, 3].into_iter().all(|threads| {
                 appmult_pool::set_global_threads(threads);
-                [Kernel::Naive, Kernel::tiled_default()]
+                [Kernel::Naive, Kernel::Tiled]
                     .into_iter()
                     .all(|kernel| layer_run(c, &ops, *config, lut, grads, kernel) == want)
             })

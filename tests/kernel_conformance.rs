@@ -1,17 +1,19 @@
 //! Differential conformance suite for the LUT-GEMM kernel engine.
 //!
-//! The tiled kernels in `appmult-kernels` promise bit-identity with the
-//! naive reference loops for every shape, tile configuration, thread
-//! count, and gradient mode. This suite enforces that promise two ways:
+//! The tiled kernel in `appmult-kernels` promises bit-identity with the
+//! naive reference loops for every shape, thread count, and gradient
+//! mode. Its tile extents are fixed at `64 × 16 × 64`, so the suite
+//! varies shapes × threads, two ways:
 //!
 //! * at the kernel level, with `appmult_rng::prop`-driven randomized
-//!   (shape, tile, seed) cases — including non-multiple-of-tile M/J/K and
-//!   zero-sized batches — greedily shrunk to a minimal failing triple;
+//!   (shape, seed) cases whose shapes cross every fixed extent — exact
+//!   multiples, one past, two tiles past, and zero-sized batches — greedily
+//!   shrunk to a minimal failing case;
 //! * at the layer level, where `ApproxLinear`/`ApproxConv2d` outputs and
-//!   gradients must agree across kernels for all five `GradientMode`s,
-//!   including the kernel resolved from `APPMULT_KERNEL` (the CI
-//!   kernel-parity matrix runs this file under naive/tiled × thread
-//!   counts).
+//!   gradients must agree across kernels for all five `GradientMode`s.
+//!   Every layer test names both kernels explicitly, so the result does
+//!   not depend on the process-wide default; the CI kernel-parity job
+//!   runs this file at 1 and 4 threads.
 //!
 //! Comparisons are `to_bits`, never approximate: no case may diverge by
 //! even one bit.
@@ -26,62 +28,56 @@ use appmult::retrain::{ApproxConv2d, ApproxLinear, GradientLut, GradientMode, Qu
 use appmult_pool::Pool;
 use appmult_rng::{prop, Rng64};
 
-/// One conformance case: `((m, j, k), (mj, jk, kk), seed)`.
-type Case = ((usize, usize, usize), (usize, usize, usize), u64);
+/// One conformance case: `((m, j, k), seed)`.
+type Case = ((usize, usize, usize), u64);
 
 fn bits_of(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Corner cases first (minimal, exact-tile, one-past-tile, zero batch),
-/// then seeded random shapes and tile extents.
+/// Corner cases first (exactly one tile, one past every extent, exactly
+/// two tiles, two tiles plus a remainder, zero batch), then seeded random
+/// shapes that straddle the fixed `64 × 16 × 64` extents in every
+/// dimension.
 fn generate_case(rng: &mut Rng64, case: usize) -> Case {
     match case {
-        0 => ((1, 1, 1), (1, 1, 1), 0),
-        1 => ((64, 16, 64), (64, 16, 64), 1), // exactly one default tile
-        2 => ((65, 17, 65), (64, 16, 64), 2), // one past every tile boundary
-        3 => ((0, 3, 4), (2, 2, 2), 3),       // zero-sized batch
+        0 => ((64, 16, 64), 0),
+        1 => ((65, 17, 65), 1),
+        2 => ((128, 32, 128), 2),
+        3 => ((129, 33, 130), 3),
+        4 => ((0, 17, 65), 4),
         _ => (
             (
-                rng.below(33) as usize, // m may be 0
-                rng.below(12) as usize + 1,
-                rng.below(90) as usize + 1,
-            ),
-            (
-                rng.below(20) as usize + 1,
-                rng.below(20) as usize + 1,
-                rng.below(20) as usize + 1,
+                rng.below(141) as usize, // m may be 0
+                rng.below(40) as usize + 1,
+                rng.below(200) as usize + 1,
             ),
             rng.next_u64(),
         ),
     }
 }
 
-/// Greedy shrink proposals: halve or decrement each shape/tile dimension
-/// (shapes floored so `j`/`k` stay ≥ 1, `m` may reach 0), and try the
-/// zero seed.
-fn shrink_case(&((m, j, k), (mj, jk, kk), seed): &Case) -> Vec<Case> {
+/// Greedy shrink proposals: halve or decrement each shape dimension
+/// (floored so `j`/`k` stay ≥ 1, `m` may reach 0), and try the zero seed.
+fn shrink_case(&((m, j, k), seed): &Case) -> Vec<Case> {
     let mut out = vec![
-        ((m / 2, j, k), (mj, jk, kk), seed),
-        ((m.saturating_sub(1), j, k), (mj, jk, kk), seed),
-        ((m, (j / 2).max(1), k), (mj, jk, kk), seed),
-        ((m, (j - 1).max(1), k), (mj, jk, kk), seed),
-        ((m, j, (k / 2).max(1)), (mj, jk, kk), seed),
-        ((m, j, (k - 1).max(1)), (mj, jk, kk), seed),
-        ((m, j, k), ((mj / 2).max(1), jk, kk), seed),
-        ((m, j, k), (mj, (jk / 2).max(1), kk), seed),
-        ((m, j, k), (mj, jk, (kk / 2).max(1)), seed),
+        ((m / 2, j, k), seed),
+        ((m.saturating_sub(1), j, k), seed),
+        ((m, (j / 2).max(1), k), seed),
+        ((m, (j - 1).max(1), k), seed),
+        ((m, j, (k / 2).max(1)), seed),
+        ((m, j, (k - 1).max(1)), seed),
     ];
     if seed != 0 {
-        out.push(((m, j, k), (mj, jk, kk), 0));
+        out.push(((m, j, k), 0));
     }
     out
 }
 
-/// The conformance property: for the given case, the tiled kernels —
-/// run chunk-wise under worker pools of 1 and 3 threads — must reproduce
-/// the whole-buffer naive kernels bit for bit in forward, `dX`, and `dW`.
-fn kernel_case_conforms(&((m, j, k), (mj, jk, kk), seed): &Case) -> bool {
+/// The conformance property: for the given case, the tiled kernel — run
+/// chunk-wise under worker pools of 1 and 3 threads — must reproduce the
+/// whole-buffer naive kernel bit for bit in forward, `dX`, and `dW`.
+fn kernel_case_conforms(&((m, j, k), seed): &Case) -> bool {
     let bits = 6u32;
     let n = 1usize << bits;
     let mut rng = Rng64::seed_from_u64(seed);
@@ -100,7 +96,7 @@ fn kernel_case_conforms(&((m, j, k), (mj, jk, kk), seed): &Case) -> bool {
         })
         .collect();
     let shape = GemmShape { j, k, bits };
-    let tiled = Kernel::Tiled { mj, jk, kk };
+    let tiled = Kernel::Tiled;
     let (sw, zw, sx, zx) = (0.37f32, 3.0f32, 0.59f32, 2.0f32);
 
     let mut acc_ref = vec![0i64; m * j];
@@ -216,15 +212,14 @@ fn all_modes(lut: &MultiplierLut) -> Vec<GradientMode> {
 }
 
 /// Forward output, input gradient, and weight gradient of a fresh
-/// `ApproxLinear` under the given kernel (`None` = the env-resolved
-/// default, which the CI matrix drives through `APPMULT_KERNEL`).
+/// `ApproxLinear` under the given kernel.
 fn linear_run(
     lut: &Arc<MultiplierLut>,
     grads: &Arc<GradientLut>,
     m: usize,
     j: usize,
     k: usize,
-    kernel: Option<Kernel>,
+    kernel: Kernel,
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let mut lin = ApproxLinear::with_params(
         ramp(&[j, k], 1.2),
@@ -233,9 +228,7 @@ fn linear_run(
         grads.clone(),
         QuantConfig::default(),
     );
-    if let Some(kernel) = kernel {
-        lin.set_kernel(kernel);
-    }
+    lin.set_kernel(kernel);
     let y = lin.forward(&ramp(&[m, k], 1.7), true);
     let dx = lin.backward(&ramp(&[m, j], 0.9));
     let mut dw = Vec::new();
@@ -250,26 +243,14 @@ fn linear_run(
 #[test]
 fn layer_outputs_conform_across_kernels_and_gradient_modes() {
     let lut = Arc::new(TruncatedMultiplier::new(8, 6).to_lut());
-    let kernels = [
-        Some(Kernel::tiled_default()),
-        Some(Kernel::Tiled {
-            mj: 3,
-            jk: 2,
-            kk: 5,
-        }),
-        None, // resolved from APPMULT_KERNEL (the CI matrix axis)
-    ];
     for mode in all_modes(&lut) {
         let label = mode.label();
         let grads = Arc::new(GradientLut::build(&lut, mode));
-        let reference = linear_run(&lut, &grads, 7, 5, 11, Some(Kernel::Naive));
-        for kernel in kernels {
-            let got = linear_run(&lut, &grads, 7, 5, 11, kernel);
+        for (m, j, k) in [(7, 5, 11), (65, 17, 65)] {
             assert_eq!(
-                reference,
-                got,
-                "linear mode={label} kernel={:?} diverged from naive",
-                kernel.map(|k| k.label())
+                linear_run(&lut, &grads, m, j, k, Kernel::Naive),
+                linear_run(&lut, &grads, m, j, k, Kernel::Tiled),
+                "linear mode={label} m={m} j={j} k={k}: tiled diverged from naive"
             );
         }
     }
@@ -279,37 +260,28 @@ fn layer_outputs_conform_across_kernels_and_gradient_modes() {
 fn conv_layer_conforms_across_kernels() {
     let lut = Arc::new(TruncatedMultiplier::new(8, 6).to_lut());
     let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(8)));
-    let run = |kernel: Option<Kernel>| {
+    // (batch, in, out): the small case, then one whose im2col GEMM
+    // (M = batch·25, J = out, K = in·9 = 75 × 17 × 72) crosses the
+    // 64 × 16 × 64 tile extents in every dimension.
+    let run = |(n, cin, cout): (usize, usize, usize), kernel: Kernel| {
         let mut conv = ApproxConv2d::with_params(
-            Conv2dSpec::same(2, 3, 3),
-            ramp(&[3, 18], 0.8),
-            ramp(&[3], 0.1),
+            Conv2dSpec::same(cin, cout, 3),
+            ramp(&[cout, cin * 9], 0.8),
+            ramp(&[cout], 0.1),
             lut.clone(),
             grads.clone(),
             QuantConfig::default(),
         );
-        if let Some(kernel) = kernel {
-            conv.set_kernel(kernel);
-        }
-        let y = conv.forward(&ramp(&[2, 2, 5, 5], 1.0), true);
-        let dx = conv.backward(&ramp(&[2, 3, 5, 5], 1.0));
+        conv.set_kernel(kernel);
+        let y = conv.forward(&ramp(&[n, cin, 5, 5], 1.0), true);
+        let dx = conv.backward(&ramp(&[n, cout, 5, 5], 1.0));
         (bits_of(y.as_slice()), bits_of(dx.as_slice()))
     };
-    let reference = run(Some(Kernel::Naive));
-    for kernel in [
-        Some(Kernel::tiled_default()),
-        Some(Kernel::Tiled {
-            mj: 4,
-            jk: 1,
-            kk: 7,
-        }),
-        None,
-    ] {
+    for dims in [(2, 2, 3), (3, 8, 17)] {
         assert_eq!(
-            reference,
-            run(kernel),
-            "conv kernel={:?} diverged from naive",
-            kernel.map(|k| k.label())
+            run(dims, Kernel::Naive),
+            run(dims, Kernel::Tiled),
+            "conv (batch, in, out)={dims:?}: tiled diverged from naive"
         );
     }
 }
@@ -319,18 +291,13 @@ fn degenerate_layer_shapes_conform() {
     let lut = Arc::new(TruncatedMultiplier::new(8, 6).to_lut());
     let grads = Arc::new(GradientLut::build(&lut, GradientMode::Ste));
     // (m, j, k) degenerate cases: single row/column/feature and a
-    // zero-sized batch, each under naive, tiled, and the env kernel.
+    // zero-sized batch, each under naive and tiled.
     for (m, j, k) in [(1, 1, 1), (1, 4, 3), (5, 1, 3), (5, 4, 1), (0, 4, 3)] {
-        let reference = linear_run(&lut, &grads, m, j, k, Some(Kernel::Naive));
-        for kernel in [Some(Kernel::tiled_default()), None] {
-            let got = linear_run(&lut, &grads, m, j, k, kernel);
-            assert_eq!(
-                reference,
-                got,
-                "degenerate m={m} j={j} k={k} kernel={:?}",
-                kernel.map(|kn| kn.label())
-            );
-        }
+        assert_eq!(
+            linear_run(&lut, &grads, m, j, k, Kernel::Naive),
+            linear_run(&lut, &grads, m, j, k, Kernel::Tiled),
+            "degenerate m={m} j={j} k={k}"
+        );
     }
 }
 
@@ -340,13 +307,12 @@ fn shrinker_reports_a_minimal_triple() {
     // m*j*k > 0 and k >= 3" — and check the harness shrinks the case to
     // the minimal failing triple instead of reporting a random large one.
     let planted = |c: &Case| {
-        let ((m, j, k), _, _) = *c;
+        let ((m, j, k), _) = *c;
         !(m > 0 && j > 0 && k >= 3)
     };
     let err = prop::check_with(0xBAD5EED, 64, generate_case, shrink_case, planted)
         .expect_err("planted divergence must be caught");
-    let ((m, j, k), (mj, jk, kk), seed) = err.value;
+    let ((m, j, k), seed) = err.value;
     assert_eq!((m, j, k), (1, 1, 3), "shape shrunk to minimal");
-    assert_eq!((mj, jk, kk), (1, 1, 1), "tile shrunk to minimal");
     assert_eq!(seed, 0, "seed shrunk to zero");
 }
