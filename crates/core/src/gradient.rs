@@ -564,7 +564,7 @@ fn transpose_table(n: usize, t: &[f32]) -> Vec<f32> {
 
 /// Minimum table size (elements) below which gradient-table builds run
 /// serially: a `2^B x 2^B` table under this bound (4-bit, 6-bit) is a few
-/// microseconds of O(1)-per-element work, cheaper than spawning workers.
+/// microseconds of O(1)-per-element work, cheaper than waking workers.
 /// Above it (8-bit: 65536 elements) the parallel build wins.
 const TABLE_PAR_FLOOR_ELEMS: usize = 1 << 14;
 

@@ -176,12 +176,13 @@ impl GemmCache {
 }
 
 /// Minimum multiply-accumulate count below which a LUT-GEMM dispatch runs
-/// serially instead of fanning out across pool workers. Spawn + join costs
-/// tens of microseconds per `run_rows` call (perfbench's `pool.dispatch_us`
-/// row measures it); at roughly a nanosecond per table-gather MAC, shapes
-/// under ~64k MACs finish faster on the calling thread than the spawn
-/// overhead alone. Serial and parallel paths are bit-identical, so the
-/// floor is purely a scheduling decision.
+/// serially instead of fanning out across pool workers. perfbench's
+/// `pool.dispatch_us` measures one trivial two-worker `run_rows` at
+/// 3–8 µs on a 2-vCPU x86 host (26–38 µs back when every call spawned its
+/// threads); at roughly a nanosecond per table-gather MAC, the floor's 64k
+/// MACs are ~65 µs of work, of which the dispatch is then 5–12%.
+/// perfbench's replay mirrors this value. Serial and parallel paths are bit-identical, so the floor is
+/// purely a scheduling decision.
 const PAR_FLOOR_MACS: usize = 1 << 16;
 
 /// Work-size floor in *output elements* for a GEMM whose per-element cost

@@ -167,8 +167,7 @@ impl std::fmt::Display for Reject {
 
 /// Builds the `2^(2B)`-entry product LUT of a multiplier netlist with a
 /// **serial** exhaustive simulation (the search already parallelizes over
-/// candidates; nested pools would fight for cores and add no determinism
-/// risk, but plenty of spawn overhead).
+/// candidates, and a dispatch nested inside a chunk runs inline anyway).
 pub(crate) fn build_lut(netlist: &Netlist, bits: u32, name: &str) -> MultiplierLut {
     let table = ExhaustiveTable::build_in(netlist, Pool::serial());
     let values = table.values();

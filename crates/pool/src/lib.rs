@@ -1,29 +1,34 @@
-//! Zero-dependency scoped data parallelism for the workspace's hot loops.
+//! Zero-dependency data parallelism for the workspace's hot loops.
 //!
 //! The LUT-GEMM kernels, gradient-table builds, and exhaustive circuit
 //! simulations all share one shape: a large output buffer whose rows can be
 //! computed independently from shared read-only inputs. [`Pool::run_rows`]
 //! partitions such a buffer into contiguous, *disjoint* `&mut` chunks — one
-//! per worker — and runs them under [`std::thread::scope`]. Because every
-//! output element is written by exactly one worker and each worker iterates
-//! its rows in the same order as the serial loop, results are bit-identical
-//! to a serial run regardless of the thread count; no atomics, no locks, no
-//! floating-point reassociation.
+//! per worker — and runs them in parallel. Because every output element is
+//! written by exactly one worker and each worker iterates its rows in the
+//! same order as the serial loop, results are bit-identical to a serial run
+//! regardless of the thread count; no atomics, no locks, no floating-point
+//! reassociation.
 //!
-//! The pool is *scoped*, not persistent: threads are spawned per call and
-//! joined before the call returns, so borrowed inputs need no `'static`
-//! lifetimes and a panicking worker propagates to the caller. Spawn cost is
-//! tens of microseconds, negligible against the `O(M·J·K)` loops it covers.
+//! The worker threads are persistent: one process-wide set of named threads
+//! (`appmult-pool-<i>`), spawned lazily up to the largest worker count any
+//! [`Pool`] asks for, parked on a condvar between dispatches. Each
+//! [`Pool::run_rows`] call still behaves like a scoped fork-join: it
+//! borrows its inputs, returns only after every chunk has finished, and
+//! re-raises a worker's panic on the caller with its original payload. A
+//! dispatch that finds the workers owned by another dispatch (a concurrent
+//! caller, or a `run_rows` nested inside a chunk) runs all of its chunks
+//! inline on its own thread instead of waiting.
 //!
 //! Thread count resolution for [`Pool::global`], in order:
 //!
 //! 1. [`set_global_threads`] override (used by benchmarks),
 //! 2. the `APPMULT_THREADS` environment variable (a positive integer;
-//!    `1` forces fully serial execution),
-//! 3. [`std::thread::available_parallelism`].
+//!    `1` forces fully serial execution), read once per process,
+//! 3. [`std::thread::available_parallelism`], likewise resolved once.
 //!
 //! On a 1-core host — or with `APPMULT_THREADS=1` — every entry point
-//! degrades to a plain serial loop on the calling thread with no spawns.
+//! degrades to a plain serial loop on the calling thread with no workers.
 //!
 //! # Example
 //!
@@ -42,11 +47,13 @@
 //! assert_eq!(out[3..6], [10, 11, 12]);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Name of the environment variable that pins the worker count.
 pub const THREADS_ENV: &str = "APPMULT_THREADS";
@@ -93,9 +100,7 @@ static WARNED_VALUES: Mutex<Vec<String>> = Mutex::new(Vec::new());
 /// Emits a one-time `env.parse_error` event for a bad env value. Returns
 /// true when this call was the first sighting (used by tests).
 fn warn_env_once(value: &str, error: &ThreadsParseError) -> bool {
-    let mut warned = WARNED_VALUES
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut warned = WARNED_VALUES.lock().unwrap_or_else(PoisonError::into_inner);
     if warned.iter().any(|w| w == value) {
         return false;
     }
@@ -116,9 +121,10 @@ fn warn_env_once(value: &str, error: &ThreadsParseError) -> bool {
 /// (0 = no override).
 static GLOBAL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// A fixed worker count for scoped data-parallel loops.
+/// A fixed worker count for fork-join data-parallel loops.
 ///
-/// `Pool` is a tiny value type (it owns no threads); copy it freely. Use
+/// `Pool` is a tiny value type (it owns no threads; every `Pool` shares the
+/// process-wide workers); copy it freely. Use
 /// [`Pool::global`] for production paths and [`Pool::new`] where an explicit
 /// count is needed (parity tests, benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,13 +151,17 @@ impl Pool {
 
     /// The pool configured by the environment: the [`set_global_threads`]
     /// override if installed, else `APPMULT_THREADS`, else
-    /// [`std::thread::available_parallelism`].
+    /// [`std::thread::available_parallelism`]. The last two are resolved
+    /// once per process; the override is read on every call.
     pub fn global() -> Self {
+        static RESOLVED: OnceLock<usize> = OnceLock::new();
         let o = GLOBAL_OVERRIDE.load(Ordering::Relaxed);
         if o > 0 {
             return Self::new(o);
         }
-        Self::new(threads_from_env(std::env::var(THREADS_ENV).ok().as_deref()))
+        Self::new(
+            *RESOLVED.get_or_init(|| threads_from_env(std::env::var(THREADS_ENV).ok().as_deref())),
+        )
     }
 
     /// Worker count of this pool.
@@ -162,7 +172,7 @@ impl Pool {
     /// Returns a copy of this pool with a work-size floor: any
     /// [`run_rows`](Self::run_rows) call whose output buffer has fewer than
     /// `min_elems` elements runs serially on the calling thread, skipping
-    /// spawn overhead that would dominate tiny shapes (the small-shape
+    /// dispatch overhead that would dominate tiny shapes (the small-shape
     /// regression recorded in `BENCH_par.json`). Because the serial path is
     /// bit-identical to the parallel one, the floor never changes results —
     /// only where they are computed. Zero disables the floor.
@@ -183,13 +193,17 @@ impl Pool {
     /// Rows are `row_len` elements long and are distributed as evenly as
     /// possible (the first `rows % workers` chunks get one extra row), in
     /// order, so chunk boundaries — and therefore per-element evaluation
-    /// order — never depend on the worker count. With one worker (or fewer
-    /// than two rows) `f` runs once, inline, on the calling thread.
+    /// order — never depend on the worker count. The calling thread runs
+    /// the last chunk itself. With one worker (or exactly one row) `f` runs
+    /// once, inline, on the calling thread; with zero rows it never runs.
+    /// If the shared workers are busy with another dispatch, every chunk
+    /// runs inline on the calling thread, in order.
     ///
     /// # Panics
     ///
     /// Panics if `row_len` is zero or does not divide `out.len()`, or if
-    /// any worker panics.
+    /// a chunk panics, with that chunk's own payload. It never returns or
+    /// unwinds while a worker still runs one of its chunks.
     pub fn run_rows<T, F>(&self, out: &mut [T], row_len: usize, f: F)
     where
         T: Send,
@@ -204,7 +218,7 @@ impl Pool {
         );
         let rows = out.len() / row_len;
         let workers = if out.len() < self.min_elems {
-            1 // below the work-size floor: spawn cost would dominate
+            1 // below the work-size floor: dispatch cost would dominate
         } else {
             self.threads.min(rows).max(1)
         };
@@ -220,30 +234,32 @@ impl Pool {
         }
         let base = rows / workers;
         let extra = rows % workers;
-        std::thread::scope(|scope| {
-            let mut rest = out;
-            let mut first_row = 0usize;
-            for w in 0..workers {
-                let chunk_rows = base + usize::from(w < extra);
-                let (chunk, tail) = rest.split_at_mut(chunk_rows * row_len);
-                rest = tail;
-                let start = first_row;
-                first_row += chunk_rows;
-                let f = &f;
-                let obs = &obs;
-                if w + 1 == workers {
-                    // Run the final chunk on the calling thread; the scope
-                    // still joins the spawned workers before returning.
-                    let _span = obs.span("pool.worker");
-                    f(start, chunk);
-                } else {
-                    scope.spawn(move || {
-                        let _span = obs.span("pool.worker");
-                        f(start, chunk);
-                    });
-                }
+        let mut chunks = Vec::with_capacity(workers);
+        let mut rest = out;
+        let mut first_row = 0usize;
+        for w in 0..workers {
+            let chunk_rows = base + usize::from(w < extra);
+            let (chunk, tail) = rest.split_at_mut(chunk_rows * row_len);
+            rest = tail;
+            chunks.push(Mutex::new(Some((first_row, chunk))));
+            first_row += chunk_rows;
+        }
+        // Chunk `i` runs wherever index `i` is handed out; each slot is
+        // taken exactly once.
+        let run = |i: usize| {
+            let slot = chunks[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            if let Some((start, chunk)) = slot {
+                let _span = obs.span("pool.worker");
+                f(start, chunk);
             }
-        });
+        };
+        match Dispatch::claim() {
+            Some(dispatch) => dispatch.run(workers, &run),
+            None => (0..workers).for_each(run),
+        }
     }
 }
 
@@ -280,6 +296,173 @@ fn threads_from_env(value: Option<&str>) -> usize {
                 fallback()
             }
         },
+    }
+}
+
+/// Spin iterations the dispatching thread makes while waiting for its
+/// workers before it starts yielding its time slice instead.
+const SPIN_LIMIT: u32 = 4096;
+
+/// A dispatch's chunk runner as the workers hold it: call it with a chunk
+/// index. Only `Dispatch::run` makes one, valid for the span of that call.
+type Job = &'static (dyn Fn(usize) + Sync);
+
+/// What the owning dispatch publishes to the workers.
+struct Board {
+    /// Bumped once per dispatch; each worker acts on a value at most once.
+    generation: u64,
+    /// Workers `0..active` run the chunk with their own index.
+    active: usize,
+    /// The current dispatch's job; `None` between dispatches.
+    job: Option<Job>,
+    /// Workers spawned so far (`appmult-pool-0 .. spawned - 1`).
+    spawned: usize,
+    /// The first panic payload a worker caught during the current dispatch.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// The process-wide worker threads and their rendezvous.
+struct Workers {
+    board: Mutex<Board>,
+    /// Signalled when a new generation is published; idle workers park here.
+    wake: Condvar,
+    /// Worker chunks of the current dispatch that have not finished yet.
+    pending: AtomicUsize,
+    /// Set while one dispatch owns the workers. The Acquire claim pairs
+    /// with the Release on drop, handing `pending` over from one dispatch
+    /// to the next.
+    owned: AtomicBool,
+}
+
+impl Workers {
+    fn lock_board(&self) -> MutexGuard<'_, Board> {
+        self.board.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+static WORKERS: Workers = Workers {
+    board: Mutex::new(Board {
+        generation: 0,
+        active: 0,
+        job: None,
+        spawned: 0,
+        panic: None,
+    }),
+    wake: Condvar::new(),
+    pending: AtomicUsize::new(0),
+    owned: AtomicBool::new(false),
+};
+
+/// Exclusive use of [`WORKERS`] by one `run_rows` call; released on drop.
+struct Dispatch;
+
+impl Dispatch {
+    /// Takes the workers, or `None` while another dispatch holds them.
+    fn claim() -> Option<Self> {
+        // Build the guard only on success: dropping one releases the claim.
+        let won = WORKERS
+            .owned
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed);
+        won.ok().map(|_| Self)
+    }
+
+    /// Runs chunks `0..chunks - 1` on workers `0..chunks - 1` and the last
+    /// chunk on the calling thread. Returns, or re-raises the caller's
+    /// panic, else a worker's, only after every chunk has finished.
+    #[allow(unsafe_code)]
+    fn run(self, chunks: usize, job: &(dyn Fn(usize) + Sync)) {
+        let helpers = chunks - 1;
+        // Published to the workers by the board mutex below.
+        WORKERS.pending.store(helpers, Ordering::Relaxed);
+        // SAFETY: the workers need the borrowed job as `'static`. A worker
+        // calls it only after the generation published below and before it
+        // decrements `pending`. Spawning, the one step that can panic, comes
+        // before publishing; from publishing to the end of the wait below
+        // nothing can unwind: the caller's chunk runs under `catch_unwind`,
+        // worker panics are caught on the worker, and the locks recover
+        // from poisoning. So this function neither returns nor unwinds
+        // before every use of the job is over, and it clears `Board::job`
+        // before returning.
+        let erased = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Job>(job) };
+        {
+            let mut board = WORKERS.lock_board();
+            while board.spawned < helpers {
+                spawn_worker(board.spawned, board.generation);
+                board.spawned += 1;
+            }
+            board.job = Some(erased);
+            board.active = helpers;
+            board.generation += 1;
+        }
+        WORKERS.wake.notify_all();
+        let mine = panic::catch_unwind(AssertUnwindSafe(|| job(helpers)));
+        // Spin rather than park: the workers finish within microseconds of
+        // the caller's own chunk, and a parked caller pays a wake-up. The
+        // Acquire load pairs with each worker's Release decrement, so the
+        // workers' chunk writes are visible once it reads zero.
+        let mut spins = 0u32;
+        while WORKERS.pending.load(Ordering::Acquire) != 0 {
+            if spins < SPIN_LIMIT {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        let theirs = {
+            let mut board = WORKERS.lock_board();
+            board.job = None;
+            board.panic.take()
+        };
+        drop(self);
+        if let Err(payload) = mine {
+            panic::resume_unwind(payload);
+        }
+        if let Some(payload) = theirs {
+            panic::resume_unwind(payload);
+        }
+    }
+}
+
+impl Drop for Dispatch {
+    fn drop(&mut self) {
+        WORKERS.owned.store(false, Ordering::Release);
+    }
+}
+
+/// Starts worker `index`; it first acts on the generation after `seen`.
+fn spawn_worker(index: usize, seen: u64) {
+    std::thread::Builder::new()
+        .name(format!("appmult-pool-{index}"))
+        .spawn(move || worker_loop(index, seen))
+        .expect("failed to spawn an appmult-pool worker");
+}
+
+/// Parks until a generation includes this worker, runs its chunk, reports
+/// done, and parks again — for the life of the process.
+fn worker_loop(index: usize, mut seen: u64) {
+    loop {
+        let job = {
+            let mut board = WORKERS.lock_board();
+            loop {
+                if board.generation != seen {
+                    seen = board.generation;
+                    if index < board.active {
+                        break board.job;
+                    }
+                }
+                board = WORKERS
+                    .wake
+                    .wait(board)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        if let Some(job) = job {
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| job(index))) {
+                WORKERS.lock_board().panic.get_or_insert(payload);
+            }
+        }
+        WORKERS.pending.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -334,8 +517,8 @@ mod tests {
         }
     }
 
-    /// More workers than rows clamps; one worker never spawns (observable as
-    /// `f` running on the calling thread).
+    /// One worker never leaves the calling thread (observable as `f`
+    /// running there).
     #[test]
     fn serial_pool_runs_inline() {
         let caller = std::thread::current().id();
@@ -345,8 +528,8 @@ mod tests {
         });
     }
 
-    /// Workers actually run concurrently when asked to (the spawned chunks
-    /// exist as distinct invocations).
+    /// Each chunk is a distinct invocation, and more workers than rows
+    /// clamps to one chunk per row.
     #[test]
     fn chunk_count_matches_worker_clamp() {
         let calls = AtomicUsize::new(0);
@@ -383,8 +566,8 @@ mod tests {
     }
 
     /// With a recording sink installed, every chunk shows up as a
-    /// `pool.worker` span and spawned workers appear in the per-thread
-    /// busy map.
+    /// `pool.worker` span and the workers appear in the per-thread busy
+    /// map.
     #[test]
     fn worker_busy_time_is_attributed_when_recording() {
         let obs = appmult_obs::ObsSink::recording();
@@ -544,7 +727,7 @@ mod tests {
         assert_eq!(hits, 1, "expected exactly one warning event");
     }
 
-    /// Below the work-size floor the pool never spawns: the closure runs
+    /// Below the work-size floor the pool never dispatches: the closure runs
     /// once, inline, on the calling thread. At or above the floor the
     /// normal partition applies — and the outputs are identical either way.
     #[test]
@@ -581,5 +764,142 @@ mod tests {
             buf
         };
         assert_eq!(fill(Pool::new(4).with_min_elems(1000)), fill(Pool::new(4)));
+    }
+
+    /// A payload type no other code panics with, so the tests can tell
+    /// their own panics apart from any other.
+    #[derive(Debug, PartialEq)]
+    struct Boom(usize);
+
+    /// Spins until `done()` holds or `limit` has passed.
+    fn wait_until(limit: std::time::Duration, done: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !done() && start.elapsed() < limit {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Dispatches 4 rows on `pool` and returns the payload the caller sees.
+    /// The chunk holding `row` panics with `Boom(row)` once the other
+    /// chunks have started; those finish a few milliseconds after the
+    /// panic. (Chunks that run one after another on the caller only wait
+    /// out the limits.) Checks that `run_rows` did not unwind while a
+    /// chunk was still running.
+    fn panic_payload(pool: Pool, row: usize) -> Boom {
+        use std::time::Duration;
+        let entered = AtomicUsize::new(0);
+        let finished = AtomicUsize::new(0);
+        let panicking = std::sync::atomic::AtomicBool::new(false);
+        let mut out = vec![0u8; 4];
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_rows(&mut out, 1, |first, cell| {
+                if first == row {
+                    wait_until(Duration::from_millis(100), || {
+                        entered.load(Ordering::SeqCst) == 3
+                    });
+                    panicking.store(true, Ordering::SeqCst);
+                    std::panic::panic_any(Boom(row));
+                }
+                entered.fetch_add(1, Ordering::SeqCst);
+                wait_until(Duration::from_millis(50), || {
+                    panicking.load(Ordering::SeqCst)
+                });
+                std::thread::sleep(Duration::from_millis(5));
+                cell[0] = 1;
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }))
+        .expect_err("the chunk panicked");
+        assert_eq!(
+            entered.load(Ordering::SeqCst),
+            finished.load(Ordering::SeqCst),
+            "run_rows unwound while a chunk was running"
+        );
+        *err.downcast::<Boom>().expect("the chunk's own payload")
+    }
+
+    /// A panic in a worker chunk (row 0) and one in the caller's chunk
+    /// (row 3) each reach the caller with their own payload, and the pool
+    /// still covers every row afterwards.
+    #[test]
+    fn chunk_panics_reach_the_caller_and_the_pool_survives() {
+        let pool = Pool::new(4);
+        assert_eq!(panic_payload(pool, 0), Boom(0));
+        assert_eq!(panic_payload(pool, 3), Boom(3));
+        let mut out = vec![0usize; 8];
+        pool.run_rows(&mut out, 2, |first, chunk| {
+            for (r, row) in chunk.chunks_mut(2).enumerate() {
+                row.fill(first + r + 1);
+            }
+        });
+        assert_eq!(out, [1, 1, 2, 2, 3, 3, 4, 4]);
+    }
+
+    /// A `run_rows` nested inside a chunk completes, with all of its chunks
+    /// on the thread that runs the outer chunk.
+    #[test]
+    fn nested_dispatch_runs_inline() {
+        let mut out = vec![0usize; 3];
+        Pool::new(3).run_rows(&mut out, 1, |first, cell| {
+            let outer = std::thread::current().id();
+            let mut inner = vec![0usize; 6];
+            Pool::new(3).run_rows(&mut inner, 2, |i, chunk| {
+                assert_eq!(std::thread::current().id(), outer, "nested chunk moved");
+                chunk.fill(i);
+            });
+            cell[0] = first + inner.iter().sum::<usize>();
+        });
+        assert_eq!(out, [6, 7, 8]);
+    }
+
+    /// Eight threads dispatching at once on the shared workers each get
+    /// results bit-identical to a serial run.
+    #[test]
+    fn concurrent_dispatches_match_serial() {
+        let fill = |pool: Pool, seed: usize| {
+            let mut out = vec![0.0f32; 29 * 5];
+            pool.run_rows(&mut out, 5, |first, chunk| {
+                for (r, row) in chunk.chunks_mut(5).enumerate() {
+                    let mut acc = (seed * 31 + first + r) as f32 * 0.37;
+                    for v in row.iter_mut() {
+                        acc = (acc * 1.7 + 0.1).sin();
+                        *v = acc;
+                    }
+                }
+            });
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                std::thread::Builder::new()
+                    .name(format!("dispatcher-{t}"))
+                    .spawn_scoped(scope, move || {
+                        for seed in 0..25 {
+                            let pool = Pool::new(2 + (t + seed) % 4);
+                            assert_eq!(fill(pool, seed), fill(Pool::serial(), seed));
+                        }
+                    })
+                    .expect("spawn dispatcher");
+            }
+        });
+    }
+
+    /// Workers are reused: 100 dispatches on four workers run their chunks
+    /// on at most three threads besides the caller.
+    #[test]
+    fn workers_are_reused_across_dispatches() {
+        let caller = std::thread::current().id();
+        let helpers = Mutex::new(std::collections::HashSet::new());
+        let mut out = vec![0u8; 8];
+        for _ in 0..100 {
+            Pool::new(4).run_rows(&mut out, 1, |_, _| {
+                let id = std::thread::current().id();
+                if id != caller {
+                    helpers.lock().unwrap().insert(id);
+                }
+            });
+        }
+        let n = helpers.lock().unwrap().len();
+        assert!(n <= 3, "{n} distinct worker threads");
     }
 }
