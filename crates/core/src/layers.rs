@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use appmult_kernels::{backward_dw, backward_dx, forward_acc, GemmShape, Kernel};
 use appmult_mult::MultiplierLut;
-use appmult_nn::layers::{col2im, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2dSpec};
+use appmult_nn::layers::{col2im_add, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2dSpec};
 use appmult_nn::{Module, Parameter, Tensor};
 use appmult_pool::Pool;
 
@@ -89,7 +89,7 @@ struct GemmCache {
     wq: Vec<u16>,     // [J, K] quantized weights
     xq: Vec<u16>,     // [M, K] quantized activations
     wclip: Vec<bool>, // Q'(w) != 0
-    xclip: Vec<bool>, // Q'(x) != 0
+    xclip: Vec<bool>, // Q'(x) != 0 per layer input element (per NCHW pixel for the conv)
     wq_params: Option<QuantParams>,
     xq_params: Option<QuantParams>,
     scheme: QuantScheme,
@@ -185,10 +185,57 @@ impl GemmCache {
 /// purely a scheduling decision.
 const PAR_FLOOR_MACS: usize = 1 << 16;
 
-/// Work-size floor in *output elements* for a GEMM whose per-element cost
-/// is `reduction` MACs (see [`PAR_FLOOR_MACS`]).
-fn par_floor_elems(reduction: usize) -> usize {
-    PAR_FLOOR_MACS / reduction.max(1)
+/// Where a layer's dispatches run: on `pool`, except that a dispatch over
+/// (or feeding, or folding) a GEMM below the `floor_macs` work-size floor
+/// runs serially.
+#[derive(Debug, Clone, Copy)]
+struct Sched {
+    pool: Pool,
+    floor_macs: usize,
+}
+
+impl Sched {
+    /// The global pool under the [`PAR_FLOOR_MACS`] floor.
+    fn global() -> Self {
+        Self {
+            pool: Pool::global(),
+            floor_macs: PAR_FLOOR_MACS,
+        }
+    }
+
+    /// The pool for a dispatch tied to a GEMM of `elems` output elements
+    /// of `reduction` MACs each. The glue that feeds or folds a GEMM asks
+    /// with that GEMM's shape, so it goes parallel exactly when the GEMM
+    /// does.
+    fn pool(&self, elems: usize, reduction: usize) -> Pool {
+        if elems < self.floor_macs / reduction.max(1) {
+            Pool::serial()
+        } else {
+            self.pool
+        }
+    }
+}
+
+/// Splits `data` into `n` consecutive equal slices, one per image (all
+/// empty when `data` is).
+fn per_image<T>(mut data: &mut [T], n: usize) -> Vec<&mut [T]> {
+    let len = data.len().checked_div(n).unwrap_or(0);
+    (0..n)
+        .map(|_| {
+            let (head, tail) = std::mem::take(&mut data).split_at_mut(len);
+            data = tail;
+            head
+        })
+        .collect()
+}
+
+/// Clipped-STE mask: zeroes every gradient whose operand Q' clipped.
+fn mask_clipped(grad: &mut [f32], keep: &[bool]) {
+    for (v, &keep) in grad.iter_mut().zip(keep) {
+        if !keep {
+            *v = 0.0;
+        }
+    }
 }
 
 /// Quantizes a slice, returning codes and clip mask.
@@ -215,7 +262,7 @@ fn gemm_forward(
     cache: &GemmCache,
     lut: &MultiplierLut,
     bias: &[f32],
-    pool: Pool,
+    sched: Sched,
     kernel: Kernel,
 ) -> Tensor {
     let obs = appmult_obs::global();
@@ -231,31 +278,19 @@ fn gemm_forward(
     let wq_params = cache.wq_params.expect("cache populated");
     let xq_params = cache.xq_params.expect("cache populated");
     let sum_w = &cache.sum_w;
-    let sum_x: Vec<i64> = cache
-        .xq
-        .chunks(k.max(1))
-        .map(|row| row.iter().map(|&v| i64::from(v)).sum())
-        .collect();
     let mut out = vec![0.0f32; m * j];
     // Per output element this GEMM performs `k` MACs.
-    let pool = pool.with_min_elems(par_floor_elems(k));
-    pool.run_rows(&mut out, j, |mi0, chunk| {
+    sched.pool(m * j, k).run_rows(&mut out, j, |mi0, chunk| {
         let rows = chunk.len() / j;
+        let xq = &cache.xq[mi0 * k..(mi0 + rows) * k];
         let mut acc = vec![0i64; chunk.len()];
-        forward_acc(
-            kernel,
-            shape,
-            table,
-            &cache.wq,
-            &cache.xq[mi0 * k..(mi0 + rows) * k],
-            &mut acc,
-        );
+        forward_acc(kernel, shape, table, &cache.wq, xq, &mut acc);
         for (r, (out_row, acc_row)) in chunk.chunks_mut(j).zip(acc.chunks(j)).enumerate() {
-            let mi = mi0 + r;
+            let sum_x = xq[r * k..(r + 1) * k].iter().map(|&v| i64::from(v)).sum();
             for (ji, (o, &a)) in out_row.iter_mut().zip(acc_row).enumerate() {
                 *o = match cache.scheme {
                     QuantScheme::Unsigned => {
-                        dequantize_dot(&wq_params, &xq_params, a, sum_w[ji], sum_x[mi], k)
+                        dequantize_dot(&wq_params, &xq_params, a, sum_w[ji], sum_x, k)
                     }
                     // Offset LUT entries already fold in the operand zero
                     // points; only the per-term 2^(2B-1) offset remains.
@@ -269,24 +304,25 @@ fn gemm_forward(
     Tensor::from_vec(out, &[m, j])
 }
 
-/// LUT backward pass (Eq. 9): returns `(dW, dX)` for `g = dL/d(out)`.
+/// LUT backward pass (Eq. 9) for `g = dL/d(out)`: runs the `dW` half and
+/// returns it with the `dX` half, which each layer runs in its own
+/// partition ([`DxPass`]).
 ///
-/// Runs as two data-parallel passes over disjoint output slices: the `dX`
-/// half is row-partitioned over the batch dimension `M` (each worker owns
-/// whole `dx` rows and accumulates over `J` in ascending order) and the
-/// `dW` half is partitioned over the output-channel dimension `J` (each
-/// worker owns whole `dw` rows and accumulates over `M` in ascending
-/// order). Each worker runs the selected `appmult-kernels` engine over its
-/// chunk; the tiled kernels preserve the naive per-output addition order
-/// exactly, so no atomic float accumulation is needed and the tensors are
-/// bit-identical to a serial naive run for any kernel and thread count.
-fn gemm_backward(
-    cache: &GemmCache,
-    grads: &GradientLut,
-    g: &Tensor,
-    pool: Pool,
+/// The `dW` half is partitioned over the output-channel dimension `J`
+/// (each worker owns whole `dw` rows and accumulates over `M` in
+/// ascending order); the `dX` half accumulates each element over `J` in
+/// ascending order within its batch row. Each worker runs the selected
+/// `appmult-kernels` engine over its chunk; the tiled kernels preserve the
+/// naive per-output addition order exactly, so no atomic float
+/// accumulation is needed and the tensors are bit-identical to a serial
+/// naive run for any kernel and thread count.
+fn gemm_backward<'a>(
+    cache: &'a GemmCache,
+    grads: &'a GradientLut,
+    g: &'a Tensor,
+    sched: Sched,
     kernel: Kernel,
-) -> (Tensor, Tensor) {
+) -> (Tensor, DxPass<'a>) {
     let obs = appmult_obs::global();
     let _span = obs.span("gemm_backward");
     let (m, j, k) = (cache.m, cache.j, cache.k);
@@ -299,8 +335,6 @@ fn gemm_backward(
         k,
         bits: grads.bits(),
     };
-    let gw_table = grads.wrt_w_table().as_slice();
-    let gx_table = grads.wrt_x_table().as_slice();
     let wq_params = cache.wq_params.expect("cache populated");
     let xq_params = cache.xq_params.expect("cache populated");
     // Eq. 9's `- Z` terms correct for the affine zero points of unsigned
@@ -312,68 +346,151 @@ fn gemm_backward(
         QuantScheme::Unsigned => (wq_params.zero_point as f32, xq_params.zero_point as f32),
         QuantScheme::SignedOffset => (0.0, 0.0),
     };
-    let sw = wq_params.scale;
-    let sx = xq_params.scale;
     let gd = g.as_slice();
-
-    let mut dx = vec![0.0f32; m * k];
-    // Per dx element: `j` gradient-table MACs.
-    pool.with_min_elems(par_floor_elems(j))
-        .run_rows(&mut dx, k, |mi0, chunk| {
-            let rows = chunk.len() / k;
-            // dL/dx = dL/dy * s_w * (dAM/dX - Z_w), gated by Q'(x).
-            backward_dx(
-                kernel,
-                shape,
-                gx_table,
-                &cache.wq,
-                &cache.xq[mi0 * k..(mi0 + rows) * k],
-                &gd[mi0 * j..(mi0 + rows) * j],
-                sw,
-                zw,
-                chunk,
-            );
-            for (r, dx_row) in chunk.chunks_mut(k).enumerate() {
-                let mi = mi0 + r;
-                // Clipped-STE mask of Q'(x).
-                for (v, &keep) in dx_row.iter_mut().zip(&cache.xclip[mi * k..(mi + 1) * k]) {
-                    if !keep {
-                        *v = 0.0;
-                    }
-                }
-            }
-        });
 
     let mut dw = vec![0.0f32; j * k];
     // Per dw element: `m` gradient-table MACs.
-    pool.with_min_elems(par_floor_elems(m))
-        .run_rows(&mut dw, k, |ji0, chunk| {
-            let rows = chunk.len() / k;
-            // dL/dw = dL/dy * s_x * (dAM/dW - Z_x), gated by Q'(w).
-            backward_dw(
-                kernel,
-                shape,
-                gw_table,
-                &cache.wq[ji0 * k..(ji0 + rows) * k],
-                ji0,
-                &cache.xq,
-                gd,
-                sx,
-                zx,
-                chunk,
-            );
-            for (r, dw_row) in chunk.chunks_mut(k).enumerate() {
-                let ji = ji0 + r;
-                // Clipped-STE mask of Q'(w).
-                for (v, &keep) in dw_row.iter_mut().zip(&cache.wclip[ji * k..(ji + 1) * k]) {
-                    if !keep {
-                        *v = 0.0;
-                    }
-                }
-            }
-        });
+    sched.pool(j * k, m).run_rows(&mut dw, k, |ji0, chunk| {
+        let rows = chunk.len() / k;
+        // dL/dw = dL/dy * s_x * (dAM/dW - Z_x), gated by Q'(w).
+        backward_dw(
+            kernel,
+            shape,
+            grads.wrt_w_table().as_slice(),
+            &cache.wq[ji0 * k..(ji0 + rows) * k],
+            ji0,
+            &cache.xq,
+            gd,
+            xq_params.scale,
+            zx,
+            chunk,
+        );
+        mask_clipped(chunk, &cache.wclip[ji0 * k..(ji0 + rows) * k]);
+    });
 
-    (Tensor::from_vec(dw, &[j, k]), Tensor::from_vec(dx, &[m, k]))
+    let dx = DxPass {
+        cache,
+        kernel,
+        shape,
+        table: grads.wrt_x_table().as_slice(),
+        g: gd,
+        scale: wq_params.scale,
+        zero: zw,
+    };
+    (Tensor::from_vec(dw, &[j, k]), dx)
+}
+
+/// The `dX` half of one Eq. 9 backward pass, `dL/dx = dL/dy * s_w *
+/// (dAM/dX - Z_w)` per `[M, K]` operand element, gated by Q'(x). The conv
+/// folds it into its input gradient one image at a time; the linear layer
+/// partitions it by batch rows.
+struct DxPass<'a> {
+    cache: &'a GemmCache,
+    kernel: Kernel,
+    shape: GemmShape,
+    table: &'a [f32],
+    g: &'a [f32],
+    scale: f32,
+    zero: f32,
+}
+
+impl DxPass<'_> {
+    /// Adds the unmasked `dX` of the whole `[K]` batch rows `mi0..` into
+    /// `dx`. A row's sums do not depend on which rows share the call.
+    fn add_rows(&self, mi0: usize, dx: &mut [f32]) {
+        let (j, k) = (self.shape.j, self.shape.k);
+        let rows = dx.len() / k.max(1);
+        backward_dx(
+            self.kernel,
+            self.shape,
+            self.table,
+            &self.cache.wq,
+            &self.cache.xq[mi0 * k..(mi0 + rows) * k],
+            &self.g[mi0 * j..(mi0 + rows) * j],
+            self.scale,
+            self.zero,
+            dx,
+        );
+    }
+
+    /// The masked `[M, K]` `dX`, row-partitioned over the batch: the
+    /// linear layer's input gradient, whose input elements are the GEMM
+    /// operand's.
+    fn rows(&self, sched: Sched) -> Tensor {
+        let (m, j, k) = (self.cache.m, self.shape.j, self.shape.k);
+        let mut dx = vec![0.0f32; m * k];
+        // Per dx element: `j` gradient-table MACs.
+        sched.pool(m * k, j).run_rows(&mut dx, k, |mi0, chunk| {
+            self.add_rows(mi0, chunk);
+            mask_clipped(chunk, &self.cache.xclip[mi0 * k..mi0 * k + chunk.len()]);
+        });
+        Tensor::from_vec(dx, &[m, k])
+    }
+}
+
+/// Eq. 7 for the conv, one image per pool row: quantizes each input pixel
+/// once into a per-chunk scratch buffer, keeping its clip flag, then
+/// gathers the codes straight into that image's `[OH * OW, K]` rows of
+/// `xq`. Padding taps take the code of 0.0, exactly what quantizing a
+/// zero-padded patch gives. Returns `xq` and the per-pixel flags.
+fn gather_codes(
+    input: &Tensor,
+    spec: &Conv2dSpec,
+    params: &QuantParams,
+    pool: Pool,
+) -> (Vec<u16>, Vec<bool>) {
+    let s = input.shape();
+    let (n, image) = (s[0], [1, s[1], s[2], s[3]]);
+    let (oh, ow) = spec.out_hw(s[2], s[3]);
+    let plane = s[1] * s[2] * s[3];
+    let pad = params.quantize_clip(0.0).0 as u16;
+    let mut xq = vec![0u16; n * oh * ow * spec.patch_len()];
+    let mut xclip = vec![false; n * plane];
+    let mut slots: Vec<_> = per_image(&mut xq, n)
+        .into_iter()
+        .zip(per_image(&mut xclip, n))
+        .collect();
+    let pixels = input.as_slice();
+    pool.run_rows(&mut slots, 1, |n0, chunk| {
+        let mut codes = vec![0u16; plane];
+        for (ni, (rows, clip)) in (n0..).zip(chunk) {
+            let src = &pixels[ni * plane..(ni + 1) * plane];
+            for ((code, keep), &v) in codes.iter_mut().zip(clip.iter_mut()).zip(src) {
+                let (q, kept) = params.quantize_clip(v);
+                (*code, *keep) = (q as u16, kept);
+            }
+            im2col_gather(&codes, &image, spec, pad, rows);
+        }
+    });
+    (xq, xclip)
+}
+
+/// The conv's input gradient, one image per pool row: runs the image's
+/// `dX` rows into a per-chunk `[OH * OW, K]` scratch buffer, folds that
+/// into the image with col2im, and masks the pixels Q' clipped. Every
+/// patch tap of a pixel carries the pixel's flag, so zeroing the summed
+/// pixel gives the same `+0.0` as zeroing each tap before the sum.
+fn conv_input_grad(
+    dx: &DxPass,
+    spec: &Conv2dSpec,
+    (n, h, w): (usize, usize, usize),
+    pool: Pool,
+) -> Tensor {
+    let (oh, ow) = spec.out_hw(h, w);
+    let image = [1, spec.in_channels, h, w];
+    let plane = spec.in_channels * h * w;
+    let mut grad = vec![0.0f32; n * plane];
+    let mut images = per_image(&mut grad, n);
+    pool.run_rows(&mut images, 1, |n0, chunk| {
+        let mut cols = vec![0.0f32; oh * ow * spec.patch_len()];
+        for (ni, out) in (n0..).zip(chunk) {
+            cols.fill(0.0);
+            dx.add_rows(ni * oh * ow, &mut cols);
+            col2im_add(&cols, &image, spec, out);
+            mask_clipped(out, &dx.cache.xclip[ni * plane..(ni + 1) * plane]);
+        }
+    });
+    Tensor::from_vec(grad, &[n, spec.in_channels, h, w])
 }
 
 /// A 2-D convolution whose multiplications go through an AppMult LUT and
@@ -538,11 +655,13 @@ impl ApproxConv2d {
     }
 }
 
-impl Module for ApproxConv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+impl ApproxConv2d {
+    /// [`Module::forward`], with every dispatch scheduled by `sched`.
+    fn forward_on(&mut self, input: &Tensor, train: bool, sched: Sched) -> Tensor {
         let _span = appmult_obs::global().span("conv2d.forward");
         let s = input.shape();
         assert_eq!(s.len(), 4, "expected NCHW input");
+        assert_eq!(s[1], self.spec.in_channels, "channel mismatch");
         let (n, h, w) = (s[0], s[2], s[3]);
         let (oh, ow) = self.spec.out_hw(h, w);
         let bits = self.lut.bits();
@@ -551,17 +670,9 @@ impl Module for ApproxConv2d {
         let (wlo, whi) = self.weight.value.min_max();
         let wq_params = scheme_params(self.scheme, wlo, whi, bits);
 
-        // Eq. 7 is elementwise, so it commutes with the im2col gather:
-        // quantize each input pixel once, then unfold its code and clip
-        // flag into every patch that reads it. Padding taps take the code
-        // and flag of 0.0, exactly what quantizing a zero-padded patch gives.
-        let (pixel_q, pixel_clip) = quantize_slice(input.as_slice(), &xq_params);
-        let (pad_q, pad_clip) = xq_params.quantize_clip(0.0);
-        let xq = im2col_gather(&pixel_q, s, &self.spec, pad_q as u16);
-        let xclip = im2col_gather(&pixel_clip, s, &self.spec, pad_clip);
+        let (m, j, k) = (n * oh * ow, self.spec.out_channels, self.spec.patch_len());
+        let (xq, xclip) = gather_codes(input, &self.spec, &xq_params, sched.pool(m * j, k));
         let (wq, wclip) = quantize_slice(self.weight.value.as_slice(), &wq_params);
-
-        let k = self.spec.patch_len();
         self.cache.update(
             wq,
             xq,
@@ -570,8 +681,8 @@ impl Module for ApproxConv2d {
             wq_params,
             xq_params,
             self.scheme,
-            n * oh * ow,
-            self.spec.out_channels,
+            m,
+            j,
             k,
         );
         self.input_hw = (n, h, w);
@@ -579,35 +690,39 @@ impl Module for ApproxConv2d {
             &self.cache,
             &self.lut,
             self.bias.value.as_slice(),
-            Pool::global(),
+            sched,
             self.kernel,
         );
-        rows_to_nchw(&rows, n, self.spec.out_channels, oh, ow)
+        rows_to_nchw(&rows, n, j, oh, ow)
+    }
+
+    /// [`Module::backward`], with every dispatch scheduled by `sched`.
+    fn backward_on(&mut self, grad_out: &Tensor, sched: Sched) -> Tensor {
+        let _span = appmult_obs::global().span("conv2d.backward");
+        assert!(self.cache.populated(), "backward before forward");
+        let (m, j, k) = (self.cache.m, self.cache.j, self.cache.k);
+        let g_rows = nchw_to_rows(grad_out);
+        let (dw, dx) = gemm_backward(&self.cache, &self.grads, &g_rows, sched, self.kernel);
+        // The image pass folds the `[M, K]` dX GEMM of `j` MACs per element.
+        let grad_in = conv_input_grad(&dx, &self.spec, self.input_hw, sched.pool(m * k, j));
+        self.weight.grad.add_scaled(&dw, 1.0);
+        let db = self.bias.grad.as_mut_slice();
+        for row in g_rows.as_slice().chunks(j) {
+            for (d, g) in db.iter_mut().zip(row) {
+                *d += g;
+            }
+        }
+        grad_in
+    }
+}
+
+impl Module for ApproxConv2d {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_on(input, train, Sched::global())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let _span = appmult_obs::global().span("conv2d.backward");
-        assert!(self.cache.populated(), "backward before forward");
-        let (n, h, w) = self.input_hw;
-        let g_rows = nchw_to_rows(grad_out);
-        let (dw, dx) = gemm_backward(
-            &self.cache,
-            &self.grads,
-            &g_rows,
-            Pool::global(),
-            self.kernel,
-        );
-        self.weight.grad.add_scaled(&dw, 1.0);
-        let jdim = self.spec.out_channels;
-        {
-            let db = self.bias.grad.as_mut_slice();
-            for row in g_rows.as_slice().chunks(jdim) {
-                for (d, g) in db.iter_mut().zip(row) {
-                    *d += g;
-                }
-            }
-        }
-        col2im(&dx, &self.spec, n, h, w)
+        self.backward_on(grad_out, Sched::global())
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
@@ -746,7 +861,7 @@ impl Module for ApproxLinear {
             &self.cache,
             &self.lut,
             self.bias.value.as_slice(),
-            Pool::global(),
+            Sched::global(),
             self.kernel,
         )
     }
@@ -754,13 +869,9 @@ impl Module for ApproxLinear {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let _span = appmult_obs::global().span("linear.backward");
         assert!(self.cache.populated(), "backward before forward");
-        let (dw, dx) = gemm_backward(
-            &self.cache,
-            &self.grads,
-            grad_out,
-            Pool::global(),
-            self.kernel,
-        );
+        let sched = Sched::global();
+        let (dw, dx) = gemm_backward(&self.cache, &self.grads, grad_out, sched, self.kernel);
+        let dx = dx.rows(sched);
         self.weight.grad.add_scaled(&dw, 1.0);
         let jdim = self.out_features();
         {
@@ -1319,6 +1430,18 @@ mod tests {
         assert_eq!(metrics.max_ed, 0, "exact multiplier has no error");
     }
 
+    /// `pool` with no work-size floor, so even tiny shapes fan out.
+    fn unfloored(pool: Pool) -> Sched {
+        Sched {
+            pool,
+            floor_macs: 0,
+        }
+    }
+
+    fn bits_of(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     /// Runs one forward to populate the cache, then evaluates both GEMM
     /// kernels serially and with `threads` workers, asserting bit-identical
     /// outputs (`f32::to_bits`, not approximate equality).
@@ -1335,16 +1458,14 @@ mod tests {
         let x = ramp(&[m, k], 1.7);
         layer.forward(&x, true);
 
-        let bits_of =
-            |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
-        let pool = Pool::new(threads);
+        let (serial, pool) = (unfloored(Pool::serial()), unfloored(Pool::new(threads)));
         let bias = layer.bias.value.as_slice();
         let g = ramp(&[m, j], 0.9);
         // Serial naive is the reference; every (kernel, pool) combination
         // must reproduce it bit for bit.
-        let y_ref = gemm_forward(&layer.cache, &lut, bias, Pool::serial(), Kernel::Naive);
-        let (dw_ref, dx_ref) =
-            gemm_backward(&layer.cache, &grads, &g, Pool::serial(), Kernel::Naive);
+        let y_ref = gemm_forward(&layer.cache, &lut, bias, serial, Kernel::Naive);
+        let (dw_ref, dx_ref) = gemm_backward(&layer.cache, &grads, &g, serial, Kernel::Naive);
+        let dx_ref = dx_ref.rows(serial);
         for kernel in [Kernel::Naive, Kernel::Tiled] {
             let y = gemm_forward(&layer.cache, &lut, bias, pool, kernel);
             assert_eq!(
@@ -1354,6 +1475,7 @@ mod tests {
                 kernel.label()
             );
             let (dw, dx) = gemm_backward(&layer.cache, &grads, &g, pool, kernel);
+            let dx = dx.rows(pool);
             assert_eq!(
                 bits_of(&dw_ref),
                 bits_of(&dw),
@@ -1486,6 +1608,68 @@ mod tests {
         ] {
             for threads in [1usize, 2, 3, 4, 8] {
                 assert_gemm_parity(m, j, k, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn conv_image_partition_is_bit_identical_to_serial() {
+        // The conv's glue runs one image per pool row: the quantize-gather
+        // in forward, the dX -> col2im fold in backward. With no floor,
+        // every worker count must reproduce the serial naive run bit for
+        // bit, on padded and strided specs with clipped (NaN, huge)
+        // pixels, including batches smaller than the worker count.
+        let lut = Arc::new(TruncatedMultiplier::new(8, 6).to_lut());
+        let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(8)));
+        let spec = |in_channels, out_channels, kernel, stride, padding| Conv2dSpec {
+            in_channels,
+            out_channels,
+            kernel,
+            stride,
+            padding,
+        };
+        for spec in [
+            spec(2, 3, 3, 1, 1),
+            spec(3, 2, 3, 2, 2),
+            spec(1, 4, 2, 3, 0),
+        ] {
+            for n in [0usize, 1, 2, 7] {
+                let (h, w) = (7, 6);
+                let (oh, ow) = spec.out_hw(h, w);
+                let mut x = ramp(&[n, spec.in_channels, h, w], 2.0);
+                for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                    match i % 13 {
+                        3 => *v = f32::NAN,
+                        8 => *v = 1e6,
+                        _ => {}
+                    }
+                }
+                let g = ramp(&[n, spec.out_channels, oh, ow], 0.9);
+                let run = |sched: Sched, kernel: Kernel| {
+                    let mut conv = ApproxConv2d::with_params(
+                        spec,
+                        ramp(&[spec.out_channels, spec.patch_len()], 1.1),
+                        ramp(&[spec.out_channels], 0.2),
+                        lut.clone(),
+                        grads.clone(),
+                        QuantConfig::default(),
+                    );
+                    conv.set_kernel(kernel);
+                    conv.forward_on(&ramp(&[1, spec.in_channels, h, w], 1.0), true, sched);
+                    let y = conv.forward_on(&x, true, sched);
+                    let dx = conv.backward_on(&g, sched);
+                    (bits_of(&y), bits_of(&dx), bits_of(&conv.weight.grad))
+                };
+                let want = run(unfloored(Pool::serial()), Kernel::Naive);
+                for threads in [1usize, 2, 3, 5] {
+                    for kernel in [Kernel::Naive, Kernel::Tiled] {
+                        assert!(
+                            run(unfloored(Pool::new(threads)), kernel) == want,
+                            "{spec:?} n={n} threads={threads} kernel={}",
+                            kernel.label()
+                        );
+                    }
+                }
             }
         }
     }

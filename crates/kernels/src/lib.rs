@@ -366,12 +366,13 @@ pub fn backward_dx(
 
     let mask = table.len() - 1;
     let mut stats = TileStats::default();
-    // The f32 accumulation into dx[mi][kk] runs over `ji`; keeping the
-    // whole ascending `ji` sweep innermost (per K-chunk of eight outputs
-    // held in registers) preserves the naive kernel's addition order
-    // exactly, so the sums round identically. The M and J tile extents
-    // are irrelevant here — every batch row is visited once and the J
-    // sweep cannot be split without reordering additions.
+    // The f32 accumulation into dx[mi][kk] runs over `ji` in ascending
+    // order, as in the naive kernel, so the sums round identically. Here
+    // that sweep runs innermost, per K-chunk of eight outputs held in
+    // registers, and each batch row is visited once. Any loop order that
+    // keeps `ji` ascending per output is equally exact; a J-outermost
+    // order hoisting each `(j, k)` table row over a block of batch rows
+    // measured slower on real conv shapes.
     for mi in 0..rows {
         let g_row = &g[mi * j..(mi + 1) * j];
         for k0 in (0..k).step_by(KK) {

@@ -1,9 +1,12 @@
 //! 2-D convolution via im2col, plus the shared im2col/col2im kernels.
 //!
-//! The im2col representation is the backbone of the whole workspace: the
-//! approximate LUT-based convolution in `appmult-retrain` reuses
-//! [`im2col_gather`] (on quantized codes) / [`col2im`] and replaces only
-//! the inner product.
+//! The im2col representation is the backbone of the whole workspace. The
+//! slice-level [`im2col_gather`] and [`col2im_add`] work on any batch
+//! size, so the approximate LUT-based convolution in `appmult-retrain`
+//! runs them one image at a time on its pool workers: it gathers each
+//! image's quantized codes into that image's patch rows, and folds each
+//! image's patch-row gradients back as soon as its `dX` rows are computed.
+//! [`im2col`] and [`col2im`] are the whole-batch tensor forms.
 
 use crate::init::kaiming_normal;
 use crate::module::{Module, Parameter};
@@ -71,15 +74,17 @@ impl Conv2dSpec {
 /// Panics if `input` is not rank 4 or its channel count mismatches `spec`.
 pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let s = input.shape();
-    let cols = im2col_gather(input.as_slice(), s, spec, 0.0);
+    assert_eq!(s.len(), 4, "expected NCHW input");
     let (oh, ow) = spec.out_hw(s[2], s[3]);
+    let mut cols = vec![0.0; s[0] * oh * ow * spec.patch_len()];
+    im2col_gather(input.as_slice(), s, spec, 0.0, &mut cols);
     Tensor::from_vec(cols, &[s[0] * oh * ow, spec.patch_len()])
 }
 
 /// The gather behind [`im2col`], over any element type: unfolds the
-/// NCHW buffer `data` of the given `shape` into row-major
-/// `[N * OH * OW, Cin * k * k]` patch rows, filling padding taps with
-/// `pad`.
+/// NCHW buffer `data` of the given `shape` into the row-major
+/// `[N * OH * OW, Cin * k * k]` patch rows `out`, writing `pad` into
+/// padding taps. Every element of `out` is written exactly once.
 ///
 /// Gathering commutes with any elementwise map `f`: gathering `f(x)` with
 /// pad `f(0.0)` equals mapping `f` over `im2col(x)`. The approximate conv
@@ -88,47 +93,49 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
 /// # Panics
 ///
 /// Panics if `shape` is not rank 4, its channel count mismatches `spec`,
-/// or `data.len()` is not the product of `shape`.
-pub fn im2col_gather<T: Copy>(data: &[T], shape: &[usize], spec: &Conv2dSpec, pad: T) -> Vec<T> {
-    assert_eq!(shape.len(), 4, "expected NCHW input");
-    let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-    assert_eq!(c, spec.in_channels, "channel mismatch");
-    assert_eq!(data.len(), n * c * h * w, "data does not match shape");
+/// or `data` / `out` do not hold the input / patch-row element counts.
+pub fn im2col_gather<T: Copy>(
+    data: &[T],
+    shape: &[usize],
+    spec: &Conv2dSpec,
+    pad: T,
+    out: &mut [T],
+) {
+    let (n, c, h, w) = check_nchw(data.len(), shape, spec);
     let (oh, ow) = spec.out_hw(h, w);
     let k = spec.kernel;
     let patch = spec.patch_len();
-    let mut out = vec![pad; n * oh * ow * patch];
-    for ni in 0..n {
-        for oy in 0..oh {
-            // Valid kernel rows: 0 <= oy * stride + ky - padding < h.
-            let iy0 = oy * spec.stride;
-            let ky_lo = spec.padding.saturating_sub(iy0);
-            let ky_hi = (h + spec.padding).saturating_sub(iy0).min(k);
-            for ox in 0..ow {
-                let row = ((ni * oh + oy) * ow + ox) * patch;
-                // Valid kernel columns form one contiguous run, so each
-                // (channel, kernel row) is a single slice copy.
-                let ix0 = ox * spec.stride;
-                let kx_lo = spec.padding.saturating_sub(ix0);
-                let kx_hi = (w + spec.padding).saturating_sub(ix0).min(k);
-                if kx_lo >= kx_hi {
+    assert_eq!(
+        out.len(),
+        n * oh * ow * patch,
+        "patch rows do not match shape"
+    );
+    for (r, row) in out.chunks_exact_mut(patch.max(1)).enumerate() {
+        let (ni, oy, ox) = (r / (oh * ow), r / ow % oh, r % ow);
+        // Valid kernel rows: 0 <= oy * stride + ky - padding < h. Valid
+        // kernel columns form one contiguous run, so each (channel, kernel
+        // row) is one slice copy between two pad fills.
+        let (ky_lo, ky_hi, iy0) = valid_taps(oy, h, spec);
+        let (kx_lo, kx_hi, ix0) = valid_taps(ox, w, spec);
+        if kx_lo >= kx_hi {
+            row.fill(pad);
+            continue;
+        }
+        let x_lo = ix0 + kx_lo - spec.padding;
+        for (ci, channel) in row.chunks_exact_mut(k * k).enumerate() {
+            let base_in = (ni * c + ci) * h * w;
+            for (ky, taps) in channel.chunks_exact_mut(k).enumerate() {
+                if ky < ky_lo || ky >= ky_hi {
+                    taps.fill(pad);
                     continue;
                 }
-                let run = kx_hi - kx_lo;
-                let x_lo = ix0 + kx_lo - spec.padding;
-                for ci in 0..c {
-                    let base_in = (ni * c + ci) * h * w;
-                    let base_out = row + ci * k * k + kx_lo;
-                    for ky in ky_lo..ky_hi {
-                        let src = base_in + (iy0 + ky - spec.padding) * w + x_lo;
-                        let dst = base_out + ky * k;
-                        out[dst..dst + run].copy_from_slice(&data[src..src + run]);
-                    }
-                }
+                let src = base_in + (iy0 + ky - spec.padding) * w + x_lo;
+                taps[..kx_lo].fill(pad);
+                taps[kx_lo..kx_hi].copy_from_slice(&data[src..src + kx_hi - kx_lo]);
+                taps[kx_hi..].fill(pad);
             }
         }
     }
-    out
 }
 
 /// Folds patch-row gradients back into an NCHW gradient (the adjoint of
@@ -140,44 +147,75 @@ pub fn im2col_gather<T: Copy>(data: &[T], shape: &[usize], spec: &Conv2dSpec, pa
 /// `[n, spec.in_channels, h, w]` input.
 pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, n: usize, h: usize, w: usize) -> Tensor {
     let (oh, ow) = spec.out_hw(h, w);
-    let k = spec.kernel;
-    let c = spec.in_channels;
-    let patch = spec.patch_len();
     assert_eq!(
         cols.shape(),
-        &[n * oh * ow, patch],
+        &[n * oh * ow, spec.patch_len()],
         "col gradient shape mismatch"
     );
-    let mut out = vec![0.0f32; n * c * h * w];
-    let data = cols.as_slice();
-    for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = ((ni * oh + oy) * ow + ox) * patch;
-                let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-                let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-                for ci in 0..c {
-                    let base_out = (ni * c + ci) * h * w;
-                    let base_in = row + ci * k * k;
-                    for ky in 0..k {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            out[base_out + iy as usize * w + ix as usize] +=
-                                data[base_in + ky * k + kx];
-                        }
-                    }
+    let shape = [n, spec.in_channels, h, w];
+    let mut out = vec![0.0f32; shape.iter().product()];
+    col2im_add(cols.as_slice(), &shape, spec, &mut out);
+    Tensor::from_vec(out, &shape)
+}
+
+/// The fold behind [`col2im`]: adds the `[N * OH * OW, Cin * k * k]`
+/// patch-row gradients `cols` into the NCHW buffer `out` of the given
+/// `shape`, dropping padding taps. Each input pixel receives its taps in
+/// ascending patch-row order.
+///
+/// # Panics
+///
+/// Panics if `shape` is not rank 4, its channel count mismatches `spec`,
+/// or `out` / `cols` do not hold the input / patch-row element counts.
+pub fn col2im_add(cols: &[f32], shape: &[usize], spec: &Conv2dSpec, out: &mut [f32]) {
+    let (n, c, h, w) = check_nchw(out.len(), shape, spec);
+    let (oh, ow) = spec.out_hw(h, w);
+    let k = spec.kernel;
+    let patch = spec.patch_len();
+    assert_eq!(
+        cols.len(),
+        n * oh * ow * patch,
+        "patch rows do not match shape"
+    );
+    for (r, row) in cols.chunks_exact(patch.max(1)).enumerate() {
+        let (ni, oy, ox) = (r / (oh * ow), r / ow % oh, r % ow);
+        let (ky_lo, ky_hi, iy0) = valid_taps(oy, h, spec);
+        let (kx_lo, kx_hi, ix0) = valid_taps(ox, w, spec);
+        if kx_lo >= kx_hi {
+            continue;
+        }
+        let x_lo = ix0 + kx_lo - spec.padding;
+        for (ci, channel) in row.chunks_exact(k * k).enumerate() {
+            let base_out = (ni * c + ci) * h * w;
+            for ky in ky_lo..ky_hi {
+                let dst = base_out + (iy0 + ky - spec.padding) * w + x_lo;
+                let taps = &channel[ky * k + kx_lo..ky * k + kx_hi];
+                for (o, &g) in out[dst..dst + taps.len()].iter_mut().zip(taps) {
+                    *o += g;
                 }
             }
         }
     }
-    Tensor::from_vec(out, &[n, c, h, w])
+}
+
+/// Checks an NCHW `shape` against `spec` and a buffer of `len` elements,
+/// returning `(n, c, h, w)`.
+fn check_nchw(len: usize, shape: &[usize], spec: &Conv2dSpec) -> (usize, usize, usize, usize) {
+    assert_eq!(shape.len(), 4, "expected NCHW input");
+    let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+    assert_eq!(c, spec.in_channels, "channel mismatch");
+    assert_eq!(len, n * c * h * w, "data does not match shape");
+    (n, c, h, w)
+}
+
+/// The in-bounds kernel taps `lo..hi` along one axis of extent `len` for
+/// output coordinate `o`, and the tap-0 input coordinate plus padding
+/// (`o * stride`).
+fn valid_taps(o: usize, len: usize, spec: &Conv2dSpec) -> (usize, usize, usize) {
+    let i0 = o * spec.stride;
+    let lo = spec.padding.saturating_sub(i0);
+    let hi = (len + spec.padding).saturating_sub(i0).min(spec.kernel);
+    (lo, hi, i0)
 }
 
 /// Reinterprets `[N * OH * OW, Cout]` rows as an `[N, Cout, OH, OW]` tensor.
@@ -418,6 +456,53 @@ mod tests {
         let back = col2im(&y, &spec, 1, 5, 5);
         let rhs = x.dot(&back);
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn col2im_matches_the_tap_by_tap_fold_bit_for_bit() {
+        // The definition: every in-bounds tap of every patch row adds into
+        // its pixel, rows in ascending order. The run-sliced fold must keep
+        // each pixel's addition order, per image or per batch.
+        for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 2), (2, 3, 0), (5, 1, 0)] {
+            let spec = Conv2dSpec {
+                in_channels: 2,
+                out_channels: 1,
+                kernel,
+                stride,
+                padding,
+            };
+            let (n, c, h, w) = (3, 2, 7, 6);
+            let (oh, ow) = spec.out_hw(h, w);
+            let cols = ramp(&[n * oh * ow, spec.patch_len()]);
+            let mut want = vec![0.0f32; n * c * h * w];
+            for (r, row) in cols.as_slice().chunks(spec.patch_len()).enumerate() {
+                let (ni, oy, ox) = (r / (oh * ow), r / ow % oh, r % ow);
+                for (t, &v) in row.iter().enumerate() {
+                    let (ci, ky, kx) = (t / (kernel * kernel), t / kernel % kernel, t % kernel);
+                    let iy = (oy * stride + ky).checked_sub(padding);
+                    let ix = (ox * stride + kx).checked_sub(padding);
+                    if let (Some(iy), Some(ix)) = (iy, ix) {
+                        if iy < h && ix < w {
+                            want[((ni * c + ci) * h + iy) * w + ix] += v;
+                        }
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let got = col2im(&cols, &spec, n, h, w);
+            assert_eq!(bits(got.as_slice()), bits(&want), "{spec:?}");
+            let (rows, plane) = (oh * ow * spec.patch_len(), c * h * w);
+            let mut per_image = vec![0.0f32; n * plane];
+            for ni in 0..n {
+                col2im_add(
+                    &cols.as_slice()[ni * rows..(ni + 1) * rows],
+                    &[1, c, h, w],
+                    &spec,
+                    &mut per_image[ni * plane..(ni + 1) * plane],
+                );
+            }
+            assert_eq!(bits(&per_image), bits(&want), "{spec:?} per image");
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@ mod residual;
 mod sequential;
 
 pub use act::{Relu, Sigmoid, Tanh};
-pub use conv::{col2im, im2col, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2d, Conv2dSpec};
+pub use conv::{
+    col2im, col2im_add, im2col, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2d, Conv2dSpec,
+};
 pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;

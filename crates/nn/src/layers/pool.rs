@@ -58,12 +58,15 @@ impl Module for MaxPool2d {
                 let base = (ni * c + ci) * h * w;
                 for oy in 0..oh {
                     for ox in 0..ow {
+                        // Seeded with the window's own first tap, so a
+                        // window with no tap above -inf (all -inf or NaN)
+                        // outputs that tap and routes its gradient there.
+                        let first = base + oy * self.stride * w + ox * self.stride;
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        let mut best_idx = first;
                         for ky in 0..self.kernel {
                             for kx in 0..self.kernel {
-                                let idx =
-                                    base + (oy * self.stride + ky) * w + ox * self.stride + kx;
+                                let idx = first + ky * w + kx;
                                 if data[idx] > best {
                                     best = data[idx];
                                     best_idx = idx;
@@ -71,7 +74,7 @@ impl Module for MaxPool2d {
                             }
                         }
                         let o = ((ni * c + ci) * oh + oy) * ow + ox;
-                        out[o] = best;
+                        out[o] = data[best_idx];
                         argmax[o] = best_idx;
                     }
                 }
@@ -305,6 +308,26 @@ mod tests {
         pool.forward(&x, true);
         let dx = pool.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
         assert_eq!(dx.as_slice(), &[0., 0., 0., 5.]);
+    }
+
+    #[test]
+    fn maxpool_window_without_a_finite_maximum_keeps_its_gradient() {
+        // Image 1's only window has no tap above -inf. Its output and its
+        // gradient belong to its own first tap, never to image 0's.
+        for fill in [f32::NEG_INFINITY, f32::NAN] {
+            let mut pool = MaxPool2d::new(2, 2);
+            let mut data = vec![1., 2., 3., 4.];
+            data.extend([fill; 4]);
+            let y = pool.forward(&Tensor::from_vec(data, &[2, 1, 2, 2]), true);
+            assert_eq!(y.as_slice()[0], 4.0);
+            assert_eq!(y.as_slice()[1].to_bits(), fill.to_bits(), "fill {fill}");
+            let dx = pool.backward(&Tensor::from_vec(vec![10., 7.], &[2, 1, 1, 1]));
+            assert_eq!(
+                dx.as_slice(),
+                &[0., 0., 0., 10., 7., 0., 0., 0.],
+                "fill {fill}"
+            );
+        }
     }
 
     #[test]

@@ -96,8 +96,10 @@ fn gather_commutes_with_elementwise_maps() {
         let x = Tensor::from_vec(random_data(&mut rng, shape.iter().product()), &shape);
         let cols = im2col(&x, &spec);
         let mapped: Vec<i32> = x.as_slice().iter().map(|&v| f(v)).collect();
-        let gathered = im2col_gather(&mapped, &shape, &spec, f(0.0));
         let want: Vec<i32> = cols.as_slice().iter().map(|&v| f(v)).collect();
+        // A sentinel `f` never yields: the gather must overwrite all of it.
+        let mut gathered = vec![i32::MIN; want.len()];
+        im2col_gather(&mapped, &shape, &spec, f(0.0), &mut gathered);
         assert_eq!(gathered, want, "{spec:?} on {shape:?}");
 
         let (oh, ow) = spec.out_hw(h, w);

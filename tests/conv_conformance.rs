@@ -65,7 +65,9 @@ fn odd_size(rng: &mut Rng64, lo: usize) -> usize {
 }
 
 /// Corner cases first (a shape above the parallel floor, an empty batch,
-/// a 1x1 input under a 5x5 kernel), then seeded random shapes.
+/// a 1x1 input under a 5x5 kernel, LeNet conv1 at a batch of 4, whose
+/// per-image passes split 2 + 1 + 1 over 3 threads), then seeded random
+/// shapes.
 fn generate(rng: &mut Rng64, case: usize) -> Case {
     let seed = rng.next_u64();
     match case {
@@ -100,6 +102,17 @@ fn generate(rng: &mut Rng64, case: usize) -> Case {
             kernel: 5,
             stride: 3,
             padding: 2,
+            seed,
+        },
+        3 => Case {
+            n: 4,
+            cin: 3,
+            cout: 6,
+            h: 16,
+            w: 16,
+            kernel: 5,
+            stride: 1,
+            padding: 0,
             seed,
         },
         _ => {
@@ -403,7 +416,7 @@ fn approx_conv_is_bit_identical_to_the_f32_im2col_reference() {
     prop::forall_with(
         "ApproxConv2d conforms to the f32-im2col reference",
         0x1C01,
-        40,
+        41,
         generate,
         shrink,
         conforms,
