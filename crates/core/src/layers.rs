@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use appmult_kernels::{backward_dw, backward_dx, forward_acc, GemmShape, Kernel};
+use appmult_kernels::{backward_dw, backward_dx, forward_acc, GemmShape, Kernel, M_TILE};
 use appmult_mult::MultiplierLut;
 use appmult_nn::layers::{col2im_add, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2dSpec};
 use appmult_nn::{Module, Parameter, Tensor};
@@ -176,18 +176,21 @@ impl GemmCache {
 }
 
 /// Minimum multiply-accumulate count below which a LUT-GEMM dispatch runs
-/// serially instead of fanning out across pool workers. perfbench's
-/// `pool.dispatch_us` measures one trivial two-worker `run_rows` at
-/// 3–8 µs on a 2-vCPU x86 host (26–38 µs back when every call spawned its
-/// threads); at roughly a nanosecond per table-gather MAC, the floor's 64k
-/// MACs are ~65 µs of work, of which the dispatch is then 5–12%.
-/// perfbench's replay mirrors this value. Serial and parallel paths are bit-identical, so the floor is
-/// purely a scheduling decision.
+/// serially instead of fanning out across pool workers; above it, the
+/// least work per pool block. A dispatch that a helper joins (two blocks
+/// that each wait for the other to start) costs about 7 µs on a 2-vCPU
+/// x86 host; at roughly a nanosecond per table-gather MAC, the floor's
+/// 64k MACs are ~65 µs of work, of which that dispatch is about 11%.
+/// (perfbench's `pool.dispatch_us` no longer shows this cost: its two
+/// one-element rows finish on the caller before a helper wakes.)
+/// perfbench's replay mirrors this value. Serial and parallel paths are
+/// bit-identical, so the floor is purely a scheduling decision.
 const PAR_FLOOR_MACS: usize = 1 << 16;
 
-/// Where a layer's dispatches run: on `pool`, except that a dispatch over
-/// (or feeding, or folding) a GEMM below the `floor_macs` work-size floor
-/// runs serially.
+/// Where a layer's dispatches run: on `pool`, under a work-size floor in
+/// the dispatched buffer's own units, so a dispatch over (or feeding, or
+/// folding) a GEMM below `floor_macs` runs serially and a larger one splits
+/// into blocks of at least that much work.
 #[derive(Debug, Clone, Copy)]
 struct Sched {
     pool: Pool,
@@ -203,16 +206,26 @@ impl Sched {
         }
     }
 
-    /// The pool for a dispatch tied to a GEMM of `elems` output elements
-    /// of `reduction` MACs each. The glue that feeds or folds a GEMM asks
-    /// with that GEMM's shape, so it goes parallel exactly when the GEMM
-    /// does.
-    fn pool(&self, elems: usize, reduction: usize) -> Pool {
-        if elems < self.floor_macs / reduction.max(1) {
-            Pool::serial()
-        } else {
-            self.pool
+    /// The pool for a dispatch tied to a GEMM whose output elements take
+    /// `reduction` MACs each, over a buffer of which one unit stands for
+    /// `per_unit` of those output elements (1 for the GEMM's own output,
+    /// an image's share for a per-image pass). The glue that feeds or
+    /// folds a GEMM asks with that GEMM's shape, so it goes parallel
+    /// exactly when the GEMM does.
+    fn pool(&self, reduction: usize, per_unit: usize) -> Pool {
+        let floor = (self.floor_macs / reduction.max(1)).div_ceil(per_unit.max(1));
+        self.pool.with_min_elems(floor)
+    }
+
+    /// The pool for the forward GEMM of `j` outputs per batch row and `k`
+    /// MACs each: the GEMM floor, raised to one kernel M tile of rows so
+    /// that each block's hoisted LUT rows serve at least one full tile.
+    fn forward_pool(&self, j: usize, k: usize) -> Pool {
+        let pool = self.pool(k, 1);
+        if self.floor_macs == 0 {
+            return pool;
         }
+        pool.with_min_elems(pool.min_elems().max(M_TILE * j))
     }
 }
 
@@ -280,27 +293,29 @@ fn gemm_forward(
     let sum_w = &cache.sum_w;
     let mut out = vec![0.0f32; m * j];
     // Per output element this GEMM performs `k` MACs.
-    sched.pool(m * j, k).run_rows(&mut out, j, |mi0, chunk| {
-        let rows = chunk.len() / j;
-        let xq = &cache.xq[mi0 * k..(mi0 + rows) * k];
-        let mut acc = vec![0i64; chunk.len()];
-        forward_acc(kernel, shape, table, &cache.wq, xq, &mut acc);
-        for (r, (out_row, acc_row)) in chunk.chunks_mut(j).zip(acc.chunks(j)).enumerate() {
-            let sum_x = xq[r * k..(r + 1) * k].iter().map(|&v| i64::from(v)).sum();
-            for (ji, (o, &a)) in out_row.iter_mut().zip(acc_row).enumerate() {
-                *o = match cache.scheme {
-                    QuantScheme::Unsigned => {
-                        dequantize_dot(&wq_params, &xq_params, a, sum_w[ji], sum_x, k)
-                    }
-                    // Offset LUT entries already fold in the operand zero
-                    // points; only the per-term 2^(2B-1) offset remains.
-                    QuantScheme::SignedOffset => {
-                        dequantize_dot_offset(&wq_params, &xq_params, a, k)
-                    }
-                } + bias[ji];
+    sched
+        .forward_pool(j, k)
+        .run_rows(&mut out, j, |mi0, chunk| {
+            let rows = chunk.len() / j;
+            let xq = &cache.xq[mi0 * k..(mi0 + rows) * k];
+            let mut acc = vec![0i64; chunk.len()];
+            forward_acc(kernel, shape, table, &cache.wq, xq, &mut acc);
+            for (r, (out_row, acc_row)) in chunk.chunks_mut(j).zip(acc.chunks(j)).enumerate() {
+                let sum_x = xq[r * k..(r + 1) * k].iter().map(|&v| i64::from(v)).sum();
+                for (ji, (o, &a)) in out_row.iter_mut().zip(acc_row).enumerate() {
+                    *o = match cache.scheme {
+                        QuantScheme::Unsigned => {
+                            dequantize_dot(&wq_params, &xq_params, a, sum_w[ji], sum_x, k)
+                        }
+                        // Offset LUT entries already fold in the operand zero
+                        // points; only the per-term 2^(2B-1) offset remains.
+                        QuantScheme::SignedOffset => {
+                            dequantize_dot_offset(&wq_params, &xq_params, a, k)
+                        }
+                    } + bias[ji];
+                }
             }
-        }
-    });
+        });
     Tensor::from_vec(out, &[m, j])
 }
 
@@ -350,7 +365,7 @@ fn gemm_backward<'a>(
 
     let mut dw = vec![0.0f32; j * k];
     // Per dw element: `m` gradient-table MACs.
-    sched.pool(j * k, m).run_rows(&mut dw, k, |ji0, chunk| {
+    sched.pool(m, 1).run_rows(&mut dw, k, |ji0, chunk| {
         let rows = chunk.len() / k;
         // dL/dw = dL/dy * s_x * (dAM/dW - Z_x), gated by Q'(w).
         backward_dw(
@@ -420,7 +435,7 @@ impl DxPass<'_> {
         let (m, j, k) = (self.cache.m, self.shape.j, self.shape.k);
         let mut dx = vec![0.0f32; m * k];
         // Per dx element: `j` gradient-table MACs.
-        sched.pool(m * k, j).run_rows(&mut dx, k, |mi0, chunk| {
+        sched.pool(j, 1).run_rows(&mut dx, k, |mi0, chunk| {
             self.add_rows(mi0, chunk);
             mask_clipped(chunk, &self.cache.xclip[mi0 * k..mi0 * k + chunk.len()]);
         });
@@ -671,7 +686,10 @@ impl ApproxConv2d {
         let wq_params = scheme_params(self.scheme, wlo, whi, bits);
 
         let (m, j, k) = (n * oh * ow, self.spec.out_channels, self.spec.patch_len());
-        let (xq, xclip) = gather_codes(input, &self.spec, &xq_params, sched.pool(m * j, k));
+        // The image pass feeds the forward GEMM, `oh * ow * j` outputs of
+        // `k` MACs per image.
+        let pool = sched.pool(k, oh * ow * j);
+        let (xq, xclip) = gather_codes(input, &self.spec, &xq_params, pool);
         let (wq, wclip) = quantize_slice(self.weight.value.as_slice(), &wq_params);
         self.cache.update(
             wq,
@@ -700,11 +718,15 @@ impl ApproxConv2d {
     fn backward_on(&mut self, grad_out: &Tensor, sched: Sched) -> Tensor {
         let _span = appmult_obs::global().span("conv2d.backward");
         assert!(self.cache.populated(), "backward before forward");
-        let (m, j, k) = (self.cache.m, self.cache.j, self.cache.k);
+        let (j, k) = (self.cache.j, self.cache.k);
+        let (_, h, w) = self.input_hw;
+        let (oh, ow) = self.spec.out_hw(h, w);
         let g_rows = nchw_to_rows(grad_out);
         let (dw, dx) = gemm_backward(&self.cache, &self.grads, &g_rows, sched, self.kernel);
-        // The image pass folds the `[M, K]` dX GEMM of `j` MACs per element.
-        let grad_in = conv_input_grad(&dx, &self.spec, self.input_hw, sched.pool(m * k, j));
+        // The image pass folds the `[M, K]` dX GEMM, `oh * ow * k` elements
+        // of `j` MACs per image.
+        let pool = sched.pool(j, oh * ow * k);
+        let grad_in = conv_input_grad(&dx, &self.spec, self.input_hw, pool);
         self.weight.grad.add_scaled(&dw, 1.0);
         let db = self.bias.grad.as_mut_slice();
         for row in g_rows.as_slice().chunks(j) {
@@ -1438,14 +1460,23 @@ mod tests {
         }
     }
 
+    /// `pool` under the production work-size floor.
+    fn floored(pool: Pool) -> Sched {
+        Sched {
+            pool,
+            floor_macs: PAR_FLOOR_MACS,
+        }
+    }
+
     fn bits_of(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     /// Runs one forward to populate the cache, then evaluates both GEMM
-    /// kernels serially and with `threads` workers, asserting bit-identical
-    /// outputs (`f32::to_bits`, not approximate equality).
-    fn assert_gemm_parity(m: usize, j: usize, k: usize, threads: usize) {
+    /// kernels serially and with `threads` workers scheduled by `sched`,
+    /// asserting bit-identical outputs (`f32::to_bits`, not approximate
+    /// equality).
+    fn assert_gemm_parity(m: usize, j: usize, k: usize, threads: usize, sched: fn(Pool) -> Sched) {
         let lut = Arc::new(TruncatedMultiplier::new(8, 6).to_lut());
         let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(8)));
         let mut layer = ApproxLinear::with_params(
@@ -1458,7 +1489,7 @@ mod tests {
         let x = ramp(&[m, k], 1.7);
         layer.forward(&x, true);
 
-        let (serial, pool) = (unfloored(Pool::serial()), unfloored(Pool::new(threads)));
+        let (serial, pool) = (sched(Pool::serial()), sched(Pool::new(threads)));
         let bias = layer.bias.value.as_slice();
         let g = ramp(&[m, j], 0.9);
         // Serial naive is the reference; every (kernel, pool) combination
@@ -1607,7 +1638,7 @@ mod tests {
             (65, 17, 65),
         ] {
             for threads in [1usize, 2, 3, 4, 8] {
-                assert_gemm_parity(m, j, k, threads);
+                assert_gemm_parity(m, j, k, threads, unfloored);
             }
         }
     }
@@ -1675,6 +1706,67 @@ mod tests {
     }
 
     #[test]
+    fn production_floor_blocks_are_bit_identical_to_serial() {
+        // Under the real PAR_FLOOR_MACS scheduling every dispatch splits
+        // into floor-sized blocks that threads claim on demand. LeNet
+        // conv1 on perfbench's 16x16 input (M = 144 per image) splits its
+        // forward into 16 blocks at two workers; the VGG-S stage-3 shape
+        // (4x4, M = 16 per image) runs its batch-1 forward serially, below
+        // one kernel M tile, while its dW still splits. Forward output,
+        // input gradient and dW must match the serial run bit for bit.
+        let lut = Arc::new(TruncatedMultiplier::new(8, 6).to_lut());
+        let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(8)));
+        let lenet_conv1 = Conv2dSpec {
+            in_channels: 3,
+            out_channels: 6,
+            kernel: 5,
+            stride: 1,
+            padding: 0,
+        };
+        for (spec, hw) in [(lenet_conv1, 16), (Conv2dSpec::same(16, 32, 3), 4)] {
+            let (oh, ow) = spec.out_hw(hw, hw);
+            for n in [1usize, 7, 32] {
+                let mut x = ramp(&[n, spec.in_channels, hw, hw], 2.0);
+                for v in x.as_mut_slice().iter_mut().step_by(17) {
+                    *v = 1e6;
+                }
+                let g = ramp(&[n, spec.out_channels, oh, ow], 0.9);
+                let run = |sched: Sched| {
+                    let mut conv = ApproxConv2d::with_params(
+                        spec,
+                        ramp(&[spec.out_channels, spec.patch_len()], 1.1),
+                        ramp(&[spec.out_channels], 0.2),
+                        lut.clone(),
+                        grads.clone(),
+                        QuantConfig::default(),
+                    );
+                    conv.set_kernel(Kernel::Tiled);
+                    conv.forward_on(&ramp(&[1, spec.in_channels, hw, hw], 1.0), true, sched);
+                    let y = conv.forward_on(&x, true, sched);
+                    let dx = conv.backward_on(&g, sched);
+                    (bits_of(&y), bits_of(&dx), bits_of(&conv.weight.grad))
+                };
+                let want = run(floored(Pool::serial()));
+                for threads in [2usize, 3, 5] {
+                    assert!(
+                        run(floored(Pool::new(threads))) == want,
+                        "{spec:?} {hw}x{hw} n={n} threads={threads}"
+                    );
+                }
+            }
+        }
+        // LeNet-sized fully connected shapes through the linear layer's
+        // GEMMs.
+        for (j, k) in [(120usize, 400usize), (84, 120)] {
+            for m in [1usize, 7, 32] {
+                for threads in [2usize, 3, 5] {
+                    assert_gemm_parity(m, j, k, threads, floored);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn parallel_gemm_parity_on_random_shapes() {
         let mut rng = appmult_rng::Rng64::seed_from_u64(0x6E44);
         for _ in 0..12 {
@@ -1682,7 +1774,7 @@ mod tests {
             let j = 1 + rng.below(9) as usize;
             let k = 1 + rng.below(13) as usize;
             let threads = 1 + rng.below(6) as usize;
-            assert_gemm_parity(m, j, k, threads);
+            assert_gemm_parity(m, j, k, threads, unfloored);
         }
     }
 

@@ -37,8 +37,9 @@
 //! (`64 × 16 × 64`; DESIGN.md §11 gives the reasons).
 //!
 //! The kernels are chunk-level: callers (the `appmult-retrain` layers)
-//! partition output rows across `appmult-pool` workers and invoke a kernel
-//! per chunk, so tiles compose with worker chunks.
+//! split output rows into `appmult-pool` blocks and invoke a kernel per
+//! block, so tiles compose with pool blocks. [`M_TILE`] is public so the
+//! forward caller can keep its blocks at least one M tile tall.
 //!
 //! # Example
 //!
@@ -61,8 +62,10 @@
 use std::sync::Mutex;
 
 /// Batch-dimension (M) tile extent of the tiled kernel: the reuse
-/// distance of each hoisted LUT row.
-const MJ: usize = 64;
+/// distance of each hoisted LUT row. A caller that splits the forward
+/// GEMM's batch rows into chunks of at least this many rows lets each
+/// chunk's hoists serve at least one full tile.
+pub const M_TILE: usize = 64;
 /// Output-dimension (J) tile extent of the tiled forward kernel.
 const JK: usize = 16;
 /// Reduction-dimension (K) tile extent: the hoisted-row working set
@@ -104,7 +107,7 @@ impl Kernel {
     pub fn label(&self) -> String {
         match self {
             Kernel::Naive => "naive".to_string(),
-            Kernel::Tiled => format!("tiled:{MJ}x{JK}x{KK}"),
+            Kernel::Tiled => format!("tiled:{M_TILE}x{JK}x{KK}"),
         }
     }
 }
@@ -219,8 +222,8 @@ pub fn forward_acc(
     let mut stats = TileStats::default();
     acc.fill(0);
     let mut bases: Vec<u32> = Vec::new();
-    for m0 in (0..rows).step_by(MJ) {
-        let mt = MJ.min(rows - m0);
+    for m0 in (0..rows).step_by(M_TILE) {
+        let mt = M_TILE.min(rows - m0);
         for j0 in (0..j).step_by(JK) {
             let jt = JK.min(j - j0);
             for k0 in (0..k).step_by(KK) {

@@ -3,22 +3,32 @@
 //! The LUT-GEMM kernels, gradient-table builds, and exhaustive circuit
 //! simulations all share one shape: a large output buffer whose rows can be
 //! computed independently from shared read-only inputs. [`Pool::run_rows`]
-//! partitions such a buffer into contiguous, *disjoint* `&mut` chunks — one
-//! per worker — and runs them in parallel. Because every output element is
-//! written by exactly one worker and each worker iterates its rows in the
-//! same order as the serial loop, results are bit-identical to a serial run
-//! regardless of the thread count; no atomics, no locks, no floating-point
-//! reassociation.
+//! partitions such a buffer into contiguous, *disjoint* `&mut` blocks of
+//! whole rows and runs them in parallel: the caller and each helper thread
+//! take the next unclaimed block from a shared counter until none is left,
+//! so a slow or late thread simply takes fewer blocks. Because every
+//! output element is written by exactly one thread and each block iterates
+//! its rows in the same order as the serial loop, results are
+//! bit-identical to a serial run for any thread count and block split; no
+//! locks on the output, no floating-point reassociation.
+//!
+//! **Block rule.** A pool with a work-size floor
+//! ([`Pool::with_min_elems`]) runs buffers below the floor serially and
+//! splits larger ones into blocks of at least the floor each, at least one
+//! and at most eight per worker. A pool with no floor cannot size its
+//! blocks and keeps one block per worker.
 //!
 //! The worker threads are persistent: one process-wide set of named threads
 //! (`appmult-pool-<i>`), spawned lazily up to the largest worker count any
 //! [`Pool`] asks for, parked on a condvar between dispatches. Each
 //! [`Pool::run_rows`] call still behaves like a scoped fork-join: it
-//! borrows its inputs, returns only after every chunk has finished, and
-//! re-raises a worker's panic on the caller with its original payload. A
-//! dispatch that finds the workers owned by another dispatch (a concurrent
-//! caller, or a `run_rows` nested inside a chunk) runs all of its chunks
-//! inline on its own thread instead of waiting.
+//! borrows its inputs, returns only after every block it handed out has
+//! finished, and re-raises a panic on the caller with its original payload.
+//! Once the caller finds no block left it retracts the job, so it waits
+//! only for the helpers that already joined, never for one that has not
+//! woken yet. A dispatch that finds the workers owned by another dispatch
+//! (a concurrent caller, or a `run_rows` nested inside a block) runs all
+//! of its blocks inline on its own thread, in order, instead of waiting.
 //!
 //! Thread count resolution for [`Pool::global`], in order:
 //!
@@ -35,7 +45,7 @@
 //! ```
 //! use appmult_pool::Pool;
 //!
-//! // 4 rows of 3 columns; each worker fills its own rows.
+//! // 4 rows of 3 columns; each block fills its own rows.
 //! let mut out = vec![0usize; 12];
 //! Pool::new(4).run_rows(&mut out, 3, |first_row, chunk| {
 //!     for (r, row) in chunk.chunks_mut(3).enumerate() {
@@ -173,9 +183,12 @@ impl Pool {
     /// [`run_rows`](Self::run_rows) call whose output buffer has fewer than
     /// `min_elems` elements runs serially on the calling thread, skipping
     /// dispatch overhead that would dominate tiny shapes (the small-shape
-    /// regression recorded in `BENCH_par.json`). Because the serial path is
-    /// bit-identical to the parallel one, the floor never changes results —
-    /// only where they are computed. Zero disables the floor.
+    /// regression recorded in `BENCH_par.json`). Above the floor it is also
+    /// the least work per block: a dispatch splits into blocks of at least
+    /// `min_elems` elements (rounded up to whole rows), unless that leaves
+    /// fewer blocks than workers. Because every split is bit-identical to
+    /// the serial loop, the floor never changes results — only where they
+    /// are computed. Zero disables the floor.
     #[must_use]
     pub fn with_min_elems(mut self, min_elems: usize) -> Self {
         self.min_elems = min_elems;
@@ -187,23 +200,45 @@ impl Pool {
         self.min_elems
     }
 
-    /// Splits `out` into one contiguous chunk of whole rows per worker and
-    /// runs `f(first_row_index, chunk)` on each chunk in parallel.
+    /// How many blocks a buffer of `rows` rows of `row_len` elements splits
+    /// into: one below the floor or with one worker, one per worker with no
+    /// floor, else as many blocks of at least the floor (in whole rows) as
+    /// fit, clamped to `[workers, BLOCKS_PER_WORKER * workers]`; never more
+    /// than `rows`.
+    fn blocks(&self, rows: usize, row_len: usize) -> usize {
+        let workers = self.threads;
+        let wanted = if rows * row_len < self.min_elems || workers == 1 {
+            1
+        } else if self.min_elems == 0 {
+            workers
+        } else {
+            let min_rows = self.min_elems.div_ceil(row_len);
+            (rows / min_rows).clamp(workers, BLOCKS_PER_WORKER * workers)
+        };
+        wanted.min(rows)
+    }
+
+    /// Splits `out` into contiguous blocks of whole rows and runs
+    /// `f(first_row_index, block)` on each block, in parallel.
     ///
-    /// Rows are `row_len` elements long and are distributed as evenly as
-    /// possible (the first `rows % workers` chunks get one extra row), in
-    /// order, so chunk boundaries — and therefore per-element evaluation
-    /// order — never depend on the worker count. The calling thread runs
-    /// the last chunk itself. With one worker (or exactly one row) `f` runs
-    /// once, inline, on the calling thread; with zero rows it never runs.
-    /// If the shared workers are busy with another dispatch, every chunk
-    /// runs inline on the calling thread, in order.
+    /// Rows are `row_len` elements long; the block count follows the block
+    /// rule (crate docs), with rows spread as evenly as possible (the first
+    /// `rows % blocks` blocks get one extra row). The calling thread and up
+    /// to `threads - 1` helpers take the next unclaimed block until none is
+    /// left, each under one `pool.worker` span; the caller then retracts
+    /// the job and waits only for helpers that joined. Block boundaries
+    /// move with the worker count and the floor, but every element is
+    /// written once, in serial row order. With one block (one worker, one
+    /// row, or a buffer below the floor) `f` runs once, inline, on the
+    /// calling thread; with zero rows it never runs. If the shared workers
+    /// are busy with another dispatch, every block runs inline on the
+    /// calling thread, in order.
     ///
     /// # Panics
     ///
     /// Panics if `row_len` is zero or does not divide `out.len()`, or if
-    /// a chunk panics, with that chunk's own payload. It never returns or
-    /// unwinds while a worker still runs one of its chunks.
+    /// a block panics, with that block's own payload. It never returns or
+    /// unwinds while a helper still runs one of its blocks.
     pub fn run_rows<T, F>(&self, out: &mut [T], row_len: usize, f: F)
     where
         T: Send,
@@ -217,48 +252,43 @@ impl Pool {
             out.len()
         );
         let rows = out.len() / row_len;
-        let workers = if out.len() < self.min_elems {
-            1 // below the work-size floor: dispatch cost would dominate
-        } else {
-            self.threads.min(rows).max(1)
-        };
+        let blocks = self.blocks(rows, row_len);
         // Per-worker busy-time attribution (a no-op branch unless a
         // recording sink is installed process-wide).
         let obs = appmult_obs::global();
-        if workers == 1 {
+        if blocks <= 1 {
             if rows > 0 {
                 let _span = obs.span("pool.worker");
                 f(0, out);
             }
             return;
         }
-        let base = rows / workers;
-        let extra = rows % workers;
-        let mut chunks = Vec::with_capacity(workers);
+        let (base, extra) = (rows / blocks, rows % blocks);
+        let mut slots = Vec::with_capacity(blocks);
         let mut rest = out;
         let mut first_row = 0usize;
-        for w in 0..workers {
-            let chunk_rows = base + usize::from(w < extra);
-            let (chunk, tail) = rest.split_at_mut(chunk_rows * row_len);
+        for b in 0..blocks {
+            let block_rows = base + usize::from(b < extra);
+            let (block, tail) = rest.split_at_mut(block_rows * row_len);
             rest = tail;
-            chunks.push(Mutex::new(Some((first_row, chunk))));
-            first_row += chunk_rows;
+            slots.push(Mutex::new(Some((first_row, block))));
+            first_row += block_rows;
         }
-        // Chunk `i` runs wherever index `i` is handed out; each slot is
-        // taken exactly once.
-        let run = |i: usize| {
-            let slot = chunks[i]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            if let Some((start, chunk)) = slot {
-                let _span = obs.span("pool.worker");
-                f(start, chunk);
+        // Each fetch hands out one block index, so each slot is taken
+        // exactly once, by whichever thread drew its index.
+        let next = AtomicUsize::new(0);
+        let claim_loop = || {
+            let _span = obs.span("pool.worker");
+            while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let taken = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+                if let Some((start, block)) = taken {
+                    f(start, block);
+                }
             }
         };
         match Dispatch::claim() {
-            Some(dispatch) => dispatch.run(workers, &run),
-            None => (0..workers).for_each(run),
+            Some(dispatch) => dispatch.run(self.threads.min(blocks) - 1, &claim_loop),
+            None => claim_loop(),
         }
     }
 }
@@ -300,20 +330,26 @@ fn threads_from_env(value: Option<&str>) -> usize {
 }
 
 /// Spin iterations the dispatching thread makes while waiting for its
-/// workers before it starts yielding its time slice instead.
+/// helpers before it starts yielding its time slice instead.
 const SPIN_LIMIT: u32 = 4096;
 
-/// A dispatch's chunk runner as the workers hold it: call it with a chunk
-/// index. Only `Dispatch::run` makes one, valid for the span of that call.
-type Job = &'static (dyn Fn(usize) + Sync);
+/// Most blocks a dispatch above the floor makes per worker: enough for a
+/// fast thread to take over a slow or late one's share, few enough that
+/// each block stays large.
+const BLOCKS_PER_WORKER: usize = 8;
+
+/// A dispatch's claim loop as the workers hold it. Only `Dispatch::run`
+/// makes one, valid for the span of that call.
+type Job = &'static (dyn Fn() + Sync);
 
 /// What the owning dispatch publishes to the workers.
 struct Board {
     /// Bumped once per dispatch; each worker acts on a value at most once.
     generation: u64,
-    /// Workers `0..active` run the chunk with their own index.
+    /// Workers `0..active` may join the current dispatch.
     active: usize,
-    /// The current dispatch's job; `None` between dispatches.
+    /// The current dispatch's job while it still hands out blocks; `None`
+    /// once the caller has retracted it, and between dispatches.
     job: Option<Job>,
     /// Workers spawned so far (`appmult-pool-0 .. spawned - 1`).
     spawned: usize,
@@ -326,11 +362,11 @@ struct Workers {
     board: Mutex<Board>,
     /// Signalled when a new generation is published; idle workers park here.
     wake: Condvar,
-    /// Worker chunks of the current dispatch that have not finished yet.
+    /// Helpers that took the current job and have not finished it yet.
+    /// Raised only under the board lock while `Board::job` is `Some`, so
+    /// it is zero between dispatches.
     pending: AtomicUsize,
-    /// Set while one dispatch owns the workers. The Acquire claim pairs
-    /// with the Release on drop, handing `pending` over from one dispatch
-    /// to the next.
+    /// Set while one dispatch owns the workers.
     owned: AtomicBool,
 }
 
@@ -366,24 +402,25 @@ impl Dispatch {
         won.ok().map(|_| Self)
     }
 
-    /// Runs chunks `0..chunks - 1` on workers `0..chunks - 1` and the last
-    /// chunk on the calling thread. Returns, or re-raises the caller's
-    /// panic, else a worker's, only after every chunk has finished.
+    /// Offers `job` to workers `0..helpers` and runs it on the calling
+    /// thread, then retracts it. Returns, or re-raises the caller's panic,
+    /// else a worker's, only after every helper that took the job has
+    /// finished it.
     #[allow(unsafe_code)]
-    fn run(self, chunks: usize, job: &(dyn Fn(usize) + Sync)) {
-        let helpers = chunks - 1;
-        // Published to the workers by the board mutex below.
-        WORKERS.pending.store(helpers, Ordering::Relaxed);
+    fn run(self, helpers: usize, job: &(dyn Fn() + Sync)) {
         // SAFETY: the workers need the borrowed job as `'static`. A worker
-        // calls it only after the generation published below and before it
-        // decrements `pending`. Spawning, the one step that can panic, comes
-        // before publishing; from publishing to the end of the wait below
-        // nothing can unwind: the caller's chunk runs under `catch_unwind`,
-        // worker panics are caught on the worker, and the locks recover
-        // from poisoning. So this function neither returns nor unwinds
-        // before every use of the job is over, and it clears `Board::job`
-        // before returning.
-        let erased = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Job>(job) };
+        // takes it only under the board lock while `Board::job` is `Some`,
+        // raising `pending` under that same lock, and lowers `pending` only
+        // after its last call of the job. Below, the caller clears
+        // `Board::job` under the lock, so no worker can take the job after
+        // that, and then waits for `pending` to reach zero, so every worker
+        // that did take it is done with it. Spawning, the one step that can
+        // panic, comes before publishing; from publishing to the end of the
+        // wait nothing can unwind: the caller's own claim loop runs under
+        // `catch_unwind`, worker panics are caught on the worker, and the
+        // locks recover from poisoning. So this function neither returns
+        // nor unwinds while any use of the job is possible.
+        let erased = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(job) };
         {
             let mut board = WORKERS.lock_board();
             while board.spawned < helpers {
@@ -395,11 +432,13 @@ impl Dispatch {
             board.generation += 1;
         }
         WORKERS.wake.notify_all();
-        let mine = panic::catch_unwind(AssertUnwindSafe(|| job(helpers)));
-        // Spin rather than park: the workers finish within microseconds of
-        // the caller's own chunk, and a parked caller pays a wake-up. The
-        // Acquire load pairs with each worker's Release decrement, so the
-        // workers' chunk writes are visible once it reads zero.
+        let mine = panic::catch_unwind(AssertUnwindSafe(job));
+        // No block is left: a helper that has not joined yet finds no job.
+        WORKERS.lock_board().job = None;
+        // Spin rather than park: a helper that joined finishes within
+        // microseconds of the caller's last block, and a parked caller pays
+        // a wake-up. The Acquire load pairs with each helper's Release
+        // decrement, so their block writes are visible once it reads zero.
         let mut spins = 0u32;
         while WORKERS.pending.load(Ordering::Acquire) != 0 {
             if spins < SPIN_LIMIT {
@@ -409,11 +448,7 @@ impl Dispatch {
                 std::thread::yield_now();
             }
         }
-        let theirs = {
-            let mut board = WORKERS.lock_board();
-            board.job = None;
-            board.panic.take()
-        };
+        let theirs = WORKERS.lock_board().panic.take();
         drop(self);
         if let Err(payload) = mine {
             panic::resume_unwind(payload);
@@ -438,8 +473,9 @@ fn spawn_worker(index: usize, seen: u64) {
         .expect("failed to spawn an appmult-pool worker");
 }
 
-/// Parks until a generation includes this worker, runs its chunk, reports
-/// done, and parks again — for the life of the process.
+/// Parks until a generation includes this worker, joins its job if the
+/// caller has not retracted it yet, reports done, and parks again — for
+/// the life of the process.
 fn worker_loop(index: usize, mut seen: u64) {
     loop {
         let job = {
@@ -447,8 +483,9 @@ fn worker_loop(index: usize, mut seen: u64) {
             loop {
                 if board.generation != seen {
                     seen = board.generation;
-                    if index < board.active {
-                        break board.job;
+                    if let Some(job) = board.job.filter(|_| index < board.active) {
+                        WORKERS.pending.fetch_add(1, Ordering::Relaxed);
+                        break job;
                     }
                 }
                 board = WORKERS
@@ -457,10 +494,8 @@ fn worker_loop(index: usize, mut seen: u64) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        if let Some(job) = job {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| job(index))) {
-                WORKERS.lock_board().panic.get_or_insert(payload);
-            }
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(job)) {
+            WORKERS.lock_board().panic.get_or_insert(payload);
         }
         WORKERS.pending.fetch_sub(1, Ordering::Release);
     }
@@ -470,6 +505,14 @@ fn worker_loop(index: usize, mut seen: u64) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// Held by each test that installs a process-wide obs sink, so one
+    /// test's sink never swallows another's spans or events.
+    static GLOBAL_SINK: Mutex<()> = Mutex::new(());
+
+    fn global_sink() -> MutexGuard<'static, ()> {
+        GLOBAL_SINK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// Every row is written exactly once, with the right first-row offset.
     #[test]
@@ -565,29 +608,48 @@ mod tests {
         Pool::new(2).run_rows(&mut out, 3, |_, _| {});
     }
 
-    /// With a recording sink installed, every chunk shows up as a
-    /// `pool.worker` span and the workers appear in the per-thread busy
-    /// map.
+    /// With a recording sink installed, every participating thread shows
+    /// up as a `pool.worker` span and the workers appear in the per-thread
+    /// busy map. Each block waits until all four have started, so each of
+    /// the four threads runs one (a trivial block would let the caller run
+    /// them all before a helper wakes). While a sibling test's dispatch
+    /// owns the workers this one runs inline on the caller instead; such
+    /// an attempt is retried on a fresh sink.
     #[test]
     fn worker_busy_time_is_attributed_when_recording() {
-        let obs = appmult_obs::ObsSink::recording();
-        appmult_obs::set_global(&obs);
-        let mut out = vec![0u64; 4 * 8];
-        Pool::new(4).run_rows(&mut out, 8, |first, chunk| {
-            for (r, row) in chunk.chunks_mut(8).enumerate() {
-                for v in row.iter_mut() {
-                    *v = (first + r) as u64;
+        let _sink = global_sink();
+        for _ in 0..20 {
+            let obs = appmult_obs::ObsSink::recording();
+            appmult_obs::set_global(&obs);
+            let started = AtomicUsize::new(0);
+            let threads = Mutex::new(std::collections::HashSet::new());
+            let mut out = vec![0u64; 4 * 8];
+            Pool::new(4).run_rows(&mut out, 8, |first, chunk| {
+                started.fetch_add(1, Ordering::SeqCst);
+                wait_until(std::time::Duration::from_millis(200), || {
+                    started.load(Ordering::SeqCst) == 4
+                });
+                threads.lock().unwrap().insert(std::thread::current().id());
+                for (r, row) in chunk.chunks_mut(8).enumerate() {
+                    for v in row.iter_mut() {
+                        *v = (first + r) as u64;
+                    }
                 }
+            });
+            appmult_obs::set_global(&appmult_obs::ObsSink::null());
+            if threads.into_inner().unwrap().len() < 4 {
+                continue;
             }
-        });
-        appmult_obs::set_global(&appmult_obs::ObsSink::null());
-        let hist = obs
-            .histogram("span.pool.worker")
-            .expect("worker spans recorded");
-        // >= rather than ==: sibling tests running concurrently may also
-        // hit the global sink while it is installed.
-        assert!(hist.count >= 4, "count {}", hist.count);
-        assert!(obs.to_json().contains("\"busy_us\":"));
+            let hist = obs
+                .histogram("span.pool.worker")
+                .expect("worker spans recorded");
+            // >= rather than ==: sibling tests dispatching concurrently may
+            // also record spans while the sink is installed.
+            assert!(hist.count >= 4, "count {}", hist.count);
+            assert!(obs.to_json().contains("\"busy_us\":"));
+            return;
+        }
+        panic!("the four blocks never ran on four threads");
     }
 
     #[test]
@@ -711,6 +773,7 @@ mod tests {
     /// offending value on the global obs sink; empty values are silent.
     #[test]
     fn env_parse_failure_warns_once() {
+        let _sink = global_sink();
         let obs = appmult_obs::ObsSink::recording();
         appmult_obs::set_global(&obs);
         // A value no other test uses, so the per-value dedup is ours alone.

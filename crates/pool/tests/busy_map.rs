@@ -5,6 +5,8 @@
 
 use appmult_obs::ObsSink;
 use appmult_pool::Pool;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 #[test]
 fn busy_map_holds_one_tag_per_reused_worker() {
@@ -12,7 +14,17 @@ fn busy_map_holds_one_tag_per_reused_worker() {
     appmult_obs::set_global(&obs);
     let mut out = vec![0u32; 12];
     for _ in 0..50 {
-        Pool::new(3).run_rows(&mut out, 2, |first, chunk| chunk.fill(first as u32));
+        // Each of the three blocks waits until all have started, so the
+        // two helpers run one each instead of the caller running them all.
+        let started = AtomicUsize::new(0);
+        Pool::new(3).run_rows(&mut out, 2, |first, chunk| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let t = Instant::now();
+            while started.load(Ordering::SeqCst) < 3 && t.elapsed() < Duration::from_secs(5) {
+                std::thread::yield_now();
+            }
+            chunk.fill(first as u32);
+        });
     }
     appmult_obs::set_global(&ObsSink::null());
     let json = obs.to_json();
