@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use appmult_kernels::{backward_dw, backward_dx, forward_acc, GemmShape, Kernel, M_TILE};
+use appmult_kernels::{backward_dw, backward_dx, ForwardPlan, GemmShape, Kernel, M_TILE};
 use appmult_mult::MultiplierLut;
 use appmult_nn::layers::{col2im_add, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2dSpec};
 use appmult_nn::{Module, Parameter, Tensor};
@@ -291,6 +291,9 @@ fn gemm_forward(
     let wq_params = cache.wq_params.expect("cache populated");
     let xq_params = cache.xq_params.expect("cache populated");
     let sum_w = &cache.sum_w;
+    // One plan for the whole batch, shared by every block: above the
+    // kernel's shape rule it holds the row table, built here once.
+    let plan = ForwardPlan::new(kernel, shape, table, &cache.wq, m);
     let mut out = vec![0.0f32; m * j];
     // Per output element this GEMM performs `k` MACs.
     sched
@@ -299,7 +302,7 @@ fn gemm_forward(
             let rows = chunk.len() / j;
             let xq = &cache.xq[mi0 * k..(mi0 + rows) * k];
             let mut acc = vec![0i64; chunk.len()];
-            forward_acc(kernel, shape, table, &cache.wq, xq, &mut acc);
+            plan.run(xq, &mut acc);
             for (r, (out_row, acc_row)) in chunk.chunks_mut(j).zip(acc.chunks(j)).enumerate() {
                 let sum_x = xq[r * k..(r + 1) * k].iter().map(|&v| i64::from(v)).sum();
                 for (ji, (o, &a)) in out_row.iter_mut().zip(acc_row).enumerate() {

@@ -1,7 +1,8 @@
 //! The lookup counters perfbench's trace checks against its replayed MACs:
 //! one forward plus backward of an approximate layer adds exactly `m·j·k`
 //! product-LUT lookups and `2·m·j·k` gradient-LUT lookups (the `dX` and
-//! `dW` halves), however the layer partitions its passes.
+//! `dW` halves), however the layer partitions its passes and whether its
+//! forward reads a row table (`kernel.row_tables` counts those built).
 //!
 //! This file holds a single test because it installs the process-wide
 //! recording sink, which every layer in the process writes to.
@@ -29,38 +30,51 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
     let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(4)));
     let obs = appmult_obs::ObsSink::recording();
     appmult_obs::set_global(&obs);
-    let mut expected = 0;
-    let mut check = |layer: &mut dyn Module, x: &Tensor, g: &Tensor, mjk: u64| {
+    let (mut expected, mut tables) = (0, 0);
+    let mut check = |layer: &mut dyn Module, x: &Tensor, g: &Tensor, mjk: u64, built: u64| {
         layer.forward(x, true);
         layer.backward(g);
         expected += mjk;
+        tables += built;
         assert_eq!(obs.counter("lut.lookups"), expected);
         assert_eq!(obs.counter("gradlut.lookups"), 2 * expected);
+        assert_eq!(obs.counter("kernel.row_tables"), tables);
     };
 
-    // LeNet conv1 at a batch of 5: large enough that every pass fans out.
-    let spec = Conv2dSpec {
-        in_channels: 3,
-        out_channels: 6,
-        kernel: 5,
-        stride: 1,
-        padding: 0,
+    // LeNet's two convs at a batch of 32 on 16x16 inputs, 6-bit codes.
+    // conv1's forward GEMM (M = 32·12·12 = 4608 ≥ 8·2^6 rows) builds one
+    // row table for all of its pool blocks; conv2's (M = 32·2·2 = 128)
+    // builds none. Either way the nominal m·j·k lookups are counted.
+    let lenet_conv = |in_channels, out_channels| {
+        let spec = Conv2dSpec {
+            in_channels,
+            out_channels,
+            kernel: 5,
+            stride: 1,
+            padding: 0,
+        };
+        let conv = ApproxConv2d::with_params(
+            spec,
+            ramp(&[out_channels, spec.patch_len()]),
+            Tensor::zeros(&[out_channels]),
+            lut.clone(),
+            grads.clone(),
+            QuantConfig::default(),
+        );
+        (conv, spec.patch_len())
     };
-    let mut conv = ApproxConv2d::with_params(
-        spec,
-        ramp(&[6, spec.patch_len()]),
-        Tensor::zeros(&[6]),
-        lut.clone(),
-        grads.clone(),
-        QuantConfig::default(),
-    );
-    let (m, j, k) = (5 * 12 * 12, 6, spec.patch_len());
-    let mjk = (m * j * k) as u64;
+    let (mut conv1, k) = lenet_conv(3, 6);
+    let mjk = (32 * 12 * 12 * 6 * k) as u64;
+    let (x, g) = (ramp(&[32, 3, 16, 16]), ramp(&[32, 6, 12, 12]));
+    check(&mut conv1, &x, &g, mjk, 1);
+    let (mut conv2, k) = lenet_conv(6, 16);
+    let mjk = (32 * 2 * 2 * 16 * k) as u64;
     check(
-        &mut conv,
-        &ramp(&[5, 3, 16, 16]),
-        &ramp(&[5, 6, 12, 12]),
+        &mut conv2,
+        &ramp(&[32, 6, 6, 6]),
+        &ramp(&[32, 16, 2, 2]),
         mjk,
+        0,
     );
 
     // A padded, strided conv and a linear layer.
@@ -80,9 +94,15 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
         QuantConfig::default(),
     );
     let mjk = (3 * 4 * 4 * 3 * spec.patch_len()) as u64;
-    check(&mut conv, &ramp(&[3, 2, 7, 8]), &ramp(&[3, 3, 4, 4]), mjk);
+    check(
+        &mut conv,
+        &ramp(&[3, 2, 7, 8]),
+        &ramp(&[3, 3, 4, 4]),
+        mjk,
+        0,
+    );
     let mut linear = ApproxLinear::new(10, 4, 1, lut, grads, QuantConfig::default());
-    check(&mut linear, &ramp(&[6, 10]), &ramp(&[6, 4]), 6 * 4 * 10);
+    check(&mut linear, &ramp(&[6, 10]), &ramp(&[6, 4]), 6 * 4 * 10, 0);
 
     appmult_obs::set_global(&appmult_obs::ObsSink::null());
 }

@@ -2,8 +2,8 @@
 //!
 //! The retraining loop spends nearly all of its time evaluating
 //! `out[m][j] = Σ_k table[(W[j][k] << B) | X[m][k]]` and the two Eq. 9
-//! gradient sums — one dependent table gather per MAC. This crate houses
-//! the kernel engine behind those loops:
+//! gradient sums — naively one dependent table gather per MAC. This crate
+//! houses the kernel engine behind those loops:
 //!
 //! * [`Kernel::Naive`] is the reference scalar triple loop, kept verbatim
 //!   as the conformance baseline;
@@ -17,17 +17,22 @@
 //!   of eight `f32` output registers in the backward kernels. All table
 //!   indexing is masked (`idx & (len - 1)`, power-of-two tables), which
 //!   lets the compiler elide bounds checks without `unsafe`.
+//! * Above a shape rule, the tiled forward is no longer a gather per MAC:
+//!   a [`ForwardPlan`] copies each weight's `2^B`-entry LUT rows once into
+//!   a *row table* of eight-channel `u32` lane groups, and each batch row
+//!   then costs `K` lane-wise adds per group instead of `J · K` gathers.
 //!
 //! **Exactness.** The forward accumulator is an exact `i64`, so tiling and
 //! re-association are bit-safe: any summation order yields the same
 //! integer, and the single dequantization of that integer yields the same
-//! `f32`. The backward sums are `f32` and therefore order-sensitive; the
-//! tiled backward kernels preserve the naive kernel's per-output
-//! accumulation order exactly (ascending `j` for `dX`, ascending `m` for
-//! `dW` — tiles only regroup *which rows are visited when*, never the
-//! order of additions into one output element), so every kernel in this
-//! crate is bit-identical to every other for all shapes and worker
-//! partitions. The differential conformance suite in the workspace
+//! `f32`. The row table's `u32` lane sums are exact too: a plan builds it
+//! only when `K` times its largest entry fits in a `u32`. The backward
+//! sums are `f32` and therefore order-sensitive; the tiled backward
+//! kernels preserve the naive kernel's per-output accumulation order
+//! exactly (ascending `j` for `dX`, ascending `m` for `dW` — tiles only
+//! regroup *which rows are visited when*, never the order of additions
+//! into one output element), so every kernel in this crate is
+//! bit-identical to every other for all shapes and worker partitions. The differential conformance suite in the workspace
 //! root enforces this.
 //!
 //! Kernel selection: the [`set_global_kernel`] override, else
@@ -38,7 +43,9 @@
 //!
 //! The kernels are chunk-level: callers (the `appmult-retrain` layers)
 //! split output rows into `appmult-pool` blocks and invoke a kernel per
-//! block, so tiles compose with pool blocks. [`M_TILE`] is public so the
+//! block, so tiles compose with pool blocks. The forward caller builds
+//! one [`ForwardPlan`] per GEMM before it splits, so all blocks share one
+//! row table; [`forward_acc`] plans per call. [`M_TILE`] is public so the
 //! forward caller can keep its blocks at least one M tile tall.
 //!
 //! # Example
@@ -175,9 +182,240 @@ impl TileStats {
     }
 }
 
+/// Least batch rows per activation code (`rows / 2^B`) for which a
+/// [`ForwardPlan`] builds a row table: its `K · 2^B · J` entry copies
+/// then cost at most 1/8 of the GEMM's `rows · J · K` lookups.
+const ROW_TABLE_MIN_ROWS_PER_CODE: usize = 8;
+/// Largest row table a [`ForwardPlan`] builds, in bytes: it stays
+/// L2-resident and adds little to peak memory.
+const ROW_TABLE_MAX_BYTES: usize = 512 << 10;
+/// Output channels per row-table entry: one `[u32; LANES]` group.
+const LANES: usize = 8;
+/// Batch rows a row-table pass interleaves, as independent chains of
+/// lane sums (measured faster than one row or four).
+const ROW_BLOCK: usize = 2;
+
+/// One forward LUT-GEMM — a kernel, a shape, a product table and the
+/// quantized weights — prepared once for any number of calls over chunks
+/// of its batch rows. [`run`](Self::run) sets
+/// `acc[r][ji] = Σ_k table[(wq[ji][k] << bits) | xq[r][k]]` for every row
+/// `r` of a chunk `xq` (prior `acc` contents are overwritten).
+///
+/// Under [`Kernel::Tiled`] the plan builds a *row table* when the GEMM is
+/// large enough to repay it: `F[g][k][x]` holds, in `u32` lanes for the
+/// eight output channels `ji` of group `g`, `table[(wq[ji][k] << bits) |
+/// x]`, so a batch row's accumulators are `K` lane-wise adds of
+/// `F[g][k][xq[r][k]]` per group instead of `J · K` scalar gathers. It is built only when all of these
+/// hold, with no option to force it either way:
+///
+/// * `rows ≥ 8 · 2^bits` (the build costs at most 1/8 of the lookups);
+/// * the table is at most 512 KiB;
+/// * `K · (largest copied entry) ≤ u32::MAX`, so no lane can wrap.
+///
+/// Otherwise the plan runs the tiled kernel's hoisted-row loop. Integer
+/// addition is exact and the padded lanes past `J` are dropped, so every
+/// path yields the same `i64` accumulators.
+///
+/// # Example
+///
+/// ```
+/// use appmult_kernels::{ForwardPlan, GemmShape, Kernel};
+///
+/// // 4-bit exact products; 128 = 8 · 2^4 batch rows reach the rule.
+/// let table: Vec<u32> = (0..256u32).map(|i| (i >> 4) * (i & 15)).collect();
+/// let shape = GemmShape { j: 3, k: 2, bits: 4 };
+/// let wq = [1u16, 2, 3, 4, 5, 6]; // weight rows [1, 2], [3, 4], [5, 6]
+/// let xq = [1u16; 128 * 2];
+/// let plan = ForwardPlan::new(Kernel::Tiled, shape, &table, &wq, 128);
+/// assert!(plan.uses_row_table());
+/// let mut acc = [0i64; 128 * 3];
+/// // Any split of the planned rows into chunks gives the same sums.
+/// for (x, a) in xq.chunks(64 * 2).zip(acc.chunks_mut(64 * 3)) {
+///     plan.run(x, a);
+/// }
+/// assert_eq!(acc[..3], [3, 7, 11]);
+/// ```
+///
+/// # Panics
+///
+/// [`new`](Self::new) panics if `wq` is not `J × K` or `table` is not
+/// `2^bits × 2^bits` (under every kernel), or if a weight code indexes
+/// past `table` while building a row table; [`run`](Self::run) panics on
+/// slice lengths inconsistent with the shape. Codes must be `< 2^bits`.
+#[derive(Debug)]
+pub struct ForwardPlan<'a> {
+    kernel: Kernel,
+    shape: GemmShape,
+    table: &'a [u32],
+    wq: &'a [u16],
+    /// `F[g][k][x]`, `⌈J/8⌉ × K × 2^bits` entries, when the rule holds.
+    row_table: Option<Vec<[u32; LANES]>>,
+}
+
+impl<'a> ForwardPlan<'a> {
+    /// Plans the forward GEMM of `rows` batch rows (the rows of every
+    /// chunk later passed to [`run`](Self::run)) against `wq`, building
+    /// the row table when the rule above holds. Each table built adds one
+    /// to the `kernel.row_tables` counter.
+    pub fn new(
+        kernel: Kernel,
+        shape: GemmShape,
+        table: &'a [u32],
+        wq: &'a [u16],
+        rows: usize,
+    ) -> Self {
+        assert_eq!(wq.len(), shape.j * shape.k, "wq length mismatch");
+        shape.check_table(table.len());
+        let row_table = match kernel {
+            Kernel::Naive => None,
+            Kernel::Tiled => build_row_table(shape, table, wq, rows),
+        };
+        Self {
+            kernel,
+            shape,
+            table,
+            wq,
+            row_table,
+        }
+    }
+
+    /// Whether [`run`](Self::run) reads a row table rather than the
+    /// product table.
+    pub fn uses_row_table(&self) -> bool {
+        self.row_table.is_some()
+    }
+
+    /// Computes the accumulators of one chunk of batch rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xq` is not a whole number of `K`-long rows or `acc` is
+    /// not `J` per row.
+    pub fn run(&self, xq: &[u16], acc: &mut [i64]) {
+        let GemmShape { j, k, bits } = self.shape;
+        let rows = self.shape.rows_of(xq.len(), "xq");
+        assert_eq!(acc.len(), rows * j, "acc length mismatch");
+        let (table, wq) = (self.table, self.wq);
+        match (self.kernel, &self.row_table) {
+            (Kernel::Naive, _) => {
+                for (x_row, acc_row) in xq.chunks_exact(k).zip(acc.chunks_exact_mut(j)) {
+                    for (ji, a) in acc_row.iter_mut().enumerate() {
+                        let w_row = &wq[ji * k..(ji + 1) * k];
+                        let mut s = 0i64;
+                        for (wv, xv) in w_row.iter().zip(x_row) {
+                            s += i64::from(table[((*wv as usize) << bits) | *xv as usize]);
+                        }
+                        *a = s;
+                    }
+                }
+            }
+            (Kernel::Tiled, Some(lanes)) => run_row_table(self.shape, lanes, xq, acc),
+            (Kernel::Tiled, None) => forward_tiled(self.shape, table, wq, xq, acc),
+        }
+    }
+}
+
+/// Builds the row table of a [`ForwardPlan`], or returns `None` when the
+/// rule does not hold. The wrap guard's maximum is taken during the
+/// build, so a table that fails it is built and then dropped.
+fn build_row_table(
+    shape: GemmShape,
+    table: &[u32],
+    wq: &[u16],
+    rows: usize,
+) -> Option<Vec<[u32; LANES]>> {
+    let GemmShape { j, k, bits } = shape;
+    let codes = 1usize << bits;
+    let groups = j.div_ceil(LANES);
+    let len = k.saturating_mul(codes).saturating_mul(groups);
+    let bytes = len.saturating_mul(std::mem::size_of::<[u32; LANES]>());
+    if len == 0 || rows / ROW_TABLE_MIN_ROWS_PER_CODE < codes || bytes > ROW_TABLE_MAX_BYTES {
+        return None;
+    }
+    let mut lanes = vec![[0u32; LANES]; len];
+    let zeros = vec![0u32; codes];
+    let mut max = 0u32;
+    // Fill each (group, k) block of `2^bits` entries in order, reading the
+    // group's eight product-table rows side by side; lanes past `J` read
+    // zeros.
+    for (g, group) in lanes.chunks_exact_mut(k * codes).enumerate() {
+        for (kk, block) in group.chunks_exact_mut(codes).enumerate() {
+            let src: [&[u32]; LANES] = std::array::from_fn(|t| {
+                let ji = g * LANES + t;
+                if ji < j {
+                    &table[(wq[ji * k + kk] as usize) << bits..][..codes]
+                } else {
+                    &zeros[..]
+                }
+            });
+            for (x, entry) in block.iter_mut().enumerate() {
+                *entry = std::array::from_fn(|t| src[t][x]);
+                max = max.max(entry.iter().copied().max().unwrap_or(0));
+            }
+        }
+    }
+    if k as u64 * u64::from(max) > u64::from(u32::MAX) {
+        return None;
+    }
+    appmult_obs::global().counter_add("kernel.row_tables", 1);
+    Some(lanes)
+}
+
+/// Row-table forward: per batch row and lane group `g`, `K` lane-wise
+/// `u32` adds of the entries `F[g][k][xq[r][k]]`, widened to `i64` once. The
+/// build's wrap guard keeps every lane sum within `u32`.
+fn run_row_table(shape: GemmShape, lanes: &[[u32; LANES]], xq: &[u16], acc: &mut [i64]) {
+    let GemmShape { j, k, .. } = shape;
+    let mut xs = xq.chunks_exact(ROW_BLOCK * k);
+    let mut accs = acc.chunks_exact_mut(ROW_BLOCK * j);
+    for (x_rows, acc_rows) in (&mut xs).zip(&mut accs) {
+        row_table_block::<ROW_BLOCK>(shape, lanes, x_rows, acc_rows);
+    }
+    let rest = xs.remainder().chunks_exact(k);
+    for (x_row, acc_row) in rest.zip(accs.into_remainder().chunks_exact_mut(j)) {
+        row_table_block::<1>(shape, lanes, x_row, acc_row);
+    }
+}
+
+/// [`run_row_table`] over exactly `R` batch rows, one lane group at a
+/// time, so the `R × 8` sums stay in registers.
+fn row_table_block<const R: usize>(
+    shape: GemmShape,
+    lanes: &[[u32; LANES]],
+    xq: &[u16],
+    acc: &mut [i64],
+) {
+    let GemmShape { j, k, bits } = shape;
+    let codes = 1usize << bits;
+    // Masking the code keeps the entry index in range for any input, as
+    // the tiled kernel's masked gathers do; valid codes are unchanged.
+    let mask = codes - 1;
+    for (g, group) in lanes.chunks_exact(k * codes).enumerate() {
+        let mut sums = [[0u32; LANES]; R];
+        for (kk, f) in group.chunks_exact(codes).enumerate() {
+            for (r, s) in sums.iter_mut().enumerate() {
+                let entry = &f[xq[r * k + kk] as usize & mask];
+                for t in 0..LANES {
+                    s[t] += entry[t];
+                }
+            }
+        }
+        let lanes_here = LANES.min(j - g * LANES);
+        for (r, s) in sums.iter().enumerate() {
+            let out = &mut acc[r * j + g * LANES..][..lanes_here];
+            for (a, &v) in out.iter_mut().zip(s) {
+                *a = i64::from(v);
+            }
+        }
+    }
+}
+
 /// Forward LUT-GEMM over one chunk of batch rows: sets
 /// `acc[r][ji] = Σ_k table[(wq[ji][k] << bits) | xq[r][k]]` for every row
-/// `r` of `xq` (prior `acc` contents are overwritten).
+/// `r` of `xq` (prior `acc` contents are overwritten). This is
+/// [`ForwardPlan::new`] over the chunk's own rows, then
+/// [`ForwardPlan::run`], so the chunk's size decides whether a row table
+/// is built: below the rule each MAC is one table gather.
 ///
 /// The accumulator is an exact `i64`, so every kernel produces the same
 /// integers; dequantization is left to the caller.
@@ -195,25 +433,15 @@ pub fn forward_acc(
     xq: &[u16],
     acc: &mut [i64],
 ) {
-    let GemmShape { j, k, bits } = shape;
     let rows = shape.rows_of(xq.len(), "xq");
-    assert_eq!(wq.len(), j * k, "wq length mismatch");
-    assert_eq!(acc.len(), rows * j, "acc length mismatch");
-    shape.check_table(table.len());
-    if let Kernel::Naive = kernel {
-        for (x_row, acc_row) in xq.chunks_exact(k).zip(acc.chunks_exact_mut(j)) {
-            for (ji, a) in acc_row.iter_mut().enumerate() {
-                let w_row = &wq[ji * k..(ji + 1) * k];
-                let mut s = 0i64;
-                for (wv, xv) in w_row.iter().zip(x_row) {
-                    s += i64::from(table[((*wv as usize) << bits) | *xv as usize]);
-                }
-                *a = s;
-            }
-        }
-        return;
-    }
+    ForwardPlan::new(kernel, shape, table, wq, rows).run(xq, acc);
+}
 
+/// The tiled kernel's hoisted-row forward loop over one chunk of batch
+/// rows (lengths already checked by [`ForwardPlan`]).
+fn forward_tiled(shape: GemmShape, table: &[u32], wq: &[u16], xq: &[u16], acc: &mut [i64]) {
+    let GemmShape { j, k, bits } = shape;
+    let rows = xq.len() / k;
     // `(base | x) & mask` with a power-of-two table length proves the
     // index in range, so LLVM drops the per-gather bounds check. Operand
     // codes are < 2^bits (the quantizer clamps to qmax), so the mask

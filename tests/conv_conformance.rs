@@ -5,9 +5,10 @@
 //! first and quantizes every patch element with `QuantParams::quantize` /
 //! `in_range`, then runs the naive LUT-GEMM kernels. Quantization is
 //! elementwise and padding maps to the code of 0.0, so both orders must
-//! agree bit for bit: forward output, input gradient and weight gradient,
-//! under both quantization schemes, both kernels, and 1 and 3 pool
-//! threads, on random shapes with NaN, infinite and out-of-range inputs.
+//! agree bit for bit: forward output (train and eval mode), input
+//! gradient and weight gradient, under both quantization schemes, both
+//! kernels, and 1 and 3 pool threads, on random shapes with NaN,
+//! infinite and out-of-range inputs.
 //!
 //! This file holds a single test because it sets the process-wide pool
 //! size, which the layers read.
@@ -66,8 +67,9 @@ fn odd_size(rng: &mut Rng64, lo: usize) -> usize {
 
 /// Corner cases first (a shape above the parallel floor, an empty batch,
 /// a 1x1 input under a 5x5 kernel, LeNet conv1 at a batch of 4, whose
-/// per-image passes split 2 + 1 + 1 over 3 threads), then seeded random
-/// shapes.
+/// per-image passes split 2 + 1 + 1 over 3 threads, and a padded conv
+/// with 9 output channels whose 512 batch rows reach the forward
+/// row-table rule for 6-bit codes exactly), then seeded random shapes.
 fn generate(rng: &mut Rng64, case: usize) -> Case {
     let seed = rng.next_u64();
     match case {
@@ -113,6 +115,17 @@ fn generate(rng: &mut Rng64, case: usize) -> Case {
             kernel: 5,
             stride: 1,
             padding: 0,
+            seed,
+        },
+        4 => Case {
+            n: 2,
+            cin: 2,
+            cout: 9,
+            h: 16,
+            w: 16,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
             seed,
         },
         _ => {
@@ -241,8 +254,9 @@ fn operands(c: &Case) -> Operands {
     }
 }
 
-/// `(forward, input gradient, weight gradient)` as bit patterns.
-type Outputs = (Vec<u32>, Vec<u32>, Vec<u32>);
+/// `(train-mode forward, eval-mode forward, input gradient, weight
+/// gradient)` as bit patterns.
+type Outputs = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>);
 
 /// The seed algorithm: f32 im2col, per-element quantization, naive
 /// single-threaded LUT-GEMM kernels, clip masks, col2im.
@@ -344,7 +358,10 @@ fn reference(
     // into +0.0; do the same.
     let mut wgrad = Tensor::zeros(&[j, k]);
     wgrad.add_scaled(&Tensor::from_vec(dw, &[j, k]), 1.0);
-    (bits_of(&y), bits_of(&dx), bits_of(&wgrad))
+    // An eval-mode forward of the same batch leaves the observer as it
+    // is, so it quantizes exactly as the train-mode one did.
+    let y = bits_of(&y);
+    (y.clone(), y, bits_of(&dx), bits_of(&wgrad))
 }
 
 fn layer_run(
@@ -367,13 +384,14 @@ fn layer_run(
     conv.forward(&ops.calibration, true);
     let y = conv.forward(&ops.x, true);
     let dx = conv.backward(&ops.g);
+    let y_eval = conv.forward(&ops.x, false);
     let mut wgrad = Vec::new();
     conv.visit_params(&mut |p| {
         if p.value.shape().len() == 2 {
             wgrad = bits_of(&p.grad);
         }
     });
-    (bits_of(&y), bits_of(&dx), wgrad)
+    (bits_of(&y), bits_of(&y_eval), bits_of(&dx), wgrad)
 }
 
 #[test]
@@ -416,7 +434,7 @@ fn approx_conv_is_bit_identical_to_the_f32_im2col_reference() {
     prop::forall_with(
         "ApproxConv2d conforms to the f32-im2col reference",
         0x1C01,
-        41,
+        42,
         generate,
         shrink,
         conforms,

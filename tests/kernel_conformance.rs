@@ -9,6 +9,10 @@
 //!   (shape, seed) cases whose shapes cross every fixed extent — exact
 //!   multiples, one past, two tiles past, and zero-sized batches — greedily
 //!   shrunk to a minimal failing case;
+//! * at the kernel level again, with one `ForwardPlan` per forward GEMM
+//!   on both sides of the row-table rule (batch rows `8 · 2^B − 1` and
+//!   `8 · 2^B`, a table over the size cap, entries that would wrap a
+//!   `u32` lane), run chunk-wise as the layers run it;
 //! * at the layer level, where `ApproxLinear`/`ApproxConv2d` outputs and
 //!   gradients must agree across kernels for all five `GradientMode`s.
 //!   Every layer test names both kernels explicitly, so the result does
@@ -20,7 +24,7 @@
 
 use std::sync::Arc;
 
-use appmult::kernels::{backward_dw, backward_dx, forward_acc, GemmShape, Kernel};
+use appmult::kernels::{backward_dw, backward_dx, forward_acc, ForwardPlan, GemmShape, Kernel};
 use appmult::mult::{Multiplier, MultiplierLut, TruncatedMultiplier};
 use appmult::nn::layers::Conv2dSpec;
 use appmult::nn::{Module, Tensor};
@@ -185,6 +189,83 @@ fn tiled_kernels_are_bit_identical_to_naive_across_random_cases() {
         shrink_case,
         kernel_case_conforms,
     );
+}
+
+/// The row-table rule, restated: at least 8 batch rows per activation
+/// code and at most 512 KiB of `[u32; 8]` lane groups. (The tables below
+/// hold entries small enough that no lane can wrap.)
+fn row_table_expected(m: usize, j: usize, k: usize, bits: u32) -> bool {
+    m >= 8 << bits && k * (1 << bits) * j.div_ceil(8) * 32 <= 512 << 10
+}
+
+/// Builds one `ForwardPlan` over all `m` rows, runs it chunk-wise under
+/// pools of 1 and 3 threads, and asserts the result equals the
+/// whole-buffer naive kernel. Returns whether the plan used a row table.
+fn plan_conforms(table: &[u32], shape: GemmShape, m: usize, seed: u64) -> bool {
+    let GemmShape { j, k, bits } = shape;
+    let mut rng = Rng64::seed_from_u64(seed);
+    let n = 1u64 << bits;
+    let wq: Vec<u16> = (0..j * k).map(|_| rng.below(n) as u16).collect();
+    let xq: Vec<u16> = (0..m * k).map(|_| rng.below(n) as u16).collect();
+    let mut want = vec![0i64; m * j];
+    forward_acc(Kernel::Naive, shape, table, &wq, &xq, &mut want);
+    let plan = ForwardPlan::new(Kernel::Tiled, shape, table, &wq, m);
+    for threads in [1usize, 3] {
+        let mut acc = vec![i64::MIN; m * j];
+        Pool::new(threads).run_rows(&mut acc, j, |mi0, chunk| {
+            let rows = chunk.len() / j;
+            plan.run(&xq[mi0 * k..(mi0 + rows) * k], chunk);
+        });
+        assert_eq!(
+            acc, want,
+            "plan diverged from naive: m={m} j={j} k={k} bits={bits} threads={threads}"
+        );
+    }
+    plan.uses_row_table()
+}
+
+#[test]
+fn forward_plan_matches_naive_on_both_sides_of_the_row_table_rule() {
+    for bits in [4u32, 6, 8] {
+        let n = 1usize << bits;
+        let mut rng = Rng64::seed_from_u64(u64::from(bits));
+        let table: Vec<u32> = (0..n * n).map(|_| rng.next_u32() >> 14).collect();
+        for m in [8 * n - 1, 8 * n] {
+            for j in [1, 7, 8, 9, 17] {
+                for k in [1, 75, 130] {
+                    let shape = GemmShape { j, k, bits };
+                    let used = plan_conforms(&table, shape, m, (m * 1000 + j * 10 + k) as u64);
+                    assert_eq!(
+                        used,
+                        row_table_expected(m, j, k, bits),
+                        "row-table rule: m={m} j={j} k={k} bits={bits}"
+                    );
+                }
+            }
+        }
+    }
+
+    // Over the cap: 130 × 64 codes × 3 lane groups × 32 bytes = 780 KiB.
+    let mut rng = Rng64::seed_from_u64(6);
+    let table: Vec<u32> = (0..1 << 12).map(|_| rng.next_u32() >> 14).collect();
+    let shape = GemmShape {
+        j: 17,
+        k: 130,
+        bits: 6,
+    };
+    assert!(!plan_conforms(&table, shape, 4096, 7), "table over the cap");
+
+    // Entries that would wrap: 130 × (u32::MAX / 100) exceeds a u32
+    // lane, so the plan falls back and the i64 sums still match naive.
+    let table: Vec<u32> = (0..1 << 8)
+        .map(|i| u32::MAX / 100 - i as u32 * 1000)
+        .collect();
+    let shape = GemmShape {
+        j: 9,
+        k: 130,
+        bits: 4,
+    };
+    assert!(!plan_conforms(&table, shape, 8 * 16, 8), "table that wraps");
 }
 
 fn ramp(shape: &[usize], scale: f32) -> Tensor {
