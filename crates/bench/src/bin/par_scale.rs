@@ -26,9 +26,10 @@
 //! `results/BENCH_par.json` under `"obs"`.
 //!
 //! Finally, the binary sweeps the `appmult-kernels` engine — naive vs
-//! tiled — over the LeNet conv2-shaped GEMM (M=512, J=16, K=150) at 1 and
-//! 8 worker threads, interleaving reps and asserting naive/tiled
-//! bit-identity in the same run. Results land in
+//! tiled forward and `dW` — over the LeNet conv2-shaped GEMM (M=512,
+//! J=16, K=150) at 1 and 8 worker threads, interleaving reps and asserting
+//! naive/tiled bit-identity in the same run. `backward_dx` runs one loop
+//! under every kernel, so it has no row. Results land in
 //! `results/BENCH_kernels.json`; `--assert-kernel-speedup X` fails the run
 //! if the tiled forward speedup drops below `X` at any thread count (the
 //! `kernel-parity` CI job uses this).
@@ -38,7 +39,7 @@ use std::time::Instant;
 
 use appmult_bench::{markdown_table, write_results, Args};
 use appmult_circuit::{ExhaustiveTable, MultiplierCircuit};
-use appmult_kernels::{backward_dw, backward_dx, forward_acc, GemmShape, Kernel};
+use appmult_kernels::{backward_dw, forward_acc, GemmShape, Kernel};
 use appmult_mult::{Multiplier, TruncatedMultiplier};
 use appmult_nn::{Module, Tensor};
 use appmult_obs::json::{self, Layout};
@@ -426,7 +427,6 @@ fn main() {
     let kg: Vec<f32> = (0..km * kj).map(|_| krng.uniform_f32(-1.0, 1.0)).collect();
     let ktable = lut.entries();
     let kgw = grads.wrt_w_table().as_slice();
-    let kgx = grads.wrt_x_table().as_slice();
     let tiled = Kernel::Tiled;
     let kreps = reps.max(9);
     let mut kernel_rows = Vec::new();
@@ -442,25 +442,6 @@ fn main() {
                         ktable,
                         &kwq,
                         &kxq[mi0 * kk..(mi0 + rows) * kk],
-                        chunk,
-                    );
-                });
-            })
-        };
-        let time_dx = |kernel: Kernel, dx: &mut Vec<f32>| {
-            best_ms(kreps, || {
-                dx.fill(0.0);
-                pool.run_rows(dx, kk, |mi0, chunk| {
-                    let rows = chunk.len() / kk;
-                    backward_dx(
-                        kernel,
-                        kshape,
-                        kgx,
-                        &kwq,
-                        &kxq[mi0 * kk..(mi0 + rows) * kk],
-                        &kg[mi0 * kj..(mi0 + rows) * kj],
-                        0.37,
-                        3.0,
                         chunk,
                     );
                 });
@@ -492,15 +473,11 @@ fn main() {
         // kreps >= 9 keeps both kernels exposed to the same noise window.
         let (mut acc_n, mut acc_t) = (vec![0i64; km * kj], vec![0i64; km * kj]);
         let (mut fwd_n, mut fwd_t) = (f64::INFINITY, f64::INFINITY);
-        let (mut dx_n, mut dx_t) = (vec![0.0f32; km * kk], vec![0.0f32; km * kk]);
-        let (mut dxms_n, mut dxms_t) = (f64::INFINITY, f64::INFINITY);
         let (mut dw_n, mut dw_t) = (vec![0.0f32; kj * kk], vec![0.0f32; kj * kk]);
         let (mut dwms_n, mut dwms_t) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..3 {
             fwd_n = fwd_n.min(time_fwd(Kernel::Naive, &mut acc_n));
             fwd_t = fwd_t.min(time_fwd(tiled, &mut acc_t));
-            dxms_n = dxms_n.min(time_dx(Kernel::Naive, &mut dx_n));
-            dxms_t = dxms_t.min(time_dx(tiled, &mut dx_t));
             dwms_n = dwms_n.min(time_dw(Kernel::Naive, &mut dw_n));
             dwms_t = dwms_t.min(time_dw(tiled, &mut dw_t));
         }
@@ -511,14 +488,6 @@ fn main() {
             naive_ms: fwd_n,
             tiled_ms: fwd_t,
             identical: acc_n == acc_t,
-            macs: kmacs,
-        });
-        kernel_rows.push(KernelRow {
-            op: "backward_dx",
-            threads: t,
-            naive_ms: dxms_n,
-            tiled_ms: dxms_t,
-            identical: f32_bits(&dx_n) == f32_bits(&dx_t),
             macs: kmacs,
         });
         kernel_rows.push(KernelRow {

@@ -345,9 +345,13 @@ fn gemm_backward<'a>(
     let _span = obs.span("gemm_backward");
     let (m, j, k) = (cache.m, cache.j, cache.k);
     assert_eq!(g.shape(), &[m, j], "output gradient shape mismatch");
-    // Nominal Eq. 9 table lookups (`dW` and `dX` halves; zero-gradient
-    // rows are skipped at runtime, so this is an upper bound).
+    // Nominal Eq. 9 table lookups (`dW` and `dX` halves), then the ones
+    // made: both halves skip a zero output gradient for its whole K row.
     obs.counter_add("gradlut.lookups", 2 * (m * j * k) as u64);
+    if obs.is_enabled() {
+        let live = g.as_slice().iter().filter(|&&v| v != 0.0).count();
+        obs.counter_add("gradlut.live_lookups", 2 * (live * k) as u64);
+    }
     let shape = GemmShape {
         j,
         k,

@@ -3,6 +3,9 @@
 //! product-LUT lookups and `2·m·j·k` gradient-LUT lookups (the `dX` and
 //! `dW` halves), however the layer partitions its passes and whether its
 //! forward reads a row table (`kernel.row_tables` counts those built).
+//! `gradlut.live_lookups` counts the gradient lookups actually made: both
+//! Eq. 9 halves skip a zero output gradient for its whole `K` row, so it
+//! is `2·K` per nonzero entry of the output gradient.
 //!
 //! This file holds a single test because it installs the process-wide
 //! recording sink, which every layer in the process writes to.
@@ -30,14 +33,17 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
     let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(4)));
     let obs = appmult_obs::ObsSink::recording();
     appmult_obs::set_global(&obs);
-    let (mut expected, mut tables) = (0, 0);
+    let (mut expected, mut tables, mut live) = (0, 0, 0);
     let mut check = |layer: &mut dyn Module, x: &Tensor, g: &Tensor, mjk: u64, built: u64| {
+        let zeros = g.as_slice().iter().filter(|v| **v == 0.0).count() as u64;
         layer.forward(x, true);
         layer.backward(g);
         expected += mjk;
         tables += built;
+        live += 2 * mjk / g.len() as u64 * (g.len() as u64 - zeros);
         assert_eq!(obs.counter("lut.lookups"), expected);
         assert_eq!(obs.counter("gradlut.lookups"), 2 * expected);
+        assert_eq!(obs.counter("gradlut.live_lookups"), live);
         assert_eq!(obs.counter("kernel.row_tables"), tables);
     };
 
@@ -103,6 +109,26 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
     );
     let mut linear = ApproxLinear::new(10, 4, 1, lut, grads, QuantConfig::default());
     check(&mut linear, &ramp(&[6, 10]), &ramp(&[6, 4]), 6 * 4 * 10, 0);
+
+    // A gradient with known zeros: 8 of its 24 entries are 0.0 and one is
+    // -0.0, so 15 are live and the step makes 2·10·15 = 300 of its 480
+    // nominal gradient lookups. (The ramps above have no zeros.)
+    let mut g = ramp(&[6, 4]).as_slice().to_vec();
+    for (i, v) in g.iter_mut().enumerate() {
+        if i % 3 == 0 {
+            *v = 0.0;
+        }
+    }
+    g[1] = -0.0;
+    let before = obs.counter("gradlut.live_lookups");
+    check(
+        &mut linear,
+        &ramp(&[6, 10]),
+        &Tensor::from_vec(g, &[6, 4]),
+        6 * 4 * 10,
+        0,
+    );
+    assert_eq!(obs.counter("gradlut.live_lookups") - before, 300);
 
     appmult_obs::set_global(&appmult_obs::ObsSink::null());
 }

@@ -13,10 +13,14 @@
 //!   `(j, k)`-tile and reuses it across every batch row of the M-tile
 //!   (turning the 2-D gather into a 1-D indexed load off a register-held
 //!   base), and register-blocks the accumulation — a 2×4 forward
-//!   micro-kernel with eight independent `i64` accumulators, and K-chunks
-//!   of eight `f32` output registers in the backward kernels. All table
-//!   indexing is masked (`idx & (len - 1)`, power-of-two tables), which
-//!   lets the compiler elide bounds checks without `unsafe`.
+//!   micro-kernel with eight independent `i64` accumulators, and, for
+//!   `dW`, K-chunks of eight `f32` output registers swept over a list of
+//!   each channel's nonzero output gradients. All its table indexing is
+//!   masked (`idx & (len - 1)`, power-of-two tables), which lets the
+//!   compiler elide bounds checks without `unsafe`.
+//! * `dX` has one row loop for every kernel ([`backward_dx`]): it skips a
+//!   zero output gradient once for its whole `K` row, and real gradients
+//!   are mostly zero behind a ReLU and max-pool, so no tiled loop beat it.
 //! * Above a shape rule, the tiled forward is no longer a gather per MAC:
 //!   a [`ForwardPlan`] copies each weight's `2^B`-entry LUT rows once into
 //!   a *row table* of eight-channel `u32` lane groups, and each batch row
@@ -27,13 +31,14 @@
 //! integer, and the single dequantization of that integer yields the same
 //! `f32`. The row table's `u32` lane sums are exact too: a plan builds it
 //! only when `K` times its largest entry fits in a `u32`. The backward
-//! sums are `f32` and therefore order-sensitive; the tiled backward
-//! kernels preserve the naive kernel's per-output accumulation order
-//! exactly (ascending `j` for `dX`, ascending `m` for `dW` — tiles only
-//! regroup *which rows are visited when*, never the order of additions
-//! into one output element), so every kernel in this crate is
-//! bit-identical to every other for all shapes and worker partitions. The differential conformance suite in the workspace
-//! root enforces this.
+//! sums are `f32` and therefore order-sensitive. Each output adds its
+//! terms in ascending `j` (`dX`) or ascending `m` (`dW`) under every
+//! kernel, each term is the product `(g · scale) · (G − zero)`, and every
+//! path skips exactly the entries with `g == 0.0` (either sign; NaN is
+//! kept). The tiled `dW` only regroups *which rows are visited when*, so
+//! every kernel in this crate is bit-identical to every other for all
+//! shapes and worker partitions. The differential conformance suite in
+//! the workspace root enforces this.
 //!
 //! Kernel selection: the [`set_global_kernel`] override, else
 //! [`Kernel::Tiled`]. Layers copy [`Kernel::global`] at construction and
@@ -422,9 +427,12 @@ fn row_table_block<const R: usize>(
 ///
 /// # Panics
 ///
-/// Panics if slice lengths are inconsistent with `shape`, if `table` is
-/// not `2^bits × 2^bits` (checked under every kernel), or if a code
-/// indexes past `table` (codes must be `< 2^bits`).
+/// Panics if slice lengths are inconsistent with `shape` or if `table` is
+/// not `2^bits × 2^bits`, under every kernel. [`Kernel::Naive`] also
+/// panics on a code that indexes past `table`; [`Kernel::Tiled`] masks
+/// the index (`idx & (len - 1)`) instead, so such a code reads a wrong
+/// entry, except that a row-table build panics on such a weight code.
+/// Codes must be `< 2^bits`.
 pub fn forward_acc(
     kernel: Kernel,
     shape: GemmShape,
@@ -553,16 +561,22 @@ fn dot_row(table: &[u32], mask: usize, bases: &[u32], x: &[u16]) -> i64 {
 
 /// Backward `dX` half of Eq. 9 over one chunk of batch rows: adds
 /// `g[r][ji] * scale * (table[(wq[ji][k] << bits) | xq[r][k]] - zero)`
-/// into `dx[r][k]`, accumulating over `ji` in ascending order exactly as
-/// the naive loop does (rows with `g == 0` are skipped by both kernels).
+/// into `dx[r][k]`, accumulating over `ji` in ascending order. A zero
+/// `g[r][ji]` (either sign) is skipped once for its whole `K` row.
+///
+/// Every kernel runs this one row loop: the kernel argument no longer
+/// selects a loop and is kept so callers that pass one need not change.
+/// No tiled loop beat it on real layer shapes, and real output gradients
+/// are mostly zero behind a ReLU and max-pool (DESIGN.md §11).
 ///
 /// # Panics
 ///
 /// Panics on inconsistent slice lengths, a `table` that is not
-/// `2^bits × 2^bits` (checked under every kernel), or out-of-range codes.
+/// `2^bits × 2^bits`, or a code that indexes past `table` (codes must be
+/// `< 2^bits`), under every kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn backward_dx(
-    kernel: Kernel,
+    _kernel: Kernel,
     shape: GemmShape,
     table: &[f32],
     wq: &[u16],
@@ -578,87 +592,42 @@ pub fn backward_dx(
     assert_eq!(g.len(), rows * j, "g length mismatch");
     assert_eq!(dx.len(), rows * k, "dx length mismatch");
     shape.check_table(table.len());
-    if let Kernel::Naive = kernel {
-        for (mi, (dx_row, x_row)) in dx.chunks_exact_mut(k).zip(xq.chunks_exact(k)).enumerate() {
-            for ji in 0..j {
-                let gv = g[mi * j + ji];
-                if gv == 0.0 {
-                    continue;
-                }
-                let w_row = &wq[ji * k..(ji + 1) * k];
-                for kk in 0..k {
-                    let idx = ((w_row[kk] as usize) << bits) | x_row[kk] as usize;
-                    dx_row[kk] += gv * scale * (table[idx] - zero);
-                }
+    for (mi, (dx_row, x_row)) in dx.chunks_exact_mut(k).zip(xq.chunks_exact(k)).enumerate() {
+        for ji in 0..j {
+            let gv = g[mi * j + ji];
+            if gv == 0.0 {
+                continue;
             }
-        }
-        return;
-    }
-
-    let mask = table.len() - 1;
-    let mut stats = TileStats::default();
-    // The f32 accumulation into dx[mi][kk] runs over `ji` in ascending
-    // order, as in the naive kernel, so the sums round identically. Here
-    // that sweep runs innermost, per K-chunk of eight outputs held in
-    // registers, and each batch row is visited once. Any loop order that
-    // keeps `ji` ascending per output is equally exact; a J-outermost
-    // order hoisting each `(j, k)` table row over a block of batch rows
-    // measured slower on real conv shapes.
-    for mi in 0..rows {
-        let g_row = &g[mi * j..(mi + 1) * j];
-        for k0 in (0..k).step_by(KK) {
-            let kt = KK.min(k - k0);
-            stats.tiles += 1;
-            let mut c = 0;
-            while c + 8 <= kt {
-                let o = mi * k + k0 + c;
-                let xs: [usize; 8] = core::array::from_fn(|t| xq[o + t] as usize);
-                let mut d: [f32; 8] = core::array::from_fn(|t| dx[o + t]);
-                for (ji, &gv) in g_row.iter().enumerate() {
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    let f = gv * scale;
-                    let w = ji * k + k0 + c;
-                    for t in 0..8 {
-                        let r = (wq[w + t] as usize) << bits;
-                        d[t] += f * (table[(r | xs[t]) & mask] - zero);
-                    }
-                }
-                dx[o..o + 8].copy_from_slice(&d);
-                c += 8;
-            }
-            for t in c..kt {
-                let o = mi * k + k0 + t;
-                let xv = xq[o] as usize;
-                let mut d = dx[o];
-                for (ji, &gv) in g_row.iter().enumerate() {
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    let r = (wq[ji * k + k0 + t] as usize) << bits;
-                    d += gv * scale * (table[(r | xv) & mask] - zero);
-                }
-                dx[o] = d;
+            let w_row = &wq[ji * k..(ji + 1) * k];
+            for kk in 0..k {
+                let idx = ((w_row[kk] as usize) << bits) | x_row[kk] as usize;
+                dx_row[kk] += gv * scale * (table[idx] - zero);
             }
         }
     }
-    stats.flush();
 }
 
 /// Backward `dW` half of Eq. 9 over one chunk of weight rows
 /// (`wq_rows`/`dw` hold rows `ji0..ji0 + rows` of the full `[J, K]`
 /// buffers): adds `g[m][ji] * scale * (table[idx] - zero)` into
 /// `dw[r][k]`, accumulating over `m` in ascending order exactly as the
-/// naive loop does.
+/// naive loop does. A zero `g[m][ji]` (either sign) adds nothing.
+///
+/// Under [`Kernel::Tiled`] each channel first lists its nonzero
+/// `(m · K, g[m][ji] · scale)` pairs in ascending `m`, then sweeps
+/// K-chunks of eight `f32` output registers over that list alone, so the
+/// zero rows of a sparse gradient cost nothing past the listing.
 ///
 /// `xq` and `g` are the *full* `[M, K]` activation and `[M, J]` gradient
 /// buffers (`shape.j` is the full `J`, the stride of `g`).
 ///
 /// # Panics
 ///
-/// Panics on inconsistent slice lengths, a `table` that is not
-/// `2^bits × 2^bits` (checked under every kernel), or out-of-range codes.
+/// Panics on inconsistent slice lengths or a `table` that is not
+/// `2^bits × 2^bits`, under every kernel. [`Kernel::Naive`] also panics
+/// on a code that indexes past `table`; [`Kernel::Tiled`] masks the index
+/// (`idx & (len - 1)`) instead, so such a code reads a wrong entry. Codes
+/// must be `< 2^bits`.
 #[allow(clippy::too_many_arguments)]
 pub fn backward_dw(
     kernel: Kernel,
@@ -703,18 +672,26 @@ pub fn backward_dw(
 
     let mask = table.len() - 1;
     let mut stats = TileStats::default();
-    // The f32 accumulation into dw[ji][kk] runs over `mi`; the whole
-    // ascending `mi` sweep stays innermost (per K-chunk of eight outputs
-    // held in registers) so the sums round exactly as in the naive
-    // kernel. The weight row is fixed per output row, so the eight LUT
-    // row bases are hoisted into registers once per K-chunk and reused
-    // across *all* M batch rows.
+    // One channel's nonzero `(m · K, g · scale)` pairs, ascending `m`.
+    let mut live: Vec<(usize, f32)> = Vec::with_capacity(m);
+    // The f32 accumulation into dw[ji][kk] runs over the listed rows in
+    // ascending `m`, innermost per K-chunk of eight outputs held in
+    // registers. The list drops exactly the rows the naive loop skips and
+    // keeps each product `(g · scale) · (G - zero)`, so the sums round as
+    // in the naive kernel. The weight row is fixed per output row, so the
+    // eight LUT row bases are hoisted into registers once per K-chunk and
+    // reused across every listed row.
     for (r, (dw_row, w_row)) in dw
         .chunks_exact_mut(k)
         .zip(wq_rows.chunks_exact(k))
         .enumerate()
     {
         let ji = ji0 + r;
+        live.clear();
+        live.extend((0..m).filter_map(|mi| {
+            let gv = g[mi * j + ji];
+            (gv != 0.0).then(|| (mi * k, gv * scale))
+        }));
         for k0 in (0..k).step_by(KK) {
             let kt = KK.min(k - k0);
             stats.tiles += 1;
@@ -724,16 +701,10 @@ pub fn backward_dw(
                 let base = k0 + c;
                 let rs: [usize; 8] = core::array::from_fn(|t| (w_row[base + t] as usize) << bits);
                 let mut d: [f32; 8] = core::array::from_fn(|t| dw_row[base + t]);
-                for mi in 0..m {
-                    let gv = g[mi * j + ji];
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    let f = gv * scale;
-                    let o = mi * k + base;
+                for &(o, f) in &live {
+                    let xs = &xq[o + base..o + base + 8];
                     for t in 0..8 {
-                        let xv = xq[o + t] as usize;
-                        d[t] += f * (table[(rs[t] | xv) & mask] - zero);
+                        d[t] += f * (table[(rs[t] | xs[t] as usize) & mask] - zero);
                     }
                 }
                 dw_row[base..base + 8].copy_from_slice(&d);
@@ -742,13 +713,8 @@ pub fn backward_dw(
             for t in c..kt {
                 let rb = (w_row[k0 + t] as usize) << bits;
                 let mut d = dw_row[k0 + t];
-                for mi in 0..m {
-                    let gv = g[mi * j + ji];
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    let xv = xq[mi * k + k0 + t] as usize;
-                    d += gv * scale * (table[(rb | xv) & mask] - zero);
+                for &(o, f) in &live {
+                    d += f * (table[(rb | xq[o + k0 + t] as usize) & mask] - zero);
                 }
                 dw_row[k0 + t] = d;
             }
@@ -832,6 +798,137 @@ mod tests {
             };
             assert_eq!(dw(Kernel::Naive), dw(Kernel::Tiled), "dw seed={seed}");
         }
+    }
+
+    /// Real output gradients are mostly zero (ReLU, max-pool), and the
+    /// tiled `dW` walks a list of each channel's nonzero rows. Along a
+    /// sparsity axis — zero fractions 0, 0.15, 0.9 and 1, then 0.9 with an
+    /// all-zero channel and all-zero batch rows, with `-0.0` entries, and
+    /// with NaN entries — tiled `dX` and `dW`, run as 1 and 3 chunks, must
+    /// match whole-buffer naive bit for bit.
+    #[test]
+    fn sparse_backward_matches_naive_bit_for_bit() {
+        let (m, j, k, bits) = (133usize, 9usize, 75usize, 6u32);
+        let shape = GemmShape { j, k, bits };
+        let (_, ftable, wq, xq, _) = random_setup(21, m, j, k, bits);
+        let mut rng = Rng64::seed_from_u64(22);
+        let mut cases = Vec::new();
+        for zeros in [0.0, 0.15, 0.9, 1.0] {
+            let g: Vec<f32> = (0..m * j)
+                .map(|_| {
+                    if rng.chance(zeros) {
+                        0.0
+                    } else {
+                        rng.uniform_f32(-1.0, 1.0)
+                    }
+                })
+                .collect();
+            cases.push((format!("zeros={zeros}"), g));
+        }
+        let sparse = cases[2].1.clone();
+        let mut g = sparse.clone();
+        for row in g.chunks_mut(j) {
+            row[4] = 0.0;
+        }
+        for mi in [0, m / 2, m - 1] {
+            g[mi * j..(mi + 1) * j].fill(0.0);
+        }
+        cases.push(("zero channel and rows".into(), g));
+        let mut g = sparse.clone();
+        for v in g.iter_mut().skip(1).step_by(2) {
+            if *v == 0.0 {
+                *v = -0.0;
+            }
+        }
+        cases.push(("negative zeros".into(), g));
+        let mut g = sparse;
+        g[40 * j + 2] = f32::NAN;
+        g[m * j - 1] = f32::NAN;
+        cases.push(("NaN entries".into(), g));
+
+        let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (label, g) in &cases {
+            let mut dx_ref = vec![0.0f32; m * k];
+            backward_dx(
+                Kernel::Naive,
+                shape,
+                &ftable,
+                &wq,
+                &xq,
+                g,
+                0.37,
+                1.5,
+                &mut dx_ref,
+            );
+            let mut dw_ref = vec![0.0f32; j * k];
+            backward_dw(
+                Kernel::Naive,
+                shape,
+                &ftable,
+                &wq,
+                0,
+                &xq,
+                g,
+                0.81,
+                -2.25,
+                &mut dw_ref,
+            );
+            for parts in [1usize, 3] {
+                let mut dx = vec![0.0f32; m * k];
+                let rows_per = m.div_ceil(parts);
+                for (c, chunk) in dx.chunks_mut(rows_per * k).enumerate() {
+                    let (r0, r1) = (c * rows_per, c * rows_per + chunk.len() / k);
+                    let (xs, gs) = (&xq[r0 * k..r1 * k], &g[r0 * j..r1 * j]);
+                    backward_dx(Kernel::Tiled, shape, &ftable, &wq, xs, gs, 0.37, 1.5, chunk);
+                }
+                assert_eq!(bits_of(&dx), bits_of(&dx_ref), "dx {label} parts={parts}");
+                let mut dw = vec![0.0f32; j * k];
+                let rows_per = j.div_ceil(parts);
+                for (c, chunk) in dw.chunks_mut(rows_per * k).enumerate() {
+                    let ji0 = c * rows_per;
+                    let ws = &wq[ji0 * k..ji0 * k + chunk.len()];
+                    backward_dw(
+                        Kernel::Tiled,
+                        shape,
+                        &ftable,
+                        ws,
+                        ji0,
+                        &xq,
+                        g,
+                        0.81,
+                        -2.25,
+                        chunk,
+                    );
+                }
+                assert_eq!(bits_of(&dw), bits_of(&dw_ref), "dw {label} parts={parts}");
+            }
+        }
+    }
+
+    /// `backward_dx` runs one loop under every kernel, so a code that
+    /// indexes past the table panics under [`Kernel::Tiled`] too.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn tiled_dx_panics_on_a_code_past_the_table() {
+        let shape = GemmShape {
+            j: 1,
+            k: 1,
+            bits: 2,
+        };
+        let table = [0.5f32; 16];
+        let mut dx = [0.0f32];
+        // Weight code 4 = 2^2 indexes entry (4 << 2) | 0 = 16.
+        backward_dx(
+            Kernel::Tiled,
+            shape,
+            &table,
+            &[4],
+            &[0],
+            &[1.0],
+            1.0,
+            0.0,
+            &mut dx,
+        );
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!   (shape, seed) cases whose shapes cross every fixed extent — exact
 //!   multiples, one past, two tiles past, and zero-sized batches — greedily
 //!   shrunk to a minimal failing case;
+//! * at the kernel level again, along a gradient-sparsity axis (zero
+//!   fractions 0 to 1, all-zero channels and batch rows, `-0.0` and NaN
+//!   entries), since both Eq. 9 passes skip zero output gradients;
 //! * at the kernel level again, with one `ForwardPlan` per forward GEMM
 //!   on both sides of the row-table rule (batch rows `8 · 2^B − 1` and
 //!   `8 · 2^B`, a table over the size cap, entries that would wrap a
@@ -78,10 +81,34 @@ fn shrink_case(&((m, j, k), seed): &Case) -> Vec<Case> {
     out
 }
 
+/// `len` output-gradient entries, each `0.0` with probability `zeros`,
+/// else uniform in `[-1, 1)`.
+fn gradient(rng: &mut Rng64, len: usize, zeros: f64) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            if rng.chance(zeros) {
+                0.0
+            } else {
+                rng.uniform_f32(-1.0, 1.0)
+            }
+        })
+        .collect()
+}
+
 /// The conformance property: for the given case, the tiled kernel — run
 /// chunk-wise under worker pools of 1 and 3 threads — must reproduce the
 /// whole-buffer naive kernel bit for bit in forward, `dX`, and `dW`.
 fn kernel_case_conforms(&((m, j, k), seed): &Case) -> bool {
+    gemm_conforms((m, j, k), seed, |rng| gradient(rng, m * j, 0.15))
+}
+
+/// [`kernel_case_conforms`] with the output gradient drawn by `make_g`
+/// (after the tables and codes, from the same seeded stream).
+fn gemm_conforms(
+    (m, j, k): (usize, usize, usize),
+    seed: u64,
+    make_g: impl FnOnce(&mut Rng64) -> Vec<f32>,
+) -> bool {
     let bits = 6u32;
     let n = 1usize << bits;
     let mut rng = Rng64::seed_from_u64(seed);
@@ -90,15 +117,7 @@ fn kernel_case_conforms(&((m, j, k), seed): &Case) -> bool {
     let gx: Vec<f32> = (0..n * n).map(|_| rng.uniform_f32(-3.0, 3.0)).collect();
     let wq: Vec<u16> = (0..j * k).map(|_| rng.below(n as u64) as u16).collect();
     let xq: Vec<u16> = (0..m * k).map(|_| rng.below(n as u64) as u16).collect();
-    let g: Vec<f32> = (0..m * j)
-        .map(|_| {
-            if rng.chance(0.15) {
-                0.0
-            } else {
-                rng.uniform_f32(-1.0, 1.0)
-            }
-        })
-        .collect();
+    let g = make_g(&mut rng);
     let shape = GemmShape { j, k, bits };
     let tiled = Kernel::Tiled;
     let (sw, zw, sx, zx) = (0.37f32, 3.0f32, 0.59f32, 2.0f32);
@@ -189,6 +208,62 @@ fn tiled_kernels_are_bit_identical_to_naive_across_random_cases() {
         shrink_case,
         kernel_case_conforms,
     );
+}
+
+/// Real output gradients are mostly zero: behind LeNet's ReLU and 2×2
+/// max-pool, 81–89% of the entries are. Both Eq. 9 passes skip a zero
+/// entry, so sparsity is an axis of its own: zero fractions 0, 0.15, 0.9
+/// and 1, then 0.9 with an all-zero output channel and all-zero batch
+/// rows, with `-0.0` entries, and with NaN entries (which both paths
+/// keep). Shapes: LeNet conv1's `J × K` at 576 rows, two tile-crossing
+/// shapes and a small one.
+#[test]
+fn sparse_gradients_conform() {
+    type Variant = fn(&mut [f32], usize, usize);
+    let variants: [(&str, Variant); 3] = [
+        ("zero channel and rows", |g, m, j| {
+            for row in g.chunks_mut(j) {
+                row[j / 2] = 0.0;
+            }
+            for mi in [0, m / 2, m - 1] {
+                g[mi * j..(mi + 1) * j].fill(0.0);
+            }
+        }),
+        ("negative zeros", |g, _, _| {
+            for v in g.iter_mut().skip(1).step_by(2) {
+                if *v == 0.0 {
+                    *v = -0.0;
+                }
+            }
+        }),
+        ("NaN entries", |g, m, j| {
+            g[(m / 3) * j] = f32::NAN;
+            g[m * j - 1] = f32::NAN;
+        }),
+    ];
+    for (si, (m, j, k)) in [(576, 6, 75), (129, 33, 130), (65, 17, 65), (7, 3, 9)]
+        .into_iter()
+        .enumerate()
+    {
+        let seed = 0x5BA45E + si as u64;
+        for zeros in [0.0, 0.15, 0.9, 1.0] {
+            assert!(
+                gemm_conforms((m, j, k), seed, |rng| gradient(rng, m * j, zeros)),
+                "tiled diverged from naive: m={m} j={j} k={k} zeros={zeros}"
+            );
+        }
+        for (label, edit) in variants {
+            let make_g = |rng: &mut Rng64| {
+                let mut g = gradient(rng, m * j, 0.9);
+                edit(&mut g, m, j);
+                g
+            };
+            assert!(
+                gemm_conforms((m, j, k), seed, make_g),
+                "tiled diverged from naive: m={m} j={j} k={k} {label}"
+            );
+        }
+    }
 }
 
 /// The row-table rule, restated: at least 8 batch rows per activation
