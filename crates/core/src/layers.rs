@@ -281,7 +281,13 @@ fn gemm_forward(
     let obs = appmult_obs::global();
     let _span = obs.span("gemm_forward");
     let (m, j, k) = (cache.m, cache.j, cache.k);
+    // Nominal product-table lookups, then `J` per nonzero activation code:
+    // the lookups a code-0 column of zeros leaves to be made.
     obs.counter_add("lut.lookups", (m * j * k) as u64);
+    if obs.is_enabled() {
+        let live = cache.xq.iter().filter(|&&x| x != 0).count();
+        obs.counter_add("lut.live_lookups", (j * live) as u64);
+    }
     let table = lut.entries();
     let shape = GemmShape {
         j,

@@ -5,7 +5,9 @@
 //! forward reads a row table (`kernel.row_tables` counts those built).
 //! `gradlut.live_lookups` counts the gradient lookups actually made: both
 //! Eq. 9 halves skip a zero output gradient for its whole `K` row, so it
-//! is `2·K` per nonzero entry of the output gradient.
+//! is `2·K` per nonzero entry of the output gradient. `lut.live_lookups`
+//! counts the product lookups left once code-0 terms are dropped: `J` per
+//! nonzero activation code, whichever loop the forward runs.
 //!
 //! This file holds a single test because it installs the process-wide
 //! recording sink, which every layer in the process writes to.
@@ -13,7 +15,7 @@
 use std::sync::Arc;
 
 use appmult_mult::{Multiplier, TruncatedMultiplier};
-use appmult_nn::layers::Conv2dSpec;
+use appmult_nn::layers::{im2col, Conv2dSpec};
 use appmult_nn::{Module, Tensor};
 use appmult_retrain::{ApproxConv2d, ApproxLinear, GradientLut, GradientMode, QuantConfig};
 
@@ -27,25 +29,43 @@ fn ramp(shape: &[usize]) -> Tensor {
     )
 }
 
+/// [`ramp`] with its negative entries set to 0, as behind a ReLU. Its
+/// range starts at 0, so the unsigned zero point is 0: each 0 quantizes
+/// to code 0 and each positive entry (at least 1/29 − 0.45 ≈ 0.033, 6%
+/// of the largest) to a nonzero code.
+fn relu_ramp(shape: &[usize]) -> Tensor {
+    let mut x = ramp(shape);
+    x.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
+    x
+}
+
+fn nonzeros(t: &Tensor) -> u64 {
+    t.as_slice().iter().filter(|&&v| v != 0.0).count() as u64
+}
+
 #[test]
 fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
     let lut = Arc::new(TruncatedMultiplier::new(6, 4).to_lut());
     let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(4)));
     let obs = appmult_obs::ObsSink::recording();
     appmult_obs::set_global(&obs);
-    let (mut expected, mut tables, mut live) = (0, 0, 0);
-    let mut check = |layer: &mut dyn Module, x: &Tensor, g: &Tensor, mjk: u64, built: u64| {
-        let zeros = g.as_slice().iter().filter(|v| **v == 0.0).count() as u64;
-        layer.forward(x, true);
-        layer.backward(g);
-        expected += mjk;
-        tables += built;
-        live += 2 * mjk / g.len() as u64 * (g.len() as u64 - zeros);
-        assert_eq!(obs.counter("lut.lookups"), expected);
-        assert_eq!(obs.counter("gradlut.lookups"), 2 * expected);
-        assert_eq!(obs.counter("gradlut.live_lookups"), live);
-        assert_eq!(obs.counter("kernel.row_tables"), tables);
-    };
+    let (mut expected, mut tables, mut live, mut live_fwd) = (0, 0, 0, 0);
+    // `patches` is the layer's `[M, K]` operand in f32: its zeros are the
+    // activations that quantize to code 0.
+    let mut check =
+        |layer: &mut dyn Module, x: &Tensor, patches: &Tensor, g: &Tensor, mjk, built| {
+            layer.forward(x, true);
+            layer.backward(g);
+            expected += mjk;
+            tables += built;
+            live += 2 * mjk / g.len() as u64 * nonzeros(g);
+            live_fwd += mjk / patches.len() as u64 * nonzeros(patches);
+            assert_eq!(obs.counter("lut.lookups"), expected);
+            assert_eq!(obs.counter("lut.live_lookups"), live_fwd);
+            assert_eq!(obs.counter("gradlut.lookups"), 2 * expected);
+            assert_eq!(obs.counter("gradlut.live_lookups"), live);
+            assert_eq!(obs.counter("kernel.row_tables"), tables);
+        };
 
     // LeNet's two convs at a batch of 32 on 16x16 inputs, 6-bit codes.
     // conv1's forward GEMM (M = 32·12·12 = 4608 ≥ 8·2^6 rows) builds one
@@ -67,21 +87,20 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
             grads.clone(),
             QuantConfig::default(),
         );
-        (conv, spec.patch_len())
+        (conv, spec)
     };
-    let (mut conv1, k) = lenet_conv(3, 6);
-    let mjk = (32 * 12 * 12 * 6 * k) as u64;
-    let (x, g) = (ramp(&[32, 3, 16, 16]), ramp(&[32, 6, 12, 12]));
-    check(&mut conv1, &x, &g, mjk, 1);
-    let (mut conv2, k) = lenet_conv(6, 16);
-    let mjk = (32 * 2 * 2 * 16 * k) as u64;
-    check(
-        &mut conv2,
-        &ramp(&[32, 6, 6, 6]),
-        &ramp(&[32, 16, 2, 2]),
-        mjk,
-        0,
-    );
+    // The inputs are ReLU ramps, 48% zeros, so conv2's forward reaches
+    // the hoisted-row loop's zero-code skip; `lut.live_lookups` counts the
+    // same either way.
+    let (mut conv1, spec1) = lenet_conv(3, 6);
+    let mjk = (32 * 12 * 12 * 6 * spec1.patch_len()) as u64;
+    let (x, g) = (relu_ramp(&[32, 3, 16, 16]), ramp(&[32, 6, 12, 12]));
+    check(&mut conv1, &x, &im2col(&x, &spec1), &g, mjk, 1);
+    let (mut conv2, spec2) = lenet_conv(6, 16);
+    let mjk = (32 * 2 * 2 * 16 * spec2.patch_len()) as u64;
+    let x = relu_ramp(&[32, 6, 6, 6]);
+    let patches = im2col(&x, &spec2);
+    check(&mut conv2, &x, &patches, &ramp(&[32, 16, 2, 2]), mjk, 0);
 
     // A padded, strided conv and a linear layer.
     let spec = Conv2dSpec {
@@ -100,15 +119,29 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
         QuantConfig::default(),
     );
     let mjk = (3 * 4 * 4 * 3 * spec.patch_len()) as u64;
+    let x = relu_ramp(&[3, 2, 7, 8]);
     check(
         &mut conv,
-        &ramp(&[3, 2, 7, 8]),
+        &x,
+        &im2col(&x, &spec),
         &ramp(&[3, 3, 4, 4]),
         mjk,
         0,
     );
     let mut linear = ApproxLinear::new(10, 4, 1, lut, grads, QuantConfig::default());
-    check(&mut linear, &ramp(&[6, 10]), &ramp(&[6, 4]), 6 * 4 * 10, 0);
+    let x = relu_ramp(&[6, 10]);
+    check(&mut linear, &x, &x, &ramp(&[6, 4]), 6 * 4 * 10, 0);
+
+    // An input with known zero codes: 20 of its 60 entries are 0.0 and
+    // the rest at least 0.05 (5% of the largest), so 40 codes are nonzero
+    // and the forward makes 4·40 = 160 of its 240 nominal lookups.
+    let mut x = ramp(&[6, 10]);
+    for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+        *v = if i % 3 == 0 { 0.0 } else { *v + 0.5 };
+    }
+    let before = obs.counter("lut.live_lookups");
+    check(&mut linear, &x, &x, &ramp(&[6, 4]), 6 * 4 * 10, 0);
+    assert_eq!(obs.counter("lut.live_lookups") - before, 160);
 
     // A gradient with known zeros: 8 of its 24 entries are 0.0 and one is
     // -0.0, so 15 are live and the step makes 2·10·15 = 300 of its 480
@@ -123,7 +156,8 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
     let before = obs.counter("gradlut.live_lookups");
     check(
         &mut linear,
-        &ramp(&[6, 10]),
+        &x,
+        &x,
         &Tensor::from_vec(g, &[6, 4]),
         6 * 4 * 10,
         0,

@@ -25,12 +25,19 @@
 //!   a [`ForwardPlan`] copies each weight's `2^B`-entry LUT rows once into
 //!   a *row table* of eight-channel `u32` lane groups, and each batch row
 //!   then costs `K` lane-wise adds per group instead of `J · K` gathers.
+//! * Below that rule, behind a ReLU most activation codes are 0 and every
+//!   workload table has `product(w, 0) = 0`. When the product table's
+//!   code-0 column is all zero and at least 3/8 of a chunk's codes are 0,
+//!   a [`ForwardPlan`] lists each batch row's nonzero codes once and
+//!   gathers only those, eight output channels at a time.
 //!
 //! **Exactness.** The forward accumulator is an exact `i64`, so tiling and
 //! re-association are bit-safe: any summation order yields the same
 //! integer, and the single dequantization of that integer yields the same
 //! `f32`. The row table's `u32` lane sums are exact too: a plan builds it
-//! only when `K` times its largest entry fits in a `u32`. The backward
+//! only when `K` times its largest entry fits in a `u32`. The zero-code
+//! skip leaves out only terms that read an all-zero column, each an exact
+//! integer 0. The backward
 //! sums are `f32` and therefore order-sensitive. Each output adds its
 //! terms in ascending `j` (`dX`) or ascending `m` (`dW`) under every
 //! kernel, each term is the product `(g · scale) · (G − zero)`, and every
@@ -199,6 +206,10 @@ const LANES: usize = 8;
 /// Batch rows a row-table pass interleaves, as independent chains of
 /// lane sums (measured faster than one row or four).
 const ROW_BLOCK: usize = 2;
+/// Least share `(num, den)` of a chunk's activation codes that must be 0
+/// for the hoisted-row path to list each row's nonzero codes and gather
+/// only those.
+const ZERO_SKIP_MIN_SHARE: (usize, usize) = (3, 8);
 
 /// One forward LUT-GEMM — a kernel, a shape, a product table and the
 /// quantized weights — prepared once for any number of calls over chunks
@@ -217,9 +228,20 @@ const ROW_BLOCK: usize = 2;
 /// * the table is at most 512 KiB;
 /// * `K · (largest copied entry) ≤ u32::MAX`, so no lane can wrap.
 ///
-/// Otherwise the plan runs the tiled kernel's hoisted-row loop. Integer
-/// addition is exact and the padded lanes past `J` are dropped, so every
-/// path yields the same `i64` accumulators.
+/// Otherwise the plan runs the tiled kernel's hoisted-row loop, and
+/// [`new`](Self::new) checks once whether the table's code-0 column is
+/// all zero (`table[w << bits] == 0` for every `w`, as in every unsigned
+/// workload table). If it is, [`run`](Self::run) counts a chunk's zero
+/// codes, and when at least 3/8 of them are 0 it leaves out their terms:
+/// per batch row it lists the `(k, code)` pairs with a nonzero code, then
+/// per group of eight channels sums `table[(wq[ji][k] << bits) | code]`
+/// over that list alone, off weight-row bases the plan builds once
+/// (`⌈J/8⌉ × K` lane groups). A row-table plan never skips: there a zero
+/// saves one lane-wise add, and listing the row costs about as much.
+///
+/// Integer addition is exact, a left-out term is an exact 0 and the
+/// padded lanes past `J` are dropped, so every path yields the same
+/// `i64` accumulators for every split of the rows into chunks.
 ///
 /// # Example
 ///
@@ -255,6 +277,9 @@ pub struct ForwardPlan<'a> {
     wq: &'a [u16],
     /// `F[g][k][x]`, `⌈J/8⌉ × K × 2^bits` entries, when the rule holds.
     row_table: Option<Vec<[u32; LANES]>>,
+    /// `base[g][k][t] = wq[8g + t][k] << bits` (0 past `J`),
+    /// `⌈J/8⌉ × K` entries, when the hoisted-row path can skip zero codes.
+    live_bases: Option<Vec<[u32; LANES]>>,
 }
 
 impl<'a> ForwardPlan<'a> {
@@ -275,12 +300,17 @@ impl<'a> ForwardPlan<'a> {
             Kernel::Naive => None,
             Kernel::Tiled => build_row_table(shape, table, wq, rows),
         };
+        let skips_zero_codes = kernel == Kernel::Tiled
+            && row_table.is_none()
+            && (0..1usize << shape.bits).all(|w| table[w << shape.bits] == 0);
+        let live_bases = skips_zero_codes.then(|| build_live_bases(shape, wq));
         Self {
             kernel,
             shape,
             table,
             wq,
             row_table,
+            live_bases,
         }
     }
 
@@ -315,7 +345,81 @@ impl<'a> ForwardPlan<'a> {
                 }
             }
             (Kernel::Tiled, Some(lanes)) => run_row_table(self.shape, lanes, xq, acc),
-            (Kernel::Tiled, None) => forward_tiled(self.shape, table, wq, xq, acc),
+            (Kernel::Tiled, None) => match &self.live_bases {
+                Some(bases) if mostly_zero_codes(xq) => {
+                    forward_live_codes(self.shape, table, bases, xq, acc);
+                }
+                _ => forward_tiled(self.shape, table, wq, xq, acc),
+            },
+        }
+    }
+}
+
+/// Whether at least `ZERO_SKIP_MIN_SHARE` of a chunk's activation codes
+/// are 0, so that [`forward_live_codes`] beats [`forward_tiled`].
+fn mostly_zero_codes(xq: &[u16]) -> bool {
+    let zeros = xq.iter().filter(|&&x| x == 0).count();
+    zeros * ZERO_SKIP_MIN_SHARE.1 >= xq.len() * ZERO_SKIP_MIN_SHARE.0
+}
+
+/// The weight-row bases of [`forward_live_codes`], k-major per lane
+/// group: entry `g · K + k` holds `wq[8g + t][k] << bits` in lane `t`,
+/// and 0 in the lanes past `J` (those lanes are read and dropped).
+#[inline(never)]
+fn build_live_bases(shape: GemmShape, wq: &[u16]) -> Vec<[u32; LANES]> {
+    let GemmShape { j, k, bits } = shape;
+    let mut bases = vec![[0u32; LANES]; j.div_ceil(LANES) * k];
+    for (ji, w_row) in wq.chunks_exact(k).enumerate() {
+        let group = &mut bases[ji / LANES * k..][..k];
+        for (entry, &wv) in group.iter_mut().zip(w_row) {
+            entry[ji % LANES] = u32::from(wv) << bits;
+        }
+    }
+    bases
+}
+
+/// Hoisted-row forward that leaves out code-0 terms, for a product table
+/// whose code-0 column is all zero (each such term adds an exact 0). Per
+/// batch row it lists the `(k, code)` pairs with a nonzero code, then per
+/// lane group runs eight independent `i64` sums of
+/// `table[(base[g][k][t] | code) & mask]` over that list alone.
+///
+/// Kept out of line, with [`build_live_bases`]: inlined into
+/// [`ForwardPlan::run`] and [`ForwardPlan::new`], they moved the code
+/// placed after them and `retrain_lenet`, which barely runs them, read
+/// 4–6% slower (DESIGN.md §11).
+#[inline(never)]
+fn forward_live_codes(
+    shape: GemmShape,
+    table: &[u32],
+    bases: &[[u32; LANES]],
+    xq: &[u16],
+    acc: &mut [i64],
+) {
+    let GemmShape { j, k, .. } = shape;
+    let mask = table.len() - 1;
+    let mut live = vec![(0u32, 0u32); k];
+    for (x_row, acc_row) in xq.chunks_exact(k).zip(acc.chunks_exact_mut(j)) {
+        // Branchless: write every pair and advance past the nonzero ones.
+        // A branch on the code mispredicts at real zero shares (measured
+        // 0.72–0.80x of this loop at 47–89% zeros).
+        let mut n = 0;
+        for (kk, &x) in x_row.iter().enumerate() {
+            live[n] = (kk as u32, u32::from(x));
+            n += usize::from(x != 0);
+        }
+        let live = &live[..n];
+        for (group, out) in bases.chunks_exact(k).zip(acc_row.chunks_mut(LANES)) {
+            let mut sums = [0i64; LANES];
+            for &(kk, x) in live {
+                let base = &group[kk as usize];
+                for t in 0..LANES {
+                    sums[t] += i64::from(table[(base[t] | x) as usize & mask]);
+                }
+            }
+            for (a, &s) in out.iter_mut().zip(&sums) {
+                *a = s;
+            }
         }
     }
 }
@@ -420,7 +524,8 @@ fn row_table_block<const R: usize>(
 /// `r` of `xq` (prior `acc` contents are overwritten). This is
 /// [`ForwardPlan::new`] over the chunk's own rows, then
 /// [`ForwardPlan::run`], so the chunk's size decides whether a row table
-/// is built: below the rule each MAC is one table gather.
+/// is built: below the rule each MAC is one table gather, or none for a
+/// code 0 that the zero-code skip leaves out.
 ///
 /// The accumulator is an exact `i64`, so every kernel produces the same
 /// integers; dequantization is left to the caller.
@@ -1024,6 +1129,34 @@ mod tests {
                 backward_dw(kernel, shape, &ftable, &wq, 0, &xq, &g, 1.0, 0.0, &mut dw);
             });
         }
+    }
+
+    /// The zero-code skip is planned only for a tiled plan without a row
+    /// table whose product table has an all-zero code-0 column, and a
+    /// chunk takes it from 3/8 zero codes up.
+    #[test]
+    fn zero_code_skip_follows_the_code_0_column_and_the_zero_share() {
+        let shape = GemmShape {
+            j: 3,
+            k: 8,
+            bits: 4,
+        };
+        let exact: Vec<u32> = (0..256u32).map(|i| (i >> 4) * (i & 15)).collect();
+        let mut one = exact.clone();
+        one[3 << 4] = 1;
+        let wq = [5u16; 24];
+        let skips = |kernel, table: &[u32], rows| {
+            ForwardPlan::new(kernel, shape, table, &wq, rows)
+                .live_bases
+                .is_some()
+        };
+        assert!(skips(Kernel::Tiled, &exact, 8 * 16 - 1));
+        assert!(!skips(Kernel::Tiled, &one, 8 * 16 - 1));
+        assert!(!skips(Kernel::Naive, &exact, 8 * 16 - 1));
+        assert!(!skips(Kernel::Tiled, &exact, 8 * 16), "row table");
+        assert!(mostly_zero_codes(&[0, 0, 0, 1, 1, 1, 1, 1]));
+        assert!(!mostly_zero_codes(&[0, 0, 1, 1, 1, 1, 1, 1]));
+        assert!(!mostly_zero_codes(&[0, 0, 0, 1, 1, 1, 1, 1, 1]));
     }
 
     /// The labels are the `"kernel"` header of every JSON artifact.

@@ -16,6 +16,11 @@
 //!   on both sides of the row-table rule (batch rows `8 · 2^B − 1` and
 //!   `8 · 2^B`, a table over the size cap, entries that would wrap a
 //!   `u32` lane), run chunk-wise as the layers run it;
+//! * at the kernel level again, along an activation-sparsity axis (zero
+//!   code shares 0 to 1, all-zero batch rows, a chunk split across the
+//!   3/8 zero-share rule), since the hoisted-row forward leaves out
+//!   code-0 terms when the table's code-0 column is all zero, plus two
+//!   tables whose code-0 column is not, which must keep those terms;
 //! * at the layer level, where `ApproxLinear`/`ApproxConv2d` outputs and
 //!   gradients must agree across kernels for all five `GradientMode`s.
 //!   Every layer test names both kernels explicitly, so the result does
@@ -28,7 +33,7 @@
 use std::sync::Arc;
 
 use appmult::kernels::{backward_dw, backward_dx, forward_acc, ForwardPlan, GemmShape, Kernel};
-use appmult::mult::{Multiplier, MultiplierLut, TruncatedMultiplier};
+use appmult::mult::{Multiplier, MultiplierLut, SignMagnitudeMultiplier, TruncatedMultiplier};
 use appmult::nn::layers::Conv2dSpec;
 use appmult::nn::{Module, Tensor};
 use appmult::retrain::{ApproxConv2d, ApproxLinear, GradientLut, GradientMode, QuantConfig};
@@ -273,18 +278,31 @@ fn row_table_expected(m: usize, j: usize, k: usize, bits: u32) -> bool {
     m >= 8 << bits && k * (1 << bits) * j.div_ceil(8) * 32 <= 512 << 10
 }
 
-/// Builds one `ForwardPlan` over all `m` rows, runs it chunk-wise under
-/// pools of 1 and 3 threads, and asserts the result equals the
-/// whole-buffer naive kernel. Returns whether the plan used a row table.
+/// [`plan_matches_naive`] on uniformly random codes.
 fn plan_conforms(table: &[u32], shape: GemmShape, m: usize, seed: u64) -> bool {
     let GemmShape { j, k, bits } = shape;
     let mut rng = Rng64::seed_from_u64(seed);
     let n = 1u64 << bits;
     let wq: Vec<u16> = (0..j * k).map(|_| rng.below(n) as u16).collect();
     let xq: Vec<u16> = (0..m * k).map(|_| rng.below(n) as u16).collect();
+    plan_matches_naive(table, shape, &wq, &xq, "random codes")
+}
+
+/// Builds one `ForwardPlan` over all of `xq`'s rows, runs it chunk-wise
+/// under pools of 1 and 3 threads, and asserts the result equals the
+/// whole-buffer naive kernel. Returns whether the plan used a row table.
+fn plan_matches_naive(
+    table: &[u32],
+    shape: GemmShape,
+    wq: &[u16],
+    xq: &[u16],
+    label: &str,
+) -> bool {
+    let GemmShape { j, k, bits } = shape;
+    let m = xq.len() / k;
     let mut want = vec![0i64; m * j];
-    forward_acc(Kernel::Naive, shape, table, &wq, &xq, &mut want);
-    let plan = ForwardPlan::new(Kernel::Tiled, shape, table, &wq, m);
+    forward_acc(Kernel::Naive, shape, table, wq, xq, &mut want);
+    let plan = ForwardPlan::new(Kernel::Tiled, shape, table, wq, m);
     for threads in [1usize, 3] {
         let mut acc = vec![i64::MIN; m * j];
         Pool::new(threads).run_rows(&mut acc, j, |mi0, chunk| {
@@ -293,7 +311,7 @@ fn plan_conforms(table: &[u32], shape: GemmShape, m: usize, seed: u64) -> bool {
         });
         assert_eq!(
             acc, want,
-            "plan diverged from naive: m={m} j={j} k={k} bits={bits} threads={threads}"
+            "plan diverged from naive: m={m} j={j} k={k} bits={bits} threads={threads} {label}"
         );
     }
     plan.uses_row_table()
@@ -341,6 +359,101 @@ fn forward_plan_matches_naive_on_both_sides_of_the_row_table_rule() {
         bits: 4,
     };
     assert!(!plan_conforms(&table, shape, 8 * 16, 8), "table that wraps");
+}
+
+/// `len` activation codes below `n`, each 0 with probability `zeros`
+/// and otherwise uniform over `1..n`.
+fn codes(rng: &mut Rng64, len: usize, n: u64, zeros: f64) -> Vec<u16> {
+    (0..len)
+        .map(|_| {
+            if rng.chance(zeros) {
+                0
+            } else {
+                1 + rng.below(n - 1) as u16
+            }
+        })
+        .collect()
+}
+
+/// Behind a ReLU most activation codes are 0, and every workload table's
+/// code-0 column is all zero, so the hoisted-row forward leaves out
+/// code-0 terms once at least 3/8 of a chunk's codes are 0. Zero shares
+/// 0, 0.3, 0.5, 0.9 and 1, all-zero batch rows, and a split whose first
+/// chunk is above that share and whose second is below, on the six
+/// `serve_vggs` conv shapes (one 16×16 image, 7-bit codes, below the row
+/// table's rows) and two awkward ones.
+#[test]
+fn zero_activation_codes_conform() {
+    let bits = 7u32;
+    let n = 1u64 << bits;
+    let mut rng = Rng64::seed_from_u64(0x2E80);
+    let table: Vec<u32> = (0..n * n)
+        .map(|i| if i % n == 0 { 0 } else { rng.next_u32() >> 14 })
+        .collect();
+    let shapes = [
+        (256, 8, 27),
+        (256, 8, 72),
+        (64, 16, 72),
+        (64, 16, 144),
+        (16, 32, 144),
+        (16, 32, 288),
+        (65, 17, 65),
+        (7, 3, 9),
+    ];
+    for (m, j, k) in shapes {
+        let shape = GemmShape { j, k, bits };
+        let wq = codes(&mut rng, j * k, n, 0.0);
+        let mut cases = Vec::new();
+        for zeros in [0.0, 0.3, 0.5, 0.9, 1.0] {
+            cases.push((format!("zeros={zeros}"), codes(&mut rng, m * k, n, zeros)));
+        }
+        let mut xq = codes(&mut rng, m * k, n, 0.5);
+        for mi in [0, m / 2, m - 1] {
+            xq[mi * k..(mi + 1) * k].fill(0);
+        }
+        cases.push(("all-zero rows".into(), xq));
+        for (label, xq) in &cases {
+            let used = plan_matches_naive(&table, shape, &wq, xq, label);
+            assert!(!used, "m={m} j={j} k={k} must take the hoisted-row path");
+        }
+
+        let top = m / 2;
+        let mut xq = codes(&mut rng, top * k, n, 0.9);
+        xq.extend(codes(&mut rng, (m - top) * k, n, 0.1));
+        let mut want = vec![0i64; m * j];
+        forward_acc(Kernel::Naive, shape, &table, &wq, &xq, &mut want);
+        let plan = ForwardPlan::new(Kernel::Tiled, shape, &table, &wq, m);
+        let mut acc = vec![i64::MIN; m * j];
+        let (acc_top, acc_rest) = acc.split_at_mut(top * j);
+        plan.run(&xq[..top * k], acc_top);
+        plan.run(&xq[top * k..], acc_rest);
+        assert_eq!(acc, want, "split at row {top}: m={m} j={j} k={k}");
+    }
+}
+
+/// A table whose code-0 column is not all zero keeps every term, at any
+/// zero share: a synthetic table with `table[w << B] = 1`, and a
+/// signed-offset table, whose code 0 is the most negative operand and
+/// whose entries fold in the `2^(2B-1)` offset.
+#[test]
+fn tables_with_a_nonzero_code_0_column_keep_code_0_terms() {
+    let bits = 7u32;
+    let n = 1u64 << bits;
+    let mut rng = Rng64::seed_from_u64(0xF411);
+    let ones: Vec<u32> = (0..n * n)
+        .map(|i| if i % n == 0 { 1 } else { rng.next_u32() >> 14 })
+        .collect();
+    let offset = SignMagnitudeMultiplier::new(TruncatedMultiplier::new(bits, 6)).to_offset_lut();
+    for table in [&ones[..], offset.entries()] {
+        for (m, j, k) in [(64, 16, 144), (65, 17, 65), (7, 3, 9)] {
+            let shape = GemmShape { j, k, bits };
+            let wq = codes(&mut rng, j * k, n, 0.0);
+            for zeros in [0.5, 0.9, 1.0] {
+                let xq = codes(&mut rng, m * k, n, zeros);
+                plan_matches_naive(table, shape, &wq, &xq, &format!("zeros={zeros}"));
+            }
+        }
+    }
 }
 
 fn ramp(shape: &[usize], scale: f32) -> Tensor {

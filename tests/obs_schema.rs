@@ -70,6 +70,7 @@ fn obs_demo_report_meets_the_acceptance_criteria() {
     for line in json.lines() {
         for key in [
             "lut.lookups",
+            "lut.live_lookups",
             "gradlut.lookups",
             "gradient_lut.builds",
             "resilience.rollbacks",
@@ -84,6 +85,7 @@ fn obs_demo_report_meets_the_acceptance_criteria() {
     }
     for key in [
         "lut.lookups",
+        "lut.live_lookups",
         "gradlut.lookups",
         "gradient_lut.builds",
         "resilience.rollbacks",
@@ -94,6 +96,8 @@ fn obs_demo_report_meets_the_acceptance_criteria() {
         assert!(counters.contains_key(key), "missing counter {key}");
     }
     assert!(counters["lut.lookups"] > 0);
+    assert!(counters["lut.live_lookups"] > 0);
+    assert!(counters["lut.live_lookups"] <= counters["lut.lookups"]);
     assert!(counters["gradlut.lookups"] > 0);
     assert!(counters["gradient_lut.builds"] >= 1);
     assert!(
