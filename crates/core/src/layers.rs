@@ -300,6 +300,9 @@ fn gemm_forward(
     // One plan for the whole batch, shared by every block: above the
     // kernel's shape rule it holds the row table, built here once.
     let plan = ForwardPlan::new(kernel, shape, table, &cache.wq, m);
+    // A row's code sum fits `u32` (which vectorizes, unlike an `i64`
+    // fold) whenever `K` of the largest `u16` codes do.
+    let narrow_sum_x = k as u64 * u64::from(u16::MAX) <= u64::from(u32::MAX);
     let mut out = vec![0.0f32; m * j];
     // Per output element this GEMM performs `k` MACs.
     sched
@@ -310,7 +313,12 @@ fn gemm_forward(
             let mut acc = vec![0i64; chunk.len()];
             plan.run(xq, &mut acc);
             for (r, (out_row, acc_row)) in chunk.chunks_mut(j).zip(acc.chunks(j)).enumerate() {
-                let sum_x = xq[r * k..(r + 1) * k].iter().map(|&v| i64::from(v)).sum();
+                let row = &xq[r * k..(r + 1) * k];
+                let sum_x = if narrow_sum_x {
+                    i64::from(row.iter().map(|&v| u32::from(v)).sum::<u32>())
+                } else {
+                    row.iter().map(|&v| i64::from(v)).sum()
+                };
                 for (ji, (o, &a)) in out_row.iter_mut().zip(acc_row).enumerate() {
                     *o = match cache.scheme {
                         QuantScheme::Unsigned => {
@@ -597,8 +605,9 @@ impl ApproxConv2d {
     ///
     /// # Panics
     ///
-    /// Panics if the weight/bias shapes do not match `spec`, if the product
-    /// and gradient LUT bit widths disagree, or if the gradient tables fail
+    /// Panics if `spec` has a zero kernel or stride, if the weight/bias
+    /// shapes do not match `spec`, if the product and gradient LUT bit
+    /// widths disagree, or if the gradient tables fail
     /// [`GradientLut::validate`] (a NaN/Inf entry would silently corrupt
     /// every gradient flowing through the layer).
     pub fn with_params(
@@ -609,6 +618,10 @@ impl ApproxConv2d {
         grads: Arc<GradientLut>,
         config: QuantConfig,
     ) -> Self {
+        assert!(
+            spec.kernel > 0 && spec.stride > 0,
+            "conv kernel and stride must be positive: {spec:?}"
+        );
         assert_eq!(
             weight.shape(),
             &[spec.out_channels, spec.patch_len()],
@@ -1805,6 +1818,13 @@ mod tests {
             },
         ));
         let _ = ApproxLinear::new(3, 2, 1, lut, grads, QuantConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel and stride must be positive")]
+    fn zero_stride_conv_is_rejected_at_construction() {
+        let (lut, grads) = exact8();
+        let _ = ApproxConv2d::new(2, 3, 3, 0, 1, 7, lut, grads, QuantConfig::default());
     }
 
     #[test]

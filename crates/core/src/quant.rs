@@ -117,14 +117,23 @@ impl QuantParams {
     }
 
     /// Quantizes one value (Eq. 7) and reports whether it fell inside the
-    /// code range: `(quantize(v), in_range(v))` from a single rounding of
-    /// `v / s + Z`. NaN maps to code 0 and, like `+/-Inf`, counts as out of
-    /// range.
+    /// code range: `(quantize(v), in_range(v))` for `x = v / s + Z`, rounded
+    /// half away from zero. NaN maps to code 0 and, like `+/-Inf`, counts
+    /// as out of range.
+    ///
+    /// The rounding is done on the clamped value without `f32::round`
+    /// (a libm call on baseline x86-64): `c - trunc(c)` is exact for
+    /// `c` in `[0, qmax]`, so adding `[frac >= 0.5]` to the truncation is
+    /// the rounded code, and `x` rounds into range exactly when it lies in
+    /// `(-0.5, qmax + 0.5)`.
     #[inline]
     pub fn quantize_clip(&self, v: f32) -> (u32, bool) {
-        let q = (v / self.scale + self.zero_point as f32).round();
+        let x = v / self.scale + self.zero_point as f32;
         let qmax = self.qmax() as f32;
-        (q.clamp(0.0, qmax) as u32, q >= 0.0 && q <= qmax)
+        let c = x.clamp(0.0, qmax);
+        let t = c as u32;
+        let code = t + u32::from(c - t as f32 >= 0.5);
+        (code, x > -0.5 && x < qmax + 0.5)
     }
 
     /// Quantizes one value (Eq. 7), clamping to the code range.
@@ -303,14 +312,35 @@ mod tests {
         assert!(q.in_range(0.5));
     }
 
+    /// The pre-`quantize_clip` formula: round half away from zero with
+    /// `f32::round`, then clamp, and test the rounded value's range.
+    fn round_then_clamp(p: &QuantParams, v: f32) -> (u32, bool) {
+        let q = (v / p.scale + p.zero_point as f32).round();
+        let qmax = p.qmax() as f32;
+        (q.clamp(0.0, qmax) as u32, q >= 0.0 && q <= qmax)
+    }
+
+    /// `f32` in total order as an integer (`-0.0` and `+0.0` both 0), and
+    /// back, so that `d` steps from a value are `d` ulps.
+    fn ordinal(v: f32) -> i64 {
+        let b = i64::from(v.to_bits() as i32);
+        if b < 0 {
+            -(b & 0x7fff_ffff)
+        } else {
+            b
+        }
+    }
+
+    fn from_ordinal(o: i64) -> f32 {
+        if o < 0 {
+            f32::from_bits((-o) as u32 | 0x8000_0000)
+        } else {
+            f32::from_bits(o as u32)
+        }
+    }
+
     #[test]
     fn quantize_clip_agrees_with_the_two_rounding_formula_on_corners() {
-        // The pre-`quantize_clip` formulas, each rounding on its own.
-        let two_round = |p: &QuantParams, v: f32| {
-            let q = (v / p.scale + p.zero_point as f32).round();
-            let qmax = p.qmax() as f32;
-            (q.clamp(0.0, qmax) as u32, q >= 0.0 && q <= qmax)
-        };
         // Scale 1 puts exact .5 ties at v = n + 0.5 - Z.
         let unit = QuantParams {
             scale: 1.0,
@@ -332,7 +362,7 @@ mod tests {
             }
             for v in corners {
                 let got = p.quantize_clip(v);
-                assert_eq!(got, two_round(p, v), "{p:?} at {v}");
+                assert_eq!(got, round_then_clamp(p, v), "{p:?} at {v}");
                 assert_eq!(got, (p.quantize(v), p.in_range(v)), "{p:?} at {v}");
             }
         }
@@ -350,6 +380,52 @@ mod tests {
         assert_eq!(unit.quantize_clip(f32::NAN), (0, false));
         assert_eq!(unit.quantize_clip(f32::INFINITY), (15, false));
         assert_eq!(unit.quantize_clip(f32::NEG_INFINITY), (0, false));
+    }
+
+    #[test]
+    fn quantize_clip_matches_round_then_clamp_near_every_code_and_tie() {
+        // Unit scale and zero point 0 make `x = v`, so the codes and ties
+        // are exact inputs; the other two exercise the division and Z.
+        let mut params: Vec<QuantParams> = [6, 7, 8]
+            .into_iter()
+            .map(|bits| QuantParams {
+                scale: 1.0,
+                zero_point: 0,
+                bits,
+            })
+            .collect();
+        params.push(QuantParams::from_range(-0.73, 1.9, 6));
+        params.push(QuantParams::signed_symmetric(1.27, 8));
+        let check = |p: &QuantParams, v: f32| {
+            let got = p.quantize_clip(v);
+            let want = round_then_clamp(p, v);
+            assert_eq!(got, want, "{p:?} at {v:e} ({:#010x})", v.to_bits());
+        };
+        let mut specials = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY];
+        for bits in [0x7fc0_0000u32, 0xffc0_0000, 0x7f80_0001, 0xff80_0001] {
+            specials.push(f32::from_bits(bits));
+        }
+        for bits in [1u32, 2, 0x0040_0000, 0x007f_ffff] {
+            specials.push(f32::from_bits(bits));
+            specials.push(-f32::from_bits(bits));
+        }
+        for p in &params {
+            for &v in &specials {
+                check(p, v);
+            }
+            let qmax = p.qmax() as i64;
+            for c in -2..=qmax + 2 {
+                for center in [c as f32 - 0.5, c as f32, c as f32 + 0.5] {
+                    let at = ordinal((center - p.zero_point as f32) * p.scale);
+                    for d in -64..=64 {
+                        check(p, from_ordinal(at + d));
+                    }
+                }
+            }
+            for bits in (0..=u32::MAX).step_by(4099) {
+                check(p, f32::from_bits(bits));
+            }
+        }
     }
 
     #[test]

@@ -43,8 +43,10 @@ impl Conv2dSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration yields an empty output.
+    /// Panics if the stride is zero or the configuration yields an empty
+    /// output.
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        assert!(self.stride > 0, "convolution stride is zero in {self:?}");
         let oh = (h + 2 * self.padding)
             .checked_sub(self.kernel)
             .map(|v| v / self.stride + 1);
@@ -90,6 +92,10 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
 /// pad `f(0.0)` equals mapping `f` over `im2col(x)`. The approximate conv
 /// relies on this to quantize each input pixel once and gather the codes.
 ///
+/// Each image is copied into a plane with a border of `pad` (under zero
+/// padding the image is the plane), so every `(channel, kernel row)` run
+/// of a patch row is one fixed-width copy from the plane.
+///
 /// # Panics
 ///
 /// Panics if `shape` is not rank 4, its channel count mismatches `spec`,
@@ -101,39 +107,25 @@ pub fn im2col_gather<T: Copy>(
     pad: T,
     out: &mut [T],
 ) {
-    let (n, c, h, w) = check_nchw(data.len(), shape, spec);
-    let (oh, ow) = spec.out_hw(h, w);
-    let k = spec.kernel;
-    let patch = spec.patch_len();
-    assert_eq!(
-        out.len(),
-        n * oh * ow * patch,
-        "patch rows do not match shape"
-    );
-    for (r, row) in out.chunks_exact_mut(patch.max(1)).enumerate() {
-        let (ni, oy, ox) = (r / (oh * ow), r / ow % oh, r % ow);
-        // Valid kernel rows: 0 <= oy * stride + ky - padding < h. Valid
-        // kernel columns form one contiguous run, so each (channel, kernel
-        // row) is one slice copy between two pad fills.
-        let (ky_lo, ky_hi, iy0) = valid_taps(oy, h, spec);
-        let (kx_lo, kx_hi, ix0) = valid_taps(ox, w, spec);
-        if kx_lo >= kx_hi {
-            row.fill(pad);
-            continue;
-        }
-        let x_lo = ix0 + kx_lo - spec.padding;
-        for (ci, channel) in row.chunks_exact_mut(k * k).enumerate() {
-            let base_in = (ni * c + ci) * h * w;
-            for (ky, taps) in channel.chunks_exact_mut(k).enumerate() {
-                if ky < ky_lo || ky >= ky_hi {
-                    taps.fill(pad);
-                    continue;
-                }
-                let src = base_in + (iy0 + ky - spec.padding) * w + x_lo;
-                taps[..kx_lo].fill(pad);
-                taps[kx_lo..kx_hi].copy_from_slice(&data[src..src + kx_hi - kx_lo]);
-                taps[kx_hi..].fill(pad);
-            }
+    let (n, geo) = Plane::new(data.len(), shape, spec);
+    let (image_len, rows_len) = (geo.image_len(), geo.rows_len());
+    assert_eq!(out.len(), n * rows_len, "patch rows do not match shape");
+    if out.is_empty() {
+        return;
+    }
+    let mut plane = geo.scratch(pad);
+    for (ni, rows) in out.chunks_exact_mut(rows_len).enumerate() {
+        let image = &data[ni * image_len..(ni + 1) * image_len];
+        let src = if spec.padding > 0 {
+            geo.copy_in(image, &mut plane);
+            &plane
+        } else {
+            image
+        };
+        match geo.k {
+            3 => geo.gather::<T, 3>(src, rows),
+            5 => geo.gather::<T, 5>(src, rows),
+            _ => geo.gather::<T, 0>(src, rows),
         }
     }
 }
@@ -163,59 +155,168 @@ pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, n: usize, h: usize, w: usize) ->
 /// `shape`, dropping padding taps. Each input pixel receives its taps in
 /// ascending patch-row order.
 ///
+/// Each image is copied into the interior of a plane whose border
+/// catches the padding taps (under zero padding the image is the plane),
+/// every `(channel, kernel row)` run of a patch row is one fixed-width
+/// add into the plane, and the interior is copied back.
+///
 /// # Panics
 ///
 /// Panics if `shape` is not rank 4, its channel count mismatches `spec`,
 /// or `out` / `cols` do not hold the input / patch-row element counts.
 pub fn col2im_add(cols: &[f32], shape: &[usize], spec: &Conv2dSpec, out: &mut [f32]) {
-    let (n, c, h, w) = check_nchw(out.len(), shape, spec);
-    let (oh, ow) = spec.out_hw(h, w);
-    let k = spec.kernel;
-    let patch = spec.patch_len();
-    assert_eq!(
-        cols.len(),
-        n * oh * ow * patch,
-        "patch rows do not match shape"
-    );
-    for (r, row) in cols.chunks_exact(patch.max(1)).enumerate() {
-        let (ni, oy, ox) = (r / (oh * ow), r / ow % oh, r % ow);
-        let (ky_lo, ky_hi, iy0) = valid_taps(oy, h, spec);
-        let (kx_lo, kx_hi, ix0) = valid_taps(ox, w, spec);
-        if kx_lo >= kx_hi {
-            continue;
+    let (n, geo) = Plane::new(out.len(), shape, spec);
+    let (image_len, rows_len) = (geo.image_len(), geo.rows_len());
+    assert_eq!(cols.len(), n * rows_len, "patch rows do not match shape");
+    if cols.is_empty() {
+        return;
+    }
+    let mut plane = geo.scratch(0.0);
+    for (ni, rows) in cols.chunks_exact(rows_len).enumerate() {
+        let image = &mut out[ni * image_len..(ni + 1) * image_len];
+        let dst = if spec.padding > 0 {
+            geo.copy_in(image, &mut plane);
+            &mut plane
+        } else {
+            &mut *image
+        };
+        match geo.k {
+            3 => geo.fold::<3>(rows, dst),
+            5 => geo.fold::<5>(rows, dst),
+            _ => geo.fold::<0>(rows, dst),
         }
-        let x_lo = ix0 + kx_lo - spec.padding;
-        for (ci, channel) in row.chunks_exact(k * k).enumerate() {
-            let base_out = (ni * c + ci) * h * w;
-            for ky in ky_lo..ky_hi {
-                let dst = base_out + (iy0 + ky - spec.padding) * w + x_lo;
-                let taps = &channel[ky * k + kx_lo..ky * k + kx_hi];
-                for (o, &g) in out[dst..dst + taps.len()].iter_mut().zip(taps) {
+        if spec.padding > 0 {
+            geo.copy_out(&plane, image);
+        }
+    }
+}
+
+/// One image's padded plane, `C × (H + 2P) × (W + 2P)`, as the gather and
+/// the fold walk it. Patch row `(oy, ox)` has its top-left tap at plane
+/// offset `(oy · (W + 2P) + ox) · stride`, and its `(channel, kernel
+/// row)` run `t` starts `runs[t]` past that, so a row is `C · k` runs of
+/// `k` taps with no bounds logic: padding taps fall on the border.
+struct Plane {
+    c: usize,
+    h: usize,
+    w: usize,
+    padding: usize,
+    /// Padded row length `W + 2P`.
+    pw: usize,
+    k: usize,
+    stride: usize,
+    oh: usize,
+    ow: usize,
+    /// `(ci · (H + 2P) + ky) · (W + 2P)` for every `(ci, ky)`.
+    runs: Vec<usize>,
+}
+
+impl Plane {
+    /// Checks an NCHW `shape` against `spec` and a buffer of `len`
+    /// elements, returning the batch size and one image's plane.
+    fn new(len: usize, shape: &[usize], spec: &Conv2dSpec) -> (usize, Self) {
+        assert_eq!(shape.len(), 4, "expected NCHW input");
+        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+        assert_eq!(c, spec.in_channels, "channel mismatch");
+        assert_eq!(len, n * c * h * w, "data does not match shape");
+        let (oh, ow) = spec.out_hw(h, w);
+        let (k, padding) = (spec.kernel, spec.padding);
+        let (ph, pw) = (h + 2 * padding, w + 2 * padding);
+        let mut runs = Vec::with_capacity(c * k);
+        for ci in 0..c {
+            for ky in 0..k {
+                runs.push((ci * ph + ky) * pw);
+            }
+        }
+        let plane = Self {
+            c,
+            h,
+            w,
+            padding,
+            pw,
+            k,
+            stride: spec.stride,
+            oh,
+            ow,
+            runs,
+        };
+        (n, plane)
+    }
+
+    fn image_len(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    /// One image's patch-row elements, `OH · OW · C · k · k`.
+    fn rows_len(&self) -> usize {
+        self.oh * self.ow * self.runs.len() * self.k
+    }
+
+    /// A plane buffer whose border holds `border`, or none under zero
+    /// padding, where the image itself is the plane.
+    fn scratch<T: Copy>(&self, border: T) -> Vec<T> {
+        if self.padding == 0 {
+            return Vec::new();
+        }
+        vec![border; self.c * (self.h + 2 * self.padding) * self.pw]
+    }
+
+    /// Copies `image` into the plane's interior, leaving the border as is.
+    fn copy_in<T: Copy>(&self, image: &[T], plane: &mut [T]) {
+        self.each_image_row(|y, at| plane[at..at + self.w].copy_from_slice(&image[y..y + self.w]));
+    }
+
+    /// Copies the plane's interior back into `image`.
+    fn copy_out(&self, plane: &[f32], image: &mut [f32]) {
+        self.each_image_row(|y, at| image[y..y + self.w].copy_from_slice(&plane[at..at + self.w]));
+    }
+
+    /// Calls `f(image offset, plane offset)` for each image row `(ci, y)`.
+    fn each_image_row(&self, mut f: impl FnMut(usize, usize)) {
+        let ph = self.h + 2 * self.padding;
+        for ci in 0..self.c {
+            for y in 0..self.h {
+                f(
+                    (ci * self.h + y) * self.w,
+                    (ci * ph + y + self.padding) * self.pw + self.padding,
+                );
+            }
+        }
+    }
+
+    /// Plane offset of each patch row's top-left tap, in row order.
+    fn origins(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.oh)
+            .flat_map(move |oy| (0..self.ow).map(move |ox| (oy * self.pw + ox) * self.stride))
+    }
+
+    /// Copies one image's patch rows out of `plane`. The run width is `K`,
+    /// fixed at compile time, or `self.k` when `K` is 0.
+    fn gather<T: Copy, const K: usize>(&self, plane: &[T], rows: &mut [T]) {
+        let k = if K == 0 { self.k } else { K };
+        for (row, origin) in rows
+            .chunks_exact_mut(self.runs.len() * k)
+            .zip(self.origins())
+        {
+            for (taps, &run) in row.chunks_exact_mut(k).zip(&self.runs) {
+                taps.copy_from_slice(&plane[origin + run..origin + run + k]);
+            }
+        }
+    }
+
+    /// Adds one image's patch rows into `plane`, rows in ascending order,
+    /// with the run width of [`gather`](Self::gather).
+    fn fold<const K: usize>(&self, rows: &[f32], plane: &mut [f32]) {
+        let k = if K == 0 { self.k } else { K };
+        for (row, origin) in rows.chunks_exact(self.runs.len() * k).zip(self.origins()) {
+            for (taps, &run) in row.chunks_exact(k).zip(&self.runs) {
+                let dst = &mut plane[origin + run..origin + run + k];
+                for (o, &g) in dst.iter_mut().zip(taps) {
                     *o += g;
                 }
             }
         }
     }
-}
-
-/// Checks an NCHW `shape` against `spec` and a buffer of `len` elements,
-/// returning `(n, c, h, w)`.
-fn check_nchw(len: usize, shape: &[usize], spec: &Conv2dSpec) -> (usize, usize, usize, usize) {
-    assert_eq!(shape.len(), 4, "expected NCHW input");
-    let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-    assert_eq!(c, spec.in_channels, "channel mismatch");
-    assert_eq!(len, n * c * h * w, "data does not match shape");
-    (n, c, h, w)
-}
-
-/// The in-bounds kernel taps `lo..hi` along one axis of extent `len` for
-/// output coordinate `o`, and the tap-0 input coordinate plus padding
-/// (`o * stride`).
-fn valid_taps(o: usize, len: usize, spec: &Conv2dSpec) -> (usize, usize, usize) {
-    let i0 = o * spec.stride;
-    let lo = spec.padding.saturating_sub(i0);
-    let hi = (len + spec.padding).saturating_sub(i0).min(spec.kernel);
-    (lo, hi, i0)
 }
 
 /// Reinterprets `[N * OH * OW, Cout]` rows as an `[N, Cout, OH, OW]` tensor.
@@ -535,6 +636,19 @@ mod tests {
             "gradcheck failed: {}",
             report.summary()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "stride is zero")]
+    fn zero_stride_panics_with_its_own_message() {
+        let spec = Conv2dSpec {
+            in_channels: 1,
+            out_channels: 1,
+            kernel: 3,
+            stride: 0,
+            padding: 1,
+        };
+        spec.out_hw(5, 5);
     }
 
     #[test]

@@ -10,14 +10,17 @@
 //! kernels, and 1 and 3 pool threads, on random shapes with NaN,
 //! infinite and out-of-range inputs.
 //!
-//! This file holds a single test because it sets the process-wide pool
-//! size, which the layers read.
+//! A second test checks the patch-row geometry underneath, the slice-level
+//! `im2col_gather` and `col2im_add`, against a tap-by-tap definition. Only
+//! the layer test sets the process-wide pool size, which the layers read.
 
 use std::sync::Arc;
 
 use appmult::kernels::{backward_dw, backward_dx, forward_acc, GemmShape, Kernel};
 use appmult::mult::{Multiplier, MultiplierLut, SignMagnitudeMultiplier, TruncatedMultiplier};
-use appmult::nn::layers::{col2im, im2col, nchw_to_rows, rows_to_nchw, Conv2dSpec};
+use appmult::nn::layers::{
+    col2im, col2im_add, im2col, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2dSpec,
+};
 use appmult::nn::{Module, Tensor};
 use appmult::retrain::{
     dequantize_dot, dequantize_dot_offset, ApproxConv2d, GradientLut, GradientMode, Observer,
@@ -440,4 +443,86 @@ fn approx_conv_is_bit_identical_to_the_f32_im2col_reference() {
         conforms,
     );
     appmult_pool::set_global_threads(0);
+}
+
+/// The input pixel patch tap `t` of patch row `r` reads, or `None` for a
+/// padding tap: the definition `im2col_gather` and `col2im_add` share.
+fn tap_pixel(
+    spec: &Conv2dSpec,
+    (c, h, w): (usize, usize, usize),
+    r: usize,
+    t: usize,
+) -> Option<usize> {
+    let (oh, ow) = spec.out_hw(h, w);
+    let k = spec.kernel;
+    let (ni, oy, ox) = (r / (oh * ow), r / ow % oh, r % ow);
+    let (ci, ky, kx) = (t / (k * k), t / k % k, t % k);
+    let iy = (oy * spec.stride + ky).checked_sub(spec.padding)?;
+    let ix = (ox * spec.stride + kx).checked_sub(spec.padding)?;
+    (iy < h && ix < w).then(|| ((ni * c + ci) * h + iy) * w + ix)
+}
+
+#[test]
+fn gather_and_fold_match_the_tap_by_tap_definition() {
+    const PAD: u16 = 0;
+    const SENTINEL: u16 = u16::MAX;
+    let mut rng = Rng64::seed_from_u64(0x6E0);
+    for kernel in 1..=7 {
+        for stride in 1..=3 {
+            for padding in 0..=3 {
+                let spec = Conv2dSpec {
+                    in_channels: 2,
+                    out_channels: 1,
+                    kernel,
+                    stride,
+                    padding,
+                };
+                // Non-square images down to the smallest valid extent, a
+                // zero batch, and an image of no rows when the padding
+                // alone covers the kernel.
+                let lo = kernel.saturating_sub(2 * padding).max(1);
+                let mut shapes = vec![(2, lo, lo + 3), (1, lo + 4, lo + 1), (0, lo + 2, lo)];
+                if 2 * padding >= kernel {
+                    shapes.push((1, 0, 3));
+                }
+                for (n, h, w) in shapes {
+                    let c = spec.in_channels;
+                    let (oh, ow) = spec.out_hw(h, w);
+                    let (rows, patch) = (n * oh * ow, spec.patch_len());
+                    let shape = [n, c, h, w];
+                    let case = format!("{spec:?} on {shape:?}");
+
+                    let codes: Vec<u16> = (0..n * c * h * w).map(|i| 1 + i as u16).collect();
+                    let mut gathered = vec![SENTINEL; rows * patch];
+                    im2col_gather(&codes, &shape, &spec, PAD, &mut gathered);
+                    for (i, &got) in gathered.iter().enumerate() {
+                        let want = tap_pixel(&spec, (c, h, w), i / patch, i % patch)
+                            .map_or(PAD, |p| codes[p]);
+                        assert_eq!(got, want, "gather tap {i} of {case}");
+                    }
+
+                    // Taps and a starting image with exact zeros of both
+                    // signs, so a fold that skips or reorders an addition
+                    // (or drops the start value) changes some bit.
+                    let value = |rng: &mut Rng64| match rng.below(4) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => rng.uniform_f32(-1.0, 1.0),
+                    };
+                    let cols: Vec<f32> = (0..rows * patch).map(|_| value(&mut rng)).collect();
+                    let start: Vec<f32> = (0..n * c * h * w).map(|_| value(&mut rng)).collect();
+                    let mut want = start.clone();
+                    for (i, &g) in cols.iter().enumerate() {
+                        if let Some(p) = tap_pixel(&spec, (c, h, w), i / patch, i % patch) {
+                            want[p] += g;
+                        }
+                    }
+                    let mut got = start;
+                    col2im_add(&cols, &shape, &spec, &mut got);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "fold of {case}");
+                }
+            }
+        }
+    }
 }
