@@ -84,12 +84,34 @@ impl EstimatorKind {
             }
             EstimatorKind::Lsq => GradientMode::least_squares(cfg.lsq_window),
             EstimatorKind::Marginal => {
-                let (w_probs, x_probs) = appmult_dse::default_marginals(bits);
+                let (w_probs, x_probs) = default_marginals(bits);
                 GradientMode::marginal_weighted(cfg.hws, w_probs, x_probs)
             }
             EstimatorKind::Surrogate => GradientMode::Surrogate,
         }
     }
+}
+
+/// Deterministic stand-in for operand histograms profiled from a running
+/// DNN: quantized weights cluster around mid-range (a discretized
+/// Gaussian), post-ReLU activations skew toward small magnitudes (a
+/// discretized exponential). Both sum to 1.
+fn default_marginals(bits: u32) -> (Vec<f64>, Vec<f64>) {
+    let n = 1usize << bits;
+    let mu = (n as f64 - 1.0) / 2.0;
+    let sigma = n as f64 / 4.0;
+    let mut w: Vec<f64> = (0..n)
+        .map(|v| (-((v as f64 - mu) / sigma).powi(2) / 2.0).exp())
+        .collect();
+    let tau = n as f64 / 4.0;
+    let mut x: Vec<f64> = (0..n).map(|v| (-(v as f64) / tau).exp()).collect();
+    for probs in [&mut w, &mut x] {
+        let sum: f64 = probs.iter().sum();
+        for p in probs.iter_mut() {
+            *p /= sum;
+        }
+    }
+    (w, x)
 }
 
 /// One multiplier row of the matrix: a LUT plus the quantization scheme
@@ -394,6 +416,17 @@ fn grad_matrix_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn marginals_are_distributions() {
+        for bits in [3u32, 4, 6] {
+            let (w, x) = default_marginals(bits);
+            assert_eq!(w.len(), 1 << bits);
+            assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            assert!((x.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            assert!(w.iter().chain(&x).all(|&p| p > 0.0));
+        }
+    }
 
     #[test]
     fn estimator_keys_cover_the_family() {

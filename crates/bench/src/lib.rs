@@ -13,7 +13,6 @@
 //! | `fault_sweep` | Retraining accuracy vs injected hardware fault count |
 //! | `par_scale` | Serial-vs-parallel throughput of the LUT kernels |
 //! | `appmult-lint` | Static verification sweep over the zoo (`results/LINT.json`) |
-//! | `dse` | Closed-loop multiplier design-space exploration (`results/DSE.json`) |
 //!
 //! All experiments run on deterministic synthetic data (see
 //! `appmult-data`) at a CPU-friendly scale by default; pass `--full` for
@@ -22,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dse_driver;
 pub mod grad_matrix_driver;
 pub mod serve_driver;
 

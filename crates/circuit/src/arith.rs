@@ -168,11 +168,6 @@ impl MultiplierCircuit {
         &self.netlist
     }
 
-    /// Mutable access to the netlist (for synthesis passes).
-    pub fn netlist_mut(&mut self) -> &mut Netlist {
-        &mut self.netlist
-    }
-
     /// Computes the product for one operand pair via gate-level simulation.
     ///
     /// # Panics

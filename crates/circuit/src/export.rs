@@ -198,183 +198,6 @@ pub fn to_blif(netlist: &Netlist, model_name: &str) -> String {
     s
 }
 
-/// Header line of the [`to_netlist_text`] interchange format.
-pub const NETLIST_TEXT_HEADER: &str = "appmult-netlist v1";
-
-/// Serializes the netlist into the workspace's plain-text interchange
-/// format, preserving **every** node (including dead logic) so signal
-/// indices survive a round trip bit-for-bit.
-///
-/// The format is line-oriented: a header, one line per node in topological
-/// index order (`input`, `const0`, `const1`, `buf F`, `not F`, or
-/// `KIND A B` for two-input gates, fanins as raw node indices), and a
-/// final `outputs ...` line. It is the representation embedded in
-/// `results/DSE.json` frontier entries, which is why dead nodes are kept:
-/// recomputing a frontier member's error metrics from its export must see
-/// the identical netlist, not a live-cone approximation.
-///
-/// # Example
-///
-/// ```
-/// use appmult_circuit::{from_netlist_text, to_netlist_text, Netlist};
-///
-/// let mut nl = Netlist::new();
-/// let a = nl.input();
-/// let b = nl.input();
-/// let s = nl.xor(a, b);
-/// nl.set_outputs(vec![s]);
-/// let text = to_netlist_text(&nl);
-/// assert_eq!(from_netlist_text(&text).unwrap(), nl);
-/// ```
-pub fn to_netlist_text(netlist: &Netlist) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{NETLIST_TEXT_HEADER}");
-    for (_, gate) in netlist.iter() {
-        let a = gate.fanins[0].index();
-        let b = gate.fanins[1].index();
-        let _ = match gate.kind {
-            GateKind::Input => writeln!(s, "input"),
-            GateKind::Const0 => writeln!(s, "const0"),
-            GateKind::Const1 => writeln!(s, "const1"),
-            GateKind::Buf => writeln!(s, "buf {a}"),
-            GateKind::Not => writeln!(s, "not {a}"),
-            kind => writeln!(s, "{kind} {a} {b}"),
-        };
-    }
-    let outs: Vec<String> = netlist
-        .outputs()
-        .iter()
-        .map(|o| o.index().to_string())
-        .collect();
-    let _ = writeln!(s, "outputs {}", outs.join(" "));
-    s
-}
-
-/// Why a [`from_netlist_text`] parse failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetlistParseError {
-    /// The first line is not [`NETLIST_TEXT_HEADER`].
-    BadHeader,
-    /// A node or outputs line could not be parsed (1-based line number and
-    /// offending content).
-    BadLine(usize, String),
-    /// The parsed netlist violates the topological invariant or references
-    /// out-of-range signals.
-    Invalid(crate::netlist::NetlistError),
-}
-
-impl std::fmt::Display for NetlistParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetlistParseError::BadHeader => {
-                write!(f, "missing '{NETLIST_TEXT_HEADER}' header")
-            }
-            NetlistParseError::BadLine(n, line) => write!(f, "line {n}: cannot parse {line:?}"),
-            NetlistParseError::Invalid(e) => write!(f, "invalid netlist: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for NetlistParseError {}
-
-/// Parses the [`to_netlist_text`] format back into a [`Netlist`].
-///
-/// The result is fully validated: fanins must precede their gates and the
-/// outputs line must reference existing nodes, so a successful parse can
-/// be simulated directly.
-///
-/// # Errors
-///
-/// Returns a [`NetlistParseError`] describing the first malformed line,
-/// a missing header, or a structural violation.
-pub fn from_netlist_text(text: &str) -> Result<Netlist, NetlistParseError> {
-    use crate::netlist::Gate;
-
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, header)) if header.trim() == NETLIST_TEXT_HEADER => {}
-        _ => return Err(NetlistParseError::BadHeader),
-    }
-    let mut gates: Vec<Gate> = Vec::new();
-    let mut inputs: Vec<Signal> = Vec::new();
-    let mut outputs: Option<Vec<Signal>> = None;
-    for (i, raw) in lines {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let bad = || NetlistParseError::BadLine(i + 1, line.to_string());
-        let mut parts = line.split_whitespace();
-        let word = parts.next().ok_or_else(bad)?;
-        let fanin =
-            |parts: &mut std::str::SplitWhitespace<'_>| -> Result<Signal, NetlistParseError> {
-                let idx: usize = parts.next().and_then(|p| p.parse().ok()).ok_or_else(bad)?;
-                Ok(Signal::from_index(idx))
-            };
-        if word == "outputs" {
-            if outputs.is_some() {
-                return Err(bad());
-            }
-            let mut outs = Vec::new();
-            for p in parts {
-                let idx: usize = p.parse().map_err(|_| bad())?;
-                outs.push(Signal::from_index(idx));
-            }
-            outputs = Some(outs);
-            continue;
-        }
-        if outputs.is_some() {
-            return Err(bad()); // nodes after the outputs line
-        }
-        let here = Signal::from_index(gates.len());
-        let (kind, fanins) = match word {
-            "input" => (GateKind::Input, [Signal::from_index(0); 2]),
-            "const0" => (GateKind::Const0, [Signal::from_index(0); 2]),
-            "const1" => (GateKind::Const1, [Signal::from_index(0); 2]),
-            "buf" | "not" => {
-                let a = fanin(&mut parts)?;
-                let kind = if word == "buf" {
-                    GateKind::Buf
-                } else {
-                    GateKind::Not
-                };
-                (kind, [a, a])
-            }
-            two => {
-                let kind = match two {
-                    "and" => GateKind::And,
-                    "or" => GateKind::Or,
-                    "xor" => GateKind::Xor,
-                    "nand" => GateKind::Nand,
-                    "nor" => GateKind::Nor,
-                    "xnor" => GateKind::Xnor,
-                    _ => return Err(bad()),
-                };
-                (kind, [fanin(&mut parts)?, fanin(&mut parts)?])
-            }
-        };
-        if parts.next().is_some() {
-            return Err(bad()); // trailing tokens
-        }
-        if kind == GateKind::Input {
-            inputs.push(here);
-        }
-        gates.push(Gate { kind, fanins });
-    }
-    let n = gates.len();
-    let outputs = outputs.unwrap_or_default();
-    if outputs.iter().any(|o| o.index() >= n) {
-        return Err(NetlistParseError::Invalid(
-            crate::netlist::NetlistError::UnknownSignal(
-                *outputs.iter().find(|o| o.index() >= n).expect("checked"),
-            ),
-        ));
-    }
-    let netlist = Netlist::from_raw_parts(gates, inputs, outputs);
-    netlist.validate().map_err(NetlistParseError::Invalid)?;
-    Ok(netlist)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,78 +313,6 @@ mod tests {
         assert!(blif.contains(".end"));
         // One .names block per live node plus per-output alias.
         assert!(blif.matches(".names").count() >= 10);
-    }
-
-    #[test]
-    fn netlist_text_round_trips_every_node_kind() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let g = [
-            nl.and(a, b),
-            nl.or(a, b),
-            nl.xor(a, b),
-            nl.nand(a, b),
-            nl.nor(a, b),
-            nl.xnor(a, b),
-        ];
-        let h = nl.not(g[0]);
-        let i = nl.buf(g[1]);
-        let z0 = nl.const0();
-        let z1 = nl.const1();
-        let dead = nl.and(z0, z1); // dead logic must survive the round trip
-        let mut outs = g.to_vec();
-        outs.extend_from_slice(&[h, i]);
-        nl.set_outputs(outs);
-        let text = to_netlist_text(&nl);
-        let parsed = from_netlist_text(&text).expect("round trip parses");
-        assert_eq!(parsed, nl);
-        assert_eq!(parsed.num_nodes(), dead.index() + 1);
-    }
-
-    #[test]
-    fn netlist_text_round_trips_a_multiplier_byte_identically() {
-        let m = MultiplierCircuit::array(5);
-        let text = to_netlist_text(m.netlist());
-        let parsed = from_netlist_text(&text).expect("parses");
-        assert_eq!(&parsed, m.netlist());
-        // Serializing the parse reproduces the exact text.
-        assert_eq!(to_netlist_text(&parsed), text);
-    }
-
-    #[test]
-    fn netlist_text_rejects_malformed_inputs() {
-        assert_eq!(
-            from_netlist_text("bogus"),
-            Err(NetlistParseError::BadHeader)
-        );
-        let bad_kind = format!("{NETLIST_TEXT_HEADER}\ninput\nfrob 0 0\noutputs 0");
-        assert!(matches!(
-            from_netlist_text(&bad_kind),
-            Err(NetlistParseError::BadLine(3, _))
-        ));
-        let trailing = format!("{NETLIST_TEXT_HEADER}\ninput\nnot 0 junk\noutputs 1");
-        assert!(matches!(
-            from_netlist_text(&trailing),
-            Err(NetlistParseError::BadLine(3, _))
-        ));
-        // Forward references fail validation, not just parsing.
-        let fwd = format!("{NETLIST_TEXT_HEADER}\ninput\nand 0 2\nnot 1\noutputs 2");
-        assert!(matches!(
-            from_netlist_text(&fwd),
-            Err(NetlistParseError::Invalid(_))
-        ));
-        let bad_out = format!("{NETLIST_TEXT_HEADER}\ninput\noutputs 9");
-        assert!(matches!(
-            from_netlist_text(&bad_out),
-            Err(NetlistParseError::Invalid(_))
-        ));
-        // Nodes after the outputs line are rejected.
-        let late = format!("{NETLIST_TEXT_HEADER}\ninput\noutputs 0\ninput");
-        assert!(matches!(
-            from_netlist_text(&late),
-            Err(NetlistParseError::BadLine(4, _))
-        ));
     }
 
     #[test]

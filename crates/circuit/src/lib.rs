@@ -40,9 +40,7 @@ pub use als::{synthesize, AlsConfig, AlsOutcome, AlsRewrite};
 pub use arith::{ripple_carry_adder, AdderCircuit, MultiplierCircuit, MultiplierStructure};
 pub use cost::{CostModel, GateCosts, HardwareCost};
 pub use dots::DotColumns;
-pub use export::{
-    from_netlist_text, to_blif, to_netlist_text, to_verilog, NetlistParseError, NETLIST_TEXT_HEADER,
-};
+pub use export::{to_blif, to_verilog};
 pub use fault::{
     exhaustive_table_faulted, fault_sites, simulate_words_faulted, FaultKind, FaultSpec,
 };

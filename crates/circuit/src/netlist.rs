@@ -398,40 +398,6 @@ impl Netlist {
         Ok(())
     }
 
-    /// Replaces the logic function of an existing gate, keeping its fanins.
-    ///
-    /// Only kinds of the *same arity* are interchangeable: a two-input gate
-    /// may become any other two-input gate (`And` ⇄ `Xor`, ...), and a
-    /// single-input gate may flip between `Buf` and `Not`. Changing arity
-    /// would leave a fanin slot dangling or unread, so it is rejected; use
-    /// [`Netlist::replace_with_const`] / [`Netlist::replace_with_signal`]
-    /// for arity-changing rewrites. This is the primitive behind the
-    /// gate-substitution mutation of the design-space-exploration loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownSignal`] if `gate` is out of range or
-    /// a primary input, and [`NetlistError::ArityExceeded`] if `kind` has a
-    /// different arity than the gate's current kind (the reported `slot` is
-    /// the new kind's arity).
-    pub fn set_kind(&mut self, gate: Signal, kind: GateKind) -> Result<(), NetlistError> {
-        let idx = gate.index();
-        if idx >= self.gates.len()
-            || self.gates[idx].kind == GateKind::Input
-            || kind == GateKind::Input
-        {
-            return Err(NetlistError::UnknownSignal(gate));
-        }
-        if kind.arity() != self.gates[idx].kind.arity() {
-            return Err(NetlistError::ArityExceeded {
-                gate,
-                slot: kind.arity(),
-            });
-        }
-        self.gates[idx].kind = kind;
-        Ok(())
-    }
-
     /// Assembles a netlist directly from raw parts, e.g. when importing an
     /// externally generated design.
     ///
@@ -786,33 +752,6 @@ mod tests {
             nl.validate(),
             Err(NetlistError::ForwardReference { .. })
         ));
-    }
-
-    #[test]
-    fn set_kind_swaps_function_within_arity() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let g = nl.and(a, b);
-        let inv = nl.not(g);
-        nl.set_outputs(vec![inv]);
-        nl.set_kind(g, GateKind::Xor).unwrap();
-        assert_eq!(nl.gate(g).kind, GateKind::Xor);
-        assert_eq!(nl.gate(g).fanins, [a, b]);
-        nl.set_kind(inv, GateKind::Buf).unwrap();
-        assert_eq!(nl.gate(inv).kind, GateKind::Buf);
-        // Arity changes, inputs, and out-of-range gates are rejected.
-        assert!(matches!(
-            nl.set_kind(g, GateKind::Not),
-            Err(NetlistError::ArityExceeded { .. })
-        ));
-        assert!(matches!(
-            nl.set_kind(g, GateKind::Const1),
-            Err(NetlistError::ArityExceeded { .. })
-        ));
-        assert!(nl.set_kind(a, GateKind::Not).is_err());
-        assert!(nl.set_kind(g, GateKind::Input).is_err());
-        assert!(nl.set_kind(Signal::from_index(99), GateKind::And).is_err());
     }
 
     #[test]

@@ -202,11 +202,6 @@ impl ExhaustiveTable {
     pub fn values(&self) -> &[u64] {
         &self.values
     }
-
-    /// Consumes the table, returning the raw values.
-    pub fn into_values(self) -> Vec<u64> {
-        self.values
-    }
 }
 
 /// Periodic patterns for the 6 lowest input bits within a 64-lane word:

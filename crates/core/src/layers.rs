@@ -668,13 +668,6 @@ impl ApproxConv2d {
         &self.lut
     }
 
-    /// Swaps the gradient tables (e.g. to A/B STE vs difference-based on
-    /// the same weights).
-    pub fn set_gradient_lut(&mut self, grads: Arc<GradientLut>) {
-        assert_eq!(self.lut.bits(), grads.bits(), "LUT bit widths disagree");
-        self.grads = grads;
-    }
-
     /// Normalized weight/activation code histograms from the most recent
     /// forward pass (for distribution-aware multiplier analysis via
     /// `ErrorMetrics::with_marginals`). `None` before the first forward.

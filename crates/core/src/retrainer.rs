@@ -58,18 +58,6 @@ impl RetrainConfig {
             obs: ObsSink::null(),
         }
     }
-
-    /// Enables the given resilience policy (builder style).
-    pub fn with_resilience(mut self, policy: ResiliencePolicy) -> Self {
-        self.resilience = Some(policy);
-        self
-    }
-
-    /// Attaches an observability sink (builder style).
-    pub fn with_obs(mut self, obs: ObsSink) -> Self {
-        self.obs = obs;
-        self
-    }
 }
 
 /// Per-epoch statistics of a retraining run.

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 mod designs;
-mod discovered;
 mod faulty;
 mod metrics;
 mod multiplier;
@@ -40,7 +39,6 @@ pub use designs::{
     ExactMultiplier, LowerOrMultiplier, MitchellMultiplier, Recursive2x2Multiplier,
     SegmentedMultiplier, SynthesizedMultiplier, TruncatedMultiplier,
 };
-pub use discovered::{DiscoveredError, DiscoveredMultiplier};
 pub use faulty::FaultyMultiplier;
 pub use metrics::ErrorMetrics;
 pub use multiplier::{Multiplier, MultiplierLut};

@@ -85,11 +85,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the raw data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Panics

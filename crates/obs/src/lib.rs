@@ -30,7 +30,7 @@
 //! ([`ObsSink::summary`]).
 //!
 //! The crate also owns the workspace's one JSON encoder, [`json`]: every
-//! report file (LINT, ANALYZE, DSE, GRAD_MATRIX, the BENCH files and this
+//! report file (LINT, ANALYZE, GRAD_MATRIX, the BENCH files and this
 //! crate's own report) is written through it.
 //!
 //! Hot paths that have no configuration handle (the LUT-GEMM kernels, the
@@ -349,16 +349,6 @@ impl ObsSink {
                 is_root,
                 start: Instant::now(),
             }),
-        }
-    }
-
-    /// Adds `nanos` of busy time to the current thread's attribution
-    /// directly (used where a span would be too coarse).
-    pub fn thread_busy_add(&self, nanos: u64) {
-        if let Some(rec) = &self.rec {
-            let tag = thread_tag();
-            let mut inner = rec.inner.lock().expect("obs registry poisoned");
-            *inner.threads.entry(tag).or_insert(0) += nanos;
         }
     }
 

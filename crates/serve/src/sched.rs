@@ -169,11 +169,6 @@ impl<T> DrrQueue<T> {
         self.len() == 0
     }
 
-    /// Queued items for one model (0 if it has no sub-queue).
-    pub fn model_len(&self, model: &str) -> usize {
-        self.lock().subs.get(model).map_or(0, Sub::len)
-    }
-
     /// Occupancy in `[0, 1]` — queued items over capacity. The engine
     /// folds in-flight work on top of this for its pressure signal.
     pub fn occupancy(&self) -> f64 {

@@ -9,17 +9,16 @@
 //! on first use, and lends it to every pass, so two passes can never
 //! disagree about which gates are live or how deep the logic is.
 //!
-//! The context is also the per-candidate scoring entry point for
-//! design-space exploration (ROADMAP item 4): [`analyze_netlist`] runs the
-//! full pass stack over one netlist and returns a [`NetlistAnalysis`] with
-//! the timing report, duplicate-logic classes, constant cones, and lint
-//! diagnostics in a single call.
+//! [`analyze_netlist`] runs the full pass stack over one netlist and
+//! returns a [`NetlistAnalysis`] with the timing report, duplicate-logic
+//! classes, constant cones, and lint diagnostics in a single call; the
+//! zoo sweep builds `results/ANALYZE.json` from it.
 
 use std::cell::OnceCell;
 
 use appmult_circuit::{signal_probabilities, CostModel, HardwareCost, Netlist, Signal};
 
-use crate::diag::{has_errors, Diagnostic};
+use crate::diag::Diagnostic;
 use crate::sta::{sta, StaReport};
 use crate::strash::{strash, StrashReport};
 use crate::structural::lint_netlist_with;
@@ -125,12 +124,9 @@ impl<'n> AnalysisContext<'n> {
     }
 }
 
-/// Everything the analysis framework can say about one netlist.
-///
-/// This is the cost/validity oracle a design-space-exploration loop calls
-/// per mutated candidate: `cost` and `sta` score it, `diagnostics` (via
-/// [`NetlistAnalysis::is_valid`]) gate it, and the strash/ternary reports
-/// quantify redundant logic the mutation introduced.
+/// Everything the analysis framework can say about one netlist: `cost`
+/// and `sta` score it, `diagnostics` carry every lint finding, and the
+/// strash/ternary reports quantify its redundant logic.
 #[derive(Debug, Clone)]
 pub struct NetlistAnalysis {
     /// Calibrated area/delay/power from the cost model.
@@ -149,13 +145,6 @@ pub struct NetlistAnalysis {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-impl NetlistAnalysis {
-    /// Whether the netlist carries no error-severity diagnostic.
-    pub fn is_valid(&self) -> bool {
-        !has_errors(&self.diagnostics)
-    }
-}
-
 /// Runs the full analysis stack — structural lints, static timing,
 /// structural hashing, and ternary constant propagation — over one netlist
 /// through a single shared [`AnalysisContext`].
@@ -166,7 +155,7 @@ pub fn analyze_netlist(netlist: &Netlist, model: &CostModel) -> NetlistAnalysis 
     let sta = sta(&ctx, model);
     diagnostics.extend(sta.consistency_diagnostics(model, netlist));
     // The cost model (and the liveness traversal it needs) panics on
-    // out-of-range references and on more than 24 inputs; such candidates
+    // out-of-range references and on more than 24 inputs; such netlists
     // already carry structural errors, so score them as zero-cost invalid.
     let n = netlist.num_nodes();
     let in_range = netlist
@@ -175,8 +164,8 @@ pub fn analyze_netlist(netlist: &Netlist, model: &CostModel) -> NetlistAnalysis 
         && netlist.outputs().iter().all(|s| s.index() < n);
     if netlist.num_inputs() > 24 {
         // The exhaustive simulator (and therefore NMED scoring) cannot
-        // evaluate such a candidate; make the capacity breach an error so
-        // `is_valid()` rejects it instead of silently zero-costing it.
+        // evaluate such a netlist; make the capacity breach an error so
+        // it is reported instead of silently zero-costed.
         diagnostics.push(Diagnostic::error(
             "capacity",
             "netlist",
@@ -213,6 +202,7 @@ pub fn analyze_netlist(netlist: &Netlist, model: &CostModel) -> NetlistAnalysis 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::has_errors;
 
     #[test]
     fn context_views_are_computed_once_and_agree() {
@@ -241,7 +231,11 @@ mod tests {
         let circuit = appmult_circuit::MultiplierCircuit::array(4);
         let model = CostModel::asap7();
         let analysis = analyze_netlist(circuit.netlist(), &model);
-        assert!(analysis.is_valid(), "{:?}", analysis.diagnostics);
+        assert!(
+            !has_errors(&analysis.diagnostics),
+            "{:?}",
+            analysis.diagnostics
+        );
         assert_eq!(
             analysis.sta.delay_ps.to_bits(),
             model.estimate(&circuit).delay_ps.to_bits(),
@@ -261,7 +255,7 @@ mod tests {
         }
         nl.set_outputs(vec![acc]);
         let analysis = analyze_netlist(&nl, &CostModel::asap7());
-        assert!(!analysis.is_valid());
+        assert!(has_errors(&analysis.diagnostics));
         assert!(analysis
             .diagnostics
             .iter()
@@ -274,7 +268,9 @@ mod tests {
             acc = ok.and(acc, i);
         }
         ok.set_outputs(vec![acc]);
-        assert!(analyze_netlist(&ok, &CostModel::asap7()).is_valid());
+        assert!(!has_errors(
+            &analyze_netlist(&ok, &CostModel::asap7()).diagnostics
+        ));
     }
 
     #[test]
@@ -288,6 +284,6 @@ mod tests {
         nl.set_outputs(vec![h]);
         nl.set_fanin(g, 0, h).unwrap();
         let analysis = analyze_netlist(&nl, &CostModel::asap7());
-        assert!(!analysis.is_valid());
+        assert!(has_errors(&analysis.diagnostics));
     }
 }

@@ -27,9 +27,8 @@
 //!   passes — static timing ([`sta`], bit-identical to the cost model's
 //!   delay, with per-gate arrival/required/slack and an explicit critical
 //!   path), ternary 0/1/X constant propagation ([`ternary_analysis`]),
-//!   structural hashing ([`strash`]), and observability. The resulting
-//!   [`NetlistAnalysis`] is the per-candidate cost/validity oracle for
-//!   design-space exploration.
+//!   structural hashing ([`strash`]), and observability, collected into
+//!   one [`NetlistAnalysis`].
 //! - **The zoo sweep** ([`lint_zoo`]): all of the above over every
 //!   Table I design plus deliberately faulty negative controls, emitting
 //!   the `results/LINT.json` and `results/ANALYZE.json` reports consumed

@@ -35,8 +35,8 @@ pub struct StaGate {
 
 impl StaGate {
     /// Writes the gate as one inline JSON object (`signal`, `gate`,
-    /// `delay_ps`, `arrival_ps`), the critical-path row of the ANALYZE and
-    /// DSE reports.
+    /// `delay_ps`, `arrival_ps`), the critical-path row of the ANALYZE
+    /// report.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(Layout::Inline, |w| {
             w.key("signal").str(&self.signal.to_string());
