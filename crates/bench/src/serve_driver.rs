@@ -379,7 +379,6 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchReport {
         queue_capacity: 48,
         workers: (host / 2).clamp(2, 4),
         max_batch: 16,
-        max_batch_wait: Duration::from_millis(1),
         retry_after: Duration::from_millis(5),
         scrub_nonfinite: true,
         chaos_panic_every: (opts.chaos > 0).then_some(opts.chaos),

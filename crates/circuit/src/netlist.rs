@@ -127,13 +127,6 @@ pub enum NetlistError {
         /// The replacement signal in its transitive fanout.
         replacement: Signal,
     },
-    /// A fanin slot index is not valid for the gate's kind.
-    ArityExceeded {
-        /// The gate being rewired.
-        gate: Signal,
-        /// The requested fanin slot.
-        slot: usize,
-    },
 }
 
 impl fmt::Display for NetlistError {
@@ -148,9 +141,6 @@ impl fmt::Display for NetlistError {
                     f,
                     "replacing {gate} with {replacement} would create a cycle"
                 )
-            }
-            NetlistError::ArityExceeded { gate, slot } => {
-                write!(f, "gate {gate} has no fanin slot {slot}")
             }
         }
     }
@@ -356,45 +346,6 @@ impl Netlist {
             }
         }
         self.outputs = outputs;
-        Ok(())
-    }
-
-    /// Rewires one fanin slot of an existing gate.
-    ///
-    /// Both signals are bounds-checked against this netlist, but the new
-    /// fanin is **not** required to precede the gate in topological order:
-    /// synthesis passes and netlist importers may legitimately pass through
-    /// states that violate the invariant. Run [`Netlist::validate`] (or the
-    /// `appmult-verify` structural lints, which also detect the resulting
-    /// combinational cycles) before simulating a rewired netlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownSignal`] if either signal is out of
-    /// range or `gate` is a primary input, and
-    /// [`NetlistError::ArityExceeded`] if `slot` is not a fanin slot of the
-    /// gate's kind.
-    pub fn set_fanin(
-        &mut self,
-        gate: Signal,
-        slot: usize,
-        fanin: Signal,
-    ) -> Result<(), NetlistError> {
-        let idx = gate.index();
-        if idx >= self.gates.len() || self.gates[idx].kind == GateKind::Input {
-            return Err(NetlistError::UnknownSignal(gate));
-        }
-        if fanin.index() >= self.gates.len() {
-            return Err(NetlistError::UnknownSignal(fanin));
-        }
-        if slot >= self.gates[idx].kind.arity() {
-            return Err(NetlistError::ArityExceeded { gate, slot });
-        }
-        self.gates[idx].fanins[slot] = fanin;
-        // Single-fanin gates keep both slots aligned (builder convention).
-        if self.gates[idx].kind.arity() == 1 {
-            self.gates[idx].fanins[1] = fanin;
-        }
         Ok(())
     }
 
@@ -720,48 +671,6 @@ mod tests {
         let err = nl.try_set_outputs(vec![g, Signal::from_index(99)]);
         assert!(err.is_err());
         assert_eq!(nl.outputs(), &[g]);
-    }
-
-    #[test]
-    fn set_fanin_rewires_and_validates() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let c = nl.input();
-        let g = nl.and(a, b);
-        nl.set_outputs(vec![g]);
-        nl.set_fanin(g, 1, c).unwrap();
-        assert_eq!(nl.gate(g).fanins, [a, c]);
-        // Input gates cannot be rewired; slots beyond arity are rejected.
-        assert!(matches!(
-            nl.set_fanin(a, 0, b),
-            Err(NetlistError::UnknownSignal(_))
-        ));
-        assert!(matches!(
-            nl.set_fanin(g, 2, a),
-            Err(NetlistError::ArityExceeded { .. })
-        ));
-        assert!(matches!(
-            nl.set_fanin(g, 0, Signal::from_index(50)),
-            Err(NetlistError::UnknownSignal(_))
-        ));
-        // Forward references are allowed (validate() reports them).
-        let h = nl.not(g);
-        nl.set_fanin(g, 0, h).unwrap();
-        assert!(matches!(
-            nl.validate(),
-            Err(NetlistError::ForwardReference { .. })
-        ));
-    }
-
-    #[test]
-    fn single_fanin_rewire_keeps_slots_aligned() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let inv = nl.not(a);
-        nl.set_fanin(inv, 0, b).unwrap();
-        assert_eq!(nl.gate(inv).fanins, [b, b]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The batched inference engine: admission control, per-model DRR
-//! dispatch, deadline-aware coalescing, worker panic isolation, and
-//! graceful degradation.
+//! dispatch, greedy batching, worker panic isolation, and graceful
+//! degradation.
 //!
 //! # Lifecycle
 //!
@@ -10,13 +10,16 @@
 //! batches scheduled by **deficit round-robin** — each model visit earns a
 //! quantum of estimated MACs (`drr_quantum_macs`), carried as a deficit,
 //! so every registered model gets a bounded share of batcher time under
-//! saturation no matter how deep one hot model's backlog grows. After the
-//! scheduled pop, the worker *coalesces*: it keeps popping requests for
-//! the same model (charging the model's deficit, overdraft allowed) until
-//! the batch reaches `max_batch` or the batch wait expires —
-//! size-or-deadline flush. Expired or caller-cancelled requests are
-//! dropped *before* kernel dispatch; live ones are stacked into one
-//! tensor and run through the registry in eval mode.
+//! saturation no matter how deep one hot model's backlog grows. Batching is
+//! **greedy**: a batch is formed at the moment it is dispatched, from the
+//! scheduled pop plus every other request already queued for that model
+//! (up to `max_batch`, charging the model's deficit, overdraft allowed),
+//! and a worker never waits for a batch to fill. Each model is in service
+//! with **one worker at a time**: while its batch runs, its new requests
+//! pile up in the queue and become its next batch, and the other workers
+//! serve other models. Expired or caller-cancelled requests are dropped
+//! *before* kernel dispatch; live ones are stacked into one tensor and run
+//! through the registry in eval mode.
 //!
 //! # Request timeouts
 //!
@@ -31,17 +34,17 @@
 //! # Degradation ladder
 //!
 //! *Pressure* — queued **plus in-flight** work over queue capacity —
-//! drives a four-level ladder, re-evaluated at every admission and flush
-//! decision. (Queued-only occupancy under-reads immediately after a large
-//! flush while the workers are still busy; folding in-flight batches in
-//! keeps the ladder honest at saturation.)
+//! drives a four-level ladder, re-evaluated at every admission.
+//! (Queued-only occupancy under-reads immediately after a large flush
+//! while the workers are still busy; folding in-flight batches in keeps
+//! the ladder honest at saturation.)
 //!
 //! | level | pressure | effect |
 //! |-------|----------|--------|
 //! | 0     | < 50%    | normal batching |
-//! | 1     | ≥ 50%    | batch wait shrinks to 1/4 (drain faster) |
-//! | 2     | ≥ 75%    | + [`Priority::Low`] admissions shed |
-//! | 3     | ≥ 90%    | + [`Priority::Normal`] shed; zero batch wait |
+//! | 1     | ≥ 50%    | reported only (batching is already greedy) |
+//! | 2     | ≥ 75%    | [`Priority::Low`] admissions shed |
+//! | 3     | ≥ 90%    | + [`Priority::Normal`] shed |
 //! | —     | full queue | reject-fast: [`Rejection::QueueFull`] |
 //!
 //! Sheds and queue-full rejections carry a `retry_after` hint so
@@ -341,13 +344,13 @@ struct Job {
 pub struct EngineConfig {
     /// Bounded queue capacity across all priority lanes.
     pub queue_capacity: usize,
-    /// Batcher/worker thread count.
+    /// Worker thread count. A model is served by one worker at a time, so
+    /// workers beyond the number of models with queued work idle.
     pub workers: usize,
-    /// Maximum requests coalesced into one kernel batch.
+    /// Maximum requests in one kernel batch. A batch takes whatever is
+    /// queued for its model when it is dispatched, up to this size; no
+    /// worker waits for a batch to fill.
     pub max_batch: usize,
-    /// Longest a worker waits to fill a batch before flushing (shrunk by
-    /// the degradation ladder).
-    pub max_batch_wait: Duration,
     /// Deadline applied to requests that don't carry one (`None` = no
     /// deadline).
     pub default_deadline: Option<Duration>,
@@ -377,7 +380,6 @@ impl Default for EngineConfig {
             queue_capacity: 256,
             workers: 2,
             max_batch: 32,
-            max_batch_wait: Duration::from_millis(2),
             default_deadline: None,
             retry_after: Duration::from_millis(10),
             max_retries: 1,
@@ -397,10 +399,6 @@ impl EngineConfig {
             ("queue_capacity", self.queue_capacity.into()),
             ("workers", self.workers.into()),
             ("max_batch", self.max_batch.into()),
-            (
-                "max_batch_wait_us",
-                (self.max_batch_wait.as_micros() as u64).into(),
-            ),
             ("max_retries", u64::from(self.max_retries).into()),
             ("scrub_nonfinite", self.scrub_nonfinite.into()),
             ("drr_quantum_macs", self.drr_quantum_macs.into()),
@@ -448,10 +446,6 @@ impl Engine {
                 ("workers", (cfg.workers as u64).into()),
                 ("queue_capacity", (cfg.queue_capacity as u64).into()),
                 ("max_batch", (cfg.max_batch as u64).into()),
-                (
-                    "max_batch_wait_us",
-                    (cfg.max_batch_wait.as_micros() as u64).into(),
-                ),
                 (
                     "pool_threads",
                     (appmult_pool::Pool::global().threads() as u64).into(),
@@ -726,9 +720,10 @@ fn resolve(job: &Job, outcome: ServeResult) {
     }
 }
 
-/// Worker thread body: pop → coalesce → dispatch, forever. The batch path
-/// is wrapped in `catch_unwind`; a panic that somehow escapes it is caught
-/// here too and counted as a restart, so a worker thread never dies.
+/// Worker thread body: pop → top up → dispatch → release, forever. The
+/// batch path is wrapped in `catch_unwind`; a panic that somehow escapes
+/// it is caught here too and counted as a restart, so a worker thread
+/// never dies.
 fn worker_main(shared: &Arc<Shared>) {
     loop {
         let done = catch_unwind(AssertUnwindSafe(|| worker_loop(shared)));
@@ -750,19 +745,25 @@ fn worker_loop(shared: &Arc<Shared>) {
         if s.shutdown.load(Ordering::SeqCst) && s.queue.is_empty() {
             return;
         }
-        let Some((model, seed)) = s.queue.pop_batch_wait(s.cfg.poll_interval, s.cfg.max_batch)
+        let Some((lease, mut batch)) = s.queue.pop_batch_wait(s.cfg.poll_interval, s.cfg.max_batch)
         else {
             if s.queue.is_closed() && s.queue.is_empty() {
                 return;
             }
             continue;
         };
-        s.in_flight.fetch_add(seed.len(), Ordering::Relaxed);
-        let batch = coalesce(s, &model, seed);
+        // Greedy top-up: the rest of what is queued for this model joins
+        // now; nothing waits for more to arrive.
+        let room = s.cfg.max_batch - batch.len();
+        batch.extend(s.queue.pop_model(lease.model(), room));
+        s.in_flight.fetch_add(batch.len(), Ordering::Relaxed);
         let obs = appmult_obs::global();
         obs.gauge_set("serve.queue.depth", s.queue.len() as f64);
         obs.gauge_set("serve.inflight", s.in_flight.load(Ordering::Relaxed) as f64);
-        process_batch(s, &model, batch);
+        process_batch(s, lease.model(), batch);
+        // The model's requests queued meanwhile become its next batch,
+        // for whichever worker the release wakes.
+        drop(lease);
     }
 }
 
@@ -773,40 +774,6 @@ fn wait_while_paused(s: &Shared) {
             .pause_cv
             .wait(paused)
             .unwrap_or_else(PoisonError::into_inner);
-    }
-}
-
-/// Size-or-deadline top-up on the DRR-scheduled seed batch: keep pulling
-/// requests *for the same model* (charging its deficit, overdraft allowed)
-/// until the batch is full or the (ladder-shrunk) wait expires. Other
-/// models' sub-queues are untouched — sibling workers schedule them.
-fn coalesce(s: &Shared, model: &str, seed: Vec<Job>) -> Vec<Job> {
-    let mut batch = seed;
-    let started = Instant::now();
-    while batch.len() < s.cfg.max_batch {
-        let wait = batch_wait(s);
-        let elapsed = started.elapsed();
-        if elapsed >= wait {
-            break;
-        }
-        let room = s.cfg.max_batch - batch.len();
-        let more = s.queue.pop_model_wait(model, wait - elapsed, room);
-        if more.is_empty() {
-            break;
-        }
-        s.in_flight.fetch_add(more.len(), Ordering::Relaxed);
-        batch.extend(more);
-    }
-    batch
-}
-
-/// The ladder-adjusted batch wait: full at level 0, quartered at level 1,
-/// zero (flush immediately) at level 2+.
-fn batch_wait(s: &Shared) -> Duration {
-    match ladder_level(s.pressure()) {
-        0 => s.cfg.max_batch_wait,
-        1 => s.cfg.max_batch_wait / 4,
-        _ => Duration::ZERO,
     }
 }
 
@@ -1175,58 +1142,67 @@ mod tests {
         engine.shutdown();
     }
 
-    /// Pressure counts in-flight work: with the queue drained but a batch
-    /// still executing, the ladder must not read zero.
-    #[test]
-    fn pressure_counts_in_flight_batches() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Barrier;
+    /// Test probe: a `Linear` that logs every batch size and, while
+    /// armed, parks its next forward between the `entered` and `release`
+    /// barriers until the test lets it go.
+    struct Gate {
+        inner: Linear,
+        ctl: Arc<GateCtl>,
+    }
 
-        struct Gate {
-            inner: Linear,
-            entered: Arc<Barrier>,
-            release: Arc<Barrier>,
-            armed: Arc<AtomicBool>,
-        }
-        impl appmult_nn::Module for Gate {
-            fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-                if self.armed.swap(false, Ordering::SeqCst) {
-                    self.entered.wait();
-                    self.release.wait();
-                }
-                self.inner.forward(input, train)
-            }
-            fn backward(&mut self, grad: &Tensor) -> Tensor {
-                self.inner.backward(grad)
-            }
-            fn visit_params(&mut self, visit: &mut dyn FnMut(&mut appmult_nn::Parameter)) {
-                self.inner.visit_params(visit);
-            }
-        }
+    struct GateCtl {
+        batches: Mutex<Vec<usize>>,
+        armed: AtomicBool,
+        entered: std::sync::Barrier,
+        release: std::sync::Barrier,
+    }
 
-        let entered = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
-        let armed = Arc::new(AtomicBool::new(true));
+    impl appmult_nn::Module for Gate {
+        fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+            self.ctl.batches.lock().unwrap().push(input.shape()[0]);
+            if self.ctl.armed.swap(false, Ordering::SeqCst) {
+                self.ctl.entered.wait();
+                self.ctl.release.wait();
+            }
+            self.inner.forward(input, train)
+        }
+        fn backward(&mut self, grad: &Tensor) -> Tensor {
+            self.inner.backward(grad)
+        }
+        fn visit_params(&mut self, visit: &mut dyn FnMut(&mut appmult_nn::Parameter)) {
+            self.inner.visit_params(visit);
+        }
+    }
+
+    /// A registry holding one model, "gate", whose first forward is armed.
+    fn gated_registry() -> (Arc<Registry>, Arc<GateCtl>) {
+        let ctl = Arc::new(GateCtl {
+            batches: Mutex::new(Vec::new()),
+            armed: AtomicBool::new(true),
+            entered: std::sync::Barrier::new(2),
+            release: std::sync::Barrier::new(2),
+        });
         let reg = Arc::new(Registry::new(4));
-        let (e2, r2, a2) = (
-            Arc::clone(&entered),
-            Arc::clone(&release),
-            Arc::clone(&armed),
-        );
+        let ctl2 = Arc::clone(&ctl);
         reg.load(ModelSpec::new(
             "gate",
             vec![4],
             Arc::new(move |_| {
                 Sequential::new().push(Gate {
                     inner: Linear::new(4, 2, 7),
-                    entered: Arc::clone(&e2),
-                    release: Arc::clone(&r2),
-                    armed: Arc::clone(&a2),
+                    ctl: Arc::clone(&ctl2),
                 })
             }),
         ))
         .unwrap();
+        (reg, ctl)
+    }
 
+    /// Pressure counts in-flight work: with the queue drained but a batch
+    /// still executing, the ladder must not read zero.
+    #[test]
+    fn pressure_counts_in_flight_batches() {
+        let (reg, gate) = gated_registry();
         let cfg = EngineConfig {
             queue_capacity: 4,
             workers: 1,
@@ -1235,14 +1211,14 @@ mod tests {
         let engine = Engine::start(reg, cfg);
         let ticket = engine.submit(Request::new("gate", sample(1.0))).unwrap();
         // The worker is now inside the forward pass, queue empty.
-        entered.wait();
+        gate.entered.wait();
         assert_eq!(engine.queue_depth(), 0, "batch was popped");
         assert_eq!(engine.in_flight(), 1);
         assert!(
             engine.pressure() > 0.0,
             "in-flight work must keep pressure above zero after a flush"
         );
-        release.wait();
+        gate.release.wait();
         assert!(ticket.wait_timeout(Duration::from_secs(10)).is_ok());
         // Poll briefly: in-flight drops back to zero once the batch lands.
         let t0 = Instant::now();
@@ -1251,5 +1227,98 @@ mod tests {
         }
         assert_eq!(engine.in_flight(), 0);
         engine.shutdown();
+    }
+
+    /// Requests that arrive while their model runs wait for it and then go
+    /// out together as its next batch. They arrive 10 ms apart, longer
+    /// than any batch-fill timer would hold a batch open, so only the busy
+    /// model keeps them together.
+    #[test]
+    fn requests_queued_while_the_model_runs_form_its_next_batch() {
+        let (reg, gate) = gated_registry();
+        let engine = Engine::start(reg, EngineConfig::default());
+        let first = engine.submit(Request::new("gate", sample(1.0))).unwrap();
+        gate.entered.wait();
+        let queued: Vec<Ticket> = (0..3)
+            .map(|i| {
+                std::thread::sleep(Duration::from_millis(10));
+                engine
+                    .submit(Request::new("gate", sample(i as f32)))
+                    .unwrap()
+            })
+            .collect();
+        gate.release.wait();
+        for t in std::iter::once(&first).chain(&queued) {
+            assert!(t.wait_timeout(Duration::from_secs(10)).is_ok());
+        }
+        engine.shutdown();
+        assert_eq!(*gate.batches.lock().unwrap(), [1, 3]);
+    }
+
+    /// With three workers and one model, the idle workers take nothing
+    /// while the model's batch runs: one dispatch per model at a time.
+    /// (Forwards of one model never overlap anyway — the registry holds a
+    /// per-model mutex — so the check is on what leaves the queue.)
+    #[test]
+    fn one_model_is_never_in_two_batches_at_once() {
+        let (reg, gate) = gated_registry();
+        let cfg = EngineConfig {
+            workers: 3,
+            ..EngineConfig::default()
+        };
+        let poll = cfg.poll_interval;
+        let engine = Engine::start(reg, cfg);
+        let first = engine.submit(Request::new("gate", sample(1.0))).unwrap();
+        gate.entered.wait();
+        let queued: Vec<Ticket> = (0..6)
+            .map(|i| {
+                std::thread::sleep(Duration::from_millis(2));
+                engine
+                    .submit(Request::new("gate", sample(i as f32)))
+                    .unwrap()
+            })
+            .collect();
+        // Give the two idle workers time to (wrongly) take a batch; read
+        // before releasing the gate, assert after, so a failure cannot
+        // leave a worker parked in the gate.
+        std::thread::sleep(poll * 5);
+        let (in_flight, queued_now) = (engine.in_flight(), engine.queue_depth());
+        gate.release.wait();
+        assert_eq!(in_flight, 1, "only the running batch is out");
+        assert_eq!(queued_now, 6);
+        for t in std::iter::once(&first).chain(&queued) {
+            assert!(t.wait_timeout(Duration::from_secs(10)).is_ok());
+        }
+        engine.shutdown();
+        assert_eq!(*gate.batches.lock().unwrap(), [1, 6]);
+    }
+
+    /// A lone request on an idle engine goes out alone and at once. A batch
+    /// counts as in flight once it is formed, so the second request, sent
+    /// as soon as the first is in flight, must not join the first batch —
+    /// as it would if the worker held the batch open for company. (One
+    /// worker, so a second worker cannot take the request instead.)
+    #[test]
+    fn a_lone_request_is_dispatched_alone_at_once() {
+        let (reg, gate) = gated_registry();
+        let cfg = EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::start(reg, cfg);
+        let first = engine.submit(Request::new("gate", sample(1.0))).unwrap();
+        let t0 = Instant::now();
+        while engine.in_flight() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never dispatched");
+            std::thread::yield_now();
+        }
+        let second = engine.submit(Request::new("gate", sample(2.0))).unwrap();
+        gate.entered.wait();
+        gate.release.wait();
+        for t in [&first, &second] {
+            assert!(t.wait_timeout(Duration::from_secs(10)).is_ok());
+        }
+        engine.shutdown();
+        assert_eq!(*gate.batches.lock().unwrap(), [1, 1]);
     }
 }

@@ -11,13 +11,16 @@
 //!   LUT build inside the dispatch path;
 //! * [`DrrQueue`] — per-model sub-queues (strict priority lanes, FIFO
 //!   within lane) scheduled by **deficit round-robin** in estimated MACs,
-//!   so one hot model cannot starve coalescing for every other model;
+//!   so one hot model cannot starve every other model, with each popped
+//!   model held in service by a [`Lease`] so it is never in two batches;
 //! * [`Engine`] — admission control with typed [`Rejection`]s, per-request
 //!   deadlines enforced *before* kernel dispatch, caller-side cancellation
-//!   via [`Ticket::wait_timeout`], size-or-deadline batching, worker panic
-//!   isolation with requeue-or-reject, and a degradation ladder driven by
-//!   queued **plus in-flight** pressure (shrink batch wait → shed low
-//!   priority → reject-fast with `Retry-After` hints).
+//!   via [`Ticket::wait_timeout`], greedy batching (a batch takes what is
+//!   queued for its model when the model frees up, one dispatch per model
+//!   at a time, no batch-fill timer), worker panic isolation with
+//!   requeue-or-reject, and a degradation ladder driven by queued **plus
+//!   in-flight** pressure (shed low priority → shed normal priority →
+//!   reject-fast with `Retry-After` hints).
 //!
 //! Everything is instrumented through `appmult-obs`: queue-depth,
 //! in-flight and ladder gauges, per-model deficit/starvation telemetry,
@@ -64,4 +67,4 @@ pub use engine::{Engine, EngineConfig, Rejection, Request, ServeResult, Ticket};
 pub use registry::{
     ForwardError, LutBuilder, LutCache, LutHandle, ModelFactory, ModelSpec, Registry,
 };
-pub use sched::{DrrQueue, Priority, PushError};
+pub use sched::{DrrQueue, Lease, Priority, PushError};

@@ -21,16 +21,25 @@
 //! grows. Priority remains strict *within* a model's sub-queue; cross-model
 //! isolation is the scheduler's job, not the lanes'.
 //!
-//! Coalescing top-ups ([`DrrQueue::pop_model_wait`]) may overdraw the
-//! deficit (it goes negative) so batches still fill to `max_batch`; the
-//! overdraft is carried and repaid out of future quanta, preserving the
-//! long-run share. A model's deficit resets when its sub-queue empties
-//! (standard DRR — credit cannot be hoarded while idle).
+//! A model handed out by [`DrrQueue::pop_batch_wait`] stays **in
+//! service** until the consumer drops the returned [`Lease`]: the
+//! scheduler skips it (its rotation slot and deficit are kept) and its
+//! new requests pile up in its sub-queue, to become its next batch. So a
+//! model is never in two batches at once, and a consumer never waits for
+//! a batch to fill — whatever queued while the model ran is dispatched
+//! together. Skipping an in-service model does not change the DRR bound:
+//! it only delays a model's visit while its previous batch runs.
 //!
-//! Wakeup correctness: every push uses `notify_all`, because consumers wait
-//! on *different* conditions (any-model batch pops vs. single-model top-up
-//! pops) — a single wakeup could land on a consumer whose condition the new
-//! item does not satisfy while the right consumer sleeps to its timeout.
+//! The in-service consumer's top-up ([`DrrQueue::pop_model`]) takes the
+//! rest of the model's backlog up to `max_batch` and may overdraw the
+//! deficit (it goes negative); the overdraft is carried and repaid out of
+//! future quanta, preserving the long-run share. A model's deficit resets
+//! when its sub-queue empties (standard DRR — credit cannot be hoarded
+//! while idle).
+//!
+//! Wakeup correctness: pushes and lease releases both use `notify_all`,
+//! because any waiting consumer may be the one whose model just became
+//! schedulable.
 //!
 //! Instrumented via the global `appmult-obs` sink (recording sinks only —
 //! dynamic metric names are skipped when observability is off):
@@ -38,7 +47,7 @@
 //! `serve.model.starved_polls.<model>` (counter, batch pops that passed the
 //! model over while it had queued work).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -114,6 +123,8 @@ struct Inner<T> {
     subs: HashMap<String, Sub<T>>,
     /// Round-robin visit order over models with queued work.
     active: VecDeque<String>,
+    /// Models whose [`Lease`] is outstanding; the scheduler skips them.
+    in_service: HashSet<String>,
     len: usize,
     closed: bool,
 }
@@ -145,6 +156,7 @@ impl<T> DrrQueue<T> {
             inner: Mutex::new(Inner {
                 subs: HashMap::new(),
                 active: VecDeque::new(),
+                in_service: HashSet::new(),
                 len: 0,
                 closed: false,
             }),
@@ -213,26 +225,33 @@ impl<T> DrrQueue<T> {
         }
         inner.len += 1;
         drop(inner);
-        // notify_all: batch poppers and per-model top-up poppers wait on
-        // the same condvar with different conditions (see module docs).
         self.not_empty.notify_all();
         Ok(())
     }
 
     /// Pops the next DRR-scheduled batch: up to `max_batch` items for one
-    /// model, bounded by the model's deficit. Waits up to `timeout` for an
-    /// item to arrive. Returns `None` on timeout or when the queue is
-    /// closed and empty.
-    pub fn pop_batch_wait(&self, timeout: Duration, max_batch: usize) -> Option<(String, Vec<T>)> {
+    /// model not already in service, bounded by the model's deficit. The
+    /// model stays in service until the returned [`Lease`] drops. Waits up
+    /// to `timeout` while nothing is schedulable. Returns `None` on timeout
+    /// or when the queue is closed and empty.
+    pub fn pop_batch_wait(
+        &self,
+        timeout: Duration,
+        max_batch: usize,
+    ) -> Option<(Lease<'_, T>, Vec<T>)> {
         let deadline = Instant::now() + timeout;
         let mut inner = self.lock();
         loop {
             if let Some(sched) = Self::schedule(&mut inner, self.quantum, max_batch) {
                 drop(inner);
                 emit_poll_telemetry(&sched);
-                return Some((sched.model, sched.items));
+                let lease = Lease {
+                    queue: self,
+                    model: sched.model,
+                };
+                return Some((lease, sched.items));
             }
-            if inner.closed {
+            if inner.closed && inner.len == 0 {
                 return None;
             }
             let now = Instant::now();
@@ -247,63 +266,52 @@ impl<T> DrrQueue<T> {
         }
     }
 
-    /// Coalescing top-up: pops up to `max_items` more items for `model`
-    /// (strict lane order, FIFO within lane), waiting up to `timeout` for
-    /// at least one. The items' cost is charged against the model's
-    /// deficit, which may go negative (overdraft, repaid from future
-    /// quanta) so batches can still fill to `max_batch`. Returns an empty
-    /// vector on timeout or when the queue is closed with nothing queued
-    /// for this model.
-    pub fn pop_model_wait(&self, model: &str, timeout: Duration, max_items: usize) -> Vec<T> {
-        if max_items == 0 {
-            return Vec::new();
-        }
-        let deadline = Instant::now() + timeout;
+    /// Top-up for an in-service model: pops up to `max_items` more of its
+    /// items (strict lane order, FIFO within lane) without waiting. Their
+    /// cost is charged against the model's deficit, which may go negative
+    /// (overdraft, repaid from future quanta) so one batch can take the
+    /// whole backlog.
+    pub fn pop_model(&self, model: &str, max_items: usize) -> Vec<T> {
         let mut inner = self.lock();
-        loop {
-            if inner.subs.get(model).is_some_and(|s| s.len() > 0) {
-                let sub = inner.subs.get_mut(model).expect("checked non-empty");
-                let mut items = Vec::new();
-                while items.len() < max_items {
-                    let Some(item) = sub.pop() else { break };
-                    sub.deficit -= item.cost as i64;
-                    items.push(item.value);
-                }
-                inner.len -= items.len();
-                if inner.subs.get(model).is_some_and(|s| s.len() == 0) {
-                    Self::deactivate(&mut inner, model);
-                }
-                return items;
-            }
-            if inner.closed {
-                return Vec::new();
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Vec::new();
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
+        let Some(sub) = inner.subs.get_mut(model) else {
+            return Vec::new();
+        };
+        let mut items = Vec::new();
+        while items.len() < max_items {
+            let Some(item) = sub.pop() else { break };
+            sub.deficit -= item.cost as i64;
+            items.push(item.value);
         }
+        let drained = sub.len() == 0;
+        inner.len -= items.len();
+        if drained {
+            Self::deactivate(&mut inner, model);
+        }
+        items
     }
 
-    /// One DRR scheduling decision. Visits active models in round-robin
-    /// order; each visit adds `quantum` to the model's deficit (capped so
-    /// idle rounds cannot hoard unbounded credit) and serves while the
-    /// deficit covers the next item. A model whose head it cannot yet
-    /// afford rotates to the back with its credit carried — after at most
-    /// `head_cost / quantum` rotations it is served, so expensive items
-    /// delay a model proportionally instead of forever.
+    /// One DRR scheduling decision. Visits active models not in service in
+    /// round-robin order; each visit adds `quantum` to the model's deficit
+    /// (capped so idle rounds cannot hoard unbounded credit) and serves
+    /// while the deficit covers the next item. A model whose head it
+    /// cannot yet afford moves to the back with its credit carried — after
+    /// at most `head_cost / quantum` visits it is served, so expensive
+    /// items delay a model proportionally instead of forever. In-service
+    /// models keep their place in the rotation.
     fn schedule(inner: &mut Inner<T>, quantum: u64, max_batch: usize) -> Option<Scheduled<T>> {
-        if inner.len == 0 || max_batch == 0 {
+        if max_batch == 0 {
             return None;
         }
+        let Inner {
+            subs,
+            active,
+            in_service,
+            len,
+            ..
+        } = inner;
         loop {
-            let model = inner.active.front().expect("len > 0").clone();
-            let sub = inner.subs.get_mut(&model).expect("active model has a sub");
+            let pos = active.iter().position(|m| !in_service.contains(m))?;
+            let sub = subs.get_mut(&active[pos]).expect("active model has a sub");
             let head = sub.head_cost().expect("active sub is non-empty");
             sub.deficit = (sub.deficit + quantum as i64).min((2 * quantum).max(head) as i64);
             let mut items = Vec::new();
@@ -317,23 +325,25 @@ impl<T> DrrQueue<T> {
                     _ => break,
                 }
             }
+            let deficit_after = sub.deficit;
+            let drained = sub.len() == 0;
+            let model = active.remove(pos).expect("position is in range");
             if items.is_empty() {
-                // Deficit not yet sufficient for the head item: rotate and
-                // let the credit accumulate across rounds.
-                inner.active.rotate_left(1);
+                // Deficit not yet sufficient for the head item: move to the
+                // back and let the credit accumulate across rounds.
+                active.push_back(model);
                 continue;
             }
-            inner.len -= items.len();
-            let deficit_after = sub.deficit;
-            if sub.len() == 0 {
-                Self::deactivate(inner, &model);
+            *len -= items.len();
+            if drained {
+                subs.remove(&model);
             } else {
-                inner.active.rotate_left(1);
+                active.push_back(model.clone());
             }
-            let passed_over = inner
-                .active
+            in_service.insert(model.clone());
+            let passed_over = active
                 .iter()
-                .filter(|m| **m != model)
+                .filter(|m| !in_service.contains(*m))
                 .cloned()
                 .collect();
             return Some(Scheduled {
@@ -395,6 +405,29 @@ impl<T> DrrQueue<T> {
     }
 }
 
+/// A model held in service by the consumer that popped its batch. While
+/// the lease lives, [`DrrQueue::pop_batch_wait`] hands the model to no
+/// other consumer; dropping it — also while unwinding — releases the model
+/// and wakes waiting consumers.
+pub struct Lease<'q, T> {
+    queue: &'q DrrQueue<T>,
+    model: String,
+}
+
+impl<T> Lease<'_, T> {
+    /// The model in service.
+    pub fn model(&self) -> &str {
+        &self.model
+    }
+}
+
+impl<T> Drop for Lease<'_, T> {
+    fn drop(&mut self) {
+        self.queue.lock().in_service.remove(&self.model);
+        self.queue.not_empty.notify_all();
+    }
+}
+
 /// Per-poll telemetry, emitted outside the queue lock. Dynamic metric
 /// names allocate, so this is skipped entirely on a disabled sink.
 fn emit_poll_telemetry<T>(sched: &Scheduled<T>) {
@@ -425,8 +458,8 @@ mod tests {
         q.push("m", "l1", 1, Priority::Low).unwrap();
         q.push("m", "h1", 1, Priority::High).unwrap();
         q.push("m", "n2", 1, Priority::Normal).unwrap();
-        let (model, items) = q.pop_batch_wait(TICK, 16).unwrap();
-        assert_eq!(model, "m");
+        let (lease, items) = q.pop_batch_wait(TICK, 16).unwrap();
+        assert_eq!(lease.model(), "m");
         assert_eq!(items, ["h1", "n1", "n2", "l1"]);
     }
 
@@ -438,8 +471,9 @@ mod tests {
             q.push("b", ("b", i), 1, Priority::Normal).unwrap();
         }
         let mut order = Vec::new();
-        while let Some((model, items)) = q.pop_batch_wait(TICK, 4) {
-            order.push((model, items.len()));
+        while let Some((lease, items)) = q.pop_batch_wait(TICK, 4) {
+            // The lease drops at the end of each pass, releasing the model.
+            order.push((lease.model().to_string(), items.len()));
         }
         // Quantum 4, unit costs: each visit serves exactly 4 items, and the
         // rotation alternates a..b until both drain.
@@ -480,8 +514,8 @@ mod tests {
         }
         let mut polls_until_big = 0;
         loop {
-            let (model, items) = q.pop_batch_wait(TICK, 2).unwrap();
-            if model == "big" {
+            let (lease, items) = q.pop_batch_wait(TICK, 2).unwrap();
+            if lease.model() == "big" {
                 assert_eq!(items.len(), 1);
                 break;
             }
@@ -498,9 +532,9 @@ mod tests {
         }
         // Batch pop is deficit-limited to 2 items; the coalescing top-up
         // takes the rest regardless, overdrawing the deficit.
-        let (_, first) = q.pop_batch_wait(TICK, 6).unwrap();
+        let (lease, first) = q.pop_batch_wait(TICK, 6).unwrap();
         assert_eq!(first, [0, 1]);
-        let more = q.pop_model_wait("m", TICK, 6);
+        let more = q.pop_model(lease.model(), 6);
         assert_eq!(more, [2, 3, 4, 5]);
         assert!(q.is_empty());
     }
@@ -510,7 +544,8 @@ mod tests {
         let q = Arc::new(DrrQueue::new(4, 8));
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
-            q2.pop_batch_wait(Duration::from_secs(5), 4).expect("woken")
+            let (lease, items) = q2.pop_batch_wait(Duration::from_secs(5), 4).expect("woken");
+            (lease.model().to_string(), items)
         });
         std::thread::sleep(Duration::from_millis(10));
         q.push("m", 42, 1, Priority::Normal).unwrap();
@@ -522,11 +557,63 @@ mod tests {
     fn drained_model_resets_its_deficit() {
         let q = DrrQueue::new(16, 4);
         q.push("m", 0, 1, Priority::Normal).unwrap();
-        let _ = q.pop_batch_wait(TICK, 1);
+        drop(q.pop_batch_wait(TICK, 1));
         // Sub-queue emptied: the carried credit must not survive idling.
         q.push("m", 1, 3, Priority::Normal).unwrap();
         q.push("other", 2, 1, Priority::Normal).unwrap();
-        let (model, items) = q.pop_batch_wait(TICK, 4).unwrap();
-        assert_eq!((model.as_str(), items.len()), ("m", 1));
+        let (lease, items) = q.pop_batch_wait(TICK, 4).unwrap();
+        assert_eq!((lease.model(), items.len()), ("m", 1));
+    }
+
+    #[test]
+    fn in_service_model_is_skipped_until_released() {
+        let q = DrrQueue::new(16, 4);
+        q.push("a", "a0", 1, Priority::Normal).unwrap();
+        q.push("b", "b0", 1, Priority::Normal).unwrap();
+        let (a, _) = q.pop_batch_wait(TICK, 1).unwrap();
+        assert_eq!(a.model(), "a");
+        // Requests for "a" pile up while it is in service; "b" is served.
+        q.push("a", "a1", 1, Priority::Normal).unwrap();
+        q.push("a", "a2", 1, Priority::Normal).unwrap();
+        let (b, items) = q.pop_batch_wait(TICK, 4).unwrap();
+        assert_eq!((b.model(), items), ("b", vec!["b0"]));
+        // Both models in service: nothing is schedulable.
+        assert!(q.pop_batch_wait(TICK, 4).is_none());
+        drop(b);
+        assert!(q.pop_batch_wait(TICK, 4).is_none(), "only `a` has work");
+        drop(a);
+        let (a, items) = q.pop_batch_wait(TICK, 4).unwrap();
+        assert_eq!((a.model(), items), ("a", vec!["a1", "a2"]));
+    }
+
+    #[test]
+    fn release_wakes_a_consumer_waiting_on_an_in_service_model() {
+        let q = Arc::new(DrrQueue::new(4, 8));
+        q.push("m", 1, 1, Priority::Normal).unwrap();
+        let (lease, _) = q.pop_batch_wait(TICK, 4).unwrap();
+        q.push("m", 2, 1, Priority::Normal).unwrap();
+        let q2 = Arc::clone(&q);
+        let consumer = std::thread::spawn(move || {
+            let (_, items) = q2.pop_batch_wait(Duration::from_secs(5), 4).expect("woken");
+            items
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        drop(lease);
+        assert_eq!(consumer.join().unwrap(), [2]);
+    }
+
+    #[test]
+    fn lease_is_released_when_its_holder_unwinds() {
+        let q = Arc::new(DrrQueue::new(4, 8));
+        q.push("m", 1, 1, Priority::Normal).unwrap();
+        q.push("m", 2, 1, Priority::Normal).unwrap();
+        let q2 = Arc::clone(&q);
+        let holder = std::thread::spawn(move || {
+            let _held = q2.pop_batch_wait(TICK, 1).unwrap();
+            panic!("worker dies holding the lease");
+        });
+        assert!(holder.join().is_err());
+        let (lease, items) = q.pop_batch_wait(TICK, 4).expect("model released");
+        assert_eq!((lease.model(), items), ("m", vec![2]));
     }
 }

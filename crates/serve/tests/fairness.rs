@@ -122,8 +122,8 @@ fn drr_serves_the_cold_model_within_one_rotation() {
             seq += 1;
             hot_queued += 1;
         }
-        let (model, items) = q.pop_batch_wait(TICK, 4).expect("backlogged");
-        if model == "cold" {
+        let (lease, items) = q.pop_batch_wait(TICK, 4).expect("backlogged");
+        if lease.model() == "cold" {
             cold_served_at = Some(round);
             break;
         }
@@ -272,8 +272,8 @@ fn prop_fifo_within_priority_holds_per_sub_queue() {
             }
             let mut popped: std::collections::HashMap<&str, Vec<u16>> =
                 std::collections::HashMap::new();
-            while let Some((model, items)) = q.pop_batch_wait(Duration::from_millis(1), 4) {
-                let model = MODELS.iter().find(|&&n| n == model).unwrap();
+            while let Some((lease, items)) = q.pop_batch_wait(Duration::from_millis(1), 4) {
+                let model = MODELS.iter().find(|&&n| n == lease.model()).unwrap();
                 popped.entry(model).or_default().extend(items);
             }
             MODELS.iter().enumerate().all(|(mi, &model)| {

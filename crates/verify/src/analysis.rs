@@ -275,14 +275,16 @@ mod tests {
 
     #[test]
     fn analyze_netlist_flags_invalid_candidates() {
-        // A cyclic rewrite must be rejected by the validity oracle.
+        // A cyclic netlist must be rejected by the validity oracle: g's
+        // first fanin is rewired to h, which reads g.
         let mut nl = Netlist::new();
         let a = nl.input();
         let b = nl.input();
         let g = nl.and(a, b);
         let h = nl.or(g, a);
-        nl.set_outputs(vec![h]);
-        nl.set_fanin(g, 0, h).unwrap();
+        let mut gates: Vec<_> = nl.iter().map(|(_, gate)| gate).collect();
+        gates[g.index()].fanins[0] = h;
+        let nl = Netlist::from_raw_parts(gates, vec![a, b], vec![h]);
         let analysis = analyze_netlist(&nl, &CostModel::asap7());
         assert!(has_errors(&analysis.diagnostics));
     }
