@@ -1,14 +1,11 @@
 //! `appmult-lint`: static verification sweep over the multiplier zoo.
 //!
-//! Runs every `appmult-verify` pass — structural netlist lints, the static
-//! analysis stack (timing, structural hashing, ternary constant
-//! propagation), miter equivalence against the exact array multiplier, LUT
-//! metric sanity, and Eq. 5/6 gradient consistency — over all Table I
-//! designs (including the cached `_syn` synthesis results) plus
-//! deliberately faulty negative controls. Prints a human-readable table
-//! with the per-design critical path, writes the machine-readable reports
-//! to `results/LINT.json` (`appmult-lint/v2`) and `results/ANALYZE.json`
-//! (`appmult-analyze/v1`), and exits:
+//! Runs every `appmult-verify` pass — structural netlist lints, miter
+//! equivalence against the exact array multiplier, LUT metric sanity, and
+//! Eq. 5/6 gradient consistency — over all Table I designs (including the
+//! cached `_syn` synthesis results) plus deliberately faulty negative
+//! controls. Prints a human-readable table, writes the machine-readable
+//! report to `results/LINT.json` (`appmult-lint/v3`), and exits:
 //!
 //! - `0` when the sweep is clean,
 //! - `1` when any design carries an error diagnostic,
@@ -45,18 +42,12 @@ fn main() -> ExitCode {
                 Some(MultiplierEquiv::Counterexample(c)) => format!("differs: {c}"),
                 None => "-".to_string(),
             };
-            let (delay, depth) = match &d.analysis {
-                Some(a) => (format!("{:.1}", a.cost.delay_ps), a.depth.to_string()),
-                None => ("-".to_string(), "-".to_string()),
-            };
             vec![
                 d.name.clone(),
                 d.bits.to_string(),
                 d.kind.as_str().to_string(),
                 d.error_count().to_string(),
                 d.warning_count().to_string(),
-                delay,
-                depth,
                 equivalence,
             ]
         })
@@ -70,42 +61,11 @@ fn main() -> ExitCode {
                 "kind",
                 "errors",
                 "warnings",
-                "delay_ps",
-                "depth",
                 "equivalence vs exact"
             ],
             &rows
         )
     );
-
-    // The slowest design's critical path, gate by gate.
-    if let Some(d) = report
-        .designs
-        .iter()
-        .filter(|d| d.analysis.is_some())
-        .max_by(|x, y| {
-            let dx = x.analysis.as_ref().map_or(0.0, |a| a.cost.delay_ps);
-            let dy = y.analysis.as_ref().map_or(0.0, |a| a.cost.delay_ps);
-            dx.total_cmp(&dy)
-        })
-    {
-        let a = d.analysis.as_ref().expect("filtered to analyzed designs");
-        println!(
-            "\ncritical path of {} ({:.1} ps, {} gates):",
-            d.name,
-            a.cost.delay_ps,
-            a.critical_path.len()
-        );
-        for g in &a.critical_path {
-            println!(
-                "  {:>6}  {:<5}  +{:>5.1} ps  @ {:>7.1} ps",
-                format!("{}", g.signal),
-                format!("{}", g.kind),
-                g.delay_ps,
-                g.arrival_ps
-            );
-        }
-    }
 
     for d in &report.designs {
         for diag in &d.diagnostics {
@@ -116,14 +76,12 @@ fn main() -> ExitCode {
     }
 
     let lint_path = write_results("LINT.json", &report.to_json());
-    let analyze_path = write_results("ANALYZE.json", &report.analysis_json());
     println!(
-        "\n{} designs, {} errors, {} warnings -> {} + {}",
+        "\n{} designs, {} errors, {} warnings -> {}",
         report.designs.len(),
         report.error_count(),
         report.warning_count(),
-        lint_path.display(),
-        analyze_path.display()
+        lint_path.display()
     );
 
     if report.error_count() > 0 {

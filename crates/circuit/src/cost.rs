@@ -24,14 +24,13 @@ use crate::netlist::{GateKind, Netlist};
 use crate::sim::signal_probabilities;
 
 /// Per-gate-type raw cost constants (arbitrary units before calibration).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateCosts {
+struct GateCosts {
     /// Relative area of the gate type.
-    pub area: f64,
+    area: f64,
     /// Relative propagation delay of the gate type.
-    pub delay: f64,
+    delay: f64,
     /// Relative switching energy per output transition.
-    pub energy: f64,
+    energy: f64,
 }
 
 impl GateCosts {
@@ -40,17 +39,6 @@ impl GateCosts {
         delay: 0.0,
         energy: 0.0,
     };
-
-    /// The raw (pre-calibration) cost constants of a gate type.
-    ///
-    /// These are the relative standard-cell ratios the whole model is built
-    /// on; multiply by the [`CostModel`] scale accessors to obtain absolute
-    /// units. Exposed so external analyses (e.g. the `appmult-verify`
-    /// static timing pass) can reproduce [`CostModel::estimate_netlist`]
-    /// bit-for-bit instead of re-inventing a diverging delay table.
-    pub fn of(kind: GateKind) -> GateCosts {
-        raw_costs(kind)
-    }
 }
 
 /// Estimated hardware cost of a netlist.
@@ -62,18 +50,6 @@ pub struct HardwareCost {
     pub delay_ps: f64,
     /// Dynamic power at 1 GHz under uniform inputs, in microwatts.
     pub power_uw: f64,
-}
-
-impl HardwareCost {
-    /// Component-wise ratio `self / other`, used for the paper's normalized
-    /// power and delay columns.
-    pub fn normalized_to(&self, other: &HardwareCost) -> HardwareCost {
-        HardwareCost {
-            area_um2: self.area_um2 / other.area_um2,
-            delay_ps: self.delay_ps / other.delay_ps,
-            power_uw: self.power_uw / other.power_uw,
-        }
-    }
 }
 
 impl std::fmt::Display for HardwareCost {
@@ -208,27 +184,6 @@ impl CostModel {
     pub fn estimate(&self, circuit: &MultiplierCircuit) -> HardwareCost {
         self.estimate_netlist(circuit.netlist())
     }
-
-    /// Picoseconds per raw delay unit (the calibration factor applied to
-    /// [`GateCosts::of`] delays).
-    ///
-    /// External timing analyses must accumulate arrivals in *raw* units and
-    /// apply this scale once at the end — exactly what
-    /// [`CostModel::estimate_netlist`] does — to stay bit-identical with
-    /// the cost model's reported `delay_ps`.
-    pub fn delay_scale_ps(&self) -> f64 {
-        self.delay_scale
-    }
-
-    /// Calibrated propagation delay of one gate of the given kind, in ps.
-    pub fn gate_delay_ps(&self, kind: GateKind) -> f64 {
-        raw_costs(kind).delay * self.delay_scale
-    }
-
-    /// Calibrated cell area of one gate of the given kind, in um^2.
-    pub fn gate_area_um2(&self, kind: GateKind) -> f64 {
-        raw_costs(kind).area * self.area_scale
-    }
 }
 
 #[cfg(test)]
@@ -288,42 +243,6 @@ mod tests {
         let without = model.estimate_netlist(&nl2);
         assert!((with_dead.area_um2 - without.area_um2).abs() < 1e-12);
         assert!((with_dead.power_uw - without.power_uw).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_to_reference_is_one() {
-        let model = CostModel::asap7();
-        let c = model.estimate(&MultiplierCircuit::array(8));
-        let n = c.normalized_to(&c);
-        assert!((n.power_uw - 1.0).abs() < 1e-12);
-        assert!((n.delay_ps - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delay_table_exposure_is_consistent() {
-        let model = CostModel::asap7();
-        for kind in [
-            GateKind::Input,
-            GateKind::Const0,
-            GateKind::Buf,
-            GateKind::Not,
-            GateKind::And,
-            GateKind::Or,
-            GateKind::Xor,
-            GateKind::Nand,
-            GateKind::Nor,
-            GateKind::Xnor,
-        ] {
-            let raw = GateCosts::of(kind);
-            assert_eq!(
-                model.gate_delay_ps(kind),
-                raw.delay * model.delay_scale_ps()
-            );
-            assert!(model.gate_area_um2(kind) >= 0.0);
-        }
-        // Free nodes really are free; XOR is the slowest cell.
-        assert_eq!(model.gate_delay_ps(GateKind::Buf), 0.0);
-        assert!(model.gate_delay_ps(GateKind::Xor) > model.gate_delay_ps(GateKind::And));
     }
 
     #[test]

@@ -88,12 +88,6 @@ impl DotColumns {
     pub fn reduce_ripple(self, nl: &mut Netlist) -> Vec<Signal> {
         reduce_ripple_impl(nl, self.columns)
     }
-
-    /// Reduces with Wallace-style column compression (3:2 / 2:2 counters)
-    /// followed by a final ripple addition.
-    pub fn reduce_wallace(self, nl: &mut Netlist) -> Vec<Signal> {
-        reduce_wallace_impl(nl, self.columns)
-    }
 }
 
 pub(crate) fn reduce_ripple_impl(nl: &mut Netlist, mut columns: Vec<Vec<Signal>>) -> Vec<Signal> {
@@ -197,7 +191,7 @@ mod tests {
             dots.push(0, i);
         }
         dots.push(1, inputs[3]);
-        let outs = dots.reduce_wallace(&mut nl);
+        let outs = reduce_wallace_impl(&mut nl, dots.columns);
         nl.set_outputs(outs);
         let t = ExhaustiveTable::build(&nl);
         for v in 0..16u64 {

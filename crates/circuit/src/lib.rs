@@ -31,18 +31,16 @@ mod als;
 mod arith;
 mod cost;
 mod dots;
-mod export;
 mod fault;
 mod netlist;
 mod sim;
 
 pub use als::{synthesize, AlsConfig, AlsOutcome, AlsRewrite};
 pub use arith::{ripple_carry_adder, AdderCircuit, MultiplierCircuit, MultiplierStructure};
-pub use cost::{CostModel, GateCosts, HardwareCost};
+pub use cost::{CostModel, HardwareCost};
 pub use dots::DotColumns;
-pub use export::{to_blif, to_verilog};
 pub use fault::{
     exhaustive_table_faulted, fault_sites, simulate_words_faulted, FaultKind, FaultSpec,
 };
 pub use netlist::{Gate, GateKind, Netlist, NetlistError, Signal};
-pub use sim::{signal_probabilities, simulate_bools, simulate_words, ExhaustiveTable};
+pub use sim::{simulate_bools, simulate_words, ExhaustiveTable};

@@ -21,8 +21,8 @@ impl Signal {
 
     /// Reconstructs a signal from a raw node index (e.g. a fault site read
     /// from a sweep configuration). The index is validated only when the
-    /// signal is used against a concrete netlist; prefer
-    /// [`Netlist::signal_from_index`] when the target netlist is at hand.
+    /// signal is used against a concrete netlist (see
+    /// [`Netlist::try_gate`]).
     pub fn from_index(index: usize) -> Self {
         Self(index as u32)
     }
@@ -227,22 +227,6 @@ impl Netlist {
             .get(signal.index())
             .copied()
             .ok_or(NetlistError::UnknownSignal(signal))
-    }
-
-    /// Reconstructs a signal from a raw node index, validated against this
-    /// netlist. This is the checked counterpart of [`Signal::from_index`]
-    /// for deserializing fault sites or lint locations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownSignal`] if `index` exceeds the node
-    /// table.
-    pub fn signal_from_index(&self, index: usize) -> Result<Signal, NetlistError> {
-        if index < self.gates.len() {
-            Ok(Signal(index as u32))
-        } else {
-            Err(NetlistError::UnknownSignal(Signal::from_index(index)))
-        }
     }
 
     /// Iterates over all nodes in topological order together with their signals.
@@ -454,44 +438,6 @@ impl Netlist {
         counts
     }
 
-    /// Logic level of every node: 0 for arity-0 nodes (inputs, constants),
-    /// `1 + max(fanin levels)` otherwise.
-    ///
-    /// Levels are only meaningful on a topologically valid netlist
-    /// ([`Netlist::validate`]); forward or out-of-range fanins are treated
-    /// as level 0 so the helper never panics on netlists the structural
-    /// lints would reject.
-    pub fn levels(&self) -> Vec<u32> {
-        let mut levels = vec![0u32; self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            let mut level = 0;
-            for k in 0..g.kind.arity() {
-                let f = g.fanins[k].index();
-                if f < i {
-                    level = level.max(levels[f] + 1);
-                }
-            }
-            levels[i] = level;
-        }
-        levels
-    }
-
-    /// Fanout adjacency: for every signal, the gates that read it, one
-    /// entry per fanin slot (a gate fed twice by the same signal appears
-    /// twice, mirroring [`Netlist::fanout_counts`]). Out-of-range fanins
-    /// are skipped, as in `fanout_counts`.
-    pub fn fanout_lists(&self) -> Vec<Vec<Signal>> {
-        let mut lists = vec![Vec::new(); self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            for k in 0..g.kind.arity() {
-                if let Some(l) = lists.get_mut(g.fanins[k].index()) {
-                    l.push(Signal(i as u32));
-                }
-            }
-        }
-        lists
-    }
-
     /// Marks the cone of logic reachable from the outputs.
     ///
     /// Returns one flag per node; unmarked nodes are dead and do not
@@ -634,6 +580,17 @@ mod tests {
         nl.set_outputs(vec![s, co]);
         // 2 XOR + 2 AND + 1 OR
         assert_eq!(nl.num_physical_gates(), 5);
+        // a and b feed the first XOR and the second AND; c and a^b feed
+        // the second XOR and the first AND; outputs are not counted.
+        let counts = nl.fanout_counts();
+        assert_eq!(&counts[..3], &[2, 2, 2]);
+        let axb = nl.iter().find(|(_, g)| g.kind == GateKind::Xor).unwrap().0;
+        assert_eq!(counts[axb.index()], 2);
+        assert_eq!((counts[s.index()], counts[co.index()]), (0, 0));
+        // A gate fed twice by one signal counts both fanin slots.
+        let twin = nl.xor(a, a);
+        assert_eq!(nl.fanout_counts()[a.index()], counts[a.index()] + 2);
+        assert_eq!(nl.fanout_counts()[twin.index()], 0);
     }
 
     #[test]
@@ -646,19 +603,6 @@ mod tests {
             nl.try_gate(foreign),
             Err(NetlistError::UnknownSignal(foreign))
         );
-    }
-
-    #[test]
-    fn signal_from_index_validates_range() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let g = nl.and(a, b);
-        assert_eq!(nl.signal_from_index(2), Ok(g));
-        assert!(matches!(
-            nl.signal_from_index(3),
-            Err(NetlistError::UnknownSignal(_))
-        ));
     }
 
     #[test]
@@ -684,45 +628,6 @@ mod tests {
         let raw = Netlist::from_raw_parts(gates, vec![a, b], vec![g]);
         assert_eq!(raw, nl);
         assert!(raw.validate().is_ok());
-    }
-
-    #[test]
-    fn levels_and_fanout_lists_agree_with_structure() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let c = nl.input();
-        let (s, co) = nl.full_adder(a, b, c);
-        nl.set_outputs(vec![s, co]);
-        let levels = nl.levels();
-        assert_eq!(levels[a.index()], 0);
-        // sum = xor(xor(a, b), c) sits two levels deep.
-        assert_eq!(levels[s.index()], 2);
-        // carry = or(and(xor(a, b), c), and(a, b)): three gate levels deep
-        // through the xor-and-or chain.
-        assert_eq!(levels[co.index()], 3);
-
-        let lists = nl.fanout_lists();
-        let counts = nl.fanout_counts();
-        for (i, list) in lists.iter().enumerate() {
-            assert_eq!(list.len(), counts[i] as usize, "n{i}");
-        }
-        // Every listed reader really has the signal as a fanin.
-        for (i, list) in lists.iter().enumerate() {
-            for &reader in list {
-                let g = nl.gate(reader);
-                assert!((0..g.kind.arity()).any(|k| g.fanins[k].index() == i));
-            }
-        }
-    }
-
-    #[test]
-    fn fanout_lists_double_count_twin_fanins() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let twin = nl.xor(a, a);
-        nl.set_outputs(vec![twin]);
-        assert_eq!(nl.fanout_lists()[a.index()], vec![twin, twin]);
     }
 
     #[test]

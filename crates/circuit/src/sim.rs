@@ -219,13 +219,12 @@ const PERIODIC: [u64; 6] = [
 ///
 /// Returns, for every node, the fraction of input combinations under which
 /// the node evaluates to 1. Used by the power model (uniform inputs, as in
-/// the paper's measurement setup) and cached by the `appmult-verify`
-/// analysis context for activity-aware lints.
+/// the paper's measurement setup).
 ///
 /// # Panics
 ///
 /// Panics if the netlist has more than 24 primary inputs.
-pub fn signal_probabilities(netlist: &Netlist) -> Vec<f64> {
+pub(crate) fn signal_probabilities(netlist: &Netlist) -> Vec<f64> {
     let n = netlist.num_inputs() as u32;
     assert!(n <= 24, "probability extraction limited to 24 input bits");
     let total = 1usize << n;

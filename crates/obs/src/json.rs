@@ -1,5 +1,5 @@
 //! The workspace's one JSON encoder: every report file is written through
-//! [`JsonWriter`] (DESIGN.md §15 has the rules and their rationale).
+//! [`JsonWriter`] (DESIGN.md §14 has the rules and their rationale).
 //!
 //! * [`Layout::Pretty`]: one member per line, two spaces of indent per
 //!   enclosing container (inline ones included), and the closing bracket

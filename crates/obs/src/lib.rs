@@ -30,7 +30,7 @@
 //! ([`ObsSink::summary`]).
 //!
 //! The crate also owns the workspace's one JSON encoder, [`json`]: every
-//! report file (LINT, ANALYZE, GRAD_MATRIX, the BENCH files and this
+//! report file (LINT, GRAD_MATRIX, the BENCH files and this
 //! crate's own report) is written through it.
 //!
 //! Hot paths that have no configuration handle (the LUT-GEMM kernels, the

@@ -111,16 +111,6 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
     count_severity(diags, Severity::Error) > 0
 }
 
-/// Whether any diagnostic is a warning (errors do not count).
-pub fn has_warnings(diags: &[Diagnostic]) -> bool {
-    count_severity(diags, Severity::Warning) > 0
-}
-
-/// Highest severity present, or `None` for an empty list.
-pub fn max_severity(diags: &[Diagnostic]) -> Option<Severity> {
-    diags.iter().map(|d| d.severity).max()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,10 +139,5 @@ mod tests {
         assert_eq!(count_severity(&diags, Severity::Info), 1);
         assert!(has_errors(&diags));
         assert!(!has_errors(&diags[1..]));
-        assert!(has_warnings(&diags));
-        assert!(!has_warnings(&diags[3..]));
-        assert_eq!(max_severity(&diags), Some(Severity::Error));
-        assert_eq!(max_severity(&diags[1..]), Some(Severity::Warning));
-        assert_eq!(max_severity(&[]), None);
     }
 }

@@ -21,18 +21,10 @@
 //!   an independent recomputation of the paper's Eq. 5 (smoothed central
 //!   difference, interior) and Eq. 6 (average slope, boundary) against
 //!   the stored gradient tables.
-//! - **The static-analysis framework** ([`AnalysisContext`],
-//!   [`analyze_netlist`]): a shared, cached context (levelization, fanout
-//!   adjacency, liveness, signal probabilities) lent to four composable
-//!   passes — static timing ([`sta`], bit-identical to the cost model's
-//!   delay, with per-gate arrival/required/slack and an explicit critical
-//!   path), ternary 0/1/X constant propagation ([`ternary_analysis`]),
-//!   structural hashing ([`strash`]), and observability, collected into
-//!   one [`NetlistAnalysis`].
 //! - **The zoo sweep** ([`lint_zoo`]): all of the above over every
 //!   Table I design plus deliberately faulty negative controls, emitting
-//!   the `results/LINT.json` and `results/ANALYZE.json` reports consumed
-//!   by CI via the `appmult-lint` binary in `appmult-bench`.
+//!   the `results/LINT.json` report consumed by CI via the `appmult-lint`
+//!   binary in `appmult-bench`.
 //!
 //! # Example
 //!
@@ -53,33 +45,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analysis;
 mod diag;
 mod equiv;
-mod sta;
-mod strash;
 mod structural;
 mod tables;
-mod ternary;
 mod zoo_lint;
 
-pub use analysis::{analyze_netlist, AnalysisContext, NetlistAnalysis};
-pub use diag::{count_severity, has_errors, has_warnings, max_severity, Diagnostic, Severity};
+pub use diag::{count_severity, has_errors, Diagnostic, Severity};
 pub use equiv::{
     lut_equivalence_vs_exact, miter, prove_equivalence, prove_multiplier_equivalence,
     Counterexample, EquivConfig, Equivalence, MiterError, MultiplierCounterexample,
     MultiplierEquiv,
 };
-pub use sta::{sta, StaGate, StaReport};
-pub use strash::{strash, strash_diagnostics, StrashReport};
-pub use structural::{lint_multiplier_circuit, lint_netlist, lint_netlist_with};
+pub use structural::{lint_multiplier_circuit, lint_netlist};
 pub use tables::{lint_gradient_lut, lint_multiplier_lut};
-pub use ternary::{
-    ternary_analysis, ternary_diagnostics, ternary_eval, StuckOutput, Ternary, TernaryReport,
-};
 pub use zoo_lint::{
-    lint_multiplier, lint_zoo, lint_zoo_filtered, DesignAnalysis, DesignKind, DesignReport,
-    ZooLintReport,
+    lint_multiplier, lint_zoo, lint_zoo_filtered, DesignKind, DesignReport, ZooLintReport,
 };
 
 use appmult_mult::Multiplier;

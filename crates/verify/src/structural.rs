@@ -10,10 +10,7 @@
 
 use appmult_circuit::{Gate, GateKind, MultiplierCircuit, Netlist};
 
-use crate::analysis::AnalysisContext;
 use crate::diag::Diagnostic;
-use crate::strash::strash_diagnostics;
-use crate::ternary::ternary_diagnostics;
 
 /// Runs every structural pass over `netlist` and collects the findings.
 ///
@@ -33,31 +30,16 @@ use crate::ternary::ternary_diagnostics;
 ///   fanout-free or unreachable from every primary output (warning).
 /// - `const-fold` — a gate that a constant-propagation pass would remove
 ///   for purely local reasons: constant fanins or twin fanins (info).
-/// - `ternary-const` / `stuck-output` — whole cones proved constant by
-///   the ternary abstract interpreter (see [`crate::ternary_diagnostics`]).
-/// - `strash-dup` — structurally duplicate gates (see
-///   [`crate::strash_diagnostics`]).
 ///
-/// Deep traversals (cycles, liveness, constant propagation, hashing) are
-/// skipped when `dangling` errors are present, since out-of-range indices
-/// make them meaningless.
+/// Deep traversals (cycles, liveness, const-folding) are skipped when
+/// `dangling` errors are present, since out-of-range indices make them
+/// meaningless.
 pub fn lint_netlist(netlist: &Netlist) -> Vec<Diagnostic> {
-    lint_netlist_with(&AnalysisContext::new(netlist))
-}
-
-/// Like [`lint_netlist`], borrowing cached traversals (liveness, fanout
-/// counts) from an existing [`AnalysisContext`] so a caller that also runs
-/// timing or hashing passes never recomputes — or disagrees about — the
-/// shared views.
-pub fn lint_netlist_with(ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-    let netlist = ctx.netlist();
     let (mut diags, traversable) = check_structure(netlist);
     if traversable {
         diags.extend(check_cycles(netlist));
-        diags.extend(check_observability(ctx));
+        diags.extend(check_observability(netlist));
         diags.extend(check_const_foldable(netlist));
-        diags.extend(ternary_diagnostics(ctx));
-        diags.extend(strash_diagnostics(ctx));
     }
     diags
 }
@@ -71,7 +53,7 @@ pub fn lint_multiplier_circuit(circuit: &MultiplierCircuit) -> Vec<Diagnostic> {
 }
 
 /// The `width` pass alone: bus-convention checks for a multiplier circuit.
-pub(crate) fn width_diagnostics(circuit: &MultiplierCircuit) -> Vec<Diagnostic> {
+fn width_diagnostics(circuit: &MultiplierCircuit) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let expect = 2 * circuit.bits() as usize;
     let inputs = circuit.netlist().num_inputs();
@@ -250,14 +232,12 @@ fn check_cycles(netlist: &Netlist) -> Vec<Diagnostic> {
 
 /// The observability pass: physical gates that drive nothing
 /// (fanout-free), or whose value never reaches any primary output
-/// (dead cone). Liveness and fanout counts come from the shared
-/// [`AnalysisContext`], the same views the cost model's area/power
-/// accounting is built on, so "dead" here and "free" there can never
-/// disagree.
-fn check_observability(ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-    let netlist = ctx.netlist();
-    let fanout = ctx.fanout_counts();
-    let live = ctx.live();
+/// (dead cone). Liveness comes from [`Netlist::live_mask`], the same
+/// traversal the cost model's area/power accounting is built on, so
+/// "dead" here and "free" there can never disagree.
+fn check_observability(netlist: &Netlist) -> Vec<Diagnostic> {
+    let fanout = netlist.fanout_counts();
+    let live = netlist.live_mask();
     let mut is_output = vec![false; netlist.num_nodes()];
     for &o in netlist.outputs() {
         is_output[o.index()] = true;

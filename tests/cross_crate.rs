@@ -81,6 +81,141 @@ fn table1_reference_rows_are_calibration_fixed_points() {
 }
 
 #[test]
+fn table1_hardware_costs_are_pinned_bit_for_bit() {
+    // (name, delay_ps, area_um2, power_uw) of every zoo design with a
+    // gate-level structure, as `CostModel::asap7()` scores it. The values
+    // print at shortest round-trip, so each literal is the exact f64.
+    const GOLDEN: [(&str, f64, f64, f64); 17] = [
+        ("mul8u_acc", 730.1, 25.6, 22.93),
+        (
+            "mul8u_syn1",
+            455.75939393939433,
+            14.958139534883733,
+            13.980608277755897,
+        ),
+        (
+            "mul8u_syn2",
+            434.5201212121217,
+            14.521892542101055,
+            13.359199945980617,
+        ),
+        (
+            "mul8u_2NDH",
+            319.4740606060612,
+            11.896712109061763,
+            10.38714093950812,
+        ),
+        (
+            "mul8u_17C8",
+            263.72096969697026,
+            8.937931034482775,
+            7.647249265650454,
+        ),
+        (
+            "mul8u_17R6",
+            221.2424242424247,
+            12.674258219727356,
+            11.590477488379065,
+        ),
+        (
+            "mul8u_rm8",
+            302.659636363637,
+            10.339053728949494,
+            9.372846719041021,
+        ),
+        (
+            "mul7u_acc",
+            539.8315151515154,
+            19.022935044105864,
+            16.766578225699252,
+        ),
+        (
+            "mul7u_06Q",
+            348.67806060606114,
+            11.945469125902179,
+            10.53570752771883,
+        ),
+        (
+            "mul7u_073",
+            302.659636363637,
+            12.648596631916611,
+            11.729978732889878,
+        ),
+        (
+            "mul7u_rm6",
+            302.659636363637,
+            10.339053728949494,
+            9.372846719041021,
+        ),
+        (
+            "mul7u_syn1",
+            347.7930909090915,
+            13.202886928628722,
+            12.157480344154836,
+        ),
+        (
+            "mul7u_syn2",
+            394.69648484848534,
+            12.625501202886943,
+            11.612161470995392,
+        ),
+        (
+            "mul7u_081",
+            259.29612121212176,
+            8.809623095429046,
+            7.650890377486975,
+        ),
+        (
+            "mul7u_08E",
+            402.6612121212126,
+            15.3045709703288,
+            14.332073035334467,
+        ),
+        (
+            "mul6u_acc",
+            377.8820606060611,
+            13.410745789895765,
+            11.549376140737635,
+        ),
+        (
+            "mul6u_rm4",
+            276.99551515151575,
+            9.551242983159598,
+            8.49595761564475,
+        ),
+    ];
+    // The `_syn` entries run approximate logic synthesis, which dominates
+    // unoptimized runtimes; as in lint_zoo.rs they are pinned in release.
+    let include_syn = !cfg!(debug_assertions);
+    let model = CostModel::asap7();
+    let mut checked = Vec::new();
+    for name in zoo::names() {
+        if !include_syn && name.contains("_syn") {
+            continue;
+        }
+        let entry = zoo::entry(name).expect("zoo::names() entries resolve");
+        let Some(circuit) = entry.multiplier.circuit() else {
+            continue;
+        };
+        let &(_, delay, area, power) = GOLDEN
+            .iter()
+            .find(|g| g.0 == *name)
+            .unwrap_or_else(|| panic!("{name} has a netlist but no golden row"));
+        let cost = model.estimate(&circuit);
+        assert_eq!(cost.delay_ps.to_bits(), delay.to_bits(), "{name} delay_ps");
+        assert_eq!(cost.area_um2.to_bits(), area.to_bits(), "{name} area_um2");
+        assert_eq!(cost.power_uw.to_bits(), power.to_bits(), "{name} power_uw");
+        checked.push(*name);
+    }
+    let expected: Vec<_> = GOLDEN
+        .iter()
+        .map(|g| g.0)
+        .filter(|n| include_syn || !n.contains("_syn"))
+        .collect();
+    assert_eq!(checked, expected, "every golden row names a costed design");
+}
+
+#[test]
 fn quantized_exact_pipeline_is_consistent_end_to_end() {
     // Quantize -> exact LUT multiply -> dequantize equals float multiply
     // to within quantization error, across random value pairs.

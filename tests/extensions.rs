@@ -1,6 +1,6 @@
 //! Integration tests for the beyond-the-paper extensions.
 
-use appmult::circuit::{to_blif, to_verilog, MultiplierCircuit};
+use appmult::circuit::MultiplierCircuit;
 use appmult::mult::{
     CompressorMultiplier, ErrorMetrics, Multiplier, SignMagnitudeMultiplier, TruncatedMultiplier,
 };
@@ -8,20 +8,6 @@ use appmult::nn::layers::{Flatten, Linear, Sequential};
 use appmult::nn::serialize::{load_params, save_params};
 use appmult::nn::Module;
 use appmult::retrain::{GradientLut, GradientMode};
-
-#[test]
-fn netlist_export_flows_from_multiplier_designs() {
-    // Any design with a gate-level structure can be shipped to an EDA tool.
-    let m = TruncatedMultiplier::new(6, 4);
-    let circuit = m.circuit().expect("rm-k designs have netlists");
-    let verilog = to_verilog(circuit.netlist(), "mul6u_rm4");
-    let blif = to_blif(circuit.netlist(), "mul6u_rm4");
-    assert!(verilog.contains("module mul6u_rm4"));
-    assert!(blif.contains(".model mul6u_rm4"));
-    // 12 ports in, 12 out.
-    assert!(verilog.matches("input ").count() == 12);
-    assert!(blif.contains(".outputs"));
-}
 
 #[test]
 fn signed_wrapper_drives_the_gradient_builder() {
