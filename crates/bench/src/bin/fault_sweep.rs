@@ -20,12 +20,12 @@
 use std::sync::Arc;
 
 use appmult_bench::{
-    markdown_table, pretrain_float, retrain_with_multiplier_resilient, write_results, Args,
-    ModelKind, Scale, Workload,
+    markdown_table, pretrain_float, retrain_with_multiplier_scheme, write_results, Args, ModelKind,
+    Scale, Workload,
 };
 use appmult_circuit::{fault_sites, FaultKind, FaultSpec, MultiplierCircuit};
-use appmult_mult::{ErrorMetrics, FaultyMultiplier};
-use appmult_retrain::{GradientMode, ResiliencePolicy};
+use appmult_mult::{ErrorMetrics, MultiplierLut};
+use appmult_retrain::{GradientMode, QuantScheme, ResiliencePolicy};
 use appmult_rng::Rng64;
 
 /// Draws `count` random faults (site and kind) for a circuit.
@@ -50,14 +50,13 @@ fn main() {
     let faults_arg = args.value("faults").unwrap_or("0,1,2,4,8");
     let fault_counts: Vec<usize> = faults_arg
         .split(',')
-        .filter_map(|s| s.trim().parse().ok())
+        .map(|s| {
+            s.trim().parse().unwrap_or_else(|_| {
+                eprintln!("error: invalid fault count `{s}` in `--faults {faults_arg}`");
+                std::process::exit(2)
+            })
+        })
         .collect();
-    if fault_counts.is_empty() {
-        eprintln!(
-            "error: --faults {faults_arg:?} contains no fault counts (expected e.g. 0,1,2,4,8)"
-        );
-        std::process::exit(2);
-    }
 
     let mut scale = Scale::cpu_cifar10();
     scale.retrain_epochs = args.get_or("epochs", 3);
@@ -90,19 +89,22 @@ fn main() {
     );
     for &count in &fault_counts {
         let faults = draw_faults(&circuit, count, seed.wrapping_add(count as u64));
-        let faulty = FaultyMultiplier::from_circuit(&base_name, &circuit, &faults)
+        let faulty = circuit
+            .with_faults(&faults)
             .expect("sites come from fault_sites");
-        let lut = Arc::new(faulty.into_lut());
+        let name = format!("{base_name}_fault{}", faults.len());
+        let lut = Arc::new(MultiplierLut::from_circuit(name, &faulty));
         let nmed = ErrorMetrics::exhaustive(&lut).nmed_pct();
 
         let mut run = |mode: GradientMode| {
-            retrain_with_multiplier_resilient(
+            retrain_with_multiplier_scheme(
                 kind,
                 &scale,
                 &workload,
                 &mut pretrained,
                 &lut,
                 mode,
+                QuantScheme::Unsigned,
                 Some(ResiliencePolicy::default()),
             )
         };

@@ -218,21 +218,6 @@ pub fn retrain_with_multiplier(
     lut: &Arc<MultiplierLut>,
     mode: GradientMode,
 ) -> RetrainOutcome {
-    retrain_with_multiplier_resilient(kind, scale, workload, pretrained, lut, mode, None)
-}
-
-/// Like [`retrain_with_multiplier`], with an optional resilience policy —
-/// used by the faulty-hardware sweeps, where defective products routinely
-/// blow up the loss.
-pub fn retrain_with_multiplier_resilient(
-    kind: ModelKind,
-    scale: &Scale,
-    workload: &Workload,
-    pretrained: &mut Sequential,
-    lut: &Arc<MultiplierLut>,
-    mode: GradientMode,
-    resilience: Option<ResiliencePolicy>,
-) -> RetrainOutcome {
     retrain_with_multiplier_scheme(
         kind,
         scale,
@@ -241,7 +226,7 @@ pub fn retrain_with_multiplier_resilient(
         lut,
         mode,
         QuantScheme::Unsigned,
-        resilience,
+        None,
     )
 }
 

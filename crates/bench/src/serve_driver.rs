@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use appmult_mult::{FaultyMultiplier, Multiplier};
+use appmult_mult::Multiplier;
 use appmult_nn::layers::{Relu, Sequential};
 use appmult_nn::Tensor;
 use appmult_obs::json::{self, Layout};
@@ -196,7 +196,7 @@ fn spec(name: &str, faulty: bool) -> ModelSpec {
     let build: LutBuilder = Arc::new(move || {
         let clean = appmult_mult::zoo::mul7u_rm6().to_lut();
         let lut = if faulty {
-            FaultyMultiplier::corrupt_lut(&clean, 48, 0xFA117).into_lut()
+            clean.with_flipped_bits(48, 0xFA117)
         } else {
             clean
         };

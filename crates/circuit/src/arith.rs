@@ -198,22 +198,6 @@ impl MultiplierCircuit {
         self.reorder_to_lut(&ExhaustiveTable::build(&self.netlist))
     }
 
-    /// Like [`MultiplierCircuit::exhaustive_products`], but with the given
-    /// hardware faults injected (see [`crate::FaultSpec`]). The circuit is
-    /// not mutated; an empty fault list reproduces the fault-free table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownSignal`] if a fault site does not
-    /// belong to this circuit's netlist.
-    pub fn exhaustive_products_faulted(
-        &self,
-        faults: &[crate::fault::FaultSpec],
-    ) -> Result<Vec<u64>, NetlistError> {
-        let table = crate::fault::exhaustive_table_faulted(&self.netlist, faults)?;
-        Ok(self.reorder_to_lut(&table))
-    }
-
     /// Re-orders a raw simulation table (w in low bits, x in high bits) into
     /// the LUT convention `(w << bits) | x`.
     fn reorder_to_lut(&self, table: &ExhaustiveTable) -> Vec<u64> {

@@ -3,15 +3,11 @@
 //! Models permanent hardware defects in a fabricated multiplier: a gate
 //! output stuck at logic 0 or 1 (the classic stuck-at model used by
 //! manufacturing test), or inverted (a simple bridging/transistor defect
-//! proxy). Faults are described *outside* the netlist by [`FaultSpec`]
-//! values and applied as an overlay during simulation, so the same
-//! [`Netlist`] can be evaluated under many fault scenarios without being
-//! cloned or mutated.
-//!
-//! This backs the faulty-hardware retraining sweeps: extract the faulted
-//! truth table with [`exhaustive_table_faulted`] (or
-//! [`crate::MultiplierCircuit::exhaustive_products_faulted`]), wrap it as a
-//! product LUT, and retrain against the defective design.
+//! proxy). Faults are described by [`FaultSpec`] values and applied by
+//! [`MultiplierCircuit::with_faults`], which rewrites the faulted nodes of a
+//! cloned netlist. A defective multiplier is therefore an ordinary
+//! [`MultiplierCircuit`]: its product table, cost, and lint come from the
+//! same code paths as any other design.
 //!
 //! # Example
 //!
@@ -23,13 +19,14 @@
 //! assert!(!sites.is_empty());
 //!
 //! // Break one gate and extract the defective product table.
-//! let faults = [FaultSpec::stuck_at_1(sites[0])];
-//! let faulty = mult.exhaustive_products_faulted(&faults).unwrap();
-//! assert_eq!(faulty.len(), 256);
+//! let faulty = mult.with_faults(&[FaultSpec::stuck_at_1(sites[0])]).unwrap();
+//! assert_eq!(faulty.exhaustive_products().len(), 256);
 //! ```
 
+use std::collections::HashSet;
+
+use crate::arith::MultiplierCircuit;
 use crate::netlist::{Netlist, NetlistError, Signal};
-use crate::sim::{simulate_words_into_overlay, ExhaustiveTable};
 
 /// The defect model applied to a gate output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,15 +40,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Applies the fault to a 64-lane simulation word of fault-free values.
-    pub fn apply(self, word: u64) -> u64 {
-        match self {
-            FaultKind::StuckAt0 => 0,
-            FaultKind::StuckAt1 => u64::MAX,
-            FaultKind::OutputInvert => !word,
-        }
-    }
-
     /// All defect models, in a fixed order (useful for sweeps).
     pub const ALL: [FaultKind; 3] = [
         FaultKind::StuckAt0,
@@ -125,83 +113,55 @@ pub fn fault_sites(netlist: &Netlist) -> Vec<Signal> {
         .collect()
 }
 
-/// Compiles fault specs into a per-node overlay for the simulator.
-///
-/// When several faults target the same site, the last one wins (mirroring a
-/// physical defect: a node has one actual behaviour).
-fn compile_overlay(
-    netlist: &Netlist,
-    faults: &[FaultSpec],
-) -> Result<Vec<Option<FaultKind>>, NetlistError> {
-    let mut overlay = vec![None; netlist.num_nodes()];
-    for f in faults {
-        if f.site.index() >= netlist.num_nodes() {
-            return Err(NetlistError::UnknownSignal(f.site));
-        }
-        overlay[f.site.index()] = Some(f.kind);
+impl MultiplierCircuit {
+    /// Returns a copy of this circuit with `faults` injected: each faulted
+    /// node of a cloned netlist is rewritten, a stuck-at fault into a
+    /// constant and an output inversion into the complementary gate. The
+    /// circuit itself is not changed, and an empty fault list reproduces it
+    /// exactly.
+    ///
+    /// When several faults target the same site, the last one wins
+    /// (mirroring a physical defect: a node has one actual behaviour).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::UnknownSignal`] if a fault site does not
+    /// belong to this circuit's netlist or is a primary input (a defect
+    /// there is outside the multiplier; [`fault_sites`] never returns one).
+    pub fn with_faults(&self, faults: &[FaultSpec]) -> Result<Self, NetlistError> {
+        Ok(Self::from_parts(
+            faulted_netlist(self.netlist(), faults)?,
+            self.bits(),
+            self.structure(),
+            self.removed_columns(),
+        ))
     }
-    Ok(overlay)
 }
 
-/// Like [`crate::simulate_words`], but with `faults` injected.
-///
-/// The netlist itself is untouched; an empty fault list reproduces the
-/// fault-free simulation bit for bit.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::UnknownSignal`] if a fault site does not belong
-/// to this netlist.
-///
-/// # Panics
-///
-/// Panics if `input_words.len()` differs from the number of primary inputs.
-pub fn simulate_words_faulted(
-    netlist: &Netlist,
-    faults: &[FaultSpec],
-    input_words: &[u64],
-) -> Result<Vec<u64>, NetlistError> {
-    let overlay = compile_overlay(netlist, faults)?;
-    let mut scratch = Vec::new();
-    simulate_words_into_overlay(netlist, input_words, &mut scratch, &overlay);
-    Ok(netlist
-        .outputs()
-        .iter()
-        .map(|s| scratch[s.index()])
-        .collect())
-}
-
-/// Like [`ExhaustiveTable::build`], but with `faults` injected.
-///
-/// An empty fault list yields a table identical to the fault-free build.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::UnknownSignal`] if a fault site does not belong
-/// to this netlist.
-///
-/// # Panics
-///
-/// Panics under the same size limits as [`ExhaustiveTable::build`].
-pub fn exhaustive_table_faulted(
-    netlist: &Netlist,
-    faults: &[FaultSpec],
-) -> Result<ExhaustiveTable, NetlistError> {
-    let overlay = compile_overlay(netlist, faults)?;
-    Ok(ExhaustiveTable::build_with(
-        netlist,
-        appmult_pool::Pool::global(),
-        |nl, words, scratch| {
-            simulate_words_into_overlay(nl, words, scratch, &overlay);
-        },
-    ))
+/// Clones `netlist` and rewrites the node behind every fault site. Faults
+/// are walked last to first so that only the last fault on a site applies:
+/// rewriting in order would let two inversions cancel, or an inversion flip
+/// an earlier stuck-at constant.
+fn faulted_netlist(netlist: &Netlist, faults: &[FaultSpec]) -> Result<Netlist, NetlistError> {
+    let mut faulted = netlist.clone();
+    let mut done = HashSet::new();
+    for f in faults.iter().rev() {
+        if !done.insert(f.site) {
+            continue;
+        }
+        match f.kind {
+            FaultKind::StuckAt0 => faulted.replace_with_const(f.site, false)?,
+            FaultKind::StuckAt1 => faulted.replace_with_const(f.site, true)?,
+            FaultKind::OutputInvert => faulted.replace_with_complement(f.site)?,
+        }
+    }
+    Ok(faulted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arith::MultiplierCircuit;
-    use crate::sim::simulate_words;
+    use crate::sim::ExhaustiveTable;
 
     fn adder_netlist() -> Netlist {
         let mut nl = Netlist::new();
@@ -213,32 +173,29 @@ mod tests {
         nl
     }
 
+    fn table(nl: &Netlist, faults: &[FaultSpec]) -> ExhaustiveTable {
+        ExhaustiveTable::build(&faulted_netlist(nl, faults).unwrap())
+    }
+
     #[test]
     fn empty_fault_list_is_identity() {
         let nl = adder_netlist();
-        let words = [
-            0xDEAD_BEEF_0123_4567,
-            0xAAAA_5555_FFFF_0000,
-            0x0F0F_F0F0_CAFE_BABE,
-        ];
-        let clean = simulate_words(&nl, &words);
-        let faulted = simulate_words_faulted(&nl, &[], &words).unwrap();
-        assert_eq!(clean, faulted);
-        let t0 = ExhaustiveTable::build(&nl);
-        let t1 = exhaustive_table_faulted(&nl, &[]).unwrap();
-        assert_eq!(t0, t1);
+        assert_eq!(faulted_netlist(&nl, &[]).unwrap(), nl);
+        let mult = MultiplierCircuit::array(4);
+        assert_eq!(
+            mult.with_faults(&[]).unwrap().exhaustive_products(),
+            mult.exhaustive_products()
+        );
     }
 
     #[test]
     fn stuck_at_forces_output() {
         let nl = adder_netlist();
         let sum = nl.outputs()[0];
-        let t = exhaustive_table_faulted(&nl, &[FaultSpec::stuck_at_1(sum)]).unwrap();
-        for v in t.values() {
+        for v in table(&nl, &[FaultSpec::stuck_at_1(sum)]).values() {
             assert_eq!(v & 1, 1, "sum bit must be stuck at 1");
         }
-        let t = exhaustive_table_faulted(&nl, &[FaultSpec::stuck_at_0(sum)]).unwrap();
-        for v in t.values() {
+        for v in table(&nl, &[FaultSpec::stuck_at_0(sum)]).values() {
             assert_eq!(v & 1, 0, "sum bit must be stuck at 0");
         }
     }
@@ -248,9 +205,36 @@ mod tests {
         let nl = adder_netlist();
         let carry = nl.outputs()[1];
         let clean = ExhaustiveTable::build(&nl);
-        let inv = exhaustive_table_faulted(&nl, &[FaultSpec::output_invert(carry)]).unwrap();
+        let inv = table(&nl, &[FaultSpec::output_invert(carry)]);
         for (c, f) in clean.values().iter().zip(inv.values()) {
             assert_eq!(c ^ 0b10, *f);
+        }
+    }
+
+    #[test]
+    fn output_invert_complements_every_gate_kind() {
+        let mut nl = Netlist::new();
+        let a = nl.input();
+        let b = nl.input();
+        let gates = [
+            nl.const0(),
+            nl.const1(),
+            nl.buf(a),
+            nl.not(a),
+            nl.and(a, b),
+            nl.or(a, b),
+            nl.xor(a, b),
+            nl.nand(a, b),
+            nl.nor(a, b),
+            nl.xnor(a, b),
+        ];
+        nl.set_outputs(gates.to_vec());
+        let clean = ExhaustiveTable::build(&nl);
+        for (bit, &g) in gates.iter().enumerate() {
+            let inv = table(&nl, &[FaultSpec::output_invert(g)]);
+            for (c, f) in clean.values().iter().zip(inv.values()) {
+                assert_eq!(c ^ (1 << bit), *f, "inverting {}", nl.gate(g).kind);
+            }
         }
     }
 
@@ -258,20 +242,40 @@ mod tests {
     fn unknown_site_is_rejected() {
         let nl = adder_netlist();
         let bogus = Signal(nl.num_nodes() as u32 + 7);
-        let err = simulate_words_faulted(&nl, &[FaultSpec::stuck_at_0(bogus)], &[0, 0, 0]);
-        assert!(matches!(err, Err(NetlistError::UnknownSignal(_))));
-        assert!(exhaustive_table_faulted(&nl, &[FaultSpec::output_invert(bogus)]).is_err());
+        for fault in [
+            FaultSpec::stuck_at_0(bogus),
+            FaultSpec::output_invert(bogus),
+        ] {
+            let err = faulted_netlist(&nl, &[fault]);
+            assert_eq!(err, Err(NetlistError::UnknownSignal(bogus)));
+        }
+    }
+
+    #[test]
+    fn input_site_is_rejected() {
+        let mult = MultiplierCircuit::array(4);
+        let input = mult.netlist().inputs()[0];
+        for kind in FaultKind::ALL {
+            let err = mult.with_faults(&[FaultSpec { site: input, kind }]);
+            assert!(matches!(err, Err(NetlistError::UnknownSignal(s)) if s == input));
+        }
     }
 
     #[test]
     fn last_fault_wins_on_shared_site() {
         let nl = adder_netlist();
         let sum = nl.outputs()[0];
-        let faults = [FaultSpec::stuck_at_1(sum), FaultSpec::stuck_at_0(sum)];
-        let t = exhaustive_table_faulted(&nl, &faults).unwrap();
-        for v in t.values() {
-            assert_eq!(v & 1, 0);
-        }
+        let (sa0, sa1, inv) = (
+            FaultSpec::stuck_at_0(sum),
+            FaultSpec::stuck_at_1(sum),
+            FaultSpec::output_invert(sum),
+        );
+        // Two inversions on one node invert it once; they do not cancel.
+        assert_eq!(table(&nl, &[inv, inv]), table(&nl, &[inv]));
+        assert_ne!(table(&nl, &[inv]), ExhaustiveTable::build(&nl));
+        // A later inversion replaces a stuck-at; it does not flip its constant.
+        assert_eq!(table(&nl, &[sa1, inv]), table(&nl, &[inv]));
+        assert_eq!(table(&nl, &[sa1, sa0]), table(&nl, &[sa0]));
     }
 
     #[test]
@@ -294,9 +298,9 @@ mod tests {
         let sites = fault_sites(mult.netlist());
         for (i, &site) in sites.iter().enumerate().step_by(7) {
             let kind = FaultKind::ALL[i % 3];
-            let lut = mult
-                .exhaustive_products_faulted(&[FaultSpec { site, kind }])
-                .unwrap();
+            let faulty = mult.with_faults(&[FaultSpec { site, kind }]).unwrap();
+            assert_eq!(faulty.bits(), 4);
+            let lut = faulty.exhaustive_products();
             assert_eq!(lut.len(), 256);
             for &p in &lut {
                 assert!(p < 256, "product must fit the 8-bit output bus");

@@ -6,9 +6,9 @@
 //! adders), a 64-way bit-parallel logic simulator with exhaustive
 //! truth-table extraction, an ASAP7-calibrated area/delay/power cost model,
 //! a greedy approximate logic synthesis (ALS) pass that generates the
-//! `_syn` multipliers of the paper's Table I, and a fault-injection overlay
-//! (stuck-at / output-invert) for extracting truth tables of defective
-//! hardware without mutating the netlist.
+//! `_syn` multipliers of the paper's Table I, and fault injection
+//! (stuck-at / output-invert) that turns a multiplier into a defective copy
+//! of itself by rewriting the faulted gates of a cloned netlist.
 //!
 //! # Example
 //!
@@ -39,8 +39,6 @@ pub use als::{synthesize, AlsConfig, AlsOutcome, AlsRewrite};
 pub use arith::{ripple_carry_adder, AdderCircuit, MultiplierCircuit, MultiplierStructure};
 pub use cost::{CostModel, HardwareCost};
 pub use dots::DotColumns;
-pub use fault::{
-    exhaustive_table_faulted, fault_sites, simulate_words_faulted, FaultKind, FaultSpec,
-};
+pub use fault::{fault_sites, FaultKind, FaultSpec};
 pub use netlist::{Gate, GateKind, Netlist, NetlistError, Signal};
 pub use sim::{simulate_bools, simulate_words, ExhaustiveTable};

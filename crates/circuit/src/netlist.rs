@@ -390,6 +390,34 @@ impl Netlist {
         Ok(())
     }
 
+    /// Replaces the node behind `gate` with its complement on the same
+    /// fanins: And↔Nand, Or↔Nor, Xor↔Xnor, Buf↔Not, Const0↔Const1.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::UnknownSignal`] if `gate` is out of range or a
+    /// primary input.
+    pub(crate) fn replace_with_complement(&mut self, gate: Signal) -> Result<(), NetlistError> {
+        let node = self
+            .gates
+            .get_mut(gate.index())
+            .ok_or(NetlistError::UnknownSignal(gate))?;
+        node.kind = match node.kind {
+            GateKind::Input => return Err(NetlistError::UnknownSignal(gate)),
+            GateKind::Const0 => GateKind::Const1,
+            GateKind::Const1 => GateKind::Const0,
+            GateKind::Buf => GateKind::Not,
+            GateKind::Not => GateKind::Buf,
+            GateKind::And => GateKind::Nand,
+            GateKind::Nand => GateKind::And,
+            GateKind::Or => GateKind::Nor,
+            GateKind::Nor => GateKind::Or,
+            GateKind::Xor => GateKind::Xnor,
+            GateKind::Xnor => GateKind::Xor,
+        };
+        Ok(())
+    }
+
     /// Replaces the node behind `gate` with a buffer of `replacement`.
     ///
     /// # Errors

@@ -7,7 +7,6 @@
 
 use appmult_pool::Pool;
 
-use crate::fault::FaultKind;
 use crate::netlist::{GateKind, Netlist};
 
 /// Simulates 64 patterns at once.
@@ -31,18 +30,6 @@ pub fn simulate_words(netlist: &Netlist, input_words: &[u64]) -> Vec<u64> {
 /// Like [`simulate_words`] but writes every node value into `scratch`,
 /// avoiding per-call allocation. `scratch` is resized as needed.
 pub fn simulate_words_into(netlist: &Netlist, input_words: &[u64], scratch: &mut Vec<u64>) {
-    simulate_words_into_overlay(netlist, input_words, scratch, &[]);
-}
-
-/// Core simulation loop with an optional fault overlay: after a node is
-/// evaluated, `overlay[node]` (when present and `Some`) rewrites its value.
-/// An empty overlay simulates the fault-free netlist.
-pub(crate) fn simulate_words_into_overlay(
-    netlist: &Netlist,
-    input_words: &[u64],
-    scratch: &mut Vec<u64>,
-    overlay: &[Option<FaultKind>],
-) {
     assert_eq!(
         input_words.len(),
         netlist.num_inputs(),
@@ -52,7 +39,7 @@ pub(crate) fn simulate_words_into_overlay(
     scratch.resize(netlist.num_nodes(), 0);
     let mut next_input = 0;
     for (sig, gate) in netlist.iter() {
-        let mut v = match gate.kind {
+        scratch[sig.index()] = match gate.kind {
             GateKind::Input => {
                 let w = input_words[next_input];
                 next_input += 1;
@@ -69,10 +56,6 @@ pub(crate) fn simulate_words_into_overlay(
             GateKind::Nor => !(scratch[gate.fanins[0].index()] | scratch[gate.fanins[1].index()]),
             GateKind::Xnor => !(scratch[gate.fanins[0].index()] ^ scratch[gate.fanins[1].index()]),
         };
-        if let Some(Some(fault)) = overlay.get(sig.index()) {
-            v = fault.apply(v);
-        }
-        scratch[sig.index()] = v;
     }
 }
 
@@ -135,18 +118,6 @@ impl ExhaustiveTable {
     /// table entry is written by exactly one worker, so the result is
     /// bit-identical for any thread count.
     pub fn build_in(netlist: &Netlist, pool: Pool) -> Self {
-        Self::build_with(netlist, pool, simulate_words_into)
-    }
-
-    /// Builds the table with a caller-supplied simulation kernel (same
-    /// contract as [`simulate_words_into`], except the kernel must be
-    /// `Fn + Sync` so word blocks can run on several workers). This is how
-    /// the fault-injection module extracts truth tables of defective
-    /// hardware without mutating the netlist.
-    pub(crate) fn build_with<F>(netlist: &Netlist, pool: Pool, sim: F) -> Self
-    where
-        F: Fn(&Netlist, &[u64], &mut Vec<u64>) + Sync,
-    {
         let n = netlist.num_inputs() as u32;
         assert!(
             n <= 24,
@@ -171,7 +142,7 @@ impl ExhaustiveTable {
                         *word = if (base >> i) & 1 == 1 { u64::MAX } else { 0 };
                     }
                 }
-                sim(netlist, &input_words, &mut scratch);
+                simulate_words_into(netlist, &input_words, &mut scratch);
                 for (lane, v) in lane_chunk.iter_mut().enumerate() {
                     let mut out_bits = 0u64;
                     for (o, sig) in netlist.outputs().iter().enumerate() {

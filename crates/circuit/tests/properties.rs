@@ -112,15 +112,15 @@ fn zero_faults_is_identity() {
         };
         let m = MultiplierCircuit::with_removed_columns(bits, removed, structure);
         assert_eq!(
-            m.exhaustive_products_faulted(&[]).expect("no faults"),
+            m.with_faults(&[]).expect("no faults").exhaustive_products(),
             m.exhaustive_products(),
             "{structure:?} rm{removed} {bits}-bit"
         );
     }
 }
 
-/// Fault extraction is a pure function: the same fault list yields the
-/// same table on repeated extraction, and the circuit is not mutated
+/// Fault injection is a pure function: the same fault list yields the
+/// same table on repeated injection, and the circuit is not mutated
 /// (its fault-free table is unchanged afterwards).
 #[test]
 fn stuck_at_faults_are_deterministic() {
@@ -136,14 +136,20 @@ fn stuck_at_faults_are_deterministic() {
                 kind: FaultKind::ALL[rng.index(3)],
             })
             .collect();
-        let a = m.exhaustive_products_faulted(&faults).expect("valid sites");
-        let b = m.exhaustive_products_faulted(&faults).expect("valid sites");
+        let a = m.with_faults(&faults).expect("valid sites");
+        let b = m.with_faults(&faults).expect("valid sites");
+        assert_eq!(
+            a.netlist(),
+            b.netlist(),
+            "same faults must give the same netlist"
+        );
+        let (a, b) = (a.exhaustive_products(), b.exhaustive_products());
         assert_eq!(a, b, "same faults must give the same table");
         assert_eq!(m.exhaustive_products(), clean, "netlist must stay intact");
     }
 }
 
-/// A stuck-at fault on a live gate pins that node: re-extracting with the
+/// A stuck-at fault on a live gate pins that node: re-injecting with the
 /// opposite stuck-at value gives a different table unless the gate was
 /// already constant.
 #[test]
@@ -152,12 +158,13 @@ fn stuck_at_values_differ_somewhere() {
     let sites = fault_sites(m.netlist());
     let mut observed_difference = false;
     for &site in sites.iter().step_by(5) {
-        let sa0 = m
-            .exhaustive_products_faulted(&[FaultSpec::stuck_at_0(site)])
-            .expect("valid site");
-        let sa1 = m
-            .exhaustive_products_faulted(&[FaultSpec::stuck_at_1(site)])
-            .expect("valid site");
+        let products = |fault| {
+            m.with_faults(&[fault])
+                .expect("valid site")
+                .exhaustive_products()
+        };
+        let sa0 = products(FaultSpec::stuck_at_0(site));
+        let sa1 = products(FaultSpec::stuck_at_1(site));
         if sa0 != sa1 {
             observed_difference = true;
         }

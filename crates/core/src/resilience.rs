@@ -1,6 +1,7 @@
 //! Resilient-retraining policy: NaN guards and divergence rollback.
 //!
-//! Retraining against defective hardware (see `FaultyMultiplier` in
+//! Retraining against defective hardware (a faulted circuit's product
+//! table, or a table with flipped bits; see `MultiplierLut` in
 //! `appmult-mult`) routinely produces wild products, which turn into
 //! non-finite losses and exploding gradients. [`ResiliencePolicy`] hardens
 //! the [`crate::retrain`] loop against this:

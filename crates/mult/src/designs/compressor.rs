@@ -108,15 +108,8 @@ impl CompressorMultiplier {
     }
 
     fn lut(&self) -> &MultiplierLut {
-        self.lut.get_or_init(|| {
-            let products: Vec<u32> = self
-                .build_circuit()
-                .exhaustive_products()
-                .into_iter()
-                .map(|p| p as u32)
-                .collect();
-            MultiplierLut::from_entries(self.name(), self.bits, products)
-        })
+        self.lut
+            .get_or_init(|| MultiplierLut::from_circuit(self.name(), &self.build_circuit()))
     }
 }
 

@@ -52,13 +52,7 @@ impl SynthesizedMultiplier {
         };
         let outcome = synthesize(&exact, &cfg);
         let name = format!("mul{bits}u_syn{seed}");
-        let products: Vec<u32> = outcome
-            .circuit
-            .exhaustive_products()
-            .into_iter()
-            .map(|p| p as u32)
-            .collect();
-        let lut = MultiplierLut::from_entries(name.clone(), bits, products);
+        let lut = MultiplierLut::from_circuit(name.clone(), &outcome.circuit);
         Self {
             name,
             lut,

@@ -7,6 +7,11 @@
 //! retraining framework), and the standard error metrics
 //! ([`ErrorMetrics`]: error rate, NMED, MaxED — Eq. 2 of the paper).
 //!
+//! Defective hardware is one more table: [`MultiplierLut::from_circuit`]
+//! extracts the products of a faulted gate-level circuit (see
+//! `MultiplierCircuit::with_faults` in `appmult-circuit`), and
+//! [`MultiplierLut::with_flipped_bits`] models defective table memory.
+//!
 //! Most designs also expose a gate-level structure (via
 //! [`Multiplier::circuit`]) so the `appmult-circuit` cost model can report
 //! area, delay, and power.
@@ -28,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod designs;
-mod faulty;
 mod metrics;
 mod multiplier;
 mod signed;
@@ -39,7 +43,6 @@ pub use designs::{
     ExactMultiplier, LowerOrMultiplier, MitchellMultiplier, Recursive2x2Multiplier,
     SegmentedMultiplier, SynthesizedMultiplier, TruncatedMultiplier,
 };
-pub use faulty::FaultyMultiplier;
 pub use metrics::ErrorMetrics;
 pub use multiplier::{Multiplier, MultiplierLut};
 pub use signed::SignMagnitudeMultiplier;

@@ -1,9 +1,11 @@
 //! The [`Multiplier`] trait and precomputed product LUTs.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
 use appmult_circuit::MultiplierCircuit;
+use appmult_rng::Rng64;
 
 /// An unsigned `B x B -> 2B`-bit integer multiplier, exact or approximate.
 ///
@@ -136,6 +138,64 @@ impl MultiplierLut {
         Self {
             name: name.into(),
             bits,
+            products,
+        }
+    }
+
+    /// Extracts the product table of a gate-level `circuit` by exhaustive
+    /// simulation. A defective multiplier is the table of a faulted circuit
+    /// (see [`MultiplierCircuit::with_faults`]).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use appmult_circuit::{fault_sites, FaultSpec, MultiplierCircuit};
+    /// use appmult_mult::MultiplierLut;
+    ///
+    /// let circuit = MultiplierCircuit::array(4);
+    /// let site = fault_sites(circuit.netlist())[10];
+    /// let faulty = circuit.with_faults(&[FaultSpec::stuck_at_1(site)]).unwrap();
+    /// let lut = MultiplierLut::from_circuit("mul4u_array_fault1", &faulty);
+    /// assert_eq!(lut.bits(), 4);
+    /// assert!(!lut.is_exact());
+    /// ```
+    pub fn from_circuit(name: impl Into<String>, circuit: &MultiplierCircuit) -> Self {
+        let products = circuit
+            .exhaustive_products()
+            .into_iter()
+            .map(|p| p as u32)
+            .collect();
+        Self::from_entries(name, circuit.bits(), products)
+    }
+
+    /// A copy of this table with `bit_flips` distinct (entry, bit) positions
+    /// of its products flipped, chosen by `seed`, and named
+    /// `{name}_flip{bit_flips}_s{seed}`. This models defective memory cells
+    /// in a LUT-based accelerator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit_flips` exceeds the total number of stored bits
+    /// (`2^(2B) * 2B`).
+    pub fn with_flipped_bits(&self, bit_flips: usize, seed: u64) -> Self {
+        let out_bits = 2 * self.bits as usize;
+        let mut products = self.products.clone();
+        let total_bits = products.len() * out_bits;
+        assert!(
+            bit_flips <= total_bits,
+            "cannot flip {bit_flips} of {total_bits} stored bits"
+        );
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut flipped = HashSet::new();
+        while flipped.len() < bit_flips {
+            let pos = rng.index(total_bits);
+            if flipped.insert(pos) {
+                products[pos / out_bits] ^= 1 << (pos % out_bits);
+            }
+        }
+        Self {
+            name: format!("{}_flip{bit_flips}_s{seed}", self.name),
+            bits: self.bits,
             products,
         }
     }
@@ -292,6 +352,48 @@ mod tests {
         v[3] = 16; // needs 5 bits, only 2B = 4 available
         let r = std::panic::catch_unwind(|| MultiplierLut::from_entries("bad", 2, v));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn from_circuit_matches_the_gate_level_design() {
+        let circuit = MultiplierCircuit::wallace(4);
+        let lut = MultiplierLut::from_circuit("mul4u_wallace", &circuit);
+        assert_eq!(lut.name(), "mul4u_wallace");
+        assert_eq!(lut.entries(), ExactMultiplier::new(4).to_lut().entries());
+    }
+
+    #[test]
+    fn bit_flips_flip_exactly_n_bits() {
+        let lut = ExactMultiplier::new(5).to_lut();
+        for flips in [0usize, 1, 7, 32] {
+            let changed_bits: u32 = lut
+                .with_flipped_bits(flips, 0x5EED)
+                .entries()
+                .iter()
+                .zip(lut.entries())
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert_eq!(changed_bits as usize, flips);
+        }
+    }
+
+    #[test]
+    fn bit_flips_are_deterministic_per_seed() {
+        let lut = ExactMultiplier::new(4).to_lut();
+        let a = lut.with_flipped_bits(5, 7);
+        let b = lut.with_flipped_bits(5, 7);
+        let c = lut.with_flipped_bits(5, 8);
+        assert_eq!(a, b);
+        assert_ne!(a.entries(), c.entries());
+        assert_eq!(a.name(), format!("{}_flip5_s7", lut.name()));
+    }
+
+    #[test]
+    fn flipped_products_still_fit_output_bus() {
+        let lut = ExactMultiplier::new(4).to_lut();
+        for &p in lut.with_flipped_bits(40, 99).entries() {
+            assert!(p < 256);
+        }
     }
 
     #[test]

@@ -48,111 +48,9 @@ impl Module for Relu {
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Parameter)) {}
 }
 
-/// Logistic sigmoid: `y = 1 / (1 + e^-x)`.
-#[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid activation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Module for Sigmoid {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.map(|v| 1.0 / (1.0 + (-v).exp()));
-        self.output = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.output.as_ref().expect("backward before forward");
-        assert_eq!(grad_out.shape(), y.shape(), "gradient shape mismatch");
-        let data = grad_out
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .map(|(&g, &s)| g * s * (1.0 - s))
-            .collect();
-        Tensor::from_vec(data, y.shape())
-    }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Parameter)) {}
-}
-
-/// Hyperbolic tangent activation (used by the classic LeNet-5 formulation).
-#[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh activation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Module for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.map(f32::tanh);
-        self.output = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.output.as_ref().expect("backward before forward");
-        assert_eq!(grad_out.shape(), y.shape(), "gradient shape mismatch");
-        let data = grad_out
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .map(|(&g, &t)| g * (1.0 - t * t))
-            .collect();
-        Tensor::from_vec(data, y.shape())
-    }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Parameter)) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sigmoid_saturates_and_centres() {
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![-20.0, 0.0, 20.0], &[3]), true);
-        assert!(y.as_slice()[0] < 1e-6);
-        assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);
-        assert!(y.as_slice()[2] > 1.0 - 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_gradcheck() {
-        let mut s = Sigmoid::new();
-        let x = Tensor::from_vec(vec![-1.5, -0.2, 0.4, 2.0], &[4]);
-        let r = crate::gradcheck::check_module(&mut s, &x, 8, 1e-3);
-        assert!(r.max_rel_err < 0.01, "{}", r.summary());
-    }
-
-    #[test]
-    fn tanh_gradcheck() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_vec(vec![-2.0, -0.3, 0.0, 0.9], &[4]);
-        let r = crate::gradcheck::check_module(&mut t, &x, 9, 1e-3);
-        assert!(r.max_rel_err < 0.01, "{}", r.summary());
-    }
-
-    #[test]
-    fn tanh_is_odd() {
-        let mut t = Tanh::new();
-        let y = t.forward(&Tensor::from_vec(vec![1.3, -1.3], &[2]), true);
-        assert!((y.as_slice()[0] + y.as_slice()[1]).abs() < 1e-6);
-    }
 
     #[test]
     fn backward_masks_negative_inputs() {

@@ -160,130 +160,9 @@ impl Module for GlobalAvgPool {
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Parameter)) {}
 }
 
-/// Windowed average pooling (non-overlapping or strided square windows).
-#[derive(Debug, Clone)]
-pub struct AvgPool2d {
-    kernel: usize,
-    stride: usize,
-    in_shape: Vec<usize>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel` or `stride` is zero.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(kernel > 0 && stride > 0);
-        Self {
-            kernel,
-            stride,
-            in_shape: vec![],
-        }
-    }
-}
-
-impl Module for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let s = input.shape();
-        assert_eq!(s.len(), 4, "expected NCHW input");
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        assert!(
-            h >= self.kernel && w >= self.kernel,
-            "input smaller than window"
-        );
-        let oh = (h - self.kernel) / self.stride + 1;
-        let ow = (w - self.kernel) / self.stride + 1;
-        let inv = 1.0 / (self.kernel * self.kernel) as f32;
-        let data = input.as_slice();
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                acc += data
-                                    [base + (oy * self.stride + ky) * w + ox * self.stride + kx];
-                            }
-                        }
-                        out[((ni * c + ci) * oh + oy) * ow + ox] = acc * inv;
-                    }
-                }
-            }
-        }
-        self.in_shape = s.to_vec();
-        Tensor::from_vec(out, &[n, c, oh, ow])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(!self.in_shape.is_empty(), "backward before forward");
-        let (n, c, h, w) = (
-            self.in_shape[0],
-            self.in_shape[1],
-            self.in_shape[2],
-            self.in_shape[3],
-        );
-        let oh = (h - self.kernel) / self.stride + 1;
-        let ow = (w - self.kernel) / self.stride + 1;
-        assert_eq!(grad_out.shape(), &[n, c, oh, ow], "gradient shape mismatch");
-        let inv = 1.0 / (self.kernel * self.kernel) as f32;
-        let g = grad_out.as_slice();
-        let mut dx = vec![0.0f32; n * c * h * w];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let gv = g[((ni * c + ci) * oh + oy) * ow + ox] * inv;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                dx[base + (oy * self.stride + ky) * w + ox * self.stride + kx] +=
-                                    gv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(dx, &self.in_shape)
-    }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Parameter)) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn avgpool_averages_windows() {
-        let mut pool = AvgPool2d::new(2, 2);
-        let x = Tensor::from_vec(vec![1., 3., 5., 7.], &[1, 1, 2, 2]);
-        let y = pool.forward(&x, true);
-        assert_eq!(y.as_slice(), &[4.0]);
-    }
-
-    #[test]
-    fn avgpool_gradcheck() {
-        let mut pool = AvgPool2d::new(2, 2);
-        let x = Tensor::from_vec((0..32).map(|i| i as f32 * 0.13).collect(), &[1, 2, 4, 4]);
-        let r = crate::gradcheck::check_module(&mut pool, &x, 4, 1e-3);
-        assert!(r.max_rel_err < 0.01, "{}", r.summary());
-    }
-
-    #[test]
-    fn avgpool_equals_global_when_window_covers_input() {
-        let mut a = AvgPool2d::new(4, 4);
-        let mut g = GlobalAvgPool::new();
-        let x = Tensor::from_vec((0..32).map(|i| i as f32).collect(), &[1, 2, 4, 4]);
-        let ya = a.forward(&x, true);
-        let yg = g.forward(&x, true);
-        assert_eq!(ya.as_slice(), yg.as_slice());
-    }
 
     #[test]
     fn maxpool_picks_window_maxima() {

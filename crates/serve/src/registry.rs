@@ -284,13 +284,6 @@ impl Registry {
         self.lock_models().get(name).map(|e| e.macs_per_sample)
     }
 
-    /// Names of all registered models, sorted.
-    pub fn model_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.lock_models().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Access to the shared LUT cache.
     ///
     /// # Panics
@@ -419,7 +412,6 @@ mod tests {
         let reg = Registry::new(4);
         reg.load(tiny_spec("m", 1)).unwrap();
         reg.load(tiny_spec("m", 2)).unwrap();
-        assert_eq!(reg.model_names(), ["m"]);
         let batch = Tensor::from_vec(vec![0.5; 4], &[1, 4]);
         assert!(reg.forward_batch("m", &batch).is_ok());
     }

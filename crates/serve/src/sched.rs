@@ -181,12 +181,6 @@ impl<T> DrrQueue<T> {
         self.len() == 0
     }
 
-    /// Occupancy in `[0, 1]` — queued items over capacity. The engine
-    /// folds in-flight work on top of this for its pressure signal.
-    pub fn occupancy(&self) -> f64 {
-        self.len() as f64 / self.capacity as f64
-    }
-
     /// Enqueues `item` for `model` on `priority`'s lane, carrying an
     /// estimated dispatch cost of `cost` MACs (clamped to at least 1).
     ///

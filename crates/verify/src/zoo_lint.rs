@@ -8,8 +8,8 @@
 //! pass the equivalence check. The result serializes to the
 //! `results/LINT.json` (`appmult-lint/v3`) schema consumed by CI.
 
-use appmult_circuit::{fault_sites, MultiplierCircuit};
-use appmult_mult::{zoo, FaultyMultiplier, Multiplier, MultiplierLut};
+use appmult_circuit::{fault_sites, FaultSpec, MultiplierCircuit};
+use appmult_mult::{zoo, Multiplier, MultiplierLut};
 use appmult_obs::json::{self, JsonWriter, Layout};
 use appmult_retrain::{GradientLut, GradientMode};
 
@@ -254,12 +254,9 @@ fn lint_with_lut<M: Multiplier + ?Sized>(
 fn lint_stuck_at_variant() -> DesignReport {
     let base = MultiplierCircuit::array(8);
     let site = fault_sites(base.netlist())[0];
-    let mut faulted = base.netlist().clone();
-    faulted
-        .replace_with_const(site, true)
+    let circuit = base
+        .with_faults(&[FaultSpec::stuck_at_1(site)])
         .expect("fault site belongs to the netlist");
-    let circuit = MultiplierCircuit::from_netlist(faulted, 8)
-        .expect("fault injection preserves the bus shapes");
     let name = format!("mul8u_array_sa1@{site}");
 
     let mut diagnostics = lint_multiplier_circuit(&circuit);
@@ -293,12 +290,11 @@ fn lint_stuck_at_variant() -> DesignReport {
 /// Negative control: the exact 8-bit LUT with 4 memory cells flipped.
 fn lint_corrupted_lut_variant() -> DesignReport {
     let clean = appmult_mult::ExactMultiplier::new(8).to_lut();
-    let faulty = FaultyMultiplier::corrupt_lut(&clean, 4, 0xBAD_CE11);
-    let lut = faulty.clone().into_lut();
+    let lut = clean.with_flipped_bits(4, 0xBAD_CE11);
     let name = lut.name().to_string();
     // LUT corruption has no gate-level structure: the control exercises
     // the table scan, not the netlist passes.
-    let mut report = lint_with_lut(&name, &faulty, &lut, 4, Some(DesignKind::Faulty));
+    let mut report = lint_with_lut(&name, &lut, &lut, 4, Some(DesignKind::Faulty));
     if let Some(MultiplierEquiv::Equivalent { .. }) = report.equivalence {
         report.diagnostics.push(Diagnostic::error(
             "equivalence",

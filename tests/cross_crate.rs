@@ -1,9 +1,12 @@
 //! Cross-crate consistency checks between the hardware substrate, the
 //! multiplier library, and the retraining framework.
 
-use appmult::circuit::{CostModel, MultiplierCircuit};
+use appmult::circuit::{
+    fault_sites, CostModel, FaultKind, FaultSpec, MultiplierCircuit, MultiplierStructure,
+};
 use appmult::mult::{zoo, Multiplier, TruncatedMultiplier};
 use appmult::retrain::{GradientLut, GradientMode, QuantParams};
+use appmult_rng::Rng64;
 
 #[test]
 fn behavioural_and_gate_level_rm_multipliers_agree() {
@@ -255,4 +258,66 @@ fn fig3_artifacts_are_reproducible_from_the_public_api() {
     let smoothed = appmult::retrain::smooth_row(row, 4);
     assert!(smoothed[4].is_some() && smoothed[123].is_some());
     assert!(smoothed[3].is_none() && smoothed[124].is_none());
+}
+
+/// Folds the product tables of 8 seeded fault lists on `circuit` into one
+/// FNV-1a hash. Each list holds 1-6 faults of all three kinds drawn from
+/// `fault_sites`; about a third of the faults reuse a site already in the
+/// list, so the last-fault-wins rule is exercised too.
+fn faulted_tables_digest(circuit: &MultiplierCircuit, seed: u64) -> u64 {
+    let sites = fault_sites(circuit.netlist());
+    let mut rng = Rng64::seed_from_u64(seed);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for _ in 0..8 {
+        let mut faults: Vec<FaultSpec> = Vec::new();
+        for _ in 0..1 + rng.index(6) {
+            let site = if !faults.is_empty() && rng.index(3) == 0 {
+                faults[rng.index(faults.len())].site
+            } else {
+                sites[rng.index(sites.len())]
+            };
+            let kind = FaultKind::ALL[rng.index(3)];
+            faults.push(FaultSpec { site, kind });
+        }
+        let faulty = circuit
+            .with_faults(&faults)
+            .expect("sites come from fault_sites");
+        for product in faulty.exhaustive_products() {
+            for byte in product.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+#[test]
+fn faulted_product_tables_are_pinned_bit_for_bit() {
+    // Literals recorded with the earlier fault path, a per-node overlay in
+    // the simulator; netlist rewriting must reproduce every faulted table.
+    let cases = [
+        (
+            "array(6)",
+            MultiplierCircuit::array(6),
+            1,
+            0x446a_3f24_8a8e_abc6,
+        ),
+        (
+            "wallace(6)",
+            MultiplierCircuit::wallace(6),
+            2,
+            0xeef8_08c7_00d6_8d2a,
+        ),
+        (
+            "rm6 array(7)",
+            MultiplierCircuit::with_removed_columns(7, 6, MultiplierStructure::Array),
+            3,
+            0x88cc_509f_eeee_7a13,
+        ),
+    ];
+    for (label, circuit, seed, expected) in cases {
+        let digest = faulted_tables_digest(&circuit, seed);
+        assert_eq!(digest, expected, "{label}: got {digest:#018x}");
+    }
 }
