@@ -213,77 +213,6 @@ impl MultiplierCircuit {
     }
 }
 
-/// A gate-level unsigned ripple-carry adder with identified buses.
-#[derive(Debug, Clone)]
-pub struct AdderCircuit {
-    netlist: Netlist,
-    bits: u32,
-}
-
-impl AdderCircuit {
-    /// The underlying netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    /// Operand width in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Adds two operands via gate-level simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operand does not fit in [`AdderCircuit::bits`] bits.
-    pub fn add(&self, a: u64, b: u64) -> u64 {
-        let n = self.bits;
-        assert!(a < (1 << n) && b < (1 << n));
-        let mut bools = Vec::with_capacity(2 * n as usize);
-        for i in 0..n {
-            bools.push((a >> i) & 1 == 1);
-        }
-        for i in 0..n {
-            bools.push((b >> i) & 1 == 1);
-        }
-        let outs = crate::sim::simulate_bools(&self.netlist, &bools);
-        outs.iter()
-            .enumerate()
-            .fold(0u64, |acc, (k, &bit)| acc | (u64::from(bit) << k))
-    }
-}
-
-/// Builds an unsigned `bits`-wide ripple-carry adder producing a
-/// `bits + 1`-bit sum.
-///
-/// # Panics
-///
-/// Panics if `bits` is 0 or greater than 12.
-///
-/// # Example
-///
-/// ```
-/// let adder = appmult_circuit::ripple_carry_adder(4);
-/// assert_eq!(adder.add(9, 8), 17);
-/// ```
-pub fn ripple_carry_adder(bits: u32) -> AdderCircuit {
-    assert!(bits > 0 && bits <= 12, "bits must be in 1..=12");
-    let mut nl = Netlist::new();
-    let a: Vec<Signal> = (0..bits).map(|_| nl.input()).collect();
-    let b: Vec<Signal> = (0..bits).map(|_| nl.input()).collect();
-    let mut outputs = Vec::with_capacity(bits as usize + 1);
-    let (s0, mut carry) = nl.half_adder(a[0], b[0]);
-    outputs.push(s0);
-    for i in 1..bits as usize {
-        let (s, c) = nl.full_adder(a[i], b[i], carry);
-        outputs.push(s);
-        carry = c;
-    }
-    outputs.push(carry);
-    nl.set_outputs(outputs);
-    AdderCircuit { netlist: nl, bits }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,16 +282,6 @@ mod tests {
             d_wallace < d_array,
             "wallace {d_wallace} should beat array {d_array}"
         );
-    }
-
-    #[test]
-    fn adder_exhaustive_4bit() {
-        let adder = ripple_carry_adder(4);
-        for a in 0..16u64 {
-            for b in 0..16u64 {
-                assert_eq!(adder.add(a, b), a + b);
-            }
-        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! This crate implements the hardware side of the AppMult-aware retraining
 //! flow: combinational gate netlists, generators for the arithmetic circuits
-//! used in the paper (array and Wallace-tree multipliers, ripple-carry
-//! adders), a 64-way bit-parallel logic simulator with exhaustive
-//! truth-table extraction, an ASAP7-calibrated area/delay/power cost model,
-//! a greedy approximate logic synthesis (ALS) pass that generates the
-//! `_syn` multipliers of the paper's Table I, and fault injection
+//! used in the paper (array and Wallace-tree multipliers), a 64-way
+//! bit-parallel logic simulator with exhaustive truth-table extraction, an
+//! ASAP7-calibrated area/delay/power cost model, a greedy approximate logic
+//! synthesis (ALS) pass that generates the `_syn` multipliers of the
+//! paper's Table I, and fault injection
 //! (stuck-at / output-invert) that turns a multiplier into a defective copy
 //! of itself by rewriting the faulted gates of a cloned netlist.
 //!
@@ -36,7 +36,7 @@ mod netlist;
 mod sim;
 
 pub use als::{synthesize, AlsConfig, AlsOutcome, AlsRewrite};
-pub use arith::{ripple_carry_adder, AdderCircuit, MultiplierCircuit, MultiplierStructure};
+pub use arith::{MultiplierCircuit, MultiplierStructure};
 pub use cost::{CostModel, HardwareCost};
 pub use dots::DotColumns;
 pub use fault::{fault_sites, FaultKind, FaultSpec};

@@ -191,11 +191,6 @@ impl Netlist {
         self.gates.len()
     }
 
-    /// Number of silicon-bearing gates (excludes inputs, constants, buffers).
-    pub fn num_physical_gates(&self) -> usize {
-        self.gates.iter().filter(|g| g.kind.is_physical()).count()
-    }
-
     /// Primary input signals in creation order.
     pub fn inputs(&self) -> &[Signal] {
         &self.inputs
@@ -516,22 +511,13 @@ impl Netlist {
     }
 }
 
-impl fmt::Display for Netlist {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "netlist: {} inputs, {} outputs, {} nodes ({} physical gates)",
-            self.inputs.len(),
-            self.outputs.len(),
-            self.gates.len(),
-            self.num_physical_gates()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn physical_gates(nl: &Netlist) -> usize {
+        nl.iter().filter(|(_, g)| g.kind.is_physical()).count()
+    }
 
     #[test]
     fn builder_assigns_sequential_signals() {
@@ -565,7 +551,7 @@ mod tests {
         let b = nl.buf(a);
         let c = nl.and(b, z);
         nl.set_outputs(vec![c]);
-        assert_eq!(nl.num_physical_gates(), 1);
+        assert_eq!(physical_gates(&nl), 1);
     }
 
     #[test]
@@ -607,7 +593,7 @@ mod tests {
         let (s, co) = nl.full_adder(a, b, c);
         nl.set_outputs(vec![s, co]);
         // 2 XOR + 2 AND + 1 OR
-        assert_eq!(nl.num_physical_gates(), 5);
+        assert_eq!(physical_gates(&nl), 5);
         // a and b feed the first XOR and the second AND; c and a^b feed
         // the second XOR and the first AND; outputs are not counted.
         let counts = nl.fanout_counts();
@@ -660,8 +646,6 @@ mod tests {
 
     #[test]
     fn display_is_nonempty() {
-        let nl = Netlist::new();
-        assert!(!format!("{nl}").is_empty());
         assert!(!format!("{}", GateKind::Xor).is_empty());
         assert!(!format!("{}", Signal(3)).is_empty());
     }

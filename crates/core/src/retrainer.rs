@@ -156,7 +156,7 @@ pub fn evaluate(model: &mut dyn Module, batches: &[Batch]) -> (f64, f64) {
 /// step, non-finite batch losses are excluded from the epoch mean, and
 /// diverged epochs roll the model back to the best in-memory checkpoint
 /// with a compounding learning-rate backoff. The optimizer's internal
-/// state (momentum, Adam moments) is intentionally *not* rolled back —
+/// state (the Adam moments) is intentionally *not* rolled back —
 /// it decays on its own and rebuilding it would require optimizer
 /// cooperation.
 ///

@@ -1,41 +1,32 @@
-//! Approximate multiplier design families.
+//! The approximate multiplier design families behind the Table I zoo.
 //!
-//! Each family implements [`crate::Multiplier`] behaviourally, and — where a
-//! natural gate-level structure exists — also provides a netlist through
+//! Each family implements [`crate::Multiplier`] behaviourally, and — where
+//! the zoo costs it from gates — also provides a netlist through
 //! [`crate::Multiplier::circuit`] for the hardware cost model.
 //!
-//! | Family | Approximation idea | Gate-level? |
-//! |---|---|---|
-//! | [`ExactMultiplier`] | none (AccMult) | yes |
-//! | [`TruncatedMultiplier`] | remove rightmost partial-product columns (Fig. 2) | yes |
-//! | [`BrokenTruncatedMultiplier`] | truncation plus partial removal of the next column | yes |
-//! | [`CompensatedTruncatedMultiplier`] | truncation plus a gated constant compensation | yes |
-//! | [`LowerOrMultiplier`] | OR-compress the low columns instead of adding | yes |
-//! | [`Recursive2x2Multiplier`] | Kulkarni-style approximate 2x2 building blocks | yes |
-//! | [`SegmentedMultiplier`] | DRUM-style leading-one segment multiplication | yes |
-//! | [`MitchellMultiplier`] | logarithmic (Mitchell) approximation | no |
-//! | [`CompressorMultiplier`] | approximate OR-based 4:2 compressors | yes |
-//! | [`SynthesizedMultiplier`] | greedy ALS rewrites of the exact array | yes |
+//! | Family | Approximation idea | Zoo entries | Gate-level? |
+//! |---|---|---|---|
+//! | [`ExactMultiplier`] | none (AccMult) | `_acc` | yes |
+//! | [`TruncatedMultiplier`] | remove rightmost partial-product columns (Fig. 2) | `_rmK` | yes |
+//! | [`CompensatedTruncatedMultiplier`] | truncation plus a gated constant compensation | `2NDH`, `17C8`, `06Q`, `081` | yes |
+//! | [`LowerOrMultiplier`] | OR-compress the low columns instead of adding | `17R6`, `073` | yes |
+//! | [`Recursive2x2Multiplier`] | Kulkarni-style approximate 2x2 building blocks | `08E` | yes |
+//! | [`SegmentedMultiplier`] | DRUM-style leading-one segment multiplication | `1DMU` | no (paper row) |
+//! | [`SynthesizedMultiplier`] | greedy ALS rewrites of the exact array | `_syn` | yes |
 
-mod compressor;
 mod exact;
 mod lower_or;
-mod mitchell;
 mod recursive;
 mod segmented;
 mod synthesized;
 mod truncated;
 
-pub use compressor::CompressorMultiplier;
 pub use exact::ExactMultiplier;
 pub use lower_or::LowerOrMultiplier;
-pub use mitchell::MitchellMultiplier;
 pub use recursive::Recursive2x2Multiplier;
 pub use segmented::SegmentedMultiplier;
 pub use synthesized::SynthesizedMultiplier;
-pub use truncated::{
-    BrokenTruncatedMultiplier, CompensatedTruncatedMultiplier, TruncatedMultiplier,
-};
+pub use truncated::{CompensatedTruncatedMultiplier, TruncatedMultiplier};
 
 pub(crate) fn assert_bits(bits: u32) {
     assert!(

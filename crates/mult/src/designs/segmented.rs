@@ -1,7 +1,5 @@
 //! Segmented (DRUM-style) dynamic-range multiplier.
 
-use appmult_circuit::{DotColumns, MultiplierCircuit, Netlist, Signal};
-
 use super::{assert_bits, assert_operands};
 use crate::multiplier::Multiplier;
 
@@ -47,11 +45,6 @@ impl SegmentedMultiplier {
         Self { bits, segment }
     }
 
-    /// Window width in bits.
-    pub fn segment(&self) -> u32 {
-        self.segment
-    }
-
     /// Reduces an operand to `(window_value, shift)`.
     fn reduce(&self, v: u32) -> (u32, u32) {
         let m = self.segment;
@@ -86,125 +79,7 @@ impl Multiplier for SegmentedMultiplier {
     // `Multiplier::circuit` deliberately stays `None`: the 2-input-gate
     // cost model heavily overestimates the mux-rich DRUM structure (real
     // implementations use transmission-gate muxes), so Table I keeps the
-    // paper's published hardware numbers for this entry. The gate-level
-    // structure is still available through [`SegmentedMultiplier::gate_level`].
-}
-
-impl SegmentedMultiplier {
-    /// Builds the gate-level DRUM netlist: leading-one detector,
-    /// mux-selected `m`-bit segments (LSB forced to 1 for large operands),
-    /// one exact `m x m` array multiplier on the segments, and a one-hot
-    /// shift network that places the product back at the right magnitude.
-    ///
-    /// Functionally bit-exact to [`Multiplier::multiply`] (test-enforced);
-    /// see the note on [`Multiplier::circuit`] about why it is not used
-    /// for costing.
-    pub fn gate_level(&self) -> MultiplierCircuit {
-        let bits = self.bits;
-        let m = self.segment;
-        if m == bits {
-            return MultiplierCircuit::array(bits);
-        }
-        let mut nl = Netlist::new();
-        let w: Vec<Signal> = (0..bits).map(|_| nl.input()).collect();
-        let x: Vec<Signal> = (0..bits).map(|_| nl.input()).collect();
-
-        let reduce_bus = |nl: &mut Netlist, v: &[Signal]| -> (Vec<Signal>, Vec<Signal>) {
-            // Cases: index 0 = "small" (v < 2^m, shift 0); index c >= 1 =
-            // leading one at position p = m - 1 + c (shift c).
-            let cases = (bits - m + 1) as usize;
-            // hi_any[p] = OR of v[p+1 ..]; built top down.
-            let mut hi_any = vec![None::<Signal>; bits as usize];
-            for p in (0..bits as usize - 1).rev() {
-                let above = v[p + 1];
-                hi_any[p] = Some(match hi_any[p + 1] {
-                    Some(acc) => nl.or(acc, above),
-                    None => above,
-                });
-            }
-            let mut onehot = Vec::with_capacity(cases);
-            // small = no bit at positions >= m.
-            let small = {
-                let any_high = hi_any[m as usize - 1].expect("m < bits");
-                nl.not(any_high)
-            };
-            onehot.push(small);
-            for c in 1..cases {
-                let p = m as usize - 1 + c;
-                let lead = match hi_any[p] {
-                    Some(acc) => {
-                        let no_higher = nl.not(acc);
-                        nl.and(v[p], no_higher)
-                    }
-                    None => v[p],
-                };
-                onehot.push(lead);
-            }
-            // Segment bits via one-hot mux.
-            let mut seg = Vec::with_capacity(m as usize);
-            for j in 0..m as usize {
-                let mut acc: Option<Signal> = None;
-                for (c, &oh) in onehot.iter().enumerate() {
-                    let term = if c == 0 {
-                        nl.and(oh, v[j])
-                    } else if j == 0 {
-                        // Forced LSB (unbiasing): segment bit 0 is 1.
-                        oh
-                    } else {
-                        let src = v[c + j]; // shift = c, bit = v[shift + j]
-                        nl.and(oh, src)
-                    };
-                    acc = Some(match acc {
-                        Some(a) => nl.or(a, term),
-                        None => term,
-                    });
-                }
-                seg.push(acc.expect("at least one case"));
-            }
-            (seg, onehot)
-        };
-
-        let (seg_w, oh_w) = reduce_bus(&mut nl, &w);
-        let (seg_x, oh_x) = reduce_bus(&mut nl, &x);
-
-        // Exact m x m product of the segments.
-        let mut dots = DotColumns::new(2 * m as usize);
-        for (i, &sw) in seg_w.iter().enumerate().take(m as usize) {
-            for (j, &sx) in seg_x.iter().enumerate().take(m as usize) {
-                let pp = nl.and(sw, sx);
-                dots.push(i + j, pp);
-            }
-        }
-        let prod = dots.reduce_ripple(&mut nl);
-
-        // One-hot shift network: for each (case_w, case_x) pair the shift
-        // is cw + cx; cases are mutually exclusive, so the outputs are OR
-        // trees of gated product bits (no adders needed).
-        let out_bits = 2 * bits as usize;
-        let mut outs: Vec<Option<Signal>> = vec![None; out_bits];
-        for (cw, &ow) in oh_w.iter().enumerate() {
-            for (cx, &ox) in oh_x.iter().enumerate() {
-                let gate = nl.and(ow, ox);
-                let shift = cw + cx;
-                for (k, &pk) in prod.iter().enumerate() {
-                    let pos = k + shift;
-                    if pos >= out_bits {
-                        continue;
-                    }
-                    let term = nl.and(gate, pk);
-                    let slot = &mut outs[pos];
-                    *slot = Some(match *slot {
-                        Some(acc) => nl.or(acc, term),
-                        None => term,
-                    });
-                }
-            }
-        }
-        let zero = nl.const0();
-        let outputs: Vec<Signal> = outs.into_iter().map(|o| o.unwrap_or(zero)).collect();
-        nl.set_outputs(outputs);
-        MultiplierCircuit::from_netlist(nl, bits).expect("bus shapes are correct")
-    }
+    // paper's published hardware numbers for this entry.
 }
 
 #[cfg(test)]
@@ -253,36 +128,6 @@ mod tests {
         assert!(seg5.error_rate < seg4.error_rate);
         assert!(seg5.er_pct() < 96.0, "er = {}", seg5.er_pct());
         assert!(seg5.max_ed > 1000, "DRUM MaxED is large: {}", seg5.max_ed);
-    }
-
-    #[test]
-    fn drum_circuit_matches_behaviour() {
-        for (bits, m) in [(6u32, 3u32), (7, 4), (8, 5)] {
-            let mult = SegmentedMultiplier::new(bits, m);
-            let lut = mult.to_lut();
-            let cl = mult.gate_level().exhaustive_products();
-            for w in 0..(1u32 << bits) {
-                for x in 0..(1u32 << bits) {
-                    assert_eq!(
-                        cl[((w << bits) | x) as usize] as u32,
-                        lut.product(w, x),
-                        "bits={bits} m={m} {w}*{x}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn drum_gate_level_exists_but_is_not_used_for_costing() {
-        let drum = SegmentedMultiplier::new(8, 4);
-        assert!(
-            drum.circuit().is_none(),
-            "costing falls back to the paper row"
-        );
-        // The netlist itself is well-formed and non-trivial.
-        let c = drum.gate_level();
-        assert!(c.netlist().num_physical_gates() > 50);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Truncation-based designs: plain, partial-column, and compensated.
+//! Truncation-based designs: plain and compensated.
 
 use appmult_circuit::{DotColumns, MultiplierCircuit, Netlist, Signal};
 
@@ -81,11 +81,6 @@ impl TruncatedMultiplier {
         );
         Self { bits, removed }
     }
-
-    /// Number of removed columns `k`.
-    pub fn removed_columns(&self) -> u32 {
-        self.removed
-    }
 }
 
 impl Multiplier for TruncatedMultiplier {
@@ -111,93 +106,12 @@ impl Multiplier for TruncatedMultiplier {
     }
 }
 
-/// Truncation with finer grain: all columns below `full_columns` are removed
-/// plus the `partial_removed` lowest-row partial products of column
-/// `full_columns` itself.
-///
-/// This interpolates between `_rmK` and `_rm(K+1)`, which is how the
-/// surrogate zoo hits intermediate NMED targets from Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BrokenTruncatedMultiplier {
-    bits: u32,
-    full_columns: u32,
-    partial_removed: u32,
-}
-
-impl BrokenTruncatedMultiplier {
-    /// Creates the design; see the type docs for the removal rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 <= bits <= 10`, `full_columns < 2 * bits - 1`, and
-    /// `partial_removed` does not exceed the height of column
-    /// `full_columns`.
-    pub fn new(bits: u32, full_columns: u32, partial_removed: u32) -> Self {
-        assert_bits(bits);
-        assert!(full_columns < 2 * bits - 1, "column index out of range");
-        let height = column_height(bits, full_columns);
-        assert!(
-            partial_removed <= height,
-            "column {full_columns} has only {height} partial products"
-        );
-        Self {
-            bits,
-            full_columns,
-            partial_removed,
-        }
-    }
-
-    fn keep(&self, i: u32, j: u32) -> bool {
-        let c = i + j;
-        if c < self.full_columns {
-            return false;
-        }
-        if c > self.full_columns {
-            return true;
-        }
-        // Within the boundary column, drop the `partial_removed` entries
-        // with the smallest i.
-        let i_min = self.full_columns.saturating_sub(self.bits - 1);
-        i >= i_min + self.partial_removed
-    }
-}
-
-/// Number of partial products in column `c` of a `bits`-wide multiplier.
-fn column_height(bits: u32, c: u32) -> u32 {
-    (c + 1).min(bits).min(2 * bits - 1 - c)
-}
-
-impl Multiplier for BrokenTruncatedMultiplier {
-    fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "mul{}u_rm{}p{}",
-            self.bits, self.full_columns, self.partial_removed
-        )
-    }
-
-    fn multiply(&self, w: u32, x: u32) -> u32 {
-        assert_operands(self.bits, w, x);
-        pp_sum(self.bits, w, x, |i, j| self.keep(i, j))
-    }
-
-    fn circuit(&self) -> Option<MultiplierCircuit> {
-        let (mut nl, _w, _x, dots) = pp_netlist(self.bits, |i, j| self.keep(i, j));
-        let outs = dots.reduce_ripple(&mut nl);
-        nl.set_outputs(outs);
-        MultiplierCircuit::from_netlist(nl, self.bits).ok()
-    }
-}
-
 /// Truncation with a constant error-compensation term, gated so that
 /// zero-operand products stay exactly zero.
 ///
-/// The compensation defaults to the expected value of the removed partial
-/// products under uniform inputs (each partial product is 1 with
-/// probability 1/4), which roughly centres the error distribution.
+/// The zoo's surrogates pick the constant per design; the expected value of
+/// the removed partial products under uniform inputs (each partial product
+/// is 1 with probability 1/4) roughly centres the error distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompensatedTruncatedMultiplier {
     bits: u32,
@@ -228,28 +142,6 @@ impl CompensatedTruncatedMultiplier {
             removed,
             compensation,
         }
-    }
-
-    /// Creates the design with the mean-error compensation constant.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`CompensatedTruncatedMultiplier::new`].
-    pub fn with_mean_compensation(bits: u32, removed: u32) -> Self {
-        let mut expected = 0.0f64;
-        for i in 0..bits {
-            for j in 0..bits {
-                if i + j < removed {
-                    expected += 0.25 * f64::from(1u32 << (i + j));
-                }
-            }
-        }
-        Self::new(bits, removed, expected.round() as u32)
-    }
-
-    /// The compensation constant added to nonzero products.
-    pub fn compensation(&self) -> u32 {
-        self.compensation
     }
 }
 
@@ -319,44 +211,22 @@ mod tests {
     }
 
     #[test]
-    fn broken_circuit_matches_behaviour() {
-        assert_circuit_matches(&BrokenTruncatedMultiplier::new(6, 4, 2));
-    }
-
-    #[test]
     fn compensated_circuit_matches_behaviour() {
-        assert_circuit_matches(&CompensatedTruncatedMultiplier::with_mean_compensation(
-            6, 5,
-        ));
-    }
-
-    #[test]
-    fn broken_interpolates_between_rm_levels() {
-        let rm4 = ErrorMetrics::exhaustive(&TruncatedMultiplier::new(7, 4).to_lut());
-        let rm5 = ErrorMetrics::exhaustive(&TruncatedMultiplier::new(7, 5).to_lut());
-        let half = ErrorMetrics::exhaustive(&BrokenTruncatedMultiplier::new(7, 4, 3).to_lut());
-        assert!(half.nmed > rm4.nmed && half.nmed < rm5.nmed);
-    }
-
-    #[test]
-    fn broken_with_zero_partial_equals_plain_truncation() {
-        let a = BrokenTruncatedMultiplier::new(6, 3, 0).to_lut();
-        let b = TruncatedMultiplier::new(6, 3).to_lut();
-        assert_eq!(a.entries(), b.entries());
+        // 32 is the mean removed mass of rm5 at 6 bits.
+        assert_circuit_matches(&CompensatedTruncatedMultiplier::new(6, 5, 32));
     }
 
     #[test]
     fn compensation_reduces_nmed() {
         let plain = ErrorMetrics::exhaustive(&TruncatedMultiplier::new(7, 6).to_lut());
-        let comp = ErrorMetrics::exhaustive(
-            &CompensatedTruncatedMultiplier::with_mean_compensation(7, 6).to_lut(),
-        );
+        let comp =
+            ErrorMetrics::exhaustive(&CompensatedTruncatedMultiplier::new(7, 6, 80).to_lut());
         assert!(comp.nmed < plain.nmed, "{} !< {}", comp.nmed, plain.nmed);
     }
 
     #[test]
     fn compensated_keeps_zero_products_exact() {
-        let m = CompensatedTruncatedMultiplier::with_mean_compensation(8, 8);
+        let m = CompensatedTruncatedMultiplier::new(8, 8, 448);
         for v in 0..256 {
             assert_eq!(m.multiply(0, v), 0);
             assert_eq!(m.multiply(v, 0), 0);
@@ -383,12 +253,5 @@ mod tests {
     #[should_panic(expected = "overflows")]
     fn rejects_overflowing_compensation() {
         CompensatedTruncatedMultiplier::new(4, 2, 250);
-    }
-
-    #[test]
-    fn column_height_formula() {
-        // 4-bit multiplier columns: 1,2,3,4,3,2,1
-        let h: Vec<u32> = (0..7).map(|c| column_height(4, c)).collect();
-        assert_eq!(h, vec![1, 2, 3, 4, 3, 2, 1]);
     }
 }

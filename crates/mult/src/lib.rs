@@ -39,8 +39,7 @@ mod signed;
 pub mod zoo;
 
 pub use designs::{
-    BrokenTruncatedMultiplier, CompensatedTruncatedMultiplier, CompressorMultiplier,
-    ExactMultiplier, LowerOrMultiplier, MitchellMultiplier, Recursive2x2Multiplier,
+    CompensatedTruncatedMultiplier, ExactMultiplier, LowerOrMultiplier, Recursive2x2Multiplier,
     SegmentedMultiplier, SynthesizedMultiplier, TruncatedMultiplier,
 };
 pub use metrics::ErrorMetrics;

@@ -4,9 +4,8 @@ use crate::multiplier::MultiplierLut;
 
 /// Standard approximate-arithmetic error metrics of a multiplier.
 ///
-/// `ER`, `NMED`, and `MaxED` follow Eq. 2 of the paper; `MED` and `MRED`
-/// are the usual companions reported across the approximate-computing
-/// literature.
+/// `ER`, `NMED`, and `MaxED` follow Eq. 2 of the paper; `MED` is the
+/// unnormalized NMED.
 ///
 /// # Example
 ///
@@ -33,8 +32,6 @@ pub struct ErrorMetrics {
     pub max_ed: u64,
     /// Mean absolute error distance (unnormalized).
     pub med: f64,
-    /// Mean relative error distance over inputs with a nonzero exact product.
-    pub mred: f64,
 }
 
 impl ErrorMetrics {
@@ -46,18 +43,10 @@ impl ErrorMetrics {
         Self::accumulate(lut, |_w, _x| p)
     }
 
-    /// Metrics under an arbitrary input distribution.
-    ///
-    /// `prob(w, x)` must be a probability mass function over the `2^(2B)`
-    /// operand pairs; it is the caller's responsibility that it sums to 1.
-    /// Pairs with zero probability are excluded from `MaxED`.
-    pub fn with_distribution<F: FnMut(u32, u32) -> f64>(lut: &MultiplierLut, prob: F) -> Self {
-        Self::accumulate(lut, prob)
-    }
-
     /// Metrics under independent per-operand marginals — e.g. operand
     /// histograms profiled from a running DNN (weights are far from
-    /// uniform in practice, which shifts the effective NMED).
+    /// uniform in practice, which shifts the effective NMED). Operand pairs
+    /// with zero probability are excluded from `MaxED`.
     ///
     /// # Panics
     ///
@@ -76,8 +65,6 @@ impl ErrorMetrics {
         let mut er = 0.0;
         let mut med = 0.0;
         let mut max_ed = 0u64;
-        let mut red_sum = 0.0;
-        let mut red_count = 0u64;
         for w in 0..n {
             let row = lut.row(w);
             for x in 0..n {
@@ -91,10 +78,6 @@ impl ErrorMetrics {
                         max_ed = max_ed.max(ed);
                     }
                     med += p * ed as f64;
-                    if acc != 0 {
-                        red_sum += ed as f64 / acc as f64;
-                        red_count += 1;
-                    }
                 }
             }
         }
@@ -103,11 +86,6 @@ impl ErrorMetrics {
             nmed: med / norm,
             max_ed,
             med,
-            mred: if red_count > 0 {
-                red_sum / red_count as f64
-            } else {
-                0.0
-            },
         }
     }
 
@@ -119,11 +97,6 @@ impl ErrorMetrics {
     /// NMED in percent.
     pub fn nmed_pct(&self) -> f64 {
         self.nmed * 100.0
-    }
-
-    /// MRED in percent.
-    pub fn mred_pct(&self) -> f64 {
-        self.mred * 100.0
     }
 }
 
@@ -151,7 +124,7 @@ mod tests {
         assert_eq!(m.error_rate, 0.0);
         assert_eq!(m.nmed, 0.0);
         assert_eq!(m.max_ed, 0);
-        assert_eq!(m.mred, 0.0);
+        assert_eq!(m.med, 0.0);
     }
 
     #[test]
@@ -178,20 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn distribution_weighting_changes_metrics() {
+    fn zero_probability_pairs_are_excluded() {
         let lut = TruncatedMultiplier::new(6, 4).to_lut();
         // All mass on one error-free pair (w = 32, x = 32: pp columns >= 10).
-        let metrics =
-            ErrorMetrics::with_distribution(
-                &lut,
-                |w, x| {
-                    if w == 32 && x == 32 {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                },
-            );
+        let mut one_hot = vec![0.0f64; 64];
+        one_hot[32] = 1.0;
+        let metrics = ErrorMetrics::with_marginals(&lut, &one_hot, &one_hot);
         assert_eq!(metrics.error_rate, 0.0);
         assert_eq!(metrics.max_ed, 0);
     }
@@ -209,9 +174,16 @@ mod tests {
             *p /= z;
         }
         let a = ErrorMetrics::with_marginals(&lut, &probs, &probs);
-        let b = ErrorMetrics::with_distribution(&lut, |w, x| probs[w as usize] * probs[x as usize]);
-        assert!((a.nmed - b.nmed).abs() < 1e-15);
-        assert_eq!(a.max_ed, b.max_ed);
+        // The same expectation summed pair by pair.
+        let mut med = 0.0;
+        for w in 0..64u32 {
+            for x in 0..64u32 {
+                let ed = u64::from(lut.product(w, x)).abs_diff(u64::from(w * x));
+                med += probs[w as usize] * probs[x as usize] * ed as f64;
+            }
+        }
+        assert!((a.med - med).abs() < 1e-12 * med);
+        assert_eq!(a.max_ed, ErrorMetrics::exhaustive(&lut).max_ed);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!
 //! Provided: [`Tensor`] (f32, NCHW), the [`Module`] trait, convolution /
 //! linear / batch-norm / pooling / activation layers, softmax cross-entropy
-//! with top-k metrics, SGD and Adam with the paper's step learning-rate
-//! schedule, and finite-difference gradient checking used throughout the
-//! test suite.
+//! with top-k metrics, Adam with the paper's step learning-rate schedule,
+//! and finite-difference gradient checking used throughout the test suite.
 //!
 //! # Example: train a tiny MLP on XOR
 //!
@@ -19,7 +18,7 @@
 //! use appmult_nn::{
 //!     layers::{Linear, Relu, Sequential},
 //!     loss::softmax_cross_entropy,
-//!     optim::{Optimizer, Sgd},
+//!     optim::{Adam, Optimizer},
 //!     Module, Tensor,
 //! };
 //!
@@ -29,13 +28,13 @@
 //!     .push(Linear::new(8, 2, 43));
 //! let x = Tensor::from_vec(vec![0., 0., 0., 1., 1., 0., 1., 1.], &[4, 2]);
 //! let labels = [0usize, 1, 1, 0];
-//! let mut sgd = Sgd::new(0.5, 0.9);
+//! let mut adam = Adam::new(0.05);
 //! let mut last = f32::MAX;
 //! for _ in 0..200 {
 //!     let logits = net.forward(&x, true);
 //!     let (loss, grad) = softmax_cross_entropy(&logits, &labels);
 //!     net.backward(&grad);
-//!     sgd.step(&mut net);
+//!     adam.step(&mut net);
 //!     net.zero_grad();
 //!     last = loss;
 //! }

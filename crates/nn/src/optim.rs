@@ -19,72 +19,6 @@ pub trait Optimizer {
     fn lr(&self) -> f32;
 }
 
-/// Stochastic gradient descent with momentum and optional weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and momentum.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            weight_decay: 0.0,
-            velocity: vec![],
-        }
-    }
-
-    /// Adds decoupled L2 weight decay (applied to `decay`-flagged params).
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, module: &mut dyn Module) {
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let wd = self.weight_decay;
-        let velocity = &mut self.velocity;
-        let mut idx = 0usize;
-        module.visit_params(&mut |p| {
-            if velocity.len() == idx {
-                velocity.push(Tensor::zeros(p.value.shape()));
-            }
-            let v = &mut velocity[idx];
-            assert_eq!(
-                v.shape(),
-                p.value.shape(),
-                "optimizer state shape mismatch at parameter {idx}"
-            );
-            let g = p.grad.as_slice();
-            let w = p.value.as_mut_slice();
-            let vel = v.as_mut_slice();
-            let decay = if p.decay { wd } else { 0.0 };
-            for k in 0..w.len() {
-                let grad = g[k] + decay * w[k];
-                vel[k] = momentum * vel[k] + grad;
-                w[k] -= lr * vel[k];
-            }
-            idx += 1;
-        });
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
 /// Adam (Kingma & Ba) — the optimizer used in the paper's retraining setup.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -229,12 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_descends() {
-        let mut sgd = Sgd::new(0.5, 0.9);
-        assert!(fit_linear(&mut sgd, 100) < 0.05);
-    }
-
-    #[test]
     fn adam_descends() {
         let mut adam = Adam::new(0.05);
         assert!(fit_linear(&mut adam, 150) < 0.05);
@@ -249,10 +177,10 @@ mod tests {
                 norm0 += p.value.dot(&p.value);
             }
         });
-        let mut sgd = Sgd::new(0.1, 0.0).with_weight_decay(0.5);
+        let mut adam = Adam::new(0.1).with_weight_decay(0.5);
         // No data gradient: decay alone must shrink the weights.
         for _ in 0..10 {
-            sgd.step(&mut net);
+            adam.step(&mut net);
         }
         let mut norm1 = 0.0f32;
         net.visit_params(&mut |p| {

@@ -56,7 +56,7 @@
 //! or one typed [`Rejection`]. A worker panic (model bug, fault-injected
 //! LUT, chaos hook) is caught with `catch_unwind`; the model entry is
 //! rebuilt from its checkpoint by the registry, the batch's jobs are
-//! requeued once (`max_retries`) and only rejected as
+//! requeued once (`MAX_RETRIES`) and only rejected as
 //! [`Rejection::WorkerPanicked`] if they panic again or no longer fit in
 //! the queue. The worker itself never dies — an unexpected panic outside
 //! the batch path is also caught and counted as a restart.
@@ -71,6 +71,13 @@ use appmult_nn::Tensor;
 
 use crate::registry::{ForwardError, Registry};
 use crate::sched::{DrrQueue, Priority, PushError};
+
+/// How many times a job survives a worker panic by being requeued before
+/// it is rejected as `WorkerPanicked`.
+const MAX_RETRIES: u32 = 1;
+
+/// Idle worker poll interval (also the shutdown latency bound).
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Typed reason a request was not served. Every variant maps to a
 /// `serve.reject.*` counter on the global obs sink.
@@ -163,8 +170,7 @@ pub struct Request {
     pub input: Tensor,
     /// Priority lane (default [`Priority::Normal`]).
     pub priority: Priority,
-    /// Relative deadline from submission; `None` uses the engine's
-    /// `default_deadline` (which may also be `None` = no deadline).
+    /// Relative deadline from submission; `None` means no deadline.
     pub deadline: Option<Duration>,
 }
 
@@ -351,22 +357,14 @@ pub struct EngineConfig {
     /// queued for its model when it is dispatched, up to this size; no
     /// worker waits for a batch to fill.
     pub max_batch: usize,
-    /// Deadline applied to requests that don't carry one (`None` = no
-    /// deadline).
-    pub default_deadline: Option<Duration>,
     /// Base back-off hint attached to `QueueFull` / `Shed` rejections.
     pub retry_after: Duration,
-    /// How many times a job survives a worker panic by being requeued
-    /// before it is rejected as `WorkerPanicked`.
-    pub max_retries: u32,
     /// Replace non-finite input values with 0.0 (counted as
     /// `serve.input.scrubbed`) instead of rejecting the request.
     pub scrub_nonfinite: bool,
     /// Test/chaos hook: panic inside every Nth batch dispatch, exercising
     /// the requeue-or-reject and model rebuild paths deterministically.
     pub chaos_panic_every: Option<u64>,
-    /// Idle worker poll interval (also the shutdown latency bound).
-    pub poll_interval: Duration,
     /// DRR quantum: estimated MACs of batcher time each backlogged model
     /// earns per scheduler visit. Any positive value yields long-run
     /// fairness; sizing it near `max_batch x` a typical model's per-sample
@@ -380,12 +378,9 @@ impl Default for EngineConfig {
             queue_capacity: 256,
             workers: 2,
             max_batch: 32,
-            default_deadline: None,
             retry_after: Duration::from_millis(10),
-            max_retries: 1,
             scrub_nonfinite: false,
             chaos_panic_every: None,
-            poll_interval: Duration::from_millis(5),
             drr_quantum_macs: 4096,
         }
     }
@@ -399,7 +394,6 @@ impl EngineConfig {
             ("queue_capacity", self.queue_capacity.into()),
             ("workers", self.workers.into()),
             ("max_batch", self.max_batch.into()),
-            ("max_retries", u64::from(self.max_retries).into()),
             ("scrub_nonfinite", self.scrub_nonfinite.into()),
             ("drr_quantum_macs", self.drr_quantum_macs.into()),
         ]
@@ -543,10 +537,7 @@ impl Engine {
                 "non-finite values (NaN/Inf) in input".to_string(),
             ));
         };
-        let deadline = request
-            .deadline
-            .or(s.cfg.default_deadline)
-            .map(|d| submitted + d);
+        let deadline = request.deadline.map(|d| submitted + d);
         if deadline.is_some_and(|d| d <= Instant::now()) {
             return Err(Rejection::DeadlineExceeded);
         }
@@ -745,7 +736,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         if s.shutdown.load(Ordering::SeqCst) && s.queue.is_empty() {
             return;
         }
-        let Some((lease, mut batch)) = s.queue.pop_batch_wait(s.cfg.poll_interval, s.cfg.max_batch)
+        let Some((lease, mut batch)) = s.queue.pop_batch_wait(POLL_INTERVAL, s.cfg.max_batch)
         else {
             if s.queue.is_closed() && s.queue.is_empty() {
                 return;
@@ -862,7 +853,7 @@ fn handle_panicked_batch(s: &Shared, jobs: Vec<Job>) {
         &[("jobs", (jobs.len() as u64).into())],
     );
     for mut job in jobs {
-        if job.retries < s.cfg.max_retries {
+        if job.retries < MAX_RETRIES {
             job.retries += 1;
             let model = job.model.clone();
             let cost = job.cost;
@@ -935,7 +926,7 @@ mod tests {
     /// on the pause condvar before the test lines up queued requests.
     fn pause_settled(engine: &Engine) {
         engine.pause();
-        std::thread::sleep(engine.shared.cfg.poll_interval * 5);
+        std::thread::sleep(POLL_INTERVAL * 5);
     }
 
     #[test]
@@ -1266,7 +1257,6 @@ mod tests {
             workers: 3,
             ..EngineConfig::default()
         };
-        let poll = cfg.poll_interval;
         let engine = Engine::start(reg, cfg);
         let first = engine.submit(Request::new("gate", sample(1.0))).unwrap();
         gate.entered.wait();
@@ -1281,7 +1271,7 @@ mod tests {
         // Give the two idle workers time to (wrongly) take a batch; read
         // before releasing the gate, assert after, so a failure cannot
         // leave a worker parked in the gate.
-        std::thread::sleep(poll * 5);
+        std::thread::sleep(POLL_INTERVAL * 5);
         let (in_flight, queued_now) = (engine.in_flight(), engine.queue_depth());
         gate.release.wait();
         assert_eq!(in_flight, 1, "only the running batch is out");

@@ -196,7 +196,7 @@ fn prop_cold_model_gets_at_least_a_third_of_batches() {
                 queue_capacity: (hot_n + cold_n) * 4,
                 ..EngineConfig::default()
             };
-            let poll = cfg.poll_interval;
+            let poll = Duration::from_millis(5); // the engine's idle poll interval
             let engine = Engine::start(registry, cfg);
             engine.pause();
             std::thread::sleep(poll * 5);
@@ -333,7 +333,7 @@ fn abandoned_tickets_are_counted_not_silently_dropped() {
         workers: 1,
         ..EngineConfig::default()
     };
-    let poll = cfg.poll_interval;
+    let poll = Duration::from_millis(5); // the engine's idle poll interval
     let engine = Engine::start(registry, cfg);
     engine.pause();
     std::thread::sleep(poll * 5);

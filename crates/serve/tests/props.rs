@@ -128,7 +128,7 @@ fn prop_expired_deadlines_never_reach_a_kernel() {
                 queue_capacity: n.max(1) * 4,
                 ..EngineConfig::default()
             };
-            let poll = cfg.poll_interval;
+            let poll = Duration::from_millis(5); // the engine's idle poll interval
             let engine = Engine::start(registry, cfg);
             // Park the workers so the deadlines expire while queued.
             engine.pause();

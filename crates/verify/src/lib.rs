@@ -30,11 +30,11 @@
 //!
 //! ```
 //! use appmult_mult::TruncatedMultiplier;
-//! use appmult_verify::{MultiplierEquiv, MultiplierLintExt};
+//! use appmult_verify::{lint_multiplier, MultiplierEquiv};
 //!
 //! // The Fig. 2 multiplier is approximate: the report carries a concrete
 //! // counterexample against the exact multiplier and no error findings.
-//! let report = TruncatedMultiplier::new(7, 6).lint(4);
+//! let report = lint_multiplier("mul7u_rm6", &TruncatedMultiplier::new(7, 6), 4);
 //! assert_eq!(report.error_count(), 0);
 //! match report.equivalence {
 //!     Some(MultiplierEquiv::Counterexample(c)) => assert_eq!((c.w, c.x), (1, 1)),
@@ -62,37 +62,3 @@ pub use tables::{lint_gradient_lut, lint_multiplier_lut};
 pub use zoo_lint::{
     lint_multiplier, lint_zoo, lint_zoo_filtered, DesignKind, DesignReport, ZooLintReport,
 };
-
-use appmult_mult::Multiplier;
-
-/// Extension trait adding a one-call lint entry point to every
-/// [`Multiplier`].
-///
-/// Lives here rather than on the trait itself because `appmult-verify`
-/// depends on `appmult-mult`; a blanket impl makes it available on every
-/// design (including trait objects) with a single `use`.
-pub trait MultiplierLintExt: Multiplier {
-    /// Runs every applicable verification pass over this design at the
-    /// given half window size (see [`lint_multiplier`]).
-    fn lint(&self, hws: u32) -> DesignReport;
-}
-
-impl<M: Multiplier + ?Sized> MultiplierLintExt for M {
-    fn lint(&self, hws: u32) -> DesignReport {
-        lint_multiplier(&self.name(), self, hws)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use appmult_mult::ExactMultiplier;
-
-    #[test]
-    fn lint_ext_works_on_trait_objects() {
-        let m: &dyn Multiplier = &ExactMultiplier::new(4);
-        let report = m.lint(1);
-        assert_eq!(report.name, "mul4u_acc");
-        assert_eq!(report.error_count(), 0, "{:?}", report.diagnostics);
-    }
-}

@@ -452,9 +452,13 @@ mod tests {
 
     #[test]
     fn width_violation_is_reported() {
-        // An adder netlist is not a multiplier: 2B inputs but B+1 outputs.
-        let adder = appmult_circuit::ripple_carry_adder(4);
-        let circuit = MultiplierCircuit::from_netlist(adder.netlist().clone(), 4);
+        // An adder-shaped netlist is not a multiplier: 2B inputs but B+1
+        // outputs.
+        let mut adder = Netlist::new();
+        let ins: Vec<Signal> = (0..8).map(|_| adder.input()).collect();
+        let outs: Vec<Signal> = (0..5).map(|i| adder.xor(ins[i], ins[i + 3])).collect();
+        adder.set_outputs(outs);
+        let circuit = MultiplierCircuit::from_netlist(adder, 4);
         assert!(circuit.is_err(), "from_netlist itself rejects bad shapes");
         let mut nl = Netlist::new();
         let a = nl.input();

@@ -4,7 +4,7 @@
 use appmult::circuit::{
     fault_sites, CostModel, FaultKind, FaultSpec, MultiplierCircuit, MultiplierStructure,
 };
-use appmult::mult::{zoo, Multiplier, TruncatedMultiplier};
+use appmult::mult::{zoo, ErrorMetrics, Multiplier, TruncatedMultiplier};
 use appmult::retrain::{GradientLut, GradientMode, QuantParams};
 use appmult_rng::Rng64;
 
@@ -319,5 +319,65 @@ fn faulted_product_tables_are_pinned_bit_for_bit() {
     for (label, circuit, seed, expected) in cases {
         let digest = faulted_tables_digest(&circuit, seed);
         assert_eq!(digest, expected, "{label}: got {digest:#018x}");
+    }
+}
+
+/// Folds the exhaustive error metrics of one zoo entry into an FNV-1a hash:
+/// the `to_bits` of ER, NMED and MED, then MaxED, each as little-endian
+/// bytes.
+fn zoo_metrics_digest(name: &str) -> u64 {
+    let entry = zoo::entry(name).expect("zoo::names() entries resolve");
+    let m = ErrorMetrics::exhaustive(&entry.multiplier.to_lut());
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in [
+        m.error_rate.to_bits(),
+        m.nmed.to_bits(),
+        m.med.to_bits(),
+        m.max_ed,
+    ] {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn zoo_error_metrics_are_pinned_bit_for_bit() {
+    // Every exact design hashes the same all-zero metrics.
+    const GOLDEN: [(&str, u64); 18] = [
+        ("mul8u_acc", 0x0c82_1078_4d8a_f5a5),
+        ("mul8u_syn1", 0xf59a_a1d1_c4b6_ddba),
+        ("mul8u_syn2", 0xfc0e_a9e4_e46a_71c4),
+        ("mul8u_2NDH", 0x7c29_cbb6_240a_40c3),
+        ("mul8u_17C8", 0x9aec_70eb_2709_6f08),
+        ("mul8u_1DMU", 0xa814_7700_22eb_707a),
+        ("mul8u_17R6", 0xae24_5dc9_e1ed_4f84),
+        ("mul8u_rm8", 0x2ed8_7f88_13f6_f90e),
+        ("mul7u_acc", 0x0c82_1078_4d8a_f5a5),
+        ("mul7u_06Q", 0x2e9b_c41c_1c76_2332),
+        ("mul7u_073", 0xe091_2305_dfe7_c2e2),
+        ("mul7u_rm6", 0xb2f7_5620_4fcb_a114),
+        ("mul7u_syn1", 0x019f_4ae2_d0a2_5feb),
+        ("mul7u_syn2", 0x5c1a_b335_3f18_e0c3),
+        ("mul7u_081", 0xbf5c_f7ec_1d17_a60b),
+        ("mul7u_08E", 0xc4b5_6ead_237c_ea1d),
+        ("mul6u_acc", 0x0c82_1078_4d8a_f5a5),
+        ("mul6u_rm4", 0x122d_8a7b_f835_a7fd),
+    ];
+    assert_eq!(
+        GOLDEN.map(|g| g.0).as_slice(),
+        zoo::names(),
+        "one golden row per zoo entry, in table order"
+    );
+    // As in lint_zoo.rs, the `_syn` entries are pinned in release only.
+    let include_syn = !cfg!(debug_assertions);
+    for (name, expected) in GOLDEN {
+        if !include_syn && name.contains("_syn") {
+            continue;
+        }
+        let digest = zoo_metrics_digest(name);
+        assert_eq!(digest, expected, "{name}: got {digest:#018x}");
     }
 }

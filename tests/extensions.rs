@@ -1,9 +1,6 @@
 //! Integration tests for the beyond-the-paper extensions.
 
-use appmult::circuit::MultiplierCircuit;
-use appmult::mult::{
-    CompressorMultiplier, ErrorMetrics, Multiplier, SignMagnitudeMultiplier, TruncatedMultiplier,
-};
+use appmult::mult::{SignMagnitudeMultiplier, TruncatedMultiplier};
 use appmult::nn::layers::{Flatten, Linear, Sequential};
 use appmult::nn::serialize::{load_params, save_params};
 use appmult::nn::Module;
@@ -24,21 +21,6 @@ fn signed_wrapper_drives_the_gradient_builder() {
     let x_mid = 40;
     assert!(grads.wrt_x(w_pos, x_mid) > 0.0);
     assert!(grads.wrt_x(w_neg, x_mid) < 0.0);
-}
-
-#[test]
-fn compressor_family_is_a_first_class_zoo_citizen() {
-    let m = CompressorMultiplier::new(7, 8);
-    let lut = m.to_lut();
-    let metrics = ErrorMetrics::exhaustive(&lut);
-    assert!(metrics.nmed > 0.0, "approximate by construction");
-    // Gradient tables build cleanly on the structural LUT.
-    let g = GradientLut::build(&lut, GradientMode::difference_based(4));
-    assert!(g.wrt_w(100, 64).is_finite());
-    // And it carries hardware cost like the closed-form designs.
-    let cost = appmult::circuit::CostModel::asap7().estimate(&m.circuit().expect("structural"));
-    let exact = appmult::circuit::CostModel::asap7().estimate(&MultiplierCircuit::array(7));
-    assert!(cost.area_um2 < exact.area_um2);
 }
 
 #[test]
