@@ -128,7 +128,7 @@ fn main() {
     bench("gradient_lut_build_8bit/raw", || {
         black_box(GradientLut::build(
             black_box(&lut),
-            GradientMode::RawDifference,
+            GradientMode::least_squares(1),
         ));
     });
 

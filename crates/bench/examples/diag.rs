@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &lut,
             );
         }
-        run(GradientMode::RawDifference, "raw-diff", &lut);
+        run(GradientMode::least_squares(1), "raw-diff", &lut);
     }
     Ok(())
 }

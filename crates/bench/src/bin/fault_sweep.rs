@@ -25,7 +25,7 @@ use appmult_bench::{
 };
 use appmult_circuit::{fault_sites, FaultKind, FaultSpec, MultiplierCircuit};
 use appmult_mult::{ErrorMetrics, MultiplierLut};
-use appmult_retrain::{GradientMode, QuantScheme, ResiliencePolicy};
+use appmult_retrain::{GradientLut, GradientMode, QuantScheme, ResiliencePolicy};
 use appmult_rng::Rng64;
 
 /// Draws `count` random faults (site and kind) for a circuit.
@@ -103,7 +103,7 @@ fn main() {
                 &workload,
                 &mut pretrained,
                 &lut,
-                mode,
+                Arc::new(GradientLut::build(&lut, mode)),
                 QuantScheme::Unsigned,
                 Some(ResiliencePolicy::default()),
             )

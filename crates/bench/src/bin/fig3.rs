@@ -25,7 +25,7 @@ fn main() {
     let row = lut.row(wf).to_vec();
     let ours = GradientLut::build(&lut, GradientMode::difference_based(hws));
     let ste = GradientLut::build(&lut, GradientMode::Ste);
-    let raw = GradientLut::build(&lut, GradientMode::RawDifference);
+    let raw = GradientLut::build(&lut, GradientMode::least_squares(1));
     let path = write_results("fig3.csv", &fig3_csv(&lut, wf, hws));
 
     println!("## Fig. 3 — AM(W_f = {wf}, X) for mul7u_rm6 (HWS = {hws})\n");

@@ -7,8 +7,10 @@
 //! exits:
 //!
 //! - `0` on success,
-//! - `2` when `--assert-beats-ste` is given and no difference-family
-//!   estimator retrains to higher accuracy than STE on any design.
+//! - `2` on a usage error (including `--hws 0` or `--lsq-window 0`,
+//!   rejected before pretraining), or when `--assert-beats-ste` is given
+//!   and no difference-family estimator retrains to higher accuracy than
+//!   STE on any design.
 //!
 //! ```text
 //! cargo run --release -p appmult-bench --bin grad_matrix -- \
@@ -36,6 +38,12 @@ fn main() -> ExitCode {
     cfg.lsq_window = args.get_or("lsq-window", cfg.lsq_window);
     cfg.pretrain_epochs = args.get_or("pretrain-epochs", cfg.pretrain_epochs);
     cfg.retrain_epochs = args.get_or("retrain-epochs", cfg.retrain_epochs);
+    for (flag, window) in [("hws", cfg.hws), ("lsq-window", cfg.lsq_window)] {
+        if window == 0 {
+            eprintln!("error: `--{flag}` must be at least 1");
+            return ExitCode::from(2);
+        }
+    }
 
     let outcome = run_grad_matrix(&cfg);
 

@@ -258,7 +258,7 @@ impl GradMatrixOutcome {
 /// stored function's local slope. Serial f64 accumulation in index
 /// order, so the value is machine-independent.
 pub fn gradient_table_error(lut: &MultiplierLut, grads: &GradientLut) -> f64 {
-    let raw = GradientLut::build_with_pool(lut, GradientMode::RawDifference, Pool::serial());
+    let raw = GradientLut::build_with_pool(lut, GradientMode::least_squares(1), Pool::serial());
     let est = grads.wrt_x_table();
     let reference = raw.wrt_x_table();
     let mut num = 0.0f64;
@@ -276,10 +276,14 @@ pub fn gradient_table_error(lut: &MultiplierLut, grads: &GradientLut) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if the config has no designs or estimators.
+/// Panics if the config has no designs or estimators, or a zero window.
 pub fn run_grad_matrix(cfg: &GradMatrixConfig) -> GradMatrixOutcome {
     assert!(!cfg.designs.is_empty(), "config has no designs");
     assert!(!cfg.estimators.is_empty(), "config has no estimators");
+    assert!(
+        cfg.hws > 0 && cfg.lsq_window > 0,
+        "config has a zero window"
+    );
     let obs = appmult_obs::global();
     let _span = obs.span("grad_matrix.run");
 
@@ -296,13 +300,11 @@ pub fn run_grad_matrix(cfg: &GradMatrixConfig) -> GradMatrixOutcome {
         for &estimator in &cfg.estimators {
             let _cell_span = obs.span("grad_matrix.cell");
             let mode = estimator.mode(cfg, design.lut.bits());
-            let grads = GradientLut::try_build_for(
-                &design.lut,
-                mode.clone(),
-                design.scheme,
-                Pool::global(),
-            )
-            .expect("estimator tables rejected");
+            let estimator_key = mode.key();
+            let grads = Arc::new(
+                GradientLut::try_build_for(&design.lut, mode, design.scheme, Pool::global())
+                    .expect("estimator tables rejected"),
+            );
             let grad_err = gradient_table_error(&design.lut, &grads);
             let outcome = retrain_with_multiplier_scheme(
                 ModelKind::LeNet,
@@ -310,7 +312,7 @@ pub fn run_grad_matrix(cfg: &GradMatrixConfig) -> GradMatrixOutcome {
                 &workload,
                 &mut pretrained,
                 &design.lut,
-                mode.clone(),
+                grads,
                 design.scheme,
                 None,
             );
@@ -319,7 +321,7 @@ pub fn run_grad_matrix(cfg: &GradMatrixConfig) -> GradMatrixOutcome {
                 design: design.name.clone(),
                 scheme: design.scheme.key(),
                 bits: design.lut.bits(),
-                estimator: mode.key(),
+                estimator: estimator_key,
                 family: estimator.family(),
                 initial_pct: outcome.initial_pct(),
                 final_pct: outcome.final_pct(),
@@ -463,7 +465,7 @@ mod tests {
     #[test]
     fn gradient_table_error_is_zero_for_raw_difference() {
         let lut = TruncatedMultiplier::new(6, 4).to_lut();
-        let raw = GradientLut::build(&lut, GradientMode::RawDifference);
+        let raw = GradientLut::build(&lut, GradientMode::least_squares(1));
         assert_eq!(gradient_table_error(&lut, &raw), 0.0);
         // STE ignores the staircase, so its deviation is strictly larger.
         let ste = GradientLut::build(&lut, GradientMode::Ste);

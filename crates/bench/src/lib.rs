@@ -224,16 +224,18 @@ pub fn retrain_with_multiplier(
         workload,
         pretrained,
         lut,
-        mode,
+        Arc::new(GradientLut::build(lut, mode)),
         QuantScheme::Unsigned,
         None,
     )
 }
 
-/// The full retraining entry point: explicit quantization scheme, so the
-/// signed int8 path (`SignMagnitudeMultiplier::to_offset_lut` +
+/// The full retraining entry point: prebuilt gradient tables and an
+/// explicit quantization scheme, so the signed int8 path
+/// (`SignMagnitudeMultiplier::to_offset_lut` +
 /// [`QuantScheme::SignedOffset`]) runs the same Fig. 1 flow as the paper's
-/// unsigned experiments. Gradient tables are built under the same scheme.
+/// unsigned experiments. `grads` must be built from `lut` under the same
+/// scheme ([`GradientLut::try_build_for`]).
 #[allow(clippy::too_many_arguments)]
 pub fn retrain_with_multiplier_scheme(
     kind: ModelKind,
@@ -241,14 +243,10 @@ pub fn retrain_with_multiplier_scheme(
     workload: &Workload,
     pretrained: &mut Sequential,
     lut: &Arc<MultiplierLut>,
-    mode: GradientMode,
+    grads: Arc<GradientLut>,
     scheme: QuantScheme,
     resilience: Option<ResiliencePolicy>,
 ) -> RetrainOutcome {
-    let grads = Arc::new(
-        GradientLut::try_build_for(lut, mode, scheme, appmult_pool::Pool::global())
-            .expect("gradient tables rejected"),
-    );
     let config = QuantConfig {
         scheme,
         ..QuantConfig::default()
@@ -586,7 +584,7 @@ pub fn fig3_csv(lut: &MultiplierLut, wf: u32, hws: u32) -> String {
     let smoothed = appmult_retrain::smooth_row(&row, hws);
     let ours = GradientLut::build(lut, GradientMode::difference_based(hws));
     let ste = GradientLut::build(lut, GradientMode::Ste);
-    let raw = GradientLut::build(lut, GradientMode::RawDifference);
+    let raw = GradientLut::build(lut, GradientMode::least_squares(1));
 
     let mut csv = String::from("x,appmult,accmult,smoothed,grad_diff,grad_ste,grad_raw\n");
     for x in 0..row.len() as u32 {

@@ -21,13 +21,16 @@
 //!
 //! The journal extension (arXiv 2509.10519) generalizes the single
 //! difference-based rule into an estimator *family*, all reproduced here:
-//! parameterized smoothing kernels for Eq. 4
-//! ([`GradientMode::DifferenceKernel`]), a least-squares local linear fit
+//! parameterized smoothing kernels for Eq. 4 (the `kernel` of
+//! [`GradientMode::DifferenceBased`]), a least-squares local linear fit
 //! ([`GradientMode::LeastSquares`]), an input-distribution-weighted
 //! average ([`GradientMode::MarginalWeighted`]), and an ApproxTrain-style
-//! per-row linear surrogate ([`GradientMode::Surrogate`]). Every variant
-//! builds its tables through the same parallel row-partitioned path, so
-//! the bit-identity-at-any-thread-count guarantee carries over unchanged.
+//! per-row linear surrogate ([`GradientMode::Surrogate`]). Each estimator
+//! is one per-row rule run by a single table builder: every output row
+//! starts at its Eq. 6 slope, the rule overwrites the entries it defines,
+//! and `dAM/dW` runs the same rule over the rows of the transposed LUT.
+//! Rows are partitioned across the worker pool, so the tables are
+//! bit-identical at any thread count.
 
 use std::fmt;
 use std::sync::Arc;
@@ -42,33 +45,15 @@ use crate::smoothing::{row_min_max, smooth_row_kernel, weighted_smooth_row, Smoo
 #[derive(Debug, Clone)]
 pub enum GradientMode {
     /// Straight-through estimator: use the accurate multiplier's gradient
-    /// (`dAM/dW ~ X`, `dAM/dX ~ W`) — the baseline of refs. [8]-[13].
+    /// (`dAM/dW ~ X`, `dAM/dX ~ W`) — the baseline of refs. \[8\]-\[13\].
     Ste,
-    /// The paper's smoothed difference-based gradient with the given half
-    /// window size (Eqs. 4-6).
+    /// The paper's smoothed difference-based gradient (Eqs. 4-6): Eq. 4
+    /// smoothing, the Eq. 5 central difference, and the Eq. 6 rule at the
+    /// boundary. [`SmoothingKernel::Box`] is the paper's moving average;
+    /// the journal extension's triangular and discrete-Gaussian kernels
+    /// reweight the same window.
     DifferenceBased {
-        /// Half window size `HWS` of the Eq. 4 moving average.
-        hws: u32,
-    },
-    /// Ablation: central differences of the *raw* (unsmoothed) AppMult
-    /// function, with the Eq. 6 rule only at `X = 0` and `X = 2^B - 1`.
-    /// Exhibits the zero/spiky gradients that motivate Eq. 4.
-    RawDifference,
-    /// Ablation of the Eq. 6 boundary rule: identical to
-    /// [`GradientMode::DifferenceBased`] in the interior, but boundary
-    /// operands copy the nearest interior gradient instead of using the
-    /// average slope.
-    DifferenceEdgeClamped {
-        /// Half window size `HWS` of the Eq. 4 moving average.
-        hws: u32,
-    },
-    /// Journal extension: Eq. 4 smoothing with a parameterized window
-    /// kernel (box, triangular, discrete Gaussian) followed by the Eq. 5
-    /// central difference and the Eq. 6 boundary rule. With
-    /// [`SmoothingKernel::Box`] this is bit-identical to
-    /// [`GradientMode::DifferenceBased`].
-    DifferenceKernel {
-        /// Half window size of the smoothing window.
+        /// Half window size `HWS` of the Eq. 4 smoothing window.
         hws: u32,
         /// Weight profile over the window.
         kernel: SmoothingKernel,
@@ -77,7 +62,9 @@ pub enum GradientMode {
     /// linear fit of the *raw* AppMult row over `[X - w, X + w]` (window
     /// regression instead of smoothing + central difference); Eq. 6 at the
     /// boundary. On exactly linear rows this equals the central
-    /// difference.
+    /// difference. Window 1 is Fig. 3's raw central difference
+    /// `(AM(X + 1) - AM(X - 1)) / 2`, which shows the zero gradients on
+    /// staircase plateaus that motivate Eq. 4.
     LeastSquares {
         /// Regression half window `w >= 1`.
         window: u32,
@@ -114,14 +101,14 @@ pub enum GradientMode {
 }
 
 impl GradientMode {
-    /// Convenience constructor for the paper's method.
+    /// Convenience constructor for the paper's method (box smoothing).
     pub fn difference_based(hws: u32) -> Self {
-        GradientMode::DifferenceBased { hws }
+        Self::difference_kernel(hws, SmoothingKernel::Box)
     }
 
     /// Convenience constructor for a kernel-smoothed difference estimator.
     pub fn difference_kernel(hws: u32, kernel: SmoothingKernel) -> Self {
-        GradientMode::DifferenceKernel { hws, kernel }
+        GradientMode::DifferenceBased { hws, kernel }
     }
 
     /// Convenience constructor for the window-regression estimator.
@@ -138,23 +125,6 @@ impl GradientMode {
         }
     }
 
-    /// Short identifier used in experiment tables. For the journal-
-    /// extension variants this equals [`GradientMode::key`], so the label
-    /// is directly usable as a JSON key.
-    pub fn label(&self) -> String {
-        match self {
-            GradientMode::Ste => "STE".into(),
-            GradientMode::DifferenceBased { hws } => format!("diff(hws={hws})"),
-            GradientMode::RawDifference => "raw-diff".into(),
-            GradientMode::DifferenceEdgeClamped { hws } => format!("diff-clamp(hws={hws})"),
-            GradientMode::DifferenceKernel { .. }
-            | GradientMode::LeastSquares { .. }
-            | GradientMode::MarginalWeighted { .. }
-            | GradientMode::Surrogate
-            | GradientMode::Custom { .. } => self.key(),
-        }
-    }
-
     /// Stable identifier usable as a JSON key: lowercase, no spaces,
     /// parentheses, or `=` (e.g. `ste`, `diff_h4`, `tri_h4`, `lsq_w3`,
     /// `marginal_h4`, `surrogate`). Every distinct parameterization has a
@@ -162,12 +132,11 @@ impl GradientMode {
     pub fn key(&self) -> String {
         match self {
             GradientMode::Ste => "ste".into(),
-            GradientMode::DifferenceBased { hws } => format!("diff_h{hws}"),
-            GradientMode::RawDifference => "raw_diff".into(),
-            GradientMode::DifferenceEdgeClamped { hws } => format!("diff_clamp_h{hws}"),
-            GradientMode::DifferenceKernel { hws, kernel } => {
-                format!("{}_h{hws}", kernel.key())
-            }
+            GradientMode::DifferenceBased {
+                hws,
+                kernel: SmoothingKernel::Box,
+            } => format!("diff_h{hws}"),
+            GradientMode::DifferenceBased { hws, kernel } => format!("{}_h{hws}", kernel.key()),
             GradientMode::LeastSquares { window } => format!("lsq_w{window}"),
             GradientMode::MarginalWeighted { hws, .. } => format!("marginal_h{hws}"),
             GradientMode::Surrogate => "surrogate".into(),
@@ -212,17 +181,13 @@ impl GradientLut {
     ///
     /// # Panics
     ///
-    /// Panics if a difference-family mode has a zero half window, or if
-    /// [`GradientLut::try_build`] returns an error (wrong `Custom` or
-    /// marginal table lengths).
+    /// Panics if [`GradientLut::try_build_for`] returns an error (a zero
+    /// window, or wrong `Custom` or marginal table lengths).
     pub fn build(lut: &MultiplierLut, mode: GradientMode) -> Self {
         Self::build_with_pool(lut, mode, Pool::global())
     }
 
-    /// Like [`GradientLut::build`] with an explicit worker pool. Table rows
-    /// (fixed `W_f` slices) are independent, so they are partitioned across
-    /// the workers; each entry is written exactly once, making the tables
-    /// bit-identical for every thread count.
+    /// Like [`GradientLut::build`] with an explicit worker pool.
     ///
     /// # Panics
     ///
@@ -234,49 +199,23 @@ impl GradientLut {
         }
     }
 
-    /// Builds gradient tables for a signed offset-binary LUT (see
-    /// `SignMagnitudeMultiplier::to_offset_lut`): codes represent
-    /// `value = code - 2^(B-1)`, so the accurate-gradient (STE) tables are
-    /// `dAM/dX = W - 2^(B-1)` instead of the raw code. The
-    /// difference-family estimators differentiate the stored table
-    /// directly and are scheme-agnostic.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`GradientLut::build`].
-    pub fn build_signed(lut: &MultiplierLut, mode: GradientMode) -> Self {
-        match Self::try_build_for(lut, mode, QuantScheme::SignedOffset, Pool::global()) {
-            Ok(g) => g,
-            Err(e) => panic!("gradient tables rejected: {e}"),
-        }
-    }
-
-    /// Fallible variant of [`GradientLut::build`]: returns a typed error
-    /// instead of panicking when `Custom` or marginal tables have the
-    /// wrong length.
+    /// The full build entry point: explicit quantization scheme and worker
+    /// pool. The scheme only affects the [`GradientMode::Ste`]
+    /// accurate-gradient tables: signed offset-binary codes (see
+    /// `SignMagnitudeMultiplier::to_offset_lut`) represent
+    /// `value = code - 2^(B-1)`, so STE's `dAM/dX` is `W - 2^(B-1)`. The
+    /// other estimators differentiate the stored table directly and are
+    /// scheme-agnostic. Table rows (fixed `W_f` slices) are independent,
+    /// so they are partitioned across the pool's workers; each entry is
+    /// written by one worker, making the tables bit-identical for every
+    /// thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`GradientLutError::LengthMismatch`] naming the offending
-    /// table.
-    pub fn try_build(lut: &MultiplierLut, mode: GradientMode) -> Result<Self, GradientLutError> {
-        Self::try_build_for(lut, mode, QuantScheme::Unsigned, Pool::global())
-    }
-
-    /// The full build entry point: explicit quantization scheme (which
-    /// only affects the [`GradientMode::Ste`] accurate-gradient tables)
-    /// and worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GradientLutError::LengthMismatch`] for wrong-length
-    /// `Custom` or [`GradientMode::MarginalWeighted`] tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a difference-family mode has a zero half window (a
-    /// programming error, unlike data-sized tables which report typed
-    /// errors).
+    /// Returns [`GradientLutError::ZeroWindow`] for a difference-family
+    /// mode with a zero window, and [`GradientLutError::LengthMismatch`]
+    /// for wrong-length `Custom` or [`GradientMode::MarginalWeighted`]
+    /// tables.
     pub fn try_build_for(
         lut: &MultiplierLut,
         mode: GradientMode,
@@ -288,7 +227,13 @@ impl GradientLut {
         let build_start = obs.is_enabled().then(std::time::Instant::now);
         let bits = lut.bits();
         let n = 1usize << bits;
-        let label = mode.label();
+        let mode_label = mode.key();
+        if let GradientMode::DifferenceBased { hws: 0, .. }
+        | GradientMode::MarginalWeighted { hws: 0, .. }
+        | GradientMode::LeastSquares { window: 0 } = mode
+        {
+            return Err(GradientLutError::ZeroWindow);
+        }
         let (wrt_w, wrt_x) = match mode {
             GradientMode::Ste => {
                 // Accurate-gradient surrogate: the derivative of the exact
@@ -298,101 +243,42 @@ impl GradientLut {
                     QuantScheme::Unsigned => 0i64,
                     QuantScheme::SignedOffset => (n / 2) as i64,
                 };
-                let mut gw = vec![0.0f32; n * n];
-                let mut gx = vec![0.0f32; n * n];
-                for w in 0..n {
-                    for x in 0..n {
-                        gw[w * n + x] = (x as i64 - half) as f32; // dAM/dW ~ X
-                        gx[w * n + x] = (w as i64 - half) as f32; // dAM/dX ~ W
-                    }
-                }
-                (Arc::new(gw), Arc::new(gx))
+                // Entry i is the pair (w, x) = (i / n, i % n).
+                let gw = (0..n * n).map(|i| ((i % n) as i64 - half) as f32); // dAM/dW ~ X
+                let gx = (0..n * n).map(|i| ((i / n) as i64 - half) as f32); // dAM/dX ~ W
+                (Arc::new(gw.collect()), Arc::new(gx.collect()))
             }
-            GradientMode::DifferenceBased { hws } => {
-                assert!(hws >= 1, "half window size must be positive");
-                let s = Smoother::Kernel(SmoothingKernel::Box);
-                let gx = difference_tables(lut, hws, BoundaryRule::AverageSlope, &s, pool);
-                let gw =
-                    difference_tables(&lut.transposed(), hws, BoundaryRule::AverageSlope, &s, pool);
-                (Arc::new(transpose_table(n, &gw)), Arc::new(gx))
-            }
-            GradientMode::RawDifference => {
-                let gx = raw_difference_tables(lut, pool);
-                let gw = raw_difference_tables(&lut.transposed(), pool);
-                (Arc::new(transpose_table(n, &gw)), Arc::new(gx))
-            }
-            GradientMode::DifferenceEdgeClamped { hws } => {
-                assert!(hws >= 1, "half window size must be positive");
-                let s = Smoother::Kernel(SmoothingKernel::Box);
-                let gx = difference_tables(lut, hws, BoundaryRule::ClampToInterior, &s, pool);
-                let gw = difference_tables(
-                    &lut.transposed(),
-                    hws,
-                    BoundaryRule::ClampToInterior,
-                    &s,
-                    pool,
-                );
-                (Arc::new(transpose_table(n, &gw)), Arc::new(gx))
-            }
-            GradientMode::DifferenceKernel { hws, kernel } => {
-                assert!(hws >= 1, "half window size must be positive");
-                let s = Smoother::Kernel(kernel);
-                let gx = difference_tables(lut, hws, BoundaryRule::AverageSlope, &s, pool);
-                let gw =
-                    difference_tables(&lut.transposed(), hws, BoundaryRule::AverageSlope, &s, pool);
-                (Arc::new(transpose_table(n, &gw)), Arc::new(gx))
+            GradientMode::DifferenceBased { hws, kernel } => {
+                let rule = |row: &[u32], out: &mut [f32]| {
+                    difference_row(&smooth_row_kernel(row, hws, kernel), out);
+                };
+                row_tables(lut, pool, &rule, &rule)
             }
             GradientMode::LeastSquares { window } => {
-                assert!(window >= 1, "regression window must be positive");
-                let gx = least_squares_tables(lut, window, pool);
-                let gw = least_squares_tables(&lut.transposed(), window, pool);
-                (Arc::new(transpose_table(n, &gw)), Arc::new(gx))
+                let rule = |row: &[u32], out: &mut [f32]| least_squares_row(row, window, out);
+                row_tables(lut, pool, &rule, &rule)
             }
             GradientMode::MarginalWeighted {
                 hws,
                 w_probs,
                 x_probs,
             } => {
-                assert!(hws >= 1, "half window size must be positive");
-                for (probs, name) in [(&w_probs, "w_probs"), (&x_probs, "x_probs")] {
-                    if probs.len() != n {
-                        return Err(GradientLutError::LengthMismatch {
-                            table: name,
-                            expected: n,
-                            got: probs.len(),
-                        });
-                    }
-                }
-                // wrt_x: windows slide over X, weighted by the activation
-                // marginal. wrt_w: windows slide over W (the transposed
-                // table's inner axis), weighted by the weight marginal.
-                let sx = Smoother::Weighted(&x_probs);
-                let gx = difference_tables(lut, hws, BoundaryRule::AverageSlope, &sx, pool);
-                let sw = Smoother::Weighted(&w_probs);
-                let gw = difference_tables(
-                    &lut.transposed(),
-                    hws,
-                    BoundaryRule::AverageSlope,
-                    &sw,
+                check_len("w_probs", w_probs.len(), n)?;
+                check_len("x_probs", x_probs.len(), n)?;
+                // wrt_w: windows slide over W (the transposed table's inner
+                // axis), weighted by the weight marginal. wrt_x: windows
+                // slide over X, weighted by the activation marginal.
+                row_tables(
+                    lut,
                     pool,
-                );
-                (Arc::new(transpose_table(n, &gw)), Arc::new(gx))
+                    &|row, out| difference_row(&weighted_smooth_row(row, hws, &w_probs), out),
+                    &|row, out| difference_row(&weighted_smooth_row(row, hws, &x_probs), out),
+                )
             }
-            GradientMode::Surrogate => {
-                let gx = surrogate_tables(lut, pool);
-                let gw = surrogate_tables(&lut.transposed(), pool);
-                (Arc::new(transpose_table(n, &gw)), Arc::new(gx))
-            }
+            GradientMode::Surrogate => row_tables(lut, pool, &surrogate_row, &surrogate_row),
             GradientMode::Custom { wrt_w, wrt_x } => {
-                for (table, name) in [(&wrt_w, "wrt_w"), (&wrt_x, "wrt_x")] {
-                    if table.len() != n * n {
-                        return Err(GradientLutError::LengthMismatch {
-                            table: name,
-                            expected: n * n,
-                            got: table.len(),
-                        });
-                    }
-                }
+                check_len("wrt_w", wrt_w.len(), n * n)?;
+                check_len("wrt_x", wrt_x.len(), n * n)?;
                 (wrt_w, wrt_x)
             }
         };
@@ -404,7 +290,7 @@ impl GradientLut {
             bits,
             wrt_w,
             wrt_x,
-            mode_label: label,
+            mode_label,
         })
     }
 
@@ -413,7 +299,8 @@ impl GradientLut {
         self.bits
     }
 
-    /// Label of the gradient mode used to build the tables.
+    /// Key ([`GradientMode::key`]) of the gradient mode used to build the
+    /// tables.
     pub fn mode_label(&self) -> &str {
         &self.mode_label
     }
@@ -474,13 +361,7 @@ impl GradientLut {
     pub fn validate(&self) -> Result<(), GradientLutError> {
         let expected = 1usize << (2 * self.bits);
         for (table, name) in [(&self.wrt_w, "wrt_w"), (&self.wrt_x, "wrt_x")] {
-            if table.len() != expected {
-                return Err(GradientLutError::LengthMismatch {
-                    table: name,
-                    expected,
-                    got: table.len(),
-                });
-            }
+            check_len(name, table.len(), expected)?;
             if let Some(idx) = table.iter().position(|v| !v.is_finite()) {
                 let w = (idx >> self.bits) as u32;
                 let x = (idx as u32) & ((1 << self.bits) - 1);
@@ -496,9 +377,13 @@ impl GradientLut {
     }
 }
 
-/// Error found by [`GradientLut::validate`].
+/// Error found by [`GradientLut::try_build_for`] or
+/// [`GradientLut::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum GradientLutError {
+    /// A difference-family mode has a zero half window (`hws`) or
+    /// regression window, outside the Eq. 4 domain.
+    ZeroWindow,
     /// A table entry is NaN or infinite.
     NonFinite {
         /// Which table (`"wrt_w"` or `"wrt_x"`).
@@ -524,6 +409,7 @@ pub enum GradientLutError {
 impl fmt::Display for GradientLutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            GradientLutError::ZeroWindow => write!(f, "window half-width must be positive"),
             GradientLutError::NonFinite { table, w, x, value } => {
                 write!(f, "{table}[w={w}, x={x}] is non-finite ({value})")
             }
@@ -540,26 +426,17 @@ impl fmt::Display for GradientLutError {
 
 impl std::error::Error for GradientLutError {}
 
-/// How boundary operands (outside the Eq. 5 domain) are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BoundaryRule {
-    /// Eq. 6: `(max AM - min AM) / 2^B`, the paper's rule.
-    AverageSlope,
-    /// Ablation: copy the nearest interior Eq. 5 value.
-    ClampToInterior,
-}
-
-/// Transposes an `n x n` gradient table from `(x << B) | w` layout back
-/// into the canonical `(w << B) | x` layout.
-fn transpose_table(n: usize, t: &[f32]) -> Vec<f32> {
-    assert_eq!(t.len(), n * n, "table must be n x n");
-    let mut out = vec![0.0f32; n * n];
-    for x in 0..n {
-        for w in 0..n {
-            out[w * n + x] = t[x * n + w];
-        }
+/// [`GradientLutError::LengthMismatch`] unless `table` has `expected`
+/// entries.
+fn check_len(table: &'static str, got: usize, expected: usize) -> Result<(), GradientLutError> {
+    if got == expected {
+        return Ok(());
     }
-    out
+    Err(GradientLutError::LengthMismatch {
+        table,
+        expected,
+        got,
+    })
 }
 
 /// Minimum table size (elements) below which gradient-table builds run
@@ -568,161 +445,86 @@ fn transpose_table(n: usize, t: &[f32]) -> Vec<f32> {
 /// Above it (8-bit: 65536 elements) the parallel build wins.
 const TABLE_PAR_FLOOR_ELEMS: usize = 1 << 14;
 
-/// How an Eq. 4 window average weights its members: a fixed kernel shape
-/// or profiled operand-marginal probabilities. `Kernel(Box)` reproduces
-/// the paper's plain moving average bit-for-bit.
-enum Smoother<'a> {
-    /// Fixed window kernel (box / triangular / discrete Gaussian).
-    Kernel(SmoothingKernel),
-    /// Operand-marginal weights over the row's axis (`2^B` entries).
-    Weighted(&'a [f64]),
+/// A per-row estimator: overwrites the entries of `out` (pre-filled with
+/// the row's Eq. 6 slope) that it defines for the stored row `row`.
+type RowRule<'a> = dyn Fn(&[u32], &mut [f32]) + Sync + 'a;
+
+/// Runs `rule_x` over every row of `lut` for `dAM/dX`, and `rule_w` over
+/// every row of the transposed LUT for `dAM/dW`, returning both tables in
+/// `(w << B) | x` layout.
+fn row_tables(
+    lut: &MultiplierLut,
+    pool: Pool,
+    rule_w: &RowRule<'_>,
+    rule_x: &RowRule<'_>,
+) -> (Arc<Vec<f32>>, Arc<Vec<f32>>) {
+    let n = 1usize << lut.bits();
+    let pool = pool.with_min_elems(TABLE_PAR_FLOOR_ELEMS);
+    let by_rows = |lut: &MultiplierLut, rule: &RowRule<'_>| {
+        let mut out = vec![0.0f32; n * n];
+        pool.run_rows(&mut out, n, |r0, chunk| {
+            for (r, out_row) in chunk.chunks_mut(n).enumerate() {
+                let row = lut.row((r0 + r) as u32);
+                let (lo, hi) = row_min_max(row);
+                // Eq. 6: average change per unit operand over the full range.
+                out_row.fill(((f64::from(hi) - f64::from(lo)) / n as f64) as f32);
+                rule(row, out_row);
+            }
+        });
+        out
+    };
+    let wrt_x = by_rows(lut, rule_x);
+    // Row `x` of the transposed build holds dAM/dW at (w, x) in column w.
+    let by_x = by_rows(&lut.transposed(), rule_w);
+    let wrt_w = (0..n * n).map(|i| by_x[(i % n) * n + i / n]).collect();
+    (Arc::new(wrt_w), Arc::new(wrt_x))
 }
 
-impl Smoother<'_> {
-    fn smooth(&self, row: &[u32], hws: u32) -> Vec<Option<f64>> {
-        match self {
-            Smoother::Kernel(k) => smooth_row_kernel(row, hws, *k),
-            Smoother::Weighted(probs) => weighted_smooth_row(row, hws, probs),
+/// Eq. 5: the central difference of a smoothed row wherever both
+/// neighbours lie in the smoothing domain (`HWS < X < 2^B - 1 - HWS`).
+fn difference_row(smoothed: &[Option<f64>], out: &mut [f32]) {
+    for (x, window) in smoothed.windows(3).enumerate() {
+        if let [Some(sm), _, Some(sp)] = *window {
+            out[x + 1] = ((sp - sm) / 2.0) as f32;
         }
     }
 }
 
-/// Eq. 5 + boundary rule over every row of `lut` (gradient w.r.t. the
-/// second operand of the given table). Rows (weight values `w`) are
-/// independent and partitioned across the pool's workers.
-fn difference_tables(
-    lut: &MultiplierLut,
-    hws: u32,
-    rule: BoundaryRule,
-    smoother: &Smoother<'_>,
-    pool: Pool,
-) -> Vec<f32> {
-    let bits = lut.bits();
-    let n = 1usize << bits;
-    let h = hws as usize;
-    let mut out = vec![0.0f32; n * n];
-    let pool = pool.with_min_elems(TABLE_PAR_FLOOR_ELEMS);
-    pool.run_rows(&mut out, n, |w0, chunk| {
-        for (r, out_row) in chunk.chunks_mut(n).enumerate() {
-            let w = (w0 + r) as u32;
-            let row = lut.row(w);
-            let smoothed = smoother.smooth(row, hws);
-            let (lo, hi) = row_min_max(row);
-            // Eq. 6: average change per unit X over the full operand range.
-            let boundary = ((f64::from(hi) - f64::from(lo)) / n as f64) as f32;
-            let mut first_interior = None;
-            let mut last_interior = None;
-            for x in 0..n {
-                let interior = x > h && x + h + 1 < n; // HWS < X < 2^B - 1 - HWS
-                if interior {
-                    let sp = smoothed[x + 1].expect("x + 1 in smoothing domain");
-                    let sm = smoothed[x - 1].expect("x - 1 in smoothing domain");
-                    out_row[x] = ((sp - sm) / 2.0) as f32;
-                    first_interior.get_or_insert(x);
-                    last_interior = Some(x);
-                } else {
-                    out_row[x] = boundary;
-                }
-            }
-            if rule == BoundaryRule::ClampToInterior {
-                if let (Some(first), Some(last)) = (first_interior, last_interior) {
-                    let (head, tail) = (out_row[first], out_row[last]);
-                    for v in &mut out_row[..first] {
-                        *v = head;
-                    }
-                    for v in &mut out_row[last + 1..n] {
-                        *v = tail;
-                    }
-                }
-            }
-        }
-    });
-    out
-}
-
-/// Ablation: central difference of the raw AppMult row, Eq. 6 at the ends.
-fn raw_difference_tables(lut: &MultiplierLut, pool: Pool) -> Vec<f32> {
-    let bits = lut.bits();
-    let n = 1usize << bits;
-    let mut out = vec![0.0f32; n * n];
-    let pool = pool.with_min_elems(TABLE_PAR_FLOOR_ELEMS);
-    pool.run_rows(&mut out, n, |w0, chunk| {
-        for (r, out_row) in chunk.chunks_mut(n).enumerate() {
-            let w = (w0 + r) as u32;
-            let row = lut.row(w);
-            let (lo, hi) = row_min_max(row);
-            let boundary = ((f64::from(hi) - f64::from(lo)) / n as f64) as f32;
-            for x in 0..n {
-                out_row[x] = if x > 0 && x + 1 < n {
-                    (f64::from(row[x + 1]) - f64::from(row[x - 1])) as f32 / 2.0
-                } else {
-                    boundary
-                };
-            }
-        }
-    });
-    out
-}
-
 /// Journal extension: the gradient at `X` is the slope of the
 /// least-squares linear fit of the raw row over `[X - w, X + w]`
-/// (`slope = sum(d * y[x+d]) / sum(d^2)`, `d = -w..=w`); Eq. 6 where the
-/// window does not fit. On an exactly linear row this reduces to the
-/// central difference (the antisymmetric weights cancel the intercept).
-fn least_squares_tables(lut: &MultiplierLut, window: u32, pool: Pool) -> Vec<f32> {
-    let bits = lut.bits();
-    let n = 1usize << bits;
-    let w_us = window as usize;
+/// (`slope = sum(d * y[x+d]) / sum(d^2)`, `d = -w..=w`), where the window
+/// fits. On an exactly linear row this reduces to the central difference
+/// (the antisymmetric weights cancel the intercept).
+fn least_squares_row(row: &[u32], window: u32, out: &mut [f32]) {
+    let (n, w) = (row.len(), window as usize);
+    if 2 * w + 1 > n {
+        return; // the window fits nowhere: Eq. 6 everywhere
+    }
     // sum over d = -w..=w of d^2.
-    let denom: f64 = (1..=i64::from(window)).map(|d| 2.0 * (d * d) as f64).sum();
-    let mut out = vec![0.0f32; n * n];
-    let pool = pool.with_min_elems(TABLE_PAR_FLOOR_ELEMS);
-    pool.run_rows(&mut out, n, |w0, chunk| {
-        for (r, out_row) in chunk.chunks_mut(n).enumerate() {
-            let w = (w0 + r) as u32;
-            let row = lut.row(w);
-            let (lo, hi) = row_min_max(row);
-            let boundary = ((f64::from(hi) - f64::from(lo)) / n as f64) as f32;
-            for x in 0..n {
-                out_row[x] = if x >= w_us && x + w_us < n {
-                    let mut num = 0.0f64;
-                    for d in 1..=w_us {
-                        num += d as f64 * (f64::from(row[x + d]) - f64::from(row[x - d]));
-                    }
-                    (num / denom) as f32
-                } else {
-                    boundary
-                };
-            }
+    let denom: f64 = (1..=w).map(|d| 2.0 * (d * d) as f64).sum();
+    for x in w..n - w {
+        let mut num = 0.0f64;
+        for d in 1..=w {
+            num += d as f64 * (f64::from(row[x + d]) - f64::from(row[x - d]));
         }
-    });
-    out
+        out[x] = (num / denom) as f32;
+    }
 }
 
-/// ApproxTrain-style surrogate: each row is replaced by its global
+/// ApproxTrain-style surrogate: the row is replaced by its global
 /// least-squares linear fit, so the whole row shares one gradient value
-/// (the fit's slope). Row sums run in index order, so the tables stay
-/// bit-identical at every thread count.
-fn surrogate_tables(lut: &MultiplierLut, pool: Pool) -> Vec<f32> {
-    let bits = lut.bits();
-    let n = 1usize << bits;
-    let mean = (n as f64 - 1.0) / 2.0;
-    let denom: f64 = (0..n).map(|x| (x as f64 - mean) * (x as f64 - mean)).sum();
-    let mut out = vec![0.0f32; n * n];
-    let pool = pool.with_min_elems(TABLE_PAR_FLOOR_ELEMS);
-    pool.run_rows(&mut out, n, |w0, chunk| {
-        for (r, out_row) in chunk.chunks_mut(n).enumerate() {
-            let w = (w0 + r) as u32;
-            let row = lut.row(w);
-            let mut num = 0.0f64;
-            for (x, &v) in row.iter().enumerate() {
-                num += (x as f64 - mean) * f64::from(v);
-            }
-            let slope = (num / denom) as f32;
-            out_row.fill(slope);
-        }
-    });
-    out
+/// (the fit's slope). Sums run in index order, so the value is
+/// independent of the thread count.
+fn surrogate_row(row: &[u32], out: &mut [f32]) {
+    let mean = (row.len() as f64 - 1.0) / 2.0;
+    let denom: f64 = (0..row.len())
+        .map(|x| (x as f64 - mean) * (x as f64 - mean))
+        .sum();
+    let mut num = 0.0f64;
+    for (x, &v) in row.iter().enumerate() {
+        num += (x as f64 - mean) * f64::from(v);
+    }
+    out.fill((num / denom) as f32);
 }
 
 #[cfg(test)]
@@ -840,11 +642,21 @@ mod tests {
     }
 
     #[test]
+    fn oversized_regression_window_falls_back_to_eq6_everywhere() {
+        // The window fits nowhere, so no regression sum is attempted.
+        let lut = TruncatedMultiplier::new(6, 4).to_lut();
+        let g = GradientLut::build(&lut, GradientMode::least_squares(u32::MAX));
+        let paper = GradientLut::build(&lut, GradientMode::difference_based(32));
+        assert_eq!(g.wrt_x_table(), paper.wrt_x_table());
+        assert_eq!(g.wrt_w_table(), paper.wrt_w_table());
+    }
+
+    #[test]
     fn raw_difference_has_zero_plateaus() {
-        // The ablation mode shows the pathology Eq. 4 fixes: zero gradient
+        // The raw central difference (window-1 regression) shows the pathology Eq. 4 fixes: zero gradient
         // on staircase plateaus.
         let lut = TruncatedMultiplier::new(7, 6).to_lut();
-        let g = GradientLut::build(&lut, GradientMode::RawDifference);
+        let g = GradientLut::build(&lut, GradientMode::least_squares(1));
         let zeros = (1..127).filter(|&x| g.wrt_x(10, x) == 0.0).count();
         assert!(
             zeros > 40,
@@ -870,32 +682,12 @@ mod tests {
     }
 
     #[test]
-    fn edge_clamped_matches_paper_rule_in_the_interior() {
-        let lut = TruncatedMultiplier::new(6, 4).to_lut();
-        let paper = GradientLut::build(&lut, GradientMode::difference_based(4));
-        let clamp = GradientLut::build(&lut, GradientMode::DifferenceEdgeClamped { hws: 4 });
-        for w in 0..64u32 {
-            for x in 0..64u32 {
-                let interior = x > 4 && x < 59;
-                if interior {
-                    assert_eq!(paper.wrt_x(w, x), clamp.wrt_x(w, x), "w={w} x={x}");
-                }
-            }
-        }
-        // At the boundary the ablation copies the nearest interior value.
-        assert_eq!(clamp.wrt_x(20, 0), clamp.wrt_x(20, 5));
-        assert_eq!(clamp.wrt_x(20, 63), clamp.wrt_x(20, 58));
-        assert_eq!(clamp.mode_label(), "diff-clamp(hws=4)");
-    }
-
-    #[test]
     fn parallel_build_is_bit_identical_to_serial() {
         // 64 rows across worker counts that do not divide it evenly.
         let lut = TruncatedMultiplier::new(6, 4).to_lut();
         let modes = [
             GradientMode::difference_based(3),
-            GradientMode::RawDifference,
-            GradientMode::DifferenceEdgeClamped { hws: 2 },
+            GradientMode::least_squares(1),
             GradientMode::Ste,
         ];
         for mode in modes {
@@ -907,13 +699,13 @@ mod tests {
                     bits_of(serial.wrt_w_table()),
                     bits_of(par.wrt_w_table()),
                     "wrt_w {} threads={threads}",
-                    mode.label()
+                    mode.key()
                 );
                 assert_eq!(
                     bits_of(serial.wrt_x_table()),
                     bits_of(par.wrt_x_table()),
                     "wrt_x {} threads={threads}",
-                    mode.label()
+                    mode.key()
                 );
             }
         }
@@ -925,8 +717,7 @@ mod tests {
         for mode in [
             GradientMode::Ste,
             GradientMode::difference_based(4),
-            GradientMode::RawDifference,
-            GradientMode::DifferenceEdgeClamped { hws: 2 },
+            GradientMode::least_squares(1),
         ] {
             let g = GradientLut::build(&lut, mode);
             assert_eq!(g.validate(), Ok(()));
@@ -974,12 +765,14 @@ mod tests {
     fn custom_tables_report_typed_length_errors() {
         let lut = ExactMultiplier::new(4).to_lut();
         let bad = Arc::new(vec![0.0f32; 10]);
-        let err = GradientLut::try_build(
+        let err = GradientLut::try_build_for(
             &lut,
             GradientMode::Custom {
                 wrt_w: bad.clone(),
                 wrt_x: bad,
             },
+            QuantScheme::Unsigned,
+            Pool::global(),
         )
         .expect_err("short tables must be rejected");
         assert_eq!(
@@ -1010,9 +803,11 @@ mod tests {
     #[test]
     fn marginal_tables_report_typed_length_errors() {
         let lut = ExactMultiplier::new(4).to_lut();
-        let err = GradientLut::try_build(
+        let err = GradientLut::try_build_for(
             &lut,
             GradientMode::marginal_weighted(2, vec![1.0 / 16.0; 16], vec![1.0 / 8.0; 8]),
+            QuantScheme::Unsigned,
+            Pool::global(),
         )
         .expect_err("short x_probs must be rejected");
         assert_eq!(
@@ -1026,16 +821,19 @@ mod tests {
     }
 
     #[test]
-    fn box_kernel_variant_is_bit_identical_to_difference_based() {
-        let lut = TruncatedMultiplier::new(7, 6).to_lut();
-        let paper = GradientLut::build(&lut, GradientMode::difference_based(4));
-        let boxed = GradientLut::build(
-            &lut,
-            GradientMode::difference_kernel(4, SmoothingKernel::Box),
-        );
-        let bits_of = |t: &[f32]| -> Vec<u32> { t.iter().map(|v| v.to_bits()).collect() };
-        assert_eq!(bits_of(paper.wrt_w_table()), bits_of(boxed.wrt_w_table()));
-        assert_eq!(bits_of(paper.wrt_x_table()), bits_of(boxed.wrt_x_table()));
+    fn zero_windows_are_typed_errors() {
+        let lut = ExactMultiplier::new(4).to_lut();
+        let uniform = vec![1.0 / 16.0; 16];
+        for mode in [
+            GradientMode::difference_based(0),
+            GradientMode::difference_kernel(0, SmoothingKernel::Gaussian),
+            GradientMode::least_squares(0),
+            GradientMode::marginal_weighted(0, uniform.clone(), uniform),
+        ] {
+            let err = GradientLut::try_build_for(&lut, mode, QuantScheme::Unsigned, Pool::global())
+                .expect_err("a zero window must be rejected");
+            assert_eq!(err, GradientLutError::ZeroWindow);
+        }
     }
 
     #[test]
@@ -1065,12 +863,33 @@ mod tests {
 
     #[test]
     fn least_squares_window_one_is_the_raw_central_difference() {
+        // Fig. 3's raw central difference (AM(X + 1) - AM(X - 1)) / 2, with
+        // Eq. 6 at X = 0 and X = 2^B - 1, for both operands.
         let lut = TruncatedMultiplier::new(6, 4).to_lut();
         let lsq = GradientLut::build(&lut, GradientMode::least_squares(1));
-        let raw = GradientLut::build(&lut, GradientMode::RawDifference);
+        let expected = |row: &[u32], i: usize| -> f32 {
+            if i == 0 || i == 63 {
+                let (lo, hi) = row_min_max(row);
+                ((f64::from(hi) - f64::from(lo)) / 64.0) as f32
+            } else {
+                (f64::from(row[i + 1]) - f64::from(row[i - 1])) as f32 / 2.0
+            }
+        };
+        let t = lut.transposed();
         for w in 0..64u32 {
-            for x in 1..63u32 {
-                assert_eq!(lsq.wrt_x(w, x), raw.wrt_x(w, x), "w={w} x={x}");
+            for x in 0..64u32 {
+                let want_x = expected(lut.row(w), x as usize);
+                let want_w = expected(t.row(x), w as usize);
+                assert_eq!(
+                    lsq.wrt_x(w, x).to_bits(),
+                    want_x.to_bits(),
+                    "x: w={w} x={x}"
+                );
+                assert_eq!(
+                    lsq.wrt_w(w, x).to_bits(),
+                    want_w.to_bits(),
+                    "w: w={w} x={x}"
+                );
             }
         }
     }
@@ -1120,7 +939,13 @@ mod tests {
         use appmult_mult::SignMagnitudeMultiplier;
         let signed = SignMagnitudeMultiplier::new(ExactMultiplier::new(6));
         let lut = signed.to_offset_lut();
-        let g = GradientLut::build_signed(&lut, GradientMode::Ste);
+        let g = GradientLut::try_build_for(
+            &lut,
+            GradientMode::Ste,
+            QuantScheme::SignedOffset,
+            Pool::global(),
+        )
+        .expect("STE tables build");
         for w in 0..64u32 {
             for x in 0..64u32 {
                 assert_eq!(g.wrt_x(w, x), w as f32 - 32.0, "w={w} x={x}");
@@ -1137,7 +962,13 @@ mod tests {
         use appmult_mult::SignMagnitudeMultiplier;
         let signed = SignMagnitudeMultiplier::new(ExactMultiplier::new(6));
         let lut = signed.to_offset_lut();
-        let g = GradientLut::build_signed(&lut, GradientMode::difference_based(4));
+        let g = GradientLut::try_build_for(
+            &lut,
+            GradientMode::difference_based(4),
+            QuantScheme::SignedOffset,
+            Pool::global(),
+        )
+        .expect("difference tables build");
         for w in [0u32, 10, 32, 50, 63] {
             for x in [8u32, 20, 40, 55] {
                 let expect = w as f32 - 32.0;
@@ -1188,15 +1019,6 @@ mod tests {
         let cases = [
             (GradientMode::Ste, "ste"),
             (GradientMode::difference_based(4), "diff_h4"),
-            (GradientMode::RawDifference, "raw_diff"),
-            (
-                GradientMode::DifferenceEdgeClamped { hws: 2 },
-                "diff_clamp_h2",
-            ),
-            (
-                GradientMode::difference_kernel(4, SmoothingKernel::Box),
-                "box_h4",
-            ),
             (
                 GradientMode::difference_kernel(4, SmoothingKernel::Triangular),
                 "tri_h4",
@@ -1219,17 +1041,6 @@ mod tests {
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
                 "{key}"
             );
-            // New-family labels equal their keys; classic labels stay as
-            // published in the paper-era reports.
-            if !matches!(
-                mode,
-                GradientMode::Ste
-                    | GradientMode::DifferenceBased { .. }
-                    | GradientMode::RawDifference
-                    | GradientMode::DifferenceEdgeClamped { .. }
-            ) {
-                assert_eq!(mode.label(), key);
-            }
         }
     }
 

@@ -1123,8 +1123,7 @@ mod tests {
         let modes = [
             GradientMode::Ste,
             GradientMode::difference_based(8),
-            GradientMode::RawDifference,
-            GradientMode::DifferenceEdgeClamped { hws: 8 },
+            GradientMode::least_squares(1),
             GradientMode::difference_kernel(8, crate::SmoothingKernel::Triangular),
             GradientMode::difference_kernel(8, crate::SmoothingKernel::Gaussian),
             GradientMode::least_squares(4),
@@ -1141,7 +1140,7 @@ mod tests {
             .iter()
             .flat_map(|mo| kernels.iter().map(move |ke| (mo.clone(), *ke)))
         {
-            let label = format!("{}/{}", mode.label(), kernel.label());
+            let label = format!("{}/{}", mode.key(), kernel.label());
             let grads = Arc::new(GradientLut::build(&lut, mode));
             let mut layer = ApproxLinear::with_params(
                 ramp(&[j, k], 1.1),
@@ -1211,6 +1210,11 @@ mod tests {
         Arc::new(SignMagnitudeMultiplier::new(ExactMultiplier::new(8)).to_offset_lut())
     }
 
+    fn signed_grads(lut: &MultiplierLut, mode: GradientMode) -> GradientLut {
+        GradientLut::try_build_for(lut, mode, QuantScheme::SignedOffset, Pool::global())
+            .expect("built-in estimators build")
+    }
+
     #[test]
     fn signed_exact_lut_linear_tracks_float_linear() {
         // The signed offset path with the exact multiplier must reproduce a
@@ -1218,7 +1222,7 @@ mod tests {
         // negative weights and activations, which the unsigned scheme only
         // reaches through its affine zero point.
         let lut = signed_exact8();
-        let grads = Arc::new(GradientLut::build_signed(&lut, GradientMode::Ste));
+        let grads = Arc::new(signed_grads(&lut, GradientMode::Ste));
         let mut fl = Linear::new(6, 4, 3);
         let mut approx = ApproxLinear::with_params(
             Tensor::zeros(&[4, 6]),
@@ -1243,7 +1247,7 @@ mod tests {
     #[test]
     fn signed_exact_lut_conv_tracks_float_conv() {
         let lut = signed_exact8();
-        let grads = Arc::new(GradientLut::build_signed(&lut, GradientMode::Ste));
+        let grads = Arc::new(signed_grads(&lut, GradientMode::Ste));
         let mut float_conv = Conv2d::new(2, 3, 3, 1, 1, 11);
         let weight = float_conv.weight().value.clone();
         let spec = *float_conv.spec();
@@ -1284,8 +1288,7 @@ mod tests {
         let modes = [
             GradientMode::Ste,
             GradientMode::difference_based(8),
-            GradientMode::RawDifference,
-            GradientMode::DifferenceEdgeClamped { hws: 8 },
+            GradientMode::least_squares(1),
             GradientMode::difference_kernel(8, crate::SmoothingKernel::Triangular),
             GradientMode::difference_kernel(8, crate::SmoothingKernel::Gaussian),
             GradientMode::least_squares(4),
@@ -1298,8 +1301,8 @@ mod tests {
             .iter()
             .flat_map(|mo| kernels.iter().map(move |ke| (mo.clone(), *ke)))
         {
-            let label = format!("signed {}/{}", mode.label(), kernel.label());
-            let grads = Arc::new(GradientLut::build_signed(&lut, mode));
+            let label = format!("signed {}/{}", mode.key(), kernel.label());
+            let grads = Arc::new(signed_grads(&lut, mode));
             let mut layer = ApproxLinear::with_params(
                 ramp(&[j, k], 1.1),
                 Tensor::zeros(&[j]),
@@ -1365,7 +1368,7 @@ mod tests {
         // sum_m g * xhat — the same fake-quant reference as the unsigned
         // test, reached through an entirely different dequantization.
         let lut = signed_exact8();
-        let grads = Arc::new(GradientLut::build_signed(&lut, GradientMode::Ste));
+        let grads = Arc::new(signed_grads(&lut, GradientMode::Ste));
         let mut approx = ApproxLinear::with_params(
             ramp(&[2, 3], 1.0),
             Tensor::zeros(&[2]),

@@ -242,13 +242,14 @@ fn kernel_smoothing_fixes_constant_rows() {
 
 /// On exactly-linear rows (the exact multiplier: row `W` is `W · X`), the
 /// least-squares local fit recovers the slope bit-exactly, agreeing with
-/// the raw central difference everywhere both are interior.
+/// the raw central difference (the window-1 fit) everywhere both are
+/// interior.
 ///
 /// Case triple: (W, X, regression window - 1).
 #[test]
 fn least_squares_matches_central_difference_on_linear_rows() {
     let lut = ExactMultiplier::new(6).to_lut();
-    let raw = GradientLut::build(&lut, GradientMode::RawDifference);
+    let raw = GradientLut::build(&lut, GradientMode::least_squares(1));
     let tables: Vec<GradientLut> = (1..=6)
         .map(|w| GradientLut::build(&lut, GradientMode::least_squares(w)))
         .collect();

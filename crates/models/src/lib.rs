@@ -6,7 +6,7 @@
 //! * **approximate** — LUT-based AppMult convolutions
 //!   ([`appmult_retrain::ApproxConv2d`]) with a chosen gradient rule.
 //!
-//! Following the paper (and refs. [13], [16]), only the *convolution*
+//! Following the paper (and refs. \[13\], \[16\]), only the *convolution*
 //! layers are approximated; batch-norm, pooling, and the classifier remain
 //! accurate. Architectures are parameterized by a width divisor so the
 //! faithful paper-scale models (`width_div = 1`) and CPU-scale variants

@@ -9,8 +9,9 @@ pub struct Parameter {
     pub value: Tensor,
     /// Gradient accumulated by the latest backward pass(es).
     pub grad: Tensor,
-    /// Whether the optimizer should apply weight decay to this parameter
-    /// (convention: true for weights, false for biases and norm scales).
+    /// Whether this parameter is a weight (true) rather than a bias or norm
+    /// scale (false); the serving registry counts weight elements with it
+    /// for a model's scheduling cost.
     pub decay: bool,
 }
 

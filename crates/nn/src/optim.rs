@@ -26,7 +26,6 @@ pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -40,17 +39,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: vec![],
             v: vec![],
         }
-    }
-
-    /// Adds L2 weight decay on `decay`-flagged parameters.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
     }
 }
 
@@ -59,7 +51,7 @@ impl Optimizer for Adam {
         self.t += 1;
         let bias1 = 1.0 - self.beta1.powi(self.t as i32);
         let bias2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let m_state = &mut self.m;
         let v_state = &mut self.v;
         let mut idx = 0usize;
@@ -77,11 +69,9 @@ impl Optimizer for Adam {
             let w = p.value.as_mut_slice();
             let m = m_state[idx].as_mut_slice();
             let v = v_state[idx].as_mut_slice();
-            let decay = if p.decay { wd } else { 0.0 };
             for k in 0..w.len() {
-                let grad = g[k] + decay * w[k];
-                m[k] = b1 * m[k] + (1.0 - b1) * grad;
-                v[k] = b2 * v[k] + (1.0 - b2) * grad * grad;
+                m[k] = b1 * m[k] + (1.0 - b1) * g[k];
+                v[k] = b2 * v[k] + (1.0 - b2) * g[k] * g[k];
                 let mhat = m[k] / bias1;
                 let vhat = v[k] / bias2;
                 w[k] -= lr * mhat / (vhat.sqrt() + eps);
@@ -166,29 +156,6 @@ mod tests {
     fn adam_descends() {
         let mut adam = Adam::new(0.05);
         assert!(fit_linear(&mut adam, 150) < 0.05);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut net = Linear::new(4, 4, 3);
-        let mut norm0 = 0.0f32;
-        net.visit_params(&mut |p| {
-            if p.decay {
-                norm0 += p.value.dot(&p.value);
-            }
-        });
-        let mut adam = Adam::new(0.1).with_weight_decay(0.5);
-        // No data gradient: decay alone must shrink the weights.
-        for _ in 0..10 {
-            adam.step(&mut net);
-        }
-        let mut norm1 = 0.0f32;
-        net.visit_params(&mut |p| {
-            if p.decay {
-                norm1 += p.value.dot(&p.value);
-            }
-        });
-        assert!(norm1 < norm0 * 0.5, "{norm1} !< {norm0}");
     }
 
     #[test]

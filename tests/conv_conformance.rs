@@ -416,10 +416,15 @@ fn approx_conv_is_bit_identical_to_the_f32_im2col_reference() {
             QuantScheme::SignedOffset,
             QuantConfig::signed(),
             signed.clone(),
-            Arc::new(GradientLut::build_signed(
-                &signed,
-                GradientMode::difference_based(4),
-            )),
+            Arc::new(
+                GradientLut::try_build_for(
+                    &signed,
+                    GradientMode::difference_based(4),
+                    QuantScheme::SignedOffset,
+                    appmult_pool::Pool::global(),
+                )
+                .expect("difference tables build"),
+            ),
         ),
     ];
     let conforms = |c: &Case| {

@@ -4,8 +4,9 @@
 use appmult::circuit::{
     fault_sites, CostModel, FaultKind, FaultSpec, MultiplierCircuit, MultiplierStructure,
 };
-use appmult::mult::{zoo, ErrorMetrics, Multiplier, TruncatedMultiplier};
-use appmult::retrain::{GradientLut, GradientMode, QuantParams};
+use appmult::mult::{zoo, ErrorMetrics, Multiplier, SignMagnitudeMultiplier, TruncatedMultiplier};
+use appmult::retrain::{GradientLut, GradientMode, QuantParams, QuantScheme, SmoothingKernel};
+use appmult_pool::Pool;
 use appmult_rng::Rng64;
 
 #[test]
@@ -380,4 +381,82 @@ fn zoo_error_metrics_are_pinned_bit_for_bit() {
         let digest = zoo_metrics_digest(name);
         assert_eq!(digest, expected, "{name}: got {digest:#018x}");
     }
+}
+
+/// Folds a gradient LUT's `dAM/dW` table, then its `dAM/dX` table, into one
+/// FNV-1a hash: the `to_bits` of every entry as little-endian bytes.
+fn gradient_tables_digest(grads: &GradientLut) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for table in [grads.wrt_w_table(), grads.wrt_x_table()] {
+        for v in table.iter() {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// Every built-in estimator over a `2^bits`-entry operand range, with
+/// fixed non-uniform marginals for the weighted one.
+fn estimator_modes(bits: u32) -> Vec<GradientMode> {
+    let n = 1usize << bits;
+    let total = (n * (n + 1) / 2) as f64;
+    let rising: Vec<f64> = (0..n).map(|i| (i + 1) as f64 / total).collect();
+    let falling: Vec<f64> = rising.iter().rev().copied().collect();
+    vec![
+        GradientMode::Ste,
+        GradientMode::difference_based(4),
+        GradientMode::difference_kernel(4, SmoothingKernel::Triangular),
+        GradientMode::difference_kernel(4, SmoothingKernel::Gaussian),
+        GradientMode::least_squares(1),
+        GradientMode::least_squares(3),
+        GradientMode::marginal_weighted(4, rising, falling),
+        GradientMode::Surrogate,
+    ]
+}
+
+#[test]
+fn gradient_estimator_tables_are_pinned_bit_for_bit() {
+    // Literals recorded before the estimator family shared one table
+    // builder; every table must keep its bytes.
+    const GOLDEN: [(&str, &str, u64); 16] = [
+        ("mul7u_rm6", "ste", 0x92fe_2749_ba60_3f25),
+        ("mul7u_rm6", "diff_h4", 0xcdca_fc1f_2c3f_2ca9),
+        ("mul7u_rm6", "tri_h4", 0x8720_1063_ab10_b3c9),
+        ("mul7u_rm6", "gauss_h4", 0xd2f8_aaac_bc28_46d9),
+        ("mul7u_rm6", "lsq_w1", 0x8294_cb1b_5a02_71cd),
+        ("mul7u_rm6", "lsq_w3", 0x5ea3_85e1_84bc_484d),
+        ("mul7u_rm6", "marginal_h4", 0x01d4_2dbd_5587_a35e),
+        ("mul7u_rm6", "surrogate", 0xf596_9e4b_009a_9525),
+        ("mul8u_rm6_signed", "ste", 0x0b32_8521_384e_ab25),
+        ("mul8u_rm6_signed", "diff_h4", 0xe1ec_fed2_5a99_eecd),
+        ("mul8u_rm6_signed", "tri_h4", 0xe155_a498_4e19_f281),
+        ("mul8u_rm6_signed", "gauss_h4", 0x10eb_3862_6497_e47d),
+        ("mul8u_rm6_signed", "lsq_w1", 0x0ef1_40ae_dbea_29dd),
+        ("mul8u_rm6_signed", "lsq_w3", 0xda75_dd85_8fd4_012d),
+        ("mul8u_rm6_signed", "marginal_h4", 0xd90e_5a93_597b_f8f1),
+        ("mul8u_rm6_signed", "surrogate", 0x1e59_fbff_afc5_5b25),
+    ];
+    let designs = [
+        (zoo::mul7u_rm6().to_lut(), QuantScheme::Unsigned),
+        (
+            SignMagnitudeMultiplier::new(TruncatedMultiplier::new(8, 6)).to_offset_lut(),
+            QuantScheme::SignedOffset,
+        ),
+    ];
+    let mut golden = GOLDEN.iter();
+    for (lut, scheme) in &designs {
+        for mode in estimator_modes(lut.bits()) {
+            let key = mode.key();
+            let grads = GradientLut::try_build_for(lut, mode, *scheme, Pool::global())
+                .expect("built-in estimators build");
+            let digest = gradient_tables_digest(&grads);
+            let &(design, want_key, expected) = golden.next().expect("one golden row per table");
+            assert_eq!((design, want_key), (lut.name(), key.as_str()));
+            assert_eq!(digest, expected, "{design}/{key}: got {digest:#018x}");
+        }
+    }
+    assert!(golden.next().is_none(), "every golden row is checked");
 }

@@ -471,8 +471,7 @@ fn all_modes(lut: &MultiplierLut) -> Vec<GradientMode> {
     vec![
         GradientMode::Ste,
         GradientMode::difference_based(8),
-        GradientMode::RawDifference,
-        GradientMode::DifferenceEdgeClamped { hws: 8 },
+        GradientMode::least_squares(1),
         GradientMode::Custom {
             wrt_w: Arc::new((0..n).map(|i| (i % 7) as f32 * 0.25).collect()),
             wrt_x: Arc::new((0..n).map(|i| (i % 5) as f32 * 0.5).collect()),
@@ -513,7 +512,7 @@ fn linear_run(
 fn layer_outputs_conform_across_kernels_and_gradient_modes() {
     let lut = Arc::new(TruncatedMultiplier::new(8, 6).to_lut());
     for mode in all_modes(&lut) {
-        let label = mode.label();
+        let label = mode.key();
         let grads = Arc::new(GradientLut::build(&lut, mode));
         for (m, j, k) in [(7, 5, 11), (65, 17, 65)] {
             assert_eq!(
