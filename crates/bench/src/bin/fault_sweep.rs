@@ -16,6 +16,9 @@
 //! cargo run -p appmult-bench --release --bin fault_sweep -- --wallace --seed 7
 //! cargo run -p appmult-bench --release --bin fault_sweep -- --faults 0,1,2,4,8,16
 //! ```
+//!
+//! A usage error, `--hws 0` among them, exits with status 2 before
+//! pretraining.
 
 use std::sync::Arc;
 
@@ -47,6 +50,10 @@ fn main() {
     let bits: u32 = args.get_or("bits", 8);
     let seed: u64 = args.get_or("seed", 1);
     let hws: u32 = args.get_or("hws", 16);
+    if hws == 0 {
+        eprintln!("error: `--hws` must be at least 1");
+        std::process::exit(2)
+    }
     let faults_arg = args.value("faults").unwrap_or("0,1,2,4,8");
     let fault_counts: Vec<usize> = faults_arg
         .split(',')

@@ -7,7 +7,9 @@
 
 use std::sync::Arc;
 
-use appmult_kernels::{backward_dw, backward_dx, ForwardPlan, GemmShape, Kernel, M_TILE};
+use appmult_kernels::{
+    backward_dw, backward_dx, ForwardPlan, GemmShape, Kernel, PlanTables, M_TILE,
+};
 use appmult_mult::MultiplierLut;
 use appmult_nn::layers::{col2im_add, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2dSpec};
 use appmult_nn::{Module, Parameter, Tensor};
@@ -83,66 +85,106 @@ fn activation_params(
     scheme_params(scheme, lo, hi, bits)
 }
 
-/// Shared quantized-GEMM state cached between forward and backward.
+/// The weight side of a layer's GEMM state: everything the forward and
+/// backward passes derive from the weights alone.
+///
+/// A train forward rebuilds it every time and keeps no copy of the
+/// weights. An eval forward rebuilds it only when the weight tensor is not
+/// bit for bit the copy it was last built from. Validity is by content,
+/// not by a version counter: `Parameter::value` is a public field, written
+/// by optimizers, checkpoint loads and callers alike, and a counter would
+/// miss a direct write.
+#[derive(Debug, Default)]
+struct WeightSide {
+    wq: Vec<u16>,     // [J, K] quantized weights
+    wclip: Vec<bool>, // Q'(w) != 0
+    params: Option<QuantParams>,
+    sum_w: Vec<i64>, // per-row code sums
+    /// The forward plan's row table and weight-row bases, each built at
+    /// most once per weight content.
+    plan: PlanTables,
+    /// The `f32` bits the side was built from; kept by eval forwards only.
+    source: Option<Vec<u32>>,
+    j: usize,
+    k: usize,
+    builds: u64,
+}
+
+impl WeightSide {
+    /// Brings the side up to date with the `[J, K]` `weights`: a train
+    /// forward always rebuilds it, an eval forward only when the weights
+    /// differ from its copy.
+    fn refresh(
+        &mut self,
+        weights: &Tensor,
+        (j, k): (usize, usize),
+        scheme: QuantScheme,
+        bits: u32,
+        train: bool,
+    ) {
+        if train || !self.holds(weights, (j, k)) {
+            self.rebuild(weights, (j, k), scheme, bits, !train);
+        }
+    }
+
+    /// Whether the side was built, by an eval forward, from exactly these
+    /// weight bits (`-0.0` and `+0.0` differ, as do NaN payloads).
+    fn holds(&self, weights: &Tensor, (j, k): (usize, usize)) -> bool {
+        let Some(source) = &self.source else {
+            return false;
+        };
+        let w = weights.as_slice();
+        // Chunked and branch-free within a chunk, so the compare
+        // vectorizes; a differing chunk stops it.
+        (self.j, self.k) == (j, k)
+            && source.len() == w.len()
+            && source.chunks(64).zip(w.chunks(64)).all(|(a, b)| {
+                a.iter()
+                    .zip(b)
+                    .fold(true, |same, (&x, &y)| same & (x == y.to_bits()))
+            })
+    }
+
+    /// Quantizes `weights` afresh, dropping the plan tables, and keeps a
+    /// copy of their bits when `keep_copy`.
+    #[inline(never)]
+    fn rebuild(
+        &mut self,
+        weights: &Tensor,
+        (j, k): (usize, usize),
+        scheme: QuantScheme,
+        bits: u32,
+        keep_copy: bool,
+    ) {
+        let (lo, hi) = weights.min_max();
+        let params = scheme_params(scheme, lo, hi, bits);
+        let (wq, wclip) = quantize_slice(weights.as_slice(), &params);
+        self.sum_w = (0..j)
+            .map(|ji| wq[ji * k..(ji + 1) * k].iter().map(|&v| i64::from(v)).sum())
+            .collect();
+        self.wq = wq;
+        self.wclip = wclip;
+        self.params = Some(params);
+        self.plan = PlanTables::default();
+        self.source = keep_copy.then(|| weights.as_slice().iter().map(|v| v.to_bits()).collect());
+        (self.j, self.k) = (j, k);
+        self.builds += 1;
+    }
+}
+
+/// Quantized-GEMM state cached between forward and backward: the
+/// [`WeightSide`], and the activation side the latest forward quantized.
 #[derive(Debug, Default)]
 struct GemmCache {
-    wq: Vec<u16>,     // [J, K] quantized weights
+    w: WeightSide,
     xq: Vec<u16>,     // [M, K] quantized activations
-    wclip: Vec<bool>, // Q'(w) != 0
     xclip: Vec<bool>, // Q'(x) != 0 per layer input element (per NCHW pixel for the conv)
-    wq_params: Option<QuantParams>,
     xq_params: Option<QuantParams>,
     scheme: QuantScheme,
     m: usize,
-    j: usize,
-    k: usize,
-    sum_w: Vec<i64>, // per-row code sums, memoized across unchanged weights
-    sum_w_builds: u64,
 }
 
 impl GemmCache {
-    /// Refreshes the cache for a new forward pass. The per-row weight code
-    /// sums used by dequantization are memoized: when the quantized weights
-    /// and their params are unchanged since the previous batch (the common
-    /// case in eval loops), `sum_w` is carried over instead of being
-    /// recomputed; any requantization invalidates it.
-    #[allow(clippy::too_many_arguments)]
-    fn update(
-        &mut self,
-        wq: Vec<u16>,
-        xq: Vec<u16>,
-        wclip: Vec<bool>,
-        xclip: Vec<bool>,
-        wq_params: QuantParams,
-        xq_params: QuantParams,
-        scheme: QuantScheme,
-        m: usize,
-        j: usize,
-        k: usize,
-    ) {
-        let weights_unchanged = self.wq_params == Some(wq_params)
-            && self.j == j
-            && self.k == k
-            && self.wq == wq
-            && !self.sum_w.is_empty();
-        if !weights_unchanged {
-            self.sum_w = (0..j)
-                .map(|ji| wq[ji * k..(ji + 1) * k].iter().map(|&v| i64::from(v)).sum())
-                .collect();
-            self.sum_w_builds += 1;
-        }
-        self.wq = wq;
-        self.xq = xq;
-        self.wclip = wclip;
-        self.xclip = xclip;
-        self.wq_params = Some(wq_params);
-        self.xq_params = Some(xq_params);
-        self.scheme = scheme;
-        self.m = m;
-        self.j = j;
-        self.k = k;
-    }
-
     /// Whether a forward pass has populated the cache (valid even for
     /// zero-sized batches, where `m == 0`).
     fn populated(&self) -> bool {
@@ -157,13 +199,13 @@ impl GemmCache {
         let n = 1usize << bits;
         let mut wh = vec![0.0f64; n];
         let mut xh = vec![0.0f64; n];
-        for &c in &self.wq {
+        for &c in &self.w.wq {
             wh[c as usize] += 1.0;
         }
         for &c in &self.xq {
             xh[c as usize] += 1.0;
         }
-        let wn = self.wq.len() as f64;
+        let wn = self.w.wq.len() as f64;
         let xn = self.xq.len() as f64;
         for v in &mut wh {
             *v /= wn;
@@ -272,7 +314,7 @@ fn quantize_slice(values: &[f32], params: &QuantParams) -> (Vec<u16>, Vec<bool>)
 /// re-association is bit-safe and the result is bit-identical for any
 /// kernel and thread count.
 fn gemm_forward(
-    cache: &GemmCache,
+    cache: &mut GemmCache,
     lut: &MultiplierLut,
     bias: &[f32],
     sched: Sched,
@@ -280,7 +322,7 @@ fn gemm_forward(
 ) -> Tensor {
     let obs = appmult_obs::global();
     let _span = obs.span("gemm_forward");
-    let (m, j, k) = (cache.m, cache.j, cache.k);
+    let (m, j, k) = (cache.m, cache.w.j, cache.w.k);
     // Nominal product-table lookups, then `J` per nonzero activation code:
     // the lookups a code-0 column of zeros leaves to be made.
     obs.counter_add("lut.lookups", (m * j * k) as u64);
@@ -294,12 +336,18 @@ fn gemm_forward(
         k,
         bits: lut.bits(),
     };
-    let wq_params = cache.wq_params.expect("cache populated");
+    let wq_params = cache.w.params.expect("cache populated");
     let xq_params = cache.xq_params.expect("cache populated");
-    let sum_w = &cache.sum_w;
+    let sum_w = &cache.w.sum_w;
     // One plan for the whole batch, shared by every block: above the
-    // kernel's shape rule it holds the row table, built here once.
-    let plan = ForwardPlan::new(kernel, shape, table, &cache.wq, m);
+    // kernel's shape rule it reads the row table. An eval weight side
+    // keeps the plan's tables for the next batch; a train forward's
+    // weights change before then, so its tables go with the plan.
+    let plan = if cache.w.source.is_some() {
+        ForwardPlan::with_tables(kernel, shape, table, &cache.w.wq, m, &mut cache.w.plan)
+    } else {
+        ForwardPlan::new(kernel, shape, table, &cache.w.wq, m)
+    };
     // A row's code sum fits `u32` (which vectorizes, unlike an `i64`
     // fold) whenever `K` of the largest `u16` codes do.
     let narrow_sum_x = k as u64 * u64::from(u16::MAX) <= u64::from(u32::MAX);
@@ -357,7 +405,7 @@ fn gemm_backward<'a>(
 ) -> (Tensor, DxPass<'a>) {
     let obs = appmult_obs::global();
     let _span = obs.span("gemm_backward");
-    let (m, j, k) = (cache.m, cache.j, cache.k);
+    let (m, j, k) = (cache.m, cache.w.j, cache.w.k);
     assert_eq!(g.shape(), &[m, j], "output gradient shape mismatch");
     // Nominal Eq. 9 table lookups (`dW` and `dX` halves), then the ones
     // made: both halves skip a zero output gradient for its whole K row.
@@ -371,7 +419,7 @@ fn gemm_backward<'a>(
         k,
         bits: grads.bits(),
     };
-    let wq_params = cache.wq_params.expect("cache populated");
+    let wq_params = cache.w.params.expect("cache populated");
     let xq_params = cache.xq_params.expect("cache populated");
     // Eq. 9's `- Z` terms correct for the affine zero points of unsigned
     // codes. Signed gradient tables are built in *value* space (the STE
@@ -393,7 +441,7 @@ fn gemm_backward<'a>(
             kernel,
             shape,
             grads.wrt_w_table().as_slice(),
-            &cache.wq[ji0 * k..(ji0 + rows) * k],
+            &cache.w.wq[ji0 * k..(ji0 + rows) * k],
             ji0,
             &cache.xq,
             gd,
@@ -401,7 +449,7 @@ fn gemm_backward<'a>(
             zx,
             chunk,
         );
-        mask_clipped(chunk, &cache.wclip[ji0 * k..(ji0 + rows) * k]);
+        mask_clipped(chunk, &cache.w.wclip[ji0 * k..(ji0 + rows) * k]);
     });
 
     let dx = DxPass {
@@ -440,7 +488,7 @@ impl DxPass<'_> {
             self.kernel,
             self.shape,
             self.table,
-            &self.cache.wq,
+            &self.cache.w.wq,
             &self.cache.xq[mi0 * k..(mi0 + rows) * k],
             &self.g[mi0 * j..(mi0 + rows) * j],
             self.scale,
@@ -534,10 +582,11 @@ fn conv_input_grad(
 /// the retraining framework (Fig. 4).
 ///
 /// The float master weights live in a [`Parameter`] and are fake-quantized
-/// on every forward pass; activation ranges are tracked by an EMA observer
-/// (calibrated on the first batch even in eval mode, so a freshly converted
-/// model can be evaluated before retraining, as in Table II's "initial
-/// accuracy" column).
+/// on every train forward pass, and on an eval pass whenever they differ
+/// from the ones the layer last quantized; activation ranges are tracked
+/// by an EMA observer (calibrated on the first batch even in eval mode, so
+/// a freshly converted model can be evaluated before retraining, as in
+/// Table II's "initial accuracy" column).
 ///
 /// # Example
 ///
@@ -681,11 +730,13 @@ impl ApproxConv2d {
         self.observer.rejected()
     }
 
-    /// How many times the memoized per-row weight code sums have been
-    /// rebuilt (once per weight requantization; stays flat across eval
-    /// batches with unchanged weights).
+    /// How many times the weight side (the quantized weights, their
+    /// per-row code sums and the forward plan's tables) has been rebuilt:
+    /// once per train forward, and once per eval forward whose weights
+    /// differ bit for bit from the last eval build's. Flat across eval
+    /// batches with unchanged weights.
     pub fn sum_w_rebuilds(&self) -> u64 {
-        self.cache.sum_w_builds
+        self.cache.w.builds
     }
 }
 
@@ -701,30 +752,19 @@ impl ApproxConv2d {
         let bits = self.lut.bits();
 
         let xq_params = activation_params(&mut self.observer, input, train, self.scheme, bits);
-        let (wlo, whi) = self.weight.value.min_max();
-        let wq_params = scheme_params(self.scheme, wlo, whi, bits);
-
         let (m, j, k) = (n * oh * ow, self.spec.out_channels, self.spec.patch_len());
+        let cache = &mut self.cache;
+        cache
+            .w
+            .refresh(&self.weight.value, (j, k), self.scheme, bits, train);
         // The image pass feeds the forward GEMM, `oh * ow * j` outputs of
         // `k` MACs per image.
         let pool = sched.pool(k, oh * ow * j);
-        let (xq, xclip) = gather_codes(input, &self.spec, &xq_params, pool);
-        let (wq, wclip) = quantize_slice(self.weight.value.as_slice(), &wq_params);
-        self.cache.update(
-            wq,
-            xq,
-            wclip,
-            xclip,
-            wq_params,
-            xq_params,
-            self.scheme,
-            m,
-            j,
-            k,
-        );
+        (cache.xq, cache.xclip) = gather_codes(input, &self.spec, &xq_params, pool);
+        (cache.xq_params, cache.scheme, cache.m) = (Some(xq_params), self.scheme, m);
         self.input_hw = (n, h, w);
         let rows = gemm_forward(
-            &self.cache,
+            &mut self.cache,
             &self.lut,
             self.bias.value.as_slice(),
             sched,
@@ -737,7 +777,7 @@ impl ApproxConv2d {
     fn backward_on(&mut self, grad_out: &Tensor, sched: Sched) -> Tensor {
         let _span = appmult_obs::global().span("conv2d.backward");
         assert!(self.cache.populated(), "backward before forward");
-        let (j, k) = (self.cache.j, self.cache.k);
+        let (j, k) = (self.cache.w.j, self.cache.w.k);
         let (_, h, w) = self.input_hw;
         let (oh, ow) = self.spec.out_hw(h, w);
         let g_rows = nchw_to_rows(grad_out);
@@ -867,11 +907,13 @@ impl ApproxLinear {
         self.observer.rejected()
     }
 
-    /// How many times the memoized per-row weight code sums have been
-    /// rebuilt (once per weight requantization; stays flat across eval
-    /// batches with unchanged weights).
+    /// How many times the weight side (the quantized weights, their
+    /// per-row code sums and the forward plan's tables) has been rebuilt:
+    /// once per train forward, and once per eval forward whose weights
+    /// differ bit for bit from the last eval build's. Flat across eval
+    /// batches with unchanged weights.
     pub fn sum_w_rebuilds(&self) -> u64 {
-        self.cache.sum_w_builds
+        self.cache.w.builds
     }
 }
 
@@ -882,24 +924,15 @@ impl Module for ApproxLinear {
         assert_eq!(input.shape()[1], self.in_features(), "feature mismatch");
         let bits = self.lut.bits();
         let xq_params = activation_params(&mut self.observer, input, train, self.scheme, bits);
-        let (wlo, whi) = self.weight.value.min_max();
-        let wq_params = scheme_params(self.scheme, wlo, whi, bits);
-        let (xq, xclip) = quantize_slice(input.as_slice(), &xq_params);
-        let (wq, wclip) = quantize_slice(self.weight.value.as_slice(), &wq_params);
-        self.cache.update(
-            wq,
-            xq,
-            wclip,
-            xclip,
-            wq_params,
-            xq_params,
-            self.scheme,
-            input.shape()[0],
-            self.out_features(),
-            self.in_features(),
-        );
+        let shape = (self.out_features(), self.in_features());
+        let cache = &mut self.cache;
+        cache
+            .w
+            .refresh(&self.weight.value, shape, self.scheme, bits, train);
+        (cache.xq, cache.xclip) = quantize_slice(input.as_slice(), &xq_params);
+        (cache.xq_params, cache.scheme, cache.m) = (Some(xq_params), self.scheme, input.shape()[0]);
         gemm_forward(
-            &self.cache,
+            &mut self.cache,
             &self.lut,
             self.bias.value.as_slice(),
             Sched::global(),
@@ -1156,7 +1189,7 @@ mod tests {
             let dx = layer.backward(&g);
 
             let c = &layer.cache;
-            let wqp = c.wq_params.expect("populated");
+            let wqp = c.w.params.expect("populated");
             let xqp = c.xq_params.expect("populated");
             // dX: dL/dx[mi][kk] = sum_j g * s_w * (gX(w, x) - Z_w), gated
             // by the Q'(x) clip mask.
@@ -1164,7 +1197,7 @@ mod tests {
                 for kk in 0..k {
                     let mut expect = 0.0f32;
                     for ji in 0..j {
-                        let iw = u32::from(c.wq[ji * k + kk]);
+                        let iw = u32::from(c.w.wq[ji * k + kk]);
                         let ix = u32::from(c.xq[mi * k + kk]);
                         expect += g.at(&[mi, ji])
                             * wqp.scale
@@ -1186,13 +1219,13 @@ mod tests {
                 for kk in 0..k {
                     let mut expect = 0.0f32;
                     for mi in 0..m {
-                        let iw = u32::from(c.wq[ji * k + kk]);
+                        let iw = u32::from(c.w.wq[ji * k + kk]);
                         let ix = u32::from(c.xq[mi * k + kk]);
                         expect += g.at(&[mi, ji])
                             * xqp.scale
                             * (grads.wrt_w(iw, ix) - xqp.zero_point as f32);
                     }
-                    if !c.wclip[ji * k + kk] {
+                    if !c.w.wclip[ji * k + kk] {
                         expect = 0.0;
                     }
                     let got = layer.weight.grad.at(&[ji, kk]);
@@ -1317,7 +1350,7 @@ mod tests {
             let dx = layer.backward(&g);
 
             let c = &layer.cache;
-            let wqp = c.wq_params.expect("populated");
+            let wqp = c.w.params.expect("populated");
             let xqp = c.xq_params.expect("populated");
             assert_eq!(wqp.zero_point, 128, "{label}: signed weight zero point");
             assert_eq!(xqp.zero_point, 128, "{label}: signed activation zero point");
@@ -1326,7 +1359,7 @@ mod tests {
                 for kk in 0..k {
                     let mut expect = 0.0f32;
                     for ji in 0..j {
-                        let iw = u32::from(c.wq[ji * k + kk]);
+                        let iw = u32::from(c.w.wq[ji * k + kk]);
                         let ix = u32::from(c.xq[mi * k + kk]);
                         expect += g.at(&[mi, ji]) * wqp.scale * grads.wrt_x(iw, ix);
                     }
@@ -1345,11 +1378,11 @@ mod tests {
                 for kk in 0..k {
                     let mut expect = 0.0f32;
                     for mi in 0..m {
-                        let iw = u32::from(c.wq[ji * k + kk]);
+                        let iw = u32::from(c.w.wq[ji * k + kk]);
                         let ix = u32::from(c.xq[mi * k + kk]);
                         expect += g.at(&[mi, ji]) * xqp.scale * grads.wrt_w(iw, ix);
                     }
-                    if !c.wclip[ji * k + kk] {
+                    if !c.w.wclip[ji * k + kk] {
                         expect = 0.0;
                     }
                     let got = layer.weight.grad.at(&[ji, kk]);
@@ -1431,12 +1464,12 @@ mod tests {
             // Direct Eq. 9 for a 1x1 conv: dx[m] = sum_j g[m][j] * s_w *
             // (gX(W[j], X[m]) - Z_w) (all values in range here).
             let c = &conv.cache;
-            let wqp = c.wq_params.expect("populated");
+            let wqp = c.w.params.expect("populated");
             let g_rows = nchw_to_rows(&g);
             for m in 0..4 {
                 let mut expect = 0.0f32;
                 for j in 0..2 {
-                    let idx_w = c.wq[j] as u32;
+                    let idx_w = c.w.wq[j] as u32;
                     let idx_x = c.xq[m] as u32;
                     expect += g_rows.at(&[m, j])
                         * wqp.scale
@@ -1516,11 +1549,11 @@ mod tests {
         let g = ramp(&[m, j], 0.9);
         // Serial naive is the reference; every (kernel, pool) combination
         // must reproduce it bit for bit.
-        let y_ref = gemm_forward(&layer.cache, &lut, bias, serial, Kernel::Naive);
+        let y_ref = gemm_forward(&mut layer.cache, &lut, bias, serial, Kernel::Naive);
         let (dw_ref, dx_ref) = gemm_backward(&layer.cache, &grads, &g, serial, Kernel::Naive);
         let dx_ref = dx_ref.rows(serial);
         for kernel in [Kernel::Naive, Kernel::Tiled] {
-            let y = gemm_forward(&layer.cache, &lut, bias, pool, kernel);
+            let y = gemm_forward(&mut layer.cache, &lut, bias, pool, kernel);
             assert_eq!(
                 bits_of(&y_ref),
                 bits_of(&y),
@@ -1644,6 +1677,44 @@ mod tests {
         lin.weight.value.as_mut_slice()[0] += 0.5;
         lin.forward(&x1, false);
         assert_eq!(lin.sum_w_rebuilds(), 2, "changed weights rebuild the sums");
+    }
+
+    /// The conv's weight side, across batches on both sides of the 4-bit
+    /// row-table rule (128 rows: two 8x8 images): eval forwards on
+    /// unchanged weights reuse it, a weight write or a train forward
+    /// rebuilds it, and a train forward keeps no copy, so the next eval
+    /// forward rebuilds once more.
+    #[test]
+    fn conv_weight_side_is_memoized_across_unchanged_weights() {
+        let lut = Arc::new(ExactMultiplier::new(4).to_lut());
+        let grads = Arc::new(GradientLut::build(&lut, GradientMode::Ste));
+        let mut conv = ApproxConv2d::with_params(
+            Conv2dSpec::same(2, 3, 3),
+            ramp(&[3, 18], 1.0),
+            Tensor::zeros(&[3]),
+            lut,
+            grads,
+            QuantConfig::default(),
+        );
+        let (x1, x2) = (ramp(&[1, 2, 8, 8], 1.5), ramp(&[2, 2, 8, 8], 0.7));
+        let y2 = conv.forward(&x2, false);
+        assert_eq!(conv.sum_w_rebuilds(), 1, "first forward builds the side");
+        let y1 = conv.forward(&x1, false);
+        for _ in 0..3 {
+            assert_eq!(conv.forward(&x2, false), y2);
+            assert_eq!(conv.forward(&x1, false), y1);
+        }
+        assert_eq!(conv.sum_w_rebuilds(), 1, "unchanged weights reuse the side");
+        conv.weight.value.as_mut_slice()[5] -= 0.25;
+        conv.forward(&x2, false);
+        conv.forward(&x1, false);
+        assert_eq!(conv.sum_w_rebuilds(), 2, "a weight write rebuilds once");
+        conv.forward(&x2, true);
+        conv.forward(&x2, true);
+        assert_eq!(conv.sum_w_rebuilds(), 4, "every train forward rebuilds");
+        conv.forward(&x1, false);
+        conv.forward(&x2, false);
+        assert_eq!(conv.sum_w_rebuilds(), 5, "a train forward keeps no copy");
     }
 
     #[test]

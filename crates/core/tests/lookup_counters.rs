@@ -9,6 +9,9 @@
 //! counts the product lookups left once code-0 terms are dropped: `J` per
 //! nonzero activation code, whichever loop the forward runs.
 //!
+//! Eval forwards on unchanged weights build no further row table: the
+//! layer keeps its weight side, tables included.
+//!
 //! This file holds a single test because it installs the process-wide
 //! recording sink, which every layer in the process writes to.
 
@@ -128,7 +131,8 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
         mjk,
         0,
     );
-    let mut linear = ApproxLinear::new(10, 4, 1, lut, grads, QuantConfig::default());
+    let mut linear =
+        ApproxLinear::new(10, 4, 1, lut.clone(), grads.clone(), QuantConfig::default());
     let x = relu_ramp(&[6, 10]);
     check(&mut linear, &x, &x, &ramp(&[6, 4]), 6 * 4 * 10, 0);
 
@@ -163,6 +167,36 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
         0,
     );
     assert_eq!(obs.counter("gradlut.live_lookups") - before, 300);
+
+    // Eval forwards keep the weight side: after the first, more eval
+    // forwards on unchanged weights, on both sides of the rule (32 images
+    // and 1 image: 4608 and 144 rows), build no row table and leave the
+    // weight side alone. A weight write makes the next forward rebuild
+    // both.
+    let (mut conv1, _) = lenet_conv(3, 6);
+    let (big, small) = (relu_ramp(&[32, 3, 16, 16]), relu_ramp(&[1, 3, 16, 16]));
+    let tables = obs.counter("kernel.row_tables");
+    conv1.forward(&big, false);
+    assert_eq!(obs.counter("kernel.row_tables"), tables + 1);
+    assert_eq!(conv1.sum_w_rebuilds(), 1);
+    for _ in 0..3 {
+        conv1.forward(&small, false);
+        conv1.forward(&big, false);
+    }
+    assert_eq!(
+        obs.counter("kernel.row_tables"),
+        tables + 1,
+        "unchanged weights"
+    );
+    assert_eq!(conv1.sum_w_rebuilds(), 1, "unchanged weights");
+    conv1.visit_params(&mut |p| p.value.as_mut_slice()[0] += 0.125);
+    conv1.forward(&big, false);
+    assert_eq!(
+        obs.counter("kernel.row_tables"),
+        tables + 2,
+        "written weights"
+    );
+    assert_eq!(conv1.sum_w_rebuilds(), 2, "written weights");
 
     appmult_obs::set_global(&appmult_obs::ObsSink::null());
 }

@@ -57,8 +57,11 @@
 //! split output rows into `appmult-pool` blocks and invoke a kernel per
 //! block, so tiles compose with pool blocks. The forward caller builds
 //! one [`ForwardPlan`] per GEMM before it splits, so all blocks share one
-//! row table; [`forward_acc`] plans per call. [`M_TILE`] is public so the
-//! forward caller can keep its blocks at least one M tile tall.
+//! row table; [`forward_acc`] plans per call. A caller whose weights stay
+//! put across GEMMs (an eval layer) keeps the plan's weight-derived
+//! tables in a [`PlanTables`] and builds each at most once. [`M_TILE`] is
+//! public so the forward caller can keep its blocks at least one M tile
+//! tall.
 //!
 //! # Example
 //!
@@ -78,6 +81,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::sync::Mutex;
 
 /// Batch-dimension (M) tile extent of the tiled kernel: the reuse
@@ -217,27 +221,34 @@ const ZERO_SKIP_MIN_SHARE: (usize, usize) = (3, 8);
 /// `acc[r][ji] = Σ_k table[(wq[ji][k] << bits) | xq[r][k]]` for every row
 /// `r` of a chunk `xq` (prior `acc` contents are overwritten).
 ///
-/// Under [`Kernel::Tiled`] the plan builds a *row table* when the GEMM is
+/// Under [`Kernel::Tiled`] the plan reads a *row table* when the GEMM is
 /// large enough to repay it: `F[g][k][x]` holds, in `u32` lanes for the
 /// eight output channels `ji` of group `g`, `table[(wq[ji][k] << bits) |
 /// x]`, so a batch row's accumulators are `K` lane-wise adds of
-/// `F[g][k][xq[r][k]]` per group instead of `J · K` scalar gathers. It is built only when all of these
-/// hold, with no option to force it either way:
+/// `F[g][k][xq[r][k]]` per group instead of `J · K` scalar gathers. It is
+/// read only when all of these hold, with no option to force it either
+/// way:
 ///
 /// * `rows ≥ 8 · 2^bits` (the build costs at most 1/8 of the lookups);
 /// * the table is at most 512 KiB;
 /// * `K · (largest copied entry) ≤ u32::MAX`, so no lane can wrap.
 ///
-/// Otherwise the plan runs the tiled kernel's hoisted-row loop, and
-/// [`new`](Self::new) checks once whether the table's code-0 column is
-/// all zero (`table[w << bits] == 0` for every `w`, as in every unsigned
-/// workload table). If it is, [`run`](Self::run) counts a chunk's zero
-/// codes, and when at least 3/8 of them are 0 it leaves out their terms:
-/// per batch row it lists the `(k, code)` pairs with a nonzero code, then
-/// per group of eight channels sums `table[(wq[ji][k] << bits) | code]`
-/// over that list alone, off weight-row bases the plan builds once
-/// (`⌈J/8⌉ × K` lane groups). A row-table plan never skips: there a zero
-/// saves one lane-wise add, and listing the row costs about as much.
+/// Otherwise the plan runs the tiled kernel's hoisted-row loop, and checks
+/// once whether the table's code-0 column is all zero (`table[w << bits]
+/// == 0` for every `w`, as in every unsigned workload table). If it is,
+/// [`run`](Self::run) counts a chunk's zero codes, and when at least 3/8
+/// of them are 0 it leaves out their terms: per batch row it lists the
+/// `(k, code)` pairs with a nonzero code, then per group of eight channels
+/// sums `table[(wq[ji][k] << bits) | code]` over that list alone, off
+/// weight-row bases (`⌈J/8⌉ × K` lane groups). A row-table plan never
+/// skips: there a zero saves one lane-wise add, and listing the row costs
+/// about as much.
+///
+/// The row table and the weight-row bases depend only on the weights, the
+/// product table and the shape. [`new`](Self::new) builds the ones its
+/// rows need and drops them with the plan; [`with_tables`](Self::with_tables)
+/// keeps them in a caller's [`PlanTables`], so GEMMs over unchanged
+/// weights build each at most once, whatever their row counts.
 ///
 /// Integer addition is exact, a left-out term is an exact 0 and the
 /// padded lanes past `J` are dropped, so every path yields the same
@@ -265,21 +276,85 @@ const ZERO_SKIP_MIN_SHARE: (usize, usize) = (3, 8);
 ///
 /// # Panics
 ///
-/// [`new`](Self::new) panics if `wq` is not `J × K` or `table` is not
-/// `2^bits × 2^bits` (under every kernel), or if a weight code indexes
-/// past `table` while building a row table; [`run`](Self::run) panics on
-/// slice lengths inconsistent with the shape. Codes must be `< 2^bits`.
+/// [`new`](Self::new) and [`with_tables`](Self::with_tables) panic if `wq`
+/// is not `J × K` or `table` is not `2^bits × 2^bits` (under every
+/// kernel), or if a weight code indexes past `table` while building a row
+/// table; [`run`](Self::run) panics on slice lengths inconsistent with the
+/// shape. Codes must be `< 2^bits`.
 #[derive(Debug)]
 pub struct ForwardPlan<'a> {
-    kernel: Kernel,
     shape: GemmShape,
     table: &'a [u32],
     wq: &'a [u16],
-    /// `F[g][k][x]`, `⌈J/8⌉ × K × 2^bits` entries, when the rule holds.
-    row_table: Option<Vec<[u32; LANES]>>,
-    /// `base[g][k][t] = wq[8g + t][k] << bits` (0 past `J`),
-    /// `⌈J/8⌉ × K` entries, when the hoisted-row path can skip zero codes.
-    live_bases: Option<Vec<[u32; LANES]>>,
+    tables: Cow<'a, PlanTables>,
+    path: Path,
+}
+
+/// The loop a [`ForwardPlan`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// The reference triple loop ([`Kernel::Naive`]).
+    Naive,
+    /// Lane-wise adds over the row table.
+    RowTable,
+    /// The hoisted-row loop, or the zero-code skip where the plan tables
+    /// hold weight-row bases and a chunk is mostly zero codes.
+    Hoisted,
+}
+
+/// The weight-derived tables of a [`ForwardPlan`]: the row table and the
+/// zero-code skip's weight-row bases, each built on first need and then
+/// kept, so GEMMs over one `(shape, table, wq)` build each at most once
+/// (see [`ForwardPlan::with_tables`]). A new value holds nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PlanTables {
+    /// `F[g][k][x]`, `⌈J/8⌉ × K × 2^bits` entries, once a plan reached the
+    /// rows rule; `Some(None)` when the size cap or wrap guard refused it.
+    row_table: Option<Option<Vec<[u32; LANES]>>>,
+    /// `base[g][k][t] = wq[8g + t][k] << bits` (0 past `J`), `⌈J/8⌉ × K`
+    /// entries, once a plan ran below the rule; `Some(None)` when the
+    /// product table's code-0 column is not all zero.
+    live_bases: Option<Option<Vec<[u32; LANES]>>>,
+}
+
+impl PlanTables {
+    /// The loop a plan of `rows` batch rows runs, building on first need
+    /// the table that loop reads.
+    fn prepare(
+        &mut self,
+        kernel: Kernel,
+        shape: GemmShape,
+        table: &[u32],
+        wq: &[u16],
+        rows: usize,
+    ) -> Path {
+        assert_eq!(wq.len(), shape.j * shape.k, "wq length mismatch");
+        shape.check_table(table.len());
+        if kernel == Kernel::Naive {
+            return Path::Naive;
+        }
+        if rows / ROW_TABLE_MIN_ROWS_PER_CODE >= 1 << shape.bits
+            && self
+                .row_table
+                .get_or_insert_with(|| build_row_table(shape, table, wq))
+                .is_some()
+        {
+            return Path::RowTable;
+        }
+        self.live_bases.get_or_insert_with(|| {
+            let zero_column = (0..1usize << shape.bits).all(|w| table[w << shape.bits] == 0);
+            zero_column.then(|| build_live_bases(shape, wq))
+        });
+        Path::Hoisted
+    }
+
+    fn row_table(&self) -> Option<&[[u32; LANES]]> {
+        self.row_table.as_ref()?.as_deref()
+    }
+
+    fn live_bases(&self) -> Option<&[[u32; LANES]]> {
+        self.live_bases.as_ref()?.as_deref()
+    }
 }
 
 impl<'a> ForwardPlan<'a> {
@@ -294,30 +369,44 @@ impl<'a> ForwardPlan<'a> {
         wq: &'a [u16],
         rows: usize,
     ) -> Self {
-        assert_eq!(wq.len(), shape.j * shape.k, "wq length mismatch");
-        shape.check_table(table.len());
-        let row_table = match kernel {
-            Kernel::Naive => None,
-            Kernel::Tiled => build_row_table(shape, table, wq, rows),
-        };
-        let skips_zero_codes = kernel == Kernel::Tiled
-            && row_table.is_none()
-            && (0..1usize << shape.bits).all(|w| table[w << shape.bits] == 0);
-        let live_bases = skips_zero_codes.then(|| build_live_bases(shape, wq));
+        let mut tables = PlanTables::default();
+        let path = tables.prepare(kernel, shape, table, wq, rows);
         Self {
-            kernel,
             shape,
             table,
             wq,
-            row_table,
-            live_bases,
+            tables: Cow::Owned(tables),
+            path,
+        }
+    }
+
+    /// [`new`](Self::new), reading and keeping the weight-derived tables
+    /// in `tables`: a table this plan needs is built only if `tables`
+    /// lacks it. `tables` must be new or have served only plans over the
+    /// same `shape`, `table` and `wq` contents; the caller drops or
+    /// replaces it when any of them changes.
+    pub fn with_tables(
+        kernel: Kernel,
+        shape: GemmShape,
+        table: &'a [u32],
+        wq: &'a [u16],
+        rows: usize,
+        tables: &'a mut PlanTables,
+    ) -> Self {
+        let path = tables.prepare(kernel, shape, table, wq, rows);
+        Self {
+            shape,
+            table,
+            wq,
+            tables: Cow::Borrowed(tables),
+            path,
         }
     }
 
     /// Whether [`run`](Self::run) reads a row table rather than the
     /// product table.
     pub fn uses_row_table(&self) -> bool {
-        self.row_table.is_some()
+        self.path == Path::RowTable
     }
 
     /// Computes the accumulators of one chunk of batch rows.
@@ -331,8 +420,8 @@ impl<'a> ForwardPlan<'a> {
         let rows = self.shape.rows_of(xq.len(), "xq");
         assert_eq!(acc.len(), rows * j, "acc length mismatch");
         let (table, wq) = (self.table, self.wq);
-        match (self.kernel, &self.row_table) {
-            (Kernel::Naive, _) => {
+        match self.path {
+            Path::Naive => {
                 for (x_row, acc_row) in xq.chunks_exact(k).zip(acc.chunks_exact_mut(j)) {
                     for (ji, a) in acc_row.iter_mut().enumerate() {
                         let w_row = &wq[ji * k..(ji + 1) * k];
@@ -344,8 +433,11 @@ impl<'a> ForwardPlan<'a> {
                     }
                 }
             }
-            (Kernel::Tiled, Some(lanes)) => run_row_table(self.shape, lanes, xq, acc),
-            (Kernel::Tiled, None) => match &self.live_bases {
+            Path::RowTable => {
+                let lanes = self.tables.row_table().expect("planned with a row table");
+                run_row_table(self.shape, lanes, xq, acc);
+            }
+            Path::Hoisted => match self.tables.live_bases() {
                 Some(bases) if mostly_zero_codes(xq) => {
                     forward_live_codes(self.shape, table, bases, xq, acc);
                 }
@@ -424,21 +516,18 @@ fn forward_live_codes(
     }
 }
 
-/// Builds the row table of a [`ForwardPlan`], or returns `None` when the
-/// rule does not hold. The wrap guard's maximum is taken during the
-/// build, so a table that fails it is built and then dropped.
-fn build_row_table(
-    shape: GemmShape,
-    table: &[u32],
-    wq: &[u16],
-    rows: usize,
-) -> Option<Vec<[u32; LANES]>> {
+/// Builds the row table of a [`ForwardPlan`] that reached the rows rule,
+/// or returns `None` when the size cap or the wrap guard refuses it. The
+/// wrap guard's maximum is taken during the build, so a table that fails
+/// it is built and then dropped.
+#[inline(never)]
+fn build_row_table(shape: GemmShape, table: &[u32], wq: &[u16]) -> Option<Vec<[u32; LANES]>> {
     let GemmShape { j, k, bits } = shape;
     let codes = 1usize << bits;
     let groups = j.div_ceil(LANES);
     let len = k.saturating_mul(codes).saturating_mul(groups);
     let bytes = len.saturating_mul(std::mem::size_of::<[u32; LANES]>());
-    if len == 0 || rows / ROW_TABLE_MIN_ROWS_PER_CODE < codes || bytes > ROW_TABLE_MAX_BYTES {
+    if len == 0 || bytes > ROW_TABLE_MAX_BYTES {
         return None;
     }
     let mut lanes = vec![[0u32; LANES]; len];
@@ -1146,9 +1235,8 @@ mod tests {
         one[3 << 4] = 1;
         let wq = [5u16; 24];
         let skips = |kernel, table: &[u32], rows| {
-            ForwardPlan::new(kernel, shape, table, &wq, rows)
-                .live_bases
-                .is_some()
+            let plan = ForwardPlan::new(kernel, shape, table, &wq, rows);
+            plan.path == Path::Hoisted && plan.tables.live_bases().is_some()
         };
         assert!(skips(Kernel::Tiled, &exact, 8 * 16 - 1));
         assert!(!skips(Kernel::Tiled, &one, 8 * 16 - 1));
