@@ -285,7 +285,7 @@ fn main() {
     // Small-shape sweep: a single-sample conv whose GEMMs sit far below
     // the pool's work-size floor, so the "parallel" path must degrade to
     // the serial one instead of paying fork/join overhead on microsecond
-    // kernels. `--assert-small-shape` gates on it (the `serve-smoke` CI
+    // kernels. `--assert-small-shape` gates on it (the `kernel-parity` CI
     // job uses this): parallel must not be slower than serial beyond
     // timing noise.
     {

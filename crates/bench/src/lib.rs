@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod grad_matrix_driver;
-pub mod serve_driver;
 
 use std::sync::Arc;
 

@@ -1,33 +1,21 @@
-//! Overload-hardened batched inference over the LUT-GEMM stack.
+//! Batched inference over the LUT-GEMM stack.
 //!
-//! The ROADMAP's serving half: a long-lived layer that loads retrained
-//! checkpoints and product LUTs **once** and coalesces concurrent requests
-//! into batches sized for the tiled kernels, while staying predictable
-//! under overload. Three pieces:
+//! Serving a retrained model is its eval forward, run once per batch of
+//! concurrent single-sample requests. Two pieces:
 //!
-//! * [`Registry`] — models (checkpoint bytes + live instance + poisoned
-//!   rebuild path) and a shared [`LutCache`] with LRU eviction, with warm
-//!   LUT **prefetch** on load so a cold model's first batch never pays the
-//!   LUT build inside the dispatch path;
-//! * [`DrrQueue`] — per-model sub-queues (strict priority lanes, FIFO
-//!   within lane) scheduled by **deficit round-robin** in estimated MACs,
-//!   so one hot model cannot starve every other model, with each popped
-//!   model held in service by a [`Lease`] so it is never in two batches;
-//! * [`Engine`] — admission control with typed [`Rejection`]s, per-request
-//!   deadlines enforced *before* kernel dispatch, caller-side cancellation
-//!   via [`Ticket::wait_timeout`], greedy batching (a batch takes what is
-//!   queued for its model when the model frees up, one dispatch per model
-//!   at a time, no batch-fill timer), worker panic isolation with
-//!   requeue-or-reject, and a degradation ladder driven by queued **plus
-//!   in-flight** pressure (shed low priority → shed normal priority →
-//!   reject-fast with `Retry-After` hints).
+//! * [`Registry`] — models (checkpoint bytes, the live instance and the
+//!   poisoned-model rebuild path) and a shared [`LutCache`] with LRU
+//!   eviction that model factories read through a [`LutHandle`];
+//! * [`Engine`] — admission control with typed [`Rejection`]s (unknown
+//!   model, bad shape, non-finite input, full queue, shutdown), greedy
+//!   batching over one FIFO (a worker takes the oldest request whose
+//!   model is not in service plus that model's later requests, one batch
+//!   per model at a time, no batch-fill timer), and worker panic
+//!   isolation with requeue-or-reject.
 //!
-//! Everything is instrumented through `appmult-obs`: queue-depth,
-//! in-flight and ladder gauges, per-model deficit/starvation telemetry,
-//! admission/shed/deadline/cancellation counters, batch-size and latency
-//! histograms. See `DESIGN.md` §12 for the architecture and the
-//! `serve_bench` binary in `appmult-bench` for an open-loop load driver
-//! with a multi-model fairness phase.
+//! Everything is instrumented through `appmult-obs`: queue-depth and
+//! in-flight gauges, admission and rejection counters, batch-size and
+//! latency histograms. See `DESIGN.md` §12 for the architecture.
 //!
 //! # Example
 //!
@@ -64,7 +52,4 @@ mod registry;
 mod sched;
 
 pub use engine::{Engine, EngineConfig, Rejection, Request, ServeResult, Ticket};
-pub use registry::{
-    ForwardError, LutBuilder, LutCache, LutHandle, ModelFactory, ModelSpec, Registry,
-};
-pub use sched::{DrrQueue, Lease, Priority, PushError};
+pub use registry::{ForwardError, LutCache, LutHandle, ModelFactory, ModelSpec, Registry};

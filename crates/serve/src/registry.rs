@@ -31,16 +31,10 @@ use appmult_retrain::GradientLut;
 ///
 /// The factory receives a [`LutHandle`] onto the registry's shared LUT
 /// cache, so models that need product/gradient LUT pairs fetch them
-/// read-through — warm after [`Registry::load`] (which runs the spec's
-/// prefetch list *and* this factory once, off the dispatch path), and warm
-/// again on the poisoned rebuild. Factories that build no LUTs ignore the
-/// argument (`Arc::new(|_| ...)`).
+/// read-through: built at [`Registry::load`], off the dispatch path, and
+/// warm again on the poisoned rebuild. Factories that build no LUTs ignore
+/// the argument (`Arc::new(|_| ...)`).
 pub type ModelFactory = Arc<dyn Fn(&LutHandle<'_>) -> Sequential + Send + Sync>;
-
-/// Builds one product/gradient LUT pair for the cache — the expensive
-/// `2^B x 2^B` exhaustive simulation that must never run inside the batch
-/// dispatch path.
-pub type LutBuilder = Arc<dyn Fn() -> (MultiplierLut, GradientLut) + Send + Sync>;
 
 /// Everything needed to register a model.
 pub struct ModelSpec {
@@ -51,37 +45,23 @@ pub struct ModelSpec {
     pub input_shape: Vec<usize>,
     /// Architecture builder; its parameters become the checkpoint.
     pub factory: ModelFactory,
-    /// LUT pairs to warm into the cache *before* the factory first runs —
-    /// [`Registry::load`] builds these eagerly (counted as
-    /// `serve.lut.prefetch`) so a cold model's first batch never pays a
-    /// LUT build inside the dispatch path.
-    pub prefetch: Vec<(String, LutBuilder)>,
 }
 
 impl ModelSpec {
-    /// A spec with no LUT prefetch list.
+    /// A spec for `name`, whose requests carry `input_shape` samples.
     pub fn new(name: impl Into<String>, input_shape: Vec<usize>, factory: ModelFactory) -> Self {
         Self {
             name: name.into(),
             input_shape,
             factory,
-            prefetch: Vec::new(),
         }
-    }
-
-    /// Adds a LUT pair to warm at load time (keyed like [`Registry::lut`]).
-    #[must_use]
-    pub fn with_prefetch(mut self, key: impl Into<String>, build: LutBuilder) -> Self {
-        self.prefetch.push((key.into(), build));
-        self
     }
 }
 
 /// Why a batch could not be run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ForwardError {
-    /// No model with that name is registered (it may have been evicted
-    /// between admission and dispatch).
+    /// No model with that name is registered.
     Unloaded(String),
     /// The model panicked on this batch. The entry is marked poisoned and
     /// will be rebuilt from its checkpoint before the next batch.
@@ -93,10 +73,6 @@ struct ModelEntry {
     factory: ModelFactory,
     /// Canonical `APMT` parameter bytes captured at load time.
     checkpoint: Vec<u8>,
-    /// Estimated MACs one sample costs through this model (weight-element
-    /// count of the built instance, clamped to at least 1) — the DRR
-    /// scheduler's per-job cost unit.
-    macs_per_sample: u64,
     model: Mutex<Sequential>,
     /// Set when `forward` panicked; cleared by the rebuild path.
     poisoned: AtomicBool,
@@ -179,16 +155,16 @@ impl LutCache {
 }
 
 /// Read-through view onto the registry's shared [`LutCache`], handed to
-/// [`ModelFactory`] closures so model construction fetches LUT pairs from
-/// the same cache the prefetch path warms — without the factory holding an
-/// `Arc<Registry>` (which would cycle: the registry owns the factory).
+/// [`ModelFactory`] closures so every build of every model fetches LUT
+/// pairs from one cache — without the factory holding an `Arc<Registry>`
+/// (which would cycle: the registry owns the factory).
 pub struct LutHandle<'a> {
     luts: &'a Mutex<LutCache>,
 }
 
 impl LutHandle<'_> {
-    /// Returns the pair under `key`, building on a miss — identical
-    /// semantics (and counters) to [`Registry::lut`].
+    /// Returns the pair under `key`, building on a miss (see
+    /// [`LutCache::get_or_build`]).
     pub fn get<F>(&self, key: &str, build: F) -> (Arc<MultiplierLut>, Arc<GradientLut>)
     where
         F: FnOnce() -> (MultiplierLut, GradientLut),
@@ -216,39 +192,24 @@ impl Registry {
         }
     }
 
-    /// Warms the spec's prefetch LUTs, builds the model once, captures its
-    /// parameters as the checkpoint, estimates its per-sample MAC cost,
+    /// Builds the model once, captures its parameters as the checkpoint,
     /// and registers it (replacing any previous model of the same name).
     ///
-    /// Every expensive build — the prefetch list *and* whatever LUTs the
-    /// factory fetches through its [`LutHandle`] — happens here, at load
-    /// time, so a cold model's first batch never pays a LUT build inside
-    /// the dispatch path.
+    /// Whatever LUTs the factory fetches through its [`LutHandle`] are
+    /// built here, at load time, so a model's first batch never pays a
+    /// LUT build inside the dispatch path.
     ///
     /// # Errors
     ///
     /// Propagates serialization errors from the checkpoint capture.
     pub fn load(&self, spec: ModelSpec) -> std::io::Result<()> {
-        let obs = appmult_obs::global();
-        for (key, build) in &spec.prefetch {
-            let _ = self.lut(key, || build());
-            obs.counter_add("serve.lut.prefetch", 1);
-            obs.event("serve.lut.prefetch", &[("key", key.as_str().into())]);
-        }
         let mut model = (spec.factory)(&self.lut_handle());
         let mut checkpoint = Vec::new();
         save_params(&mut model, &mut checkpoint)?;
-        let mut weight_elems = 0u64;
-        model.visit_params(&mut |p| {
-            if p.decay {
-                weight_elems += p.value.len() as u64;
-            }
-        });
         let entry = Arc::new(ModelEntry {
             input_shape: spec.input_shape,
             factory: spec.factory,
             checkpoint,
-            macs_per_sample: weight_elems.max(1),
             model: Mutex::new(model),
             poisoned: AtomicBool::new(false),
         });
@@ -257,52 +218,14 @@ impl Registry {
         Ok(())
     }
 
-    /// Removes a model; queued requests for it resolve as `ModelUnloaded`
-    /// at dispatch time. Returns whether the name was registered.
-    pub fn unload(&self, name: &str) -> bool {
-        let removed = self.lock_models().remove(name).is_some();
-        if removed {
-            appmult_obs::global().event("serve.model.unload", &[("name", name.into())]);
-        }
-        removed
-    }
-
-    /// Whether a model of this name is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.lock_models().contains_key(name)
-    }
-
     /// The per-sample input shape a registered model expects.
     pub fn input_shape(&self, name: &str) -> Option<Vec<usize>> {
         self.lock_models().get(name).map(|e| e.input_shape.clone())
     }
 
-    /// Estimated MACs one sample costs through a registered model — the
-    /// weight-element count of the built instance (clamped to at least 1).
-    /// The engine attaches this to every admitted job as its DRR cost.
-    pub fn macs_per_sample(&self, name: &str) -> Option<u64> {
-        self.lock_models().get(name).map(|e| e.macs_per_sample)
-    }
-
-    /// Access to the shared LUT cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a LUT *build* closure panicked while holding the
-    /// cache lock (the cache itself never panics mid-update).
-    pub fn lut<F>(&self, key: &str, build: F) -> (Arc<MultiplierLut>, Arc<GradientLut>)
-    where
-        F: FnOnce() -> (MultiplierLut, GradientLut),
-    {
-        self.luts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get_or_build(key, build)
-    }
-
     /// A read-through handle onto the shared LUT cache — what factories
-    /// receive; exposed for callers that build factories incrementally.
-    pub fn lut_handle(&self) -> LutHandle<'_> {
+    /// receive.
+    fn lut_handle(&self) -> LutHandle<'_> {
         LutHandle { luts: &self.luts }
     }
 
@@ -391,19 +314,17 @@ mod tests {
     }
 
     #[test]
-    fn load_run_unload_round_trip() {
+    fn load_and_run_round_trip() {
         let reg = Registry::new(4);
         reg.load(tiny_spec("m", 7)).unwrap();
-        assert!(reg.contains("m"));
         assert_eq!(reg.input_shape("m"), Some(vec![4]));
+        assert_eq!(reg.input_shape("nope"), None);
         let batch = Tensor::from_vec(vec![0.1; 8], &[2, 4]);
         let out = reg.forward_batch("m", &batch).unwrap();
         assert_eq!(out.shape(), &[2, 3]);
-        assert!(reg.unload("m"));
-        assert!(!reg.unload("m"));
         assert_eq!(
-            reg.forward_batch("m", &batch),
-            Err(ForwardError::Unloaded("m".to_string()))
+            reg.forward_batch("nope", &batch),
+            Err(ForwardError::Unloaded("nope".to_string()))
         );
     }
 
@@ -445,37 +366,35 @@ mod tests {
     }
 
     #[test]
-    fn load_warms_prefetch_luts_and_records_mac_cost() {
+    fn factories_share_the_lut_cache() {
         use appmult_mult::{ExactMultiplier, Multiplier};
         let _guard = obs_lock();
         let obs = appmult_obs::ObsSink::recording();
         appmult_obs::set_global(&obs);
-        let build: LutBuilder = Arc::new(|| {
-            let lut = ExactMultiplier::new(2).to_lut();
-            let grads =
-                GradientLut::build(&lut, appmult_retrain::GradientMode::difference_based(1));
-            (lut, grads)
+        let factory: ModelFactory = Arc::new(|luts: &LutHandle<'_>| {
+            let (_lut, _grads) = luts.get("exact2", || {
+                let lut = ExactMultiplier::new(2).to_lut();
+                let grads =
+                    GradientLut::build(&lut, appmult_retrain::GradientMode::difference_based(1));
+                (lut, grads)
+            });
+            Sequential::new().push(Linear::new(4, 3, 5))
         });
         let reg = Registry::new(4);
-        let spec = ModelSpec::new(
-            "warm",
-            vec![4],
-            Arc::new(|luts: &LutHandle<'_>| {
-                // The factory's fetch must hit the prefetched entry: the
-                // expensive build already ran, off the dispatch path.
-                let (_lut, _grads) = luts.get("exact2", || unreachable!("prefetch missed"));
-                Sequential::new().push(Linear::new(4, 3, 5))
-            }),
-        )
-        .with_prefetch("exact2", Arc::clone(&build));
-        reg.load(spec).unwrap();
+        reg.load(ModelSpec::new("a", vec![4], Arc::clone(&factory)))
+            .unwrap();
+        reg.load(ModelSpec::new("b", vec![4], factory)).unwrap();
         appmult_obs::set_global(&appmult_obs::ObsSink::null());
-        assert_eq!(obs.counter("serve.lut.prefetch"), 1);
-        assert_eq!(obs.counter("serve.lut.misses"), 1, "prefetch built it");
-        assert_eq!(obs.counter("serve.lut.hits"), 1, "factory fetch was warm");
-        // Linear(4, 3): 12 weight elements (the bias carries decay=false).
-        assert_eq!(reg.macs_per_sample("warm"), Some(12));
-        assert_eq!(reg.macs_per_sample("nope"), None);
+        assert_eq!(
+            obs.counter("serve.lut.misses"),
+            1,
+            "the first load built it"
+        );
+        assert_eq!(
+            obs.counter("serve.lut.hits"),
+            1,
+            "the second load reused it"
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   LUTs, LUT-based approximate layers, and the retraining loop;
 //! * [`models`] — LeNet / VGG / ResNet model builders;
 //! * [`data`] — synthetic CIFAR-style datasets;
-//! * [`serve`] — overload-hardened batched inference: model registry,
-//!   bounded priority queue, deadline-aware batching, graceful degradation.
+//! * [`serve`] — batched inference: model registry with checkpoint
+//!   rebuild, greedy batching over one bounded FIFO, typed rejections.
 //!
 //! # Quickstart
 //!

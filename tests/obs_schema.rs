@@ -4,10 +4,9 @@
 //! intervention counts — verified by parsing the serialized
 //! `results/OBS.json`, the same artifact the `obs_demo` binary writes.
 
-/// Both tests in this file install a process-global recording `ObsSink`
-/// (`run_obs_demo` and `run_serve_bench` each call
-/// `appmult_obs::set_global`), so they must not run concurrently in the
-/// same test binary.
+/// `run_obs_demo` installs a process-global recording `ObsSink`
+/// (`appmult_obs::set_global`); any test in this file that also installs
+/// one must hold this lock, so the two never record into each other.
 fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
@@ -169,92 +168,4 @@ fn obs_demo_report_meets_the_acceptance_criteria() {
     // And the run itself stayed healthy: the rollback recovered it.
     assert!(demo.history.final_train_loss().is_finite());
     assert!(demo.history.total_rollbacks() >= 1);
-}
-
-/// Locks the extended `BENCH_serve.json` schema: the fairness object
-/// (per-model throughput shares of the multimodel phase) and the
-/// per-phase latency/SLO-budget array are additive, CI-consumed fields —
-/// a miniature bench run must always emit them, well-formed and free of
-/// non-JSON values like `NaN`.
-#[test]
-fn bench_serve_schema_locks_fairness_and_latency_fields() {
-    let _guard = obs_lock();
-    let opts = appmult_bench::serve_driver::ServeBenchOptions {
-        duration: std::time::Duration::from_millis(40),
-        overload_x: 2.0,
-        chaos: 0,
-        assert_overload: false,
-        assert_fairness: false,
-    };
-    let report = appmult_bench::serve_driver::run_serve_bench(&opts);
-    let json = &report.json;
-
-    // Never emit non-JSON float spellings, even for empty percentile sets.
-    for bad in ["NaN", "inf"] {
-        assert!(!json.contains(bad), "{bad} leaked into BENCH_serve.json");
-    }
-
-    // Config header and the five driving phases.
-    assert!(json.contains("\"config\": {"), "config header missing");
-    assert!(json.contains("\"drr_quantum_macs\": "), "DRR knob missing");
-    for phase in ["estimate", "steady", "overload", "recovery", "multimodel"] {
-        assert!(
-            json.contains(&format!("\"phase\": \"{phase}\"")),
-            "phase {phase} missing"
-        );
-    }
-
-    // Per-phase latency entries: p50/p99 plus the SLO budget verdict.
-    assert!(json.contains("\"phase_latency_ms\": ["));
-    let latency_lines: Vec<&str> = json
-        .lines()
-        .filter(|l| l.contains("\"budget_p99\": "))
-        .collect();
-    assert_eq!(latency_lines.len(), 5, "one latency entry per phase");
-    for line in &latency_lines {
-        for key in ["ok_p50", "ok_p99", "budget_p99", "within_budget"] {
-            assert!(
-                line.contains(&format!("\"{key}\": ")),
-                "{key} missing: {line}"
-            );
-        }
-    }
-
-    // The fairness object: bound is half the fair share, and every model
-    // row carries share + latency percentiles.
-    assert!(json.contains("\"fairness\": {\"phase\": \"multimodel\""));
-    for key in ["fair_share", "bound", "min_share", "holds", "models"] {
-        assert!(
-            json.contains(&format!("\"{key}\": ")),
-            "fairness.{key} missing"
-        );
-    }
-    let model_lines: Vec<&str> = json
-        .lines()
-        .filter(|l| l.contains("\"ok_p50_ms\": "))
-        .collect();
-    assert_eq!(model_lines.len(), 2, "one fairness row per model");
-    for line in &model_lines {
-        for key in [
-            "model",
-            "submitted",
-            "served",
-            "share",
-            "ok_p50_ms",
-            "ok_p99_ms",
-        ] {
-            assert!(
-                line.contains(&format!("\"{key}\": ")),
-                "{key} missing: {line}"
-            );
-        }
-    }
-
-    // The books balanced and the warm-prefetch path fired for both LUTs.
-    assert!(json.contains("\"lost\": 0"));
-    assert!(json.contains("\"luts_prefetched\": "));
-    assert_eq!(report.lost, 0);
-    assert_eq!(report.shares.len(), 2);
-    assert!((report.share_bound - 0.25).abs() < 1e-9);
-    assert!(report.phase_p99_ms.iter().all(|ms| ms.is_finite()));
 }
