@@ -339,12 +339,13 @@ fn gemm_forward(
     let wq_params = cache.w.params.expect("cache populated");
     let xq_params = cache.xq_params.expect("cache populated");
     let sum_w = &cache.w.sum_w;
-    // One plan for the whole batch, shared by every block: above the
-    // kernel's shape rule it reads the row table. An eval weight side
-    // keeps the plan's tables for the next batch; a train forward's
-    // weights change before then, so its tables go with the plan.
+    // One plan for the whole batch, shared by every block. An eval weight
+    // side keeps the plan's tables for the next batch, so its plan reads
+    // a row table at any batch size the cap and guards allow. A train
+    // forward's weights change before then, so its tables go with the
+    // plan, which builds a row table only above the kernel's rows rule.
     let plan = if cache.w.source.is_some() {
-        ForwardPlan::with_tables(kernel, shape, table, &cache.w.wq, m, &mut cache.w.plan)
+        ForwardPlan::with_tables(kernel, shape, table, &cache.w.wq, &mut cache.w.plan)
     } else {
         ForwardPlan::new(kernel, shape, table, &cache.w.wq, m)
     };
@@ -1679,8 +1680,9 @@ mod tests {
         assert_eq!(lin.sum_w_rebuilds(), 2, "changed weights rebuild the sums");
     }
 
-    /// The conv's weight side, across batches on both sides of the 4-bit
-    /// row-table rule (128 rows: two 8x8 images): eval forwards on
+    /// The conv's weight side, across batches of one and two 8x8 images
+    /// (two reach a train plan's 4-bit row-table rule of 128 rows; an
+    /// eval plan reads its kept row table at both): eval forwards on
     /// unchanged weights reuse it, a weight write or a train forward
     /// rebuilds it, and a train forward keeps no copy, so the next eval
     /// forward rebuilds once more.

@@ -2,15 +2,17 @@
 //! one forward plus backward of an approximate layer adds exactly `m·j·k`
 //! product-LUT lookups and `2·m·j·k` gradient-LUT lookups (the `dX` and
 //! `dW` halves), however the layer partitions its passes and whether its
-//! forward reads a row table (`kernel.row_tables` counts those built).
+//! forward reads a row table (`kernel.row_tables` counts those built,
+//! `kernel.row_table_refusals` those the size cap or a guard refused).
 //! `gradlut.live_lookups` counts the gradient lookups actually made: both
 //! Eq. 9 halves skip a zero output gradient for its whole `K` row, so it
 //! is `2·K` per nonzero entry of the output gradient. `lut.live_lookups`
 //! counts the product lookups left once code-0 terms are dropped: `J` per
 //! nonzero activation code, whichever loop the forward runs.
 //!
-//! Eval forwards on unchanged weights build no further row table: the
-//! layer keeps its weight side, tables included.
+//! An eval forward builds its row table on the first batch, whatever its
+//! size, and eval forwards on unchanged weights build or refuse no
+//! further row table: the layer keeps its weight side, tables included.
 //!
 //! This file holds a single test because it installs the process-wide
 //! recording sink, which every layer in the process writes to.
@@ -68,6 +70,7 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
             assert_eq!(obs.counter("gradlut.lookups"), 2 * expected);
             assert_eq!(obs.counter("gradlut.live_lookups"), live);
             assert_eq!(obs.counter("kernel.row_tables"), tables);
+            assert_eq!(obs.counter("kernel.row_table_refusals"), 0);
         };
 
     // LeNet's two convs at a batch of 32 on 16x16 inputs, 6-bit codes.
@@ -168,13 +171,27 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
     );
     assert_eq!(obs.counter("gradlut.live_lookups") - before, 300);
 
-    // Eval forwards keep the weight side: after the first, more eval
-    // forwards on unchanged weights, on both sides of the rule (32 images
-    // and 1 image: 4608 and 144 rows), build no row table and leave the
-    // weight side alone. A weight write makes the next forward rebuild
-    // both.
-    let (mut conv1, _) = lenet_conv(3, 6);
+    // One image of LeNet conv1 is 144 rows, below a train forward's rows
+    // rule of 8·2^6 = 512: a train forward builds no row table, while a
+    // first eval forward, whose table serves every later batch, builds
+    // exactly one.
     let (big, small) = (relu_ramp(&[32, 3, 16, 16]), relu_ramp(&[1, 3, 16, 16]));
+    let (mut conv1, _) = lenet_conv(3, 6);
+    let tables = obs.counter("kernel.row_tables");
+    conv1.forward(&small, true);
+    assert_eq!(obs.counter("kernel.row_tables"), tables, "train, 1 image");
+    conv1.forward(&small, false);
+    assert_eq!(
+        obs.counter("kernel.row_tables"),
+        tables + 1,
+        "eval, 1 image"
+    );
+
+    // Eval forwards keep the weight side: after the first, more eval
+    // forwards on unchanged weights, at 32 images and 1 image (4608 and
+    // 144 rows), build no row table and leave the weight side alone. A
+    // weight write makes the next forward rebuild both.
+    let (mut conv1, _) = lenet_conv(3, 6);
     let tables = obs.counter("kernel.row_tables");
     conv1.forward(&big, false);
     assert_eq!(obs.counter("kernel.row_tables"), tables + 1);
@@ -197,6 +214,37 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
         "written weights"
     );
     assert_eq!(conv1.sum_w_rebuilds(), 2, "written weights");
+    assert_eq!(obs.counter("kernel.row_table_refusals"), 0);
+
+    // A VGG-S conv4-shaped layer (16 → 16 channels, K = 144, 7-bit): its
+    // row table of 144 × 128 × 2 entries of 16 bytes (576 KiB) is over the
+    // cap. The first eval forward refuses it once; later eval forwards, at
+    // any batch size, keep that refusal and refuse nothing more.
+    let lut7 = Arc::new(TruncatedMultiplier::new(7, 6).to_lut());
+    let grads7 = Arc::new(GradientLut::build(&lut7, GradientMode::difference_based(4)));
+    let spec = Conv2dSpec {
+        in_channels: 16,
+        out_channels: 16,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let mut conv4 = ApproxConv2d::with_params(
+        spec,
+        ramp(&[16, spec.patch_len()]),
+        Tensor::zeros(&[16]),
+        lut7,
+        grads7,
+        QuantConfig::default(),
+    );
+    let tables = obs.counter("kernel.row_tables");
+    conv4.forward(&relu_ramp(&[1, 16, 4, 4]), false);
+    assert_eq!(obs.counter("kernel.row_table_refusals"), 1, "first eval");
+    for n in [1, 16, 4] {
+        conv4.forward(&relu_ramp(&[n, 16, 4, 4]), false);
+    }
+    assert_eq!(obs.counter("kernel.row_table_refusals"), 1, "kept refusal");
+    assert_eq!(obs.counter("kernel.row_tables"), tables);
 
     appmult_obs::set_global(&appmult_obs::ObsSink::null());
 }

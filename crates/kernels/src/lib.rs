@@ -21,21 +21,25 @@
 //! * `dX` has one row loop for every kernel ([`backward_dx`]): it skips a
 //!   zero output gradient once for its whole `K` row, and real gradients
 //!   are mostly zero behind a ReLU and max-pool, so no tiled loop beat it.
-//! * Above a shape rule, the tiled forward is no longer a gather per MAC:
-//!   a [`ForwardPlan`] copies each weight's `2^B`-entry LUT rows once into
-//!   a *row table* of eight-channel `u32` lane groups, and each batch row
-//!   then costs `K` lane-wise adds per group instead of `J · K` gathers.
-//! * Below that rule, behind a ReLU most activation codes are 0 and every
-//!   workload table has `product(w, 0) = 0`. When the product table's
-//!   code-0 column is all zero and at least 3/8 of a chunk's codes are 0,
-//!   a [`ForwardPlan`] lists each batch row's nonzero codes once and
-//!   gathers only those, eight output channels at a time.
+//! * Where a row table pays, the tiled forward is no longer a gather per
+//!   MAC: a [`ForwardPlan`] copies each weight's `2^B`-entry LUT rows once
+//!   into a *row table* of eight-channel `u16` lane groups, and each batch
+//!   row then costs `K` lane-wise adds per group instead of `J · K`
+//!   gathers. A plan that keeps its tables across GEMMs (an eval layer)
+//!   builds one at any batch size; a plan that drops them builds one only
+//!   above a rows rule. Either way the table must fit a 512 KiB cap.
+//! * Without a row table, behind a ReLU most activation codes are 0 and
+//!   every workload table has `product(w, 0) = 0`. When the product
+//!   table's code-0 column is all zero and at least 3/8 of a chunk's codes
+//!   are 0, a [`ForwardPlan`] lists each batch row's nonzero codes once
+//!   and gathers only those, eight output channels at a time.
 //!
 //! **Exactness.** The forward accumulator is an exact `i64`, so tiling and
 //! re-association are bit-safe: any summation order yields the same
 //! integer, and the single dequantization of that integer yields the same
-//! `f32`. The row table's `u32` lane sums are exact too: a plan builds it
-//! only when `K` times its largest entry fits in a `u32`. The zero-code
+//! `f32`. The row table's lanes are exact too: a plan builds it only when
+//! every entry fits a `u16` and `K` times the largest fits the `u32` lane
+//! sum. The zero-code
 //! skip leaves out only terms that read an all-zero column, each an exact
 //! integer 0. The backward
 //! sums are `f32` and therefore order-sensitive. Each output adds its
@@ -59,7 +63,8 @@
 //! one [`ForwardPlan`] per GEMM before it splits, so all blocks share one
 //! row table; [`forward_acc`] plans per call. A caller whose weights stay
 //! put across GEMMs (an eval layer) keeps the plan's weight-derived
-//! tables in a [`PlanTables`] and builds each at most once. [`M_TILE`] is
+//! tables in a [`PlanTables`] and builds each at most once, so its row
+//! table is worth building even for one batch row. [`M_TILE`] is
 //! public so the forward caller can keep its blocks at least one M tile
 //! tall.
 //!
@@ -198,14 +203,17 @@ impl TileStats {
     }
 }
 
-/// Least batch rows per activation code (`rows / 2^B`) for which a
-/// [`ForwardPlan`] builds a row table: its `K · 2^B · J` entry copies
-/// then cost at most 1/8 of the GEMM's `rows · J · K` lookups.
+/// Least batch rows per activation code (`rows / 2^B`) for which a plan
+/// that drops its tables ([`ForwardPlan::new`]) builds a row table: its
+/// `K · 2^B · J` entry copies then cost at most 1/8 of the GEMM's
+/// `rows · J · K` lookups. A plan that keeps them builds one at any rows.
 const ROW_TABLE_MIN_ROWS_PER_CODE: usize = 8;
-/// Largest row table a [`ForwardPlan`] builds, in bytes: it stays
-/// L2-resident and adds little to peak memory.
+/// Largest row table a [`ForwardPlan`] builds, in bytes of 16-byte
+/// entries: it stays L2-resident and adds little to peak memory. A 1 or
+/// 2 MiB cap admitted VGG-S conv4 and conv5, which then ran slower than
+/// their zero-code skip (DESIGN.md §11).
 const ROW_TABLE_MAX_BYTES: usize = 512 << 10;
-/// Output channels per row-table entry: one `[u32; LANES]` group.
+/// Output channels per row-table entry: one `[u16; LANES]` group.
 const LANES: usize = 8;
 /// Batch rows a row-table pass interleaves, as independent chains of
 /// lane sums (measured faster than one row or four).
@@ -221,17 +229,21 @@ const ZERO_SKIP_MIN_SHARE: (usize, usize) = (3, 8);
 /// `acc[r][ji] = Σ_k table[(wq[ji][k] << bits) | xq[r][k]]` for every row
 /// `r` of a chunk `xq` (prior `acc` contents are overwritten).
 ///
-/// Under [`Kernel::Tiled`] the plan reads a *row table* when the GEMM is
-/// large enough to repay it: `F[g][k][x]` holds, in `u32` lanes for the
-/// eight output channels `ji` of group `g`, `table[(wq[ji][k] << bits) |
-/// x]`, so a batch row's accumulators are `K` lane-wise adds of
+/// Under [`Kernel::Tiled`] the plan reads a *row table* when it repays
+/// its build: `F[g][k][x]` holds, in `u16` lanes for the eight output
+/// channels `ji` of group `g`, `table[(wq[ji][k] << bits) | x]`, so a
+/// batch row's accumulators are `K` lane-wise `u32` adds of
 /// `F[g][k][xq[r][k]]` per group instead of `J · K` scalar gathers. It is
 /// read only when all of these hold, with no option to force it either
 /// way:
 ///
-/// * `rows ≥ 8 · 2^bits` (the build costs at most 1/8 of the lookups);
-/// * the table is at most 512 KiB;
-/// * `K · (largest copied entry) ≤ u32::MAX`, so no lane can wrap.
+/// * the plan keeps its tables ([`with_tables`](Self::with_tables)), so
+///   the build serves every later GEMM over the same weights, or it drops
+///   them ([`new`](Self::new)) and `rows ≥ 8 · 2^bits` (the build costs
+///   at most 1/8 of the lookups);
+/// * the table is at most 512 KiB, in 16-byte entries;
+/// * every copied entry is at most `u16::MAX`, and `K` times the largest
+///   is at most `u32::MAX`, so no lane sum can wrap.
 ///
 /// Otherwise the plan runs the tiled kernel's hoisted-row loop, and checks
 /// once whether the table's code-0 column is all zero (`table[w << bits]
@@ -248,7 +260,8 @@ const ZERO_SKIP_MIN_SHARE: (usize, usize) = (3, 8);
 /// product table and the shape. [`new`](Self::new) builds the ones its
 /// rows need and drops them with the plan; [`with_tables`](Self::with_tables)
 /// keeps them in a caller's [`PlanTables`], so GEMMs over unchanged
-/// weights build each at most once, whatever their row counts.
+/// weights build each at most once, whatever their row counts: the row
+/// table on the first GEMM, or the weight-row bases if that is refused.
 ///
 /// Integer addition is exact, a left-out term is an exact 0 and the
 /// padded lanes past `J` are dropped, so every path yields the same
@@ -305,35 +318,38 @@ enum Path {
 /// The weight-derived tables of a [`ForwardPlan`]: the row table and the
 /// zero-code skip's weight-row bases, each built on first need and then
 /// kept, so GEMMs over one `(shape, table, wq)` build each at most once
-/// (see [`ForwardPlan::with_tables`]). A new value holds nothing.
+/// (see [`ForwardPlan::with_tables`]). A kept plan tries the row table on
+/// its first GEMM, so the bases are built only where it was refused. A
+/// new value holds nothing.
 #[derive(Debug, Clone, Default)]
 pub struct PlanTables {
-    /// `F[g][k][x]`, `⌈J/8⌉ × K × 2^bits` entries, once a plan reached the
-    /// rows rule; `Some(None)` when the size cap or wrap guard refused it.
-    row_table: Option<Option<Vec<[u32; LANES]>>>,
+    /// `F[g][k][x]`, `⌈J/8⌉ × K × 2^bits` entries, once a plan tried it;
+    /// `Some(None)` when the size cap, the `u16` guard or the wrap guard
+    /// refused it.
+    row_table: Option<Option<Vec<[u16; LANES]>>>,
     /// `base[g][k][t] = wq[8g + t][k] << bits` (0 past `J`), `⌈J/8⌉ × K`
-    /// entries, once a plan ran below the rule; `Some(None)` when the
+    /// entries, once a plan ran without a row table; `Some(None)` when the
     /// product table's code-0 column is not all zero.
     live_bases: Option<Option<Vec<[u32; LANES]>>>,
 }
 
 impl PlanTables {
-    /// The loop a plan of `rows` batch rows runs, building on first need
-    /// the table that loop reads.
+    /// The loop a plan runs, building on first need the table that loop
+    /// reads. The row table is tried only when `try_row_table`.
     fn prepare(
         &mut self,
         kernel: Kernel,
         shape: GemmShape,
         table: &[u32],
         wq: &[u16],
-        rows: usize,
+        try_row_table: bool,
     ) -> Path {
         assert_eq!(wq.len(), shape.j * shape.k, "wq length mismatch");
         shape.check_table(table.len());
         if kernel == Kernel::Naive {
             return Path::Naive;
         }
-        if rows / ROW_TABLE_MIN_ROWS_PER_CODE >= 1 << shape.bits
+        if try_row_table
             && self
                 .row_table
                 .get_or_insert_with(|| build_row_table(shape, table, wq))
@@ -348,7 +364,7 @@ impl PlanTables {
         Path::Hoisted
     }
 
-    fn row_table(&self) -> Option<&[[u32; LANES]]> {
+    fn row_table(&self) -> Option<&[[u16; LANES]]> {
         self.row_table.as_ref()?.as_deref()
     }
 
@@ -359,9 +375,10 @@ impl PlanTables {
 
 impl<'a> ForwardPlan<'a> {
     /// Plans the forward GEMM of `rows` batch rows (the rows of every
-    /// chunk later passed to [`run`](Self::run)) against `wq`, building
-    /// the row table when the rule above holds. Each table built adds one
-    /// to the `kernel.row_tables` counter.
+    /// chunk later passed to [`run`](Self::run)) against `wq`, trying the
+    /// row table when `rows ≥ 8 · 2^bits`. Each table built adds one to
+    /// the `kernel.row_tables` counter, each one refused by the cap or a
+    /// guard one to `kernel.row_table_refusals`.
     pub fn new(
         kernel: Kernel,
         shape: GemmShape,
@@ -370,7 +387,8 @@ impl<'a> ForwardPlan<'a> {
         rows: usize,
     ) -> Self {
         let mut tables = PlanTables::default();
-        let path = tables.prepare(kernel, shape, table, wq, rows);
+        let reaches_rule = rows / ROW_TABLE_MIN_ROWS_PER_CODE >= 1 << shape.bits;
+        let path = tables.prepare(kernel, shape, table, wq, reaches_rule);
         Self {
             shape,
             table,
@@ -380,20 +398,21 @@ impl<'a> ForwardPlan<'a> {
         }
     }
 
-    /// [`new`](Self::new), reading and keeping the weight-derived tables
-    /// in `tables`: a table this plan needs is built only if `tables`
-    /// lacks it. `tables` must be new or have served only plans over the
-    /// same `shape`, `table` and `wq` contents; the caller drops or
-    /// replaces it when any of them changes.
+    /// A plan over any number of batch rows that reads and keeps the
+    /// weight-derived tables in `tables`: a table this plan needs is built
+    /// only if `tables` lacks it. Since the row table then serves every
+    /// later GEMM, the plan tries it whatever the batch size, under the
+    /// cap and guards alone. `tables` must be new or have served only
+    /// plans over the same `shape`, `table` and `wq` contents; the caller
+    /// drops or replaces it when any of them changes.
     pub fn with_tables(
         kernel: Kernel,
         shape: GemmShape,
         table: &'a [u32],
         wq: &'a [u16],
-        rows: usize,
         tables: &'a mut PlanTables,
     ) -> Self {
-        let path = tables.prepare(kernel, shape, table, wq, rows);
+        let path = tables.prepare(kernel, shape, table, wq, true);
         Self {
             shape,
             table,
@@ -516,21 +535,24 @@ fn forward_live_codes(
     }
 }
 
-/// Builds the row table of a [`ForwardPlan`] that reached the rows rule,
-/// or returns `None` when the size cap or the wrap guard refuses it. The
-/// wrap guard's maximum is taken during the build, so a table that fails
-/// it is built and then dropped.
+/// Builds the row table of a [`ForwardPlan`] that tries one, or returns
+/// `None` when the size cap, the `u16` guard or the wrap guard refuses it,
+/// counting `kernel.row_tables` or `kernel.row_table_refusals`. The
+/// guards' maximum is taken during the build, so a table that fails one
+/// is built and then dropped.
 #[inline(never)]
-fn build_row_table(shape: GemmShape, table: &[u32], wq: &[u16]) -> Option<Vec<[u32; LANES]>> {
+fn build_row_table(shape: GemmShape, table: &[u32], wq: &[u16]) -> Option<Vec<[u16; LANES]>> {
     let GemmShape { j, k, bits } = shape;
     let codes = 1usize << bits;
     let groups = j.div_ceil(LANES);
     let len = k.saturating_mul(codes).saturating_mul(groups);
-    let bytes = len.saturating_mul(std::mem::size_of::<[u32; LANES]>());
+    let bytes = len.saturating_mul(std::mem::size_of::<[u16; LANES]>());
+    let obs = appmult_obs::global();
     if len == 0 || bytes > ROW_TABLE_MAX_BYTES {
+        obs.counter_add("kernel.row_table_refusals", 1);
         return None;
     }
-    let mut lanes = vec![[0u32; LANES]; len];
+    let mut lanes = vec![[0u16; LANES]; len];
     let zeros = vec![0u32; codes];
     let mut max = 0u32;
     // Fill each (group, k) block of `2^bits` entries in order, reading the
@@ -547,22 +569,25 @@ fn build_row_table(shape: GemmShape, table: &[u32], wq: &[u16]) -> Option<Vec<[u
                 }
             });
             for (x, entry) in block.iter_mut().enumerate() {
-                *entry = std::array::from_fn(|t| src[t][x]);
-                max = max.max(entry.iter().copied().max().unwrap_or(0));
+                let wide: [u32; LANES] = std::array::from_fn(|t| src[t][x]);
+                max = max.max(wide.iter().copied().max().unwrap_or(0));
+                // Truncates only entries the `u16` guard below refuses.
+                *entry = wide.map(|v| v as u16);
             }
         }
     }
-    if k as u64 * u64::from(max) > u64::from(u32::MAX) {
+    if max > u32::from(u16::MAX) || k as u64 * u64::from(max) > u64::from(u32::MAX) {
+        obs.counter_add("kernel.row_table_refusals", 1);
         return None;
     }
-    appmult_obs::global().counter_add("kernel.row_tables", 1);
+    obs.counter_add("kernel.row_tables", 1);
     Some(lanes)
 }
 
 /// Row-table forward: per batch row and lane group `g`, `K` lane-wise
-/// `u32` adds of the entries `F[g][k][xq[r][k]]`, widened to `i64` once. The
-/// build's wrap guard keeps every lane sum within `u32`.
-fn run_row_table(shape: GemmShape, lanes: &[[u32; LANES]], xq: &[u16], acc: &mut [i64]) {
+/// `u32` adds of the `u16` entries `F[g][k][xq[r][k]]`, widened to `i64`
+/// once. The build's wrap guard keeps every lane sum within `u32`.
+fn run_row_table(shape: GemmShape, lanes: &[[u16; LANES]], xq: &[u16], acc: &mut [i64]) {
     let GemmShape { j, k, .. } = shape;
     let mut xs = xq.chunks_exact(ROW_BLOCK * k);
     let mut accs = acc.chunks_exact_mut(ROW_BLOCK * j);
@@ -579,7 +604,7 @@ fn run_row_table(shape: GemmShape, lanes: &[[u32; LANES]], xq: &[u16], acc: &mut
 /// time, so the `R × 8` sums stay in registers.
 fn row_table_block<const R: usize>(
     shape: GemmShape,
-    lanes: &[[u32; LANES]],
+    lanes: &[[u16; LANES]],
     xq: &[u16],
     acc: &mut [i64],
 ) {
@@ -588,13 +613,16 @@ fn row_table_block<const R: usize>(
     // Masking the code keeps the entry index in range for any input, as
     // the tiled kernel's masked gathers do; valid codes are unchanged.
     let mask = codes - 1;
+    // `K`-long row slices indexed under `0..K` carry no bounds check; a
+    // strided `xq[r * K + k]` kept one per code (measured 7–16% slower).
+    let rows: [&[u16]; R] = std::array::from_fn(|r| &xq[r * k..][..k]);
     for (g, group) in lanes.chunks_exact(k * codes).enumerate() {
         let mut sums = [[0u32; LANES]; R];
-        for (kk, f) in group.chunks_exact(codes).enumerate() {
-            for (r, s) in sums.iter_mut().enumerate() {
-                let entry = &f[xq[r * k + kk] as usize & mask];
+        for (f, kk) in group.chunks_exact(codes).zip(0..k) {
+            for r in 0..R {
+                let entry = &f[rows[r][kk] as usize & mask];
                 for t in 0..LANES {
-                    s[t] += entry[t];
+                    sums[r][t] += u32::from(entry[t]);
                 }
             }
         }
@@ -1245,6 +1273,35 @@ mod tests {
         assert!(mostly_zero_codes(&[0, 0, 0, 1, 1, 1, 1, 1]));
         assert!(!mostly_zero_codes(&[0, 0, 1, 1, 1, 1, 1, 1]));
         assert!(!mostly_zero_codes(&[0, 0, 0, 1, 1, 1, 1, 1, 1]));
+    }
+
+    /// The row table's widened lane sums stay exact at their extremes: a
+    /// 2-bit table of entries within 8 of `u16::MAX`, `K = 4096` (sums
+    /// near 2^28) and `J = 9` fill exactly the 512 KiB cap; one more `k`
+    /// is over it. A kept plan reads the table at 1 and 3 rows (the odd
+    /// row runs alone) and equals naive on both sides of the cap.
+    #[test]
+    fn row_table_sums_u16_max_entries_at_the_cap() {
+        let (j, bits) = (9usize, 2u32);
+        let mut rng = Rng64::seed_from_u64(0xCA9);
+        let table: Vec<u32> = (0..16)
+            .map(|_| u32::from(u16::MAX) - rng.below(8) as u32)
+            .collect();
+        for (k, fits) in [(4096usize, true), (4097, false)] {
+            let shape = GemmShape { j, k, bits };
+            let wq: Vec<u16> = (0..j * k).map(|_| rng.below(4) as u16).collect();
+            let mut tables = PlanTables::default();
+            for m in [1usize, 3] {
+                let xq: Vec<u16> = (0..m * k).map(|_| rng.below(4) as u16).collect();
+                let mut want = vec![0i64; m * j];
+                forward_acc(Kernel::Naive, shape, &table, &wq, &xq, &mut want);
+                let plan = ForwardPlan::with_tables(Kernel::Tiled, shape, &table, &wq, &mut tables);
+                assert_eq!(plan.uses_row_table(), fits, "k={k}");
+                let mut acc = vec![i64::MIN; m * j];
+                plan.run(&xq, &mut acc);
+                assert_eq!(acc, want, "k={k} m={m}");
+            }
+        }
     }
 
     /// The labels are the `"kernel"` header of every JSON artifact.

@@ -12,11 +12,14 @@
 //! happens not to move the outputs (the sign of a zero) is still caught.
 //!
 //! Conv and linear layers run on a 7-bit unsigned table and a 7-bit
-//! signed-offset one. The eval batches step across the row-table rule
-//! (`8 · 2^7 = 1024` rows) and back, so the conv reads both the row table
-//! and the weight-row bases of the zero-code skip, each kept once built.
-//! The inputs are ReLU-like, about half zeros. The forward path is chosen
-//! per pool block, so CI runs this file at 1 and 4 threads.
+//! signed-offset one. An eval forward reads a row table at any batch size
+//! the 512 KiB cap allows: the small conv and the linear layer read one
+//! from their first eval forward, and a 16-channel conv whose table
+//! (576 KiB) is over the cap reads the weight-row bases of the zero-code
+//! skip instead, each kept once built. The eval batches change size in
+//! both directions. The inputs are ReLU-like, about half zeros. The
+//! forward path is chosen per pool block, so CI runs this file at 1 and
+//! 4 threads.
 
 use std::sync::Arc;
 
@@ -62,7 +65,7 @@ struct Subject {
     build: Box<dyn Fn() -> Box<dyn Layer>>,
     /// Every input the activation observer folded in, in order.
     observed: Vec<Tensor>,
-    /// Eval batches, run in this order: across the row-table rule and back.
+    /// Eval batches, run in this order: growing and shrinking.
     batches: Vec<Tensor>,
     /// A train input and an output gradient of its shape.
     train: (Tensor, Tensor),
@@ -195,7 +198,8 @@ fn subjects() -> Vec<Subject> {
         assert_eq!(lut.bits(), 7);
         let seed = 10 * i as u64;
         // 9 output channels: two lane groups, the second padded. 8x8
-        // images give 64 rows each, so 16 images reach the rule.
+        // images give 64 rows each, so 16 images reach the rows rule of a
+        // train forward's plan; an eval plan ignores it.
         let (l, g) = (lut.clone(), grads.clone());
         let conv = move || -> Box<dyn Layer> {
             Box::new(ApproxConv2d::new(
@@ -216,6 +220,29 @@ fn subjects() -> Vec<Subject> {
             |rng, n| relu_input(rng, &[n, 3, 8, 8]),
             &[1, 4, 16, 1, 16, 4],
             seed + 1,
+        ));
+        // 16 → 16 channels, K = 144: a 7-bit row table of 144 × 128 × 2
+        // entries of 16 bytes, 576 KiB, is over the cap at every batch.
+        let (l, g) = (lut.clone(), grads.clone());
+        let wide = move || -> Box<dyn Layer> {
+            Box::new(ApproxConv2d::new(
+                16,
+                16,
+                3,
+                1,
+                1,
+                7,
+                l.clone(),
+                g.clone(),
+                config,
+            ))
+        };
+        out.push(Subject::new(
+            &format!("{scheme} conv over the cap"),
+            Box::new(wide),
+            |rng, n| relu_input(rng, &[n, 16, 4, 4]),
+            &[1, 16, 4, 1],
+            seed + 3,
         ));
         let linear = move || -> Box<dyn Layer> {
             Box::new(ApproxLinear::new(

@@ -14,8 +14,9 @@
 //!   entries), since both Eq. 9 passes skip zero output gradients;
 //! * at the kernel level again, with one `ForwardPlan` per forward GEMM
 //!   on both sides of the row-table rule (batch rows `8 · 2^B − 1` and
-//!   `8 · 2^B`, a table over the size cap, entries that would wrap a
-//!   `u32` lane), run chunk-wise as the layers run it;
+//!   `8 · 2^B`, a table over the size cap, a largest entry of `u16::MAX`
+//!   and one past it), and with a plan that keeps its tables below the
+//!   rule, run chunk-wise as the layers run it;
 //! * at the kernel level again, along an activation-sparsity axis (zero
 //!   code shares 0 to 1, all-zero batch rows, a chunk split across the
 //!   3/8 zero-share rule), since the hoisted-row forward leaves out
@@ -32,7 +33,9 @@
 
 use std::sync::Arc;
 
-use appmult::kernels::{backward_dw, backward_dx, forward_acc, ForwardPlan, GemmShape, Kernel};
+use appmult::kernels::{
+    backward_dw, backward_dx, forward_acc, ForwardPlan, GemmShape, Kernel, PlanTables,
+};
 use appmult::mult::{Multiplier, MultiplierLut, SignMagnitudeMultiplier, TruncatedMultiplier};
 use appmult::nn::layers::Conv2dSpec;
 use appmult::nn::{Module, Tensor};
@@ -117,7 +120,7 @@ fn gemm_conforms(
     let bits = 6u32;
     let n = 1usize << bits;
     let mut rng = Rng64::seed_from_u64(seed);
-    let table: Vec<u32> = (0..n * n).map(|_| rng.next_u32() >> 14).collect();
+    let table: Vec<u32> = (0..n * n).map(|_| rng.next_u32() >> 16).collect();
     let gw: Vec<f32> = (0..n * n).map(|_| rng.uniform_f32(-3.0, 3.0)).collect();
     let gx: Vec<f32> = (0..n * n).map(|_| rng.uniform_f32(-3.0, 3.0)).collect();
     let wq: Vec<u16> = (0..j * k).map(|_| rng.below(n as u64) as u16).collect();
@@ -271,11 +274,12 @@ fn sparse_gradients_conform() {
     }
 }
 
-/// The row-table rule, restated: at least 8 batch rows per activation
-/// code and at most 512 KiB of `[u32; 8]` lane groups. (The tables below
-/// hold entries small enough that no lane can wrap.)
+/// The row-table rule of a plan that drops its tables, restated: at
+/// least 8 batch rows per activation code and at most 512 KiB of
+/// `[u16; 8]` lane groups. (The tables below hold entries that fit a
+/// `u16`, as every product table of at most 8 bits does.)
 fn row_table_expected(m: usize, j: usize, k: usize, bits: u32) -> bool {
-    m >= 8 << bits && k * (1 << bits) * j.div_ceil(8) * 32 <= 512 << 10
+    m >= 8 << bits && k * (1 << bits) * j.div_ceil(8) * 16 <= 512 << 10
 }
 
 /// [`plan_matches_naive`] on uniformly random codes.
@@ -288,10 +292,24 @@ fn plan_conforms(table: &[u32], shape: GemmShape, m: usize, seed: u64) -> bool {
     plan_matches_naive(table, shape, &wq, &xq, "random codes")
 }
 
-/// Builds one `ForwardPlan` over all of `xq`'s rows, runs it chunk-wise
-/// under pools of 1 and 3 threads, and asserts the result equals the
-/// whole-buffer naive kernel. Returns whether the plan used a row table.
+/// Builds one `ForwardPlan::new` over all of `xq`'s rows and checks it
+/// with [`run_matches_naive`]. Returns whether the plan used a row table.
 fn plan_matches_naive(
+    table: &[u32],
+    shape: GemmShape,
+    wq: &[u16],
+    xq: &[u16],
+    label: &str,
+) -> bool {
+    let plan = ForwardPlan::new(Kernel::Tiled, shape, table, wq, xq.len() / shape.k);
+    run_matches_naive(&plan, table, shape, wq, xq, label)
+}
+
+/// Runs `plan` chunk-wise over `xq` under pools of 1 and 3 threads and
+/// asserts the result equals the whole-buffer naive kernel. Returns
+/// whether the plan used a row table.
+fn run_matches_naive(
+    plan: &ForwardPlan,
     table: &[u32],
     shape: GemmShape,
     wq: &[u16],
@@ -302,7 +320,6 @@ fn plan_matches_naive(
     let m = xq.len() / k;
     let mut want = vec![0i64; m * j];
     forward_acc(Kernel::Naive, shape, table, wq, xq, &mut want);
-    let plan = ForwardPlan::new(Kernel::Tiled, shape, table, wq, m);
     for threads in [1usize, 3] {
         let mut acc = vec![i64::MIN; m * j];
         Pool::new(threads).run_rows(&mut acc, j, |mi0, chunk| {
@@ -322,7 +339,7 @@ fn forward_plan_matches_naive_on_both_sides_of_the_row_table_rule() {
     for bits in [4u32, 6, 8] {
         let n = 1usize << bits;
         let mut rng = Rng64::seed_from_u64(u64::from(bits));
-        let table: Vec<u32> = (0..n * n).map(|_| rng.next_u32() >> 14).collect();
+        let table: Vec<u32> = (0..n * n).map(|_| rng.next_u32() >> 16).collect();
         for m in [8 * n - 1, 8 * n] {
             for j in [1, 7, 8, 9, 17] {
                 for k in [1, 75, 130] {
@@ -338,18 +355,21 @@ fn forward_plan_matches_naive_on_both_sides_of_the_row_table_rule() {
         }
     }
 
-    // Over the cap: 130 × 64 codes × 3 lane groups × 32 bytes = 780 KiB.
+    // Over the cap: 130 × 64 codes × 5 lane groups × 16 bytes = 650 KiB.
     let mut rng = Rng64::seed_from_u64(6);
-    let table: Vec<u32> = (0..1 << 12).map(|_| rng.next_u32() >> 14).collect();
+    let table: Vec<u32> = (0..1 << 12).map(|_| rng.next_u32() >> 16).collect();
     let shape = GemmShape {
-        j: 17,
+        j: 33,
         k: 130,
         bits: 6,
     };
-    assert!(!plan_conforms(&table, shape, 4096, 7), "table over the cap");
+    assert!(
+        !plan_conforms(&table, shape, 8 * 64, 7),
+        "table over the cap"
+    );
 
-    // Entries that would wrap: 130 × (u32::MAX / 100) exceeds a u32
-    // lane, so the plan falls back and the i64 sums still match naive.
+    // Entries far past a u16 (and 130 of them past a u32 lane): the plan
+    // falls back and the i64 sums still match naive.
     let table: Vec<u32> = (0..1 << 8)
         .map(|i| u32::MAX / 100 - i as u32 * 1000)
         .collect();
@@ -358,7 +378,64 @@ fn forward_plan_matches_naive_on_both_sides_of_the_row_table_rule() {
         k: 130,
         bits: 4,
     };
-    assert!(!plan_conforms(&table, shape, 8 * 16, 8), "table that wraps");
+    assert!(!plan_conforms(&table, shape, 8 * 16, 8), "table past u16");
+
+    // The u16 guard's boundary: a largest copied entry of 65,535 builds
+    // the table, 65,536 refuses it. Row 0 reads that entry, so a table
+    // that truncated it would diverge from naive.
+    let shape = GemmShape {
+        j: 9,
+        k: 75,
+        bits: 6,
+    };
+    let mut rng = Rng64::seed_from_u64(9);
+    let mut table: Vec<u32> = (0..1 << 12).map(|_| rng.next_u32() >> 17).collect();
+    let mut wq: Vec<u16> = (0..9 * 75).map(|_| rng.below(64) as u16).collect();
+    let mut xq: Vec<u16> = (0..8 * 64 * 75).map(|_| rng.below(64) as u16).collect();
+    (wq[0], xq[0]) = (3, 5);
+    for (largest, builds) in [(65_535u32, true), (65_536, false)] {
+        table[(3 << 6) | 5] = largest;
+        let label = format!("largest entry {largest}");
+        let used = plan_matches_naive(&table, shape, &wq, &xq, &label);
+        assert_eq!(used, builds, "{label}");
+    }
+}
+
+/// A plan that keeps its tables (an eval layer's) reads a row table at
+/// any batch size the cap and guards allow, while a plan that drops them
+/// keeps the rows rule: one image's worth of rows, far below
+/// `8 · 2^B`, on the three `serve_vggs` conv shapes whose 7-bit row
+/// tables fit the 512 KiB cap, and `9 × 75` at 6 bits.
+#[test]
+fn kept_plans_read_the_row_table_below_the_rows_rule() {
+    let mut rng = Rng64::seed_from_u64(0x4B31);
+    for (m, j, k, bits) in [
+        (256, 8, 27, 7),
+        (256, 8, 72, 7),
+        (64, 16, 72, 7),
+        (3, 9, 75, 6),
+        (1, 9, 75, 6),
+    ] {
+        let n = 1u64 << bits;
+        let shape = GemmShape { j, k, bits };
+        assert!(m < 8 << bits);
+        let table: Vec<u32> = (0..n * n).map(|_| rng.next_u32() >> 16).collect();
+        let wq = codes(&mut rng, j * k, n, 0.0);
+        let xq = codes(&mut rng, m * k, n, 0.5);
+        let label = format!("m={m} j={j} k={k} bits={bits}");
+        assert!(
+            !plan_matches_naive(&table, shape, &wq, &xq, &label),
+            "new: {label}"
+        );
+        let mut tables = PlanTables::default();
+        for pass in ["first", "kept"] {
+            let plan = ForwardPlan::with_tables(Kernel::Tiled, shape, &table, &wq, &mut tables);
+            assert!(
+                run_matches_naive(&plan, &table, shape, &wq, &xq, &label),
+                "with_tables, {pass} plan: {label}"
+            );
+        }
+    }
 }
 
 /// `len` activation codes below `n`, each 0 with probability `zeros`
@@ -388,7 +465,7 @@ fn zero_activation_codes_conform() {
     let n = 1u64 << bits;
     let mut rng = Rng64::seed_from_u64(0x2E80);
     let table: Vec<u32> = (0..n * n)
-        .map(|i| if i % n == 0 { 0 } else { rng.next_u32() >> 14 })
+        .map(|i| if i % n == 0 { 0 } else { rng.next_u32() >> 16 })
         .collect();
     let shapes = [
         (256, 8, 27),
@@ -441,7 +518,7 @@ fn tables_with_a_nonzero_code_0_column_keep_code_0_terms() {
     let n = 1u64 << bits;
     let mut rng = Rng64::seed_from_u64(0xF411);
     let ones: Vec<u32> = (0..n * n)
-        .map(|i| if i % n == 0 { 1 } else { rng.next_u32() >> 14 })
+        .map(|i| if i % n == 0 { 1 } else { rng.next_u32() >> 16 })
         .collect();
     let offset = SignMagnitudeMultiplier::new(TruncatedMultiplier::new(bits, 6)).to_offset_lut();
     for table in [&ones[..], offset.entries()] {
