@@ -11,12 +11,12 @@ use appmult_kernels::{
     backward_dw, backward_dx, ForwardPlan, GemmShape, Kernel, PlanTables, M_TILE,
 };
 use appmult_mult::MultiplierLut;
-use appmult_nn::layers::{col2im_add, im2col_gather, nchw_to_rows, rows_to_nchw, Conv2dSpec};
+use appmult_nn::layers::{col2im_add, im2col_gather, nchw_to_rows, Conv2dSpec};
 use appmult_nn::{Module, Parameter, Tensor};
 use appmult_pool::Pool;
 
 use crate::gradient::GradientLut;
-use crate::quant::{dequantize_dot, dequantize_dot_offset, Observer, QuantParams, QuantScheme};
+use crate::quant::{Observer, QuantParams, QuantScheme};
 
 /// Quantizer configuration shared by the approximate layers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,17 +158,129 @@ impl WeightSide {
     ) {
         let (lo, hi) = weights.min_max();
         let params = scheme_params(scheme, lo, hi, bits);
-        let (wq, wclip) = quantize_slice(weights.as_slice(), &params);
+        quantize_into(weights.as_slice(), &params, &mut self.wq, &mut self.wclip);
+        let wq = &self.wq;
         self.sum_w = (0..j)
             .map(|ji| wq[ji * k..(ji + 1) * k].iter().map(|&v| i64::from(v)).sum())
             .collect();
-        self.wq = wq;
-        self.wclip = wclip;
         self.params = Some(params);
         self.plan = PlanTables::default();
         self.source = keep_copy.then(|| weights.as_slice().iter().map(|v| v.to_bits()).collect());
         (self.j, self.k) = (j, k);
         self.builds += 1;
+    }
+
+    /// The forward plan of one GEMM over `rows` batch rows of the side's
+    /// weights. An eval side keeps the plan's tables for the next batch, so
+    /// its plan reads a row table at any batch size the cap and guards
+    /// allow. A train forward's weights change before then, so its tables
+    /// go with the plan, which builds a row table only above the kernel's
+    /// rows rule.
+    fn plan<'a>(
+        &'a mut self,
+        kernel: Kernel,
+        lut: &'a MultiplierLut,
+        rows: usize,
+    ) -> ForwardPlan<'a> {
+        let shape = GemmShape {
+            j: self.j,
+            k: self.k,
+            bits: lut.bits(),
+        };
+        if self.source.is_some() {
+            ForwardPlan::with_tables(kernel, shape, lut.entries(), &self.wq, &mut self.plan)
+        } else {
+            ForwardPlan::new(kernel, shape, lut.entries(), &self.wq, rows)
+        }
+    }
+}
+
+/// Eq. 8 for the accumulators of one forward GEMM, with every term that
+/// depends on the channel alone or the batch row alone worked out once per
+/// GEMM or per row rather than per output.
+///
+/// Under the unsigned scheme an output is `dequantize_dot`'s
+/// `s_w s_x (Y - Z_x ΣW[j] - Z_w ΣX + K Z_w Z_x)`; under the offset scheme,
+/// `dequantize_dot_offset`'s `s_w s_x (Y - K · 2^(2B-1))`. Both are
+/// `(s_w s_x) · (Y - channel[j] - row) as f32` with exact `i64` terms, so
+/// regrouping them leaves every output bit as it was; the bias is added
+/// after.
+struct Epilogue<'a> {
+    /// `s_w · s_x`.
+    scale: f32,
+    /// `Z_x · ΣW[j]` per output channel; 0 under the offset scheme.
+    channel: Vec<i64>,
+    /// `Z_w`, the weight of a row's code sum; 0 under the offset scheme.
+    zw: i64,
+    /// The row term's constant part: `-K · Z_w · Z_x`, or `K · 2^(2B-1)`.
+    row_const: i64,
+    bias: &'a [f32],
+    k: usize,
+}
+
+impl<'a> Epilogue<'a> {
+    /// The epilogue of the GEMM whose operands `cache` quantized.
+    fn new(cache: &GemmCache, bias: &'a [f32]) -> Self {
+        let wp = cache.w.params.expect("cache populated");
+        let xp = cache.xq_params.expect("cache populated");
+        let k = cache.w.k;
+        let (zw, zx) = (i64::from(wp.zero_point), i64::from(xp.zero_point));
+        let (channel, zw, row_const) = match cache.scheme {
+            QuantScheme::Unsigned => (
+                cache.w.sum_w.iter().map(|&s| zx * s).collect(),
+                zw,
+                -(k as i64) * zw * zx,
+            ),
+            // Offset LUT entries already fold in the operand zero points;
+            // only the per-term 2^(2B-1) offset remains.
+            QuantScheme::SignedOffset => {
+                debug_assert_eq!(wp.bits, xp.bits, "operand widths must match");
+                (
+                    vec![0; cache.w.j],
+                    0,
+                    k as i64 * (1i64 << (2 * wp.bits - 1)),
+                )
+            }
+        };
+        Self {
+            scale: wp.scale * xp.scale,
+            channel,
+            zw,
+            row_const,
+            bias,
+            k,
+        }
+    }
+
+    /// Dequantizes the `[rows, J]` accumulators `acc` of the `[rows, K]`
+    /// codes `xq` into `out`, output `(r, j)` at `out[r · row_step + j ·
+    /// channel_step]`: `(J, 1)` writes row-major `[rows, J]`, `(1, rows)`
+    /// one image's `[J, rows]` NCHW planes.
+    fn write(
+        &self,
+        xq: &[u16],
+        acc: &[i64],
+        out: &mut [f32],
+        (row_step, channel_step): (usize, usize),
+    ) {
+        let j = self.channel.len();
+        // A row's code sum fits `u32` (which vectorizes, unlike an `i64`
+        // fold) whenever `K` of the largest `u16` codes do.
+        let narrow_sum_x = self.k as u64 * u64::from(u16::MAX) <= u64::from(u32::MAX);
+        for (r, (row, acc_row)) in xq.chunks_exact(self.k).zip(acc.chunks_exact(j)).enumerate() {
+            let sum_x = if self.zw == 0 {
+                0
+            } else if narrow_sum_x {
+                i64::from(row.iter().map(|&v| u32::from(v)).sum::<u32>())
+            } else {
+                row.iter().map(|&v| i64::from(v)).sum()
+            };
+            let row_term = self.zw * sum_x + self.row_const;
+            let terms = acc_row.iter().zip(&self.channel).zip(self.bias);
+            for (ji, ((&a, &c), &b)) in terms.enumerate() {
+                out[r * row_step + ji * channel_step] = self.scale * (a - c - row_term) as f32 + b;
+            }
+        }
     }
 }
 
@@ -293,26 +405,35 @@ fn mask_clipped(grad: &mut [f32], keep: &[bool]) {
     }
 }
 
-/// Quantizes a slice, returning codes and clip mask.
-fn quantize_slice(values: &[f32], params: &QuantParams) -> (Vec<u16>, Vec<bool>) {
-    let mut q = Vec::with_capacity(values.len());
-    let mut clip = Vec::with_capacity(values.len());
-    for &v in values {
-        let (code, keep) = params.quantize_clip(v);
-        q.push(code as u16);
-        clip.push(keep);
-    }
-    (q, clip)
+/// Quantizes `values` (Eq. 7) into `codes` and clip flags `keep`, each
+/// resized to match.
+fn quantize_into(values: &[f32], params: &QuantParams, codes: &mut Vec<u16>, keep: &mut Vec<bool>) {
+    codes.resize(values.len(), 0);
+    keep.resize(values.len(), false);
+    params.quantize_slice(values, codes, keep);
 }
 
-/// LUT forward pass: `out[m][j] = DQ(sum_k AM(Wq[j][k], Xq[m][k])) + bias[j]`.
+/// Counts a forward GEMM's nominal product-table lookups, then `J` per
+/// nonzero activation code of `xq`: the lookups a code-0 column of zeros
+/// leaves to be made.
+fn count_lookups(xq: &[u16], (m, j, k): (usize, usize, usize)) {
+    let obs = appmult_obs::global();
+    obs.counter_add("lut.lookups", (m * j * k) as u64);
+    if obs.is_enabled() {
+        let live = xq.iter().filter(|&&x| x != 0).count();
+        obs.counter_add("lut.live_lookups", (j * live) as u64);
+    }
+}
+
+/// LUT forward pass of the linear layer: `out[m][j] = DQ(sum_k
+/// AM(Wq[j][k], Xq[m][k])) + bias[j]`.
 ///
 /// Output rows are independent, so the batch dimension `M` is partitioned
 /// across the pool's workers and each worker runs the selected
 /// `appmult-kernels` engine over its chunk (tiles compose with worker
-/// chunks). The LUT accumulator is an exact `i64`, so the tiled kernel's
-/// re-association is bit-safe and the result is bit-identical for any
-/// kernel and thread count.
+/// chunks), then the [`Epilogue`]. The LUT accumulator is an exact `i64`,
+/// so the tiled kernel's re-association is bit-safe and the result is
+/// bit-identical for any kernel and thread count.
 fn gemm_forward(
     cache: &mut GemmCache,
     lut: &MultiplierLut,
@@ -320,67 +441,22 @@ fn gemm_forward(
     sched: Sched,
     kernel: Kernel,
 ) -> Tensor {
-    let obs = appmult_obs::global();
-    let _span = obs.span("gemm_forward");
+    let _span = appmult_obs::global().span("gemm_forward");
     let (m, j, k) = (cache.m, cache.w.j, cache.w.k);
-    // Nominal product-table lookups, then `J` per nonzero activation code:
-    // the lookups a code-0 column of zeros leaves to be made.
-    obs.counter_add("lut.lookups", (m * j * k) as u64);
-    if obs.is_enabled() {
-        let live = cache.xq.iter().filter(|&&x| x != 0).count();
-        obs.counter_add("lut.live_lookups", (j * live) as u64);
-    }
-    let table = lut.entries();
-    let shape = GemmShape {
-        j,
-        k,
-        bits: lut.bits(),
-    };
-    let wq_params = cache.w.params.expect("cache populated");
-    let xq_params = cache.xq_params.expect("cache populated");
-    let sum_w = &cache.w.sum_w;
-    // One plan for the whole batch, shared by every block. An eval weight
-    // side keeps the plan's tables for the next batch, so its plan reads
-    // a row table at any batch size the cap and guards allow. A train
-    // forward's weights change before then, so its tables go with the
-    // plan, which builds a row table only above the kernel's rows rule.
-    let plan = if cache.w.source.is_some() {
-        ForwardPlan::with_tables(kernel, shape, table, &cache.w.wq, &mut cache.w.plan)
-    } else {
-        ForwardPlan::new(kernel, shape, table, &cache.w.wq, m)
-    };
-    // A row's code sum fits `u32` (which vectorizes, unlike an `i64`
-    // fold) whenever `K` of the largest `u16` codes do.
-    let narrow_sum_x = k as u64 * u64::from(u16::MAX) <= u64::from(u32::MAX);
+    count_lookups(&cache.xq, (m, j, k));
+    let epilogue = Epilogue::new(cache, bias);
+    // One plan for the whole batch, shared by every block.
+    let plan = cache.w.plan(kernel, lut, m);
+    let xq = &cache.xq;
     let mut out = vec![0.0f32; m * j];
     // Per output element this GEMM performs `k` MACs.
     sched
         .forward_pool(j, k)
         .run_rows(&mut out, j, |mi0, chunk| {
-            let rows = chunk.len() / j;
-            let xq = &cache.xq[mi0 * k..(mi0 + rows) * k];
+            let xq = &xq[mi0 * k..][..chunk.len() / j * k];
             let mut acc = vec![0i64; chunk.len()];
             plan.run(xq, &mut acc);
-            for (r, (out_row, acc_row)) in chunk.chunks_mut(j).zip(acc.chunks(j)).enumerate() {
-                let row = &xq[r * k..(r + 1) * k];
-                let sum_x = if narrow_sum_x {
-                    i64::from(row.iter().map(|&v| u32::from(v)).sum::<u32>())
-                } else {
-                    row.iter().map(|&v| i64::from(v)).sum()
-                };
-                for (ji, (o, &a)) in out_row.iter_mut().zip(acc_row).enumerate() {
-                    *o = match cache.scheme {
-                        QuantScheme::Unsigned => {
-                            dequantize_dot(&wq_params, &xq_params, a, sum_w[ji], sum_x, k)
-                        }
-                        // Offset LUT entries already fold in the operand zero
-                        // points; only the per-term 2^(2B-1) offset remains.
-                        QuantScheme::SignedOffset => {
-                            dequantize_dot_offset(&wq_params, &xq_params, a, k)
-                        }
-                    } + bias[ji];
-                }
-            }
+            epilogue.write(xq, &acc, chunk, (j, 1));
         });
     Tensor::from_vec(out, &[m, j])
 }
@@ -513,41 +589,67 @@ impl DxPass<'_> {
     }
 }
 
-/// Eq. 7 for the conv, one image per pool row: quantizes each input pixel
-/// once into a per-chunk scratch buffer, keeping its clip flag, then
-/// gathers the codes straight into that image's `[OH * OW, K]` rows of
-/// `xq`. Padding taps take the code of 0.0, exactly what quantizing a
-/// zero-padded patch gives. Returns `xq` and the per-pixel flags.
-fn gather_codes(
+/// The conv's forward pass over the batch `input`, whose activation
+/// parameters `cache` already holds, in one dispatch of one image per pool
+/// row. Each image:
+///
+/// 1. quantizes its pixels once (Eq. 7) into block scratch, keeping their
+///    clip flags in its slice of `xclip`;
+/// 2. gathers the codes into its `[OH * OW, K]` rows of `xq` (kept for the
+///    backward pass); padding taps take the code of 0.0, exactly what
+///    quantizing a zero-padded patch gives;
+/// 3. runs the batch's one forward plan over those rows into a block
+///    accumulator;
+/// 4. dequantizes (Eq. 8, the [`Epilogue`]) straight into its `[J, OH *
+///    OW]` planes of the NCHW output.
+///
+/// Each image's outputs come from its own rows alone and the accumulators
+/// are exact, so the output is bit-identical for any kernel, thread count
+/// and block split.
+fn conv_forward(
+    cache: &mut GemmCache,
     input: &Tensor,
     spec: &Conv2dSpec,
-    params: &QuantParams,
-    pool: Pool,
-) -> (Vec<u16>, Vec<bool>) {
+    lut: &MultiplierLut,
+    bias: &[f32],
+    sched: Sched,
+    kernel: Kernel,
+) -> Tensor {
+    let _span = appmult_obs::global().span("gemm_forward");
     let s = input.shape();
     let (n, image) = (s[0], [1, s[1], s[2], s[3]]);
     let (oh, ow) = spec.out_hw(s[2], s[3]);
-    let plane = s[1] * s[2] * s[3];
+    let (plane, rows) = (s[1] * s[2] * s[3], oh * ow);
+    let (m, j, k) = (cache.m, cache.w.j, cache.w.k);
+    let params = cache.xq_params.expect("cache populated");
     let pad = params.quantize_clip(0.0).0 as u16;
-    let mut xq = vec![0u16; n * oh * ow * spec.patch_len()];
-    let mut xclip = vec![false; n * plane];
-    let mut slots: Vec<_> = per_image(&mut xq, n)
+    let epilogue = Epilogue::new(cache, bias);
+    let plan = cache.w.plan(kernel, lut, m);
+    cache.xq.resize(m * k, 0);
+    cache.xclip.resize(n * plane, false);
+    let mut out = vec![0.0f32; n * j * rows];
+    let mut slots: Vec<_> = per_image(&mut out, n)
         .into_iter()
-        .zip(per_image(&mut xclip, n))
+        .zip(per_image(&mut cache.xq, n))
+        .zip(per_image(&mut cache.xclip, n))
         .collect();
     let pixels = input.as_slice();
-    pool.run_rows(&mut slots, 1, |n0, chunk| {
-        let mut codes = vec![0u16; plane];
-        for (ni, (rows, clip)) in (n0..).zip(chunk) {
-            let src = &pixels[ni * plane..(ni + 1) * plane];
-            for ((code, keep), &v) in codes.iter_mut().zip(clip.iter_mut()).zip(src) {
-                let (q, kept) = params.quantize_clip(v);
-                (*code, *keep) = (q as u16, kept);
+    // The pass is the forward GEMM, `oh * ow * j` outputs of `k` MACs per
+    // image.
+    sched
+        .pool(k, rows * j)
+        .run_rows(&mut slots, 1, |n0, block| {
+            let mut codes = vec![0u16; plane];
+            let mut acc = vec![0i64; rows * j];
+            for (ni, ((y, xq), clip)) in (n0..).zip(block) {
+                params.quantize_slice(&pixels[ni * plane..][..plane], &mut codes, clip);
+                im2col_gather(&codes, &image, spec, pad, xq);
+                plan.run(xq, &mut acc);
+                epilogue.write(xq, &acc, y, (1, rows));
             }
-            im2col_gather(&codes, &image, spec, pad, rows);
-        }
-    });
-    (xq, xclip)
+        });
+    count_lookups(&cache.xq, (m, j, k));
+    Tensor::from_vec(out, &[n, j, oh, ow])
 }
 
 /// The conv's input gradient, one image per pool row: runs the image's
@@ -588,6 +690,14 @@ fn conv_input_grad(
 /// by an EMA observer (calibrated on the first batch even in eval mode, so
 /// a freshly converted model can be evaluated before retraining, as in
 /// Table II's "initial accuracy" column).
+///
+/// A forward pass is one pool dispatch over the batch's images. Each image
+/// is quantized (Eq. 7) pixel by pixel, its codes are gathered into patch
+/// rows, the LUT-GEMM runs over those rows, and its outputs are
+/// dequantized (Eq. 8) straight into the image's NCHW planes; the patch
+/// rows and pixel clip flags stay for the backward pass. Train and eval
+/// forwards run the same pass, and its output is bit-identical to
+/// unfolding the input first, for any kernel and thread count.
 ///
 /// # Example
 ///
@@ -753,25 +863,22 @@ impl ApproxConv2d {
         let bits = self.lut.bits();
 
         let xq_params = activation_params(&mut self.observer, input, train, self.scheme, bits);
-        let (m, j, k) = (n * oh * ow, self.spec.out_channels, self.spec.patch_len());
+        let (j, k) = (self.spec.out_channels, self.spec.patch_len());
         let cache = &mut self.cache;
         cache
             .w
             .refresh(&self.weight.value, (j, k), self.scheme, bits, train);
-        // The image pass feeds the forward GEMM, `oh * ow * j` outputs of
-        // `k` MACs per image.
-        let pool = sched.pool(k, oh * ow * j);
-        (cache.xq, cache.xclip) = gather_codes(input, &self.spec, &xq_params, pool);
-        (cache.xq_params, cache.scheme, cache.m) = (Some(xq_params), self.scheme, m);
+        (cache.xq_params, cache.scheme, cache.m) = (Some(xq_params), self.scheme, n * oh * ow);
         self.input_hw = (n, h, w);
-        let rows = gemm_forward(
-            &mut self.cache,
+        conv_forward(
+            cache,
+            input,
+            &self.spec,
             &self.lut,
             self.bias.value.as_slice(),
             sched,
             self.kernel,
-        );
-        rows_to_nchw(&rows, n, j, oh, ow)
+        )
     }
 
     /// [`Module::backward`], with every dispatch scheduled by `sched`.
@@ -930,7 +1037,12 @@ impl Module for ApproxLinear {
         cache
             .w
             .refresh(&self.weight.value, shape, self.scheme, bits, train);
-        (cache.xq, cache.xclip) = quantize_slice(input.as_slice(), &xq_params);
+        quantize_into(
+            input.as_slice(),
+            &xq_params,
+            &mut cache.xq,
+            &mut cache.xclip,
+        );
         (cache.xq_params, cache.scheme, cache.m) = (Some(xq_params), self.scheme, input.shape()[0]);
         gemm_forward(
             &mut self.cache,
@@ -1720,6 +1832,80 @@ mod tests {
     }
 
     #[test]
+    fn epilogue_is_dequantize_dot_bit_for_bit() {
+        // Random accumulators (including ones far past any real GEMM's),
+        // codes and bias, under both schemes and both output layouts.
+        use crate::quant::{dequantize_dot, dequantize_dot_offset};
+        let mut rng = appmult_rng::Rng64::seed_from_u64(0xE91);
+        let (rows, j, k) = (7usize, 5usize, 13usize);
+        for (scheme, wp, xp) in [
+            (
+                QuantScheme::Unsigned,
+                QuantParams::from_range(-0.8, 0.6, 7),
+                QuantParams::from_range(-1.1, 2.3, 7),
+            ),
+            (
+                QuantScheme::SignedOffset,
+                QuantParams::signed_symmetric(0.9, 6),
+                QuantParams::signed_symmetric(2.1, 6),
+            ),
+        ] {
+            let codes = |rng: &mut appmult_rng::Rng64, n: usize| -> Vec<u16> {
+                (0..n).map(|_| rng.below(1 << wp.bits) as u16).collect()
+            };
+            let mut cache = GemmCache {
+                xq: codes(&mut rng, rows * k),
+                xq_params: Some(xp),
+                scheme,
+                m: rows,
+                ..GemmCache::default()
+            };
+            cache.w.wq = codes(&mut rng, j * k);
+            cache.w.sum_w = cache
+                .w
+                .wq
+                .chunks(k)
+                .map(|r| r.iter().map(|&v| i64::from(v)).sum())
+                .collect();
+            (cache.w.params, cache.w.j, cache.w.k) = (Some(wp), j, k);
+            let acc: Vec<i64> = (0..rows * j)
+                .map(|i| match i % 3 {
+                    0 => rng.below(1 << 20) as i64,
+                    1 => rng.next_u64() as i64 >> 20,
+                    _ => 0,
+                })
+                .collect();
+            let bias: Vec<f32> = (0..j).map(|_| rng.uniform_f32(-0.5, 0.5)).collect();
+            let epilogue = Epilogue::new(&cache, &bias);
+            let (mut by_row, mut by_channel) = (vec![0.0f32; rows * j], vec![0.0f32; rows * j]);
+            epilogue.write(&cache.xq, &acc, &mut by_row, (j, 1));
+            epilogue.write(&cache.xq, &acc, &mut by_channel, (1, rows));
+            for r in 0..rows {
+                let sum_x = cache.xq[r * k..][..k].iter().map(|&v| i64::from(v)).sum();
+                for ji in 0..j {
+                    let a = acc[r * j + ji];
+                    let want = match scheme {
+                        QuantScheme::Unsigned => {
+                            dequantize_dot(&wp, &xp, a, cache.w.sum_w[ji], sum_x, k)
+                        }
+                        QuantScheme::SignedOffset => dequantize_dot_offset(&wp, &xp, a, k),
+                    } + bias[ji];
+                    assert_eq!(
+                        by_row[r * j + ji].to_bits(),
+                        want.to_bits(),
+                        "{scheme:?} ({r}, {ji})"
+                    );
+                    assert_eq!(
+                        by_channel[ji * rows + r].to_bits(),
+                        want.to_bits(),
+                        "{scheme:?} ({r}, {ji})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn parallel_gemm_is_bit_identical_to_serial() {
         // Shapes deliberately not divisible by the worker counts, single-row
         // and single-column degenerate cases, and one shape one past the
@@ -1740,8 +1926,9 @@ mod tests {
 
     #[test]
     fn conv_image_partition_is_bit_identical_to_serial() {
-        // The conv's glue runs one image per pool row: the quantize-gather
-        // in forward, the dX -> col2im fold in backward. With no floor,
+        // The conv runs one image per pool row: the whole forward
+        // (quantize, gather, LUT-GEMM, dequantize), and the dX -> col2im
+        // fold in backward. With no floor,
         // every worker count must reproduce the serial naive run bit for
         // bit, on padded and strided specs with clipped (NaN, huge)
         // pixels, including batches smaller than the worker count.
@@ -1805,9 +1992,9 @@ mod tests {
         // Under the real PAR_FLOOR_MACS scheduling every dispatch splits
         // into floor-sized blocks that threads claim on demand. LeNet
         // conv1 on perfbench's 16x16 input (M = 144 per image) splits its
-        // forward into 16 blocks at two workers; the VGG-S stage-3 shape
-        // (4x4, M = 16 per image) runs its batch-1 forward serially, below
-        // one kernel M tile, while its dW still splits. Forward output,
+        // forward into 16 blocks of two images at two workers; the VGG-S
+        // stage-3 shape (4x4, M = 16 per image) runs its batch-1 forward
+        // serially, as one image, while its dW still splits. Forward output,
         // input gradient and dW must match the serial run bit for bit.
         let lut = Arc::new(TruncatedMultiplier::new(8, 6).to_lut());
         let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(8)));

@@ -123,6 +123,7 @@ pub fn im2col_gather<T: Copy>(
             image
         };
         match geo.k {
+            1 => geo.gather::<T, 1>(src, rows),
             3 => geo.gather::<T, 3>(src, rows),
             5 => geo.gather::<T, 5>(src, rows),
             _ => geo.gather::<T, 0>(src, rows),
@@ -181,6 +182,7 @@ pub fn col2im_add(cols: &[f32], shape: &[usize], spec: &Conv2dSpec, out: &mut [f
             &mut *image
         };
         match geo.k {
+            1 => geo.fold::<1>(rows, dst),
             3 => geo.fold::<3>(rows, dst),
             5 => geo.fold::<5>(rows, dst),
             _ => geo.fold::<0>(rows, dst),

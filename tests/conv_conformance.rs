@@ -5,10 +5,11 @@
 //! first and quantizes every patch element with `QuantParams::quantize` /
 //! `in_range`, then runs the naive LUT-GEMM kernels. Quantization is
 //! elementwise and padding maps to the code of 0.0, so both orders must
-//! agree bit for bit: forward output (train and eval mode), input
-//! gradient and weight gradient, under both quantization schemes, both
-//! kernels, and 1 and 3 pool threads, on random shapes with NaN,
-//! infinite and out-of-range inputs.
+//! agree bit for bit: forward output (train mode, then two eval-mode
+//! forwards, the first building the eval weight side and the second
+//! reading it), input gradient and weight gradient, under both
+//! quantization schemes, both kernels, and 1 and 3 pool threads, on
+//! random shapes with NaN, infinite and out-of-range inputs.
 //!
 //! A second test checks the patch-row geometry underneath, the slice-level
 //! `im2col_gather` and `col2im_add`, against a tap-by-tap definition. Only
@@ -39,6 +40,9 @@ struct Case {
     kernel: usize,
     stride: usize,
     padding: usize,
+    /// Inputs and calibration batch past a ReLU: no negative values, many
+    /// exact zeros, so unsigned codes are mostly the zero point 0.
+    relu: bool,
     seed: u64,
 }
 
@@ -68,13 +72,18 @@ fn odd_size(rng: &mut Rng64, lo: usize) -> usize {
     (lo | 1) + 2 * rng.below(5) as usize
 }
 
-/// Corner cases first (a shape above the parallel floor, an empty batch,
-/// a 1x1 input under a 5x5 kernel, LeNet conv1 at a batch of 4, whose
-/// per-image passes split 2 + 1 + 1 over 3 threads, and a padded conv
-/// with 9 output channels whose 512 batch rows reach the forward
-/// row-table rule for 6-bit codes exactly), then seeded random shapes.
+/// Corner cases first, then seeded random shapes. The corners: a shape
+/// above the parallel floor, an empty batch, a 1x1 input under a 5x5
+/// kernel, LeNet conv1 at a batch of 4, whose per-image passes split
+/// 2 + 1 + 1 over 3 threads, a padded conv with 9 output channels whose
+/// 512 batch rows reach a train forward's row-table rule for 6-bit codes
+/// exactly, a batch of one image, and a 1x1 conv over a batch of 5, which
+/// splits 2 + 2 + 1 over 3 threads. Last, past a ReLU, a 9-channel conv
+/// with `K` = 300 whose 600 KiB row table the 512 KiB cap refuses even in
+/// eval, so every forward takes the zero-code skip, at a batch of 5.
 fn generate(rng: &mut Rng64, case: usize) -> Case {
     let seed = rng.next_u64();
+    let relu = false;
     match case {
         0 => Case {
             n: 3,
@@ -85,6 +94,7 @@ fn generate(rng: &mut Rng64, case: usize) -> Case {
             kernel: 5,
             stride: 1,
             padding: 2,
+            relu,
             seed,
         },
         1 => Case {
@@ -96,6 +106,7 @@ fn generate(rng: &mut Rng64, case: usize) -> Case {
             kernel: 3,
             stride: 2,
             padding: 1,
+            relu,
             seed,
         },
         2 => Case {
@@ -107,6 +118,7 @@ fn generate(rng: &mut Rng64, case: usize) -> Case {
             kernel: 5,
             stride: 3,
             padding: 2,
+            relu,
             seed,
         },
         3 => Case {
@@ -118,6 +130,7 @@ fn generate(rng: &mut Rng64, case: usize) -> Case {
             kernel: 5,
             stride: 1,
             padding: 0,
+            relu,
             seed,
         },
         4 => Case {
@@ -129,6 +142,43 @@ fn generate(rng: &mut Rng64, case: usize) -> Case {
             kernel: 3,
             stride: 1,
             padding: 1,
+            relu,
+            seed,
+        },
+        5 => Case {
+            n: 1,
+            cin: 3,
+            cout: 5,
+            h: 9,
+            w: 7,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+            relu,
+            seed,
+        },
+        6 => Case {
+            n: 5,
+            cin: 4,
+            cout: 3,
+            h: 6,
+            w: 5,
+            kernel: 1,
+            stride: 2,
+            padding: 0,
+            relu,
+            seed,
+        },
+        7 => Case {
+            n: 5,
+            cin: 12,
+            cout: 9,
+            h: 5,
+            w: 5,
+            kernel: 5,
+            stride: 1,
+            padding: 2,
+            relu: true,
             seed,
         },
         _ => {
@@ -136,7 +186,7 @@ fn generate(rng: &mut Rng64, case: usize) -> Case {
             let padding = rng.below(3) as usize;
             let lo = kernel.saturating_sub(2 * padding).max(1);
             Case {
-                n: rng.below(4) as usize,
+                n: rng.below(6) as usize,
                 cin: 1 + rng.below(3) as usize,
                 cout: 1 + rng.below(4) as usize,
                 h: odd_size(rng, lo),
@@ -144,6 +194,7 @@ fn generate(rng: &mut Rng64, case: usize) -> Case {
                 kernel,
                 stride: 1 + rng.below(3) as usize,
                 padding,
+                relu: rng.below(2) == 0,
                 seed,
             }
         }
@@ -183,6 +234,10 @@ fn shrink(c: &Case) -> Vec<Case> {
         },
         Case {
             padding: dec(c.padding),
+            ..c.clone()
+        },
+        Case {
+            relu: false,
             ..c.clone()
         },
     ];
@@ -248,18 +303,28 @@ fn operands(c: &Case) -> Operands {
     let spec = c.spec();
     let (oh, ow) = spec.out_hw(c.h, c.w);
     let shape = [c.n, c.cin, c.h, c.w];
+    let lo = if c.relu { 0.0 } else { -1.0 };
+    let mut x = hostile(&mut rng, shape.iter().product());
+    if c.relu {
+        // NaN passes, as a NaN passes `Relu`.
+        for v in &mut x {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+    }
     Operands {
         weight: random(&mut rng, &[c.cout, spec.patch_len()], -0.8, 0.6),
         bias: random(&mut rng, &[c.cout], -0.2, 0.2),
-        calibration: random(&mut rng, &[1, c.cin, c.h, c.w], -1.0, 1.5),
-        x: Tensor::from_vec(hostile(&mut rng, shape.iter().product()), &shape),
+        calibration: random(&mut rng, &[1, c.cin, c.h, c.w], lo, 1.5),
+        x: Tensor::from_vec(x, &shape),
         g: random(&mut rng, &[c.n, c.cout, oh, ow], -1.0, 1.0),
     }
 }
 
-/// `(train-mode forward, eval-mode forward, input gradient, weight
-/// gradient)` as bit patterns.
-type Outputs = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>);
+/// `(train-mode forward, the eval-mode forwards after it, input gradient,
+/// weight gradient)` as bit patterns.
+type Outputs = (Vec<u32>, [Vec<u32>; 2], Vec<u32>, Vec<u32>);
 
 /// The seed algorithm: f32 im2col, per-element quantization, naive
 /// single-threaded LUT-GEMM kernels, clip masks, col2im.
@@ -364,7 +429,7 @@ fn reference(
     // An eval-mode forward of the same batch leaves the observer as it
     // is, so it quantizes exactly as the train-mode one did.
     let y = bits_of(&y);
-    (y.clone(), y, bits_of(&dx), bits_of(&wgrad))
+    (y.clone(), [y.clone(), y], bits_of(&dx), bits_of(&wgrad))
 }
 
 fn layer_run(
@@ -387,14 +452,16 @@ fn layer_run(
     conv.forward(&ops.calibration, true);
     let y = conv.forward(&ops.x, true);
     let dx = conv.backward(&ops.g);
-    let y_eval = conv.forward(&ops.x, false);
+    // The first eval forward after a train forward builds the weight
+    // side and plan tables it keeps; the second reads them.
+    let y_eval = [0, 1].map(|_| bits_of(&conv.forward(&ops.x, false)));
     let mut wgrad = Vec::new();
     conv.visit_params(&mut |p| {
         if p.value.shape().len() == 2 {
             wgrad = bits_of(&p.grad);
         }
     });
-    (bits_of(&y), bits_of(&y_eval), bits_of(&dx), wgrad)
+    (bits_of(&y), y_eval, bits_of(&dx), wgrad)
 }
 
 #[test]
