@@ -2,7 +2,8 @@
 //! `grad_matrix --hws 0` and `grad_matrix --lsq-window 0` exit with
 //! status 2 and name the flag, before any pretraining starts (a run that
 //! got that far would take tens of seconds, not the fraction of one these
-//! take).
+//! take). So are `fig3 --hws 0` and a `fig3 --wf` past its 7-bit
+//! multiplier's operand range.
 
 use std::process::Command;
 
@@ -28,4 +29,12 @@ fn zero_windows_exit_2_naming_the_flag() {
     assert_usage_error(fault_sweep, &["--bits", "6", "--hws", "0"], "hws");
     assert_usage_error(grad_matrix, &["--hws", "0"], "hws");
     assert_usage_error(grad_matrix, &["--lsq-window", "0"], "lsq-window");
+}
+
+#[test]
+fn fig3_rejects_a_zero_window_and_an_out_of_range_weight() {
+    let fig3 = env!("CARGO_BIN_EXE_fig3");
+    assert_usage_error(fig3, &["--hws", "0"], "hws");
+    assert_usage_error(fig3, &["--wf", "200"], "wf");
+    assert_usage_error(fig3, &["--wf", "128"], "wf");
 }

@@ -7,9 +7,7 @@
 
 use std::sync::Arc;
 
-use appmult_kernels::{
-    backward_dw, backward_dx, ForwardPlan, GemmShape, Kernel, PlanTables, M_TILE,
-};
+use appmult_kernels::{backward_dw, backward_dx, ForwardPlan, GemmShape, Kernel, PlanTables};
 use appmult_mult::MultiplierLut;
 use appmult_nn::layers::{col2im_add, im2col_gather, nchw_to_rows, Conv2dSpec};
 use appmult_nn::{Module, Parameter, Tensor};
@@ -253,17 +251,10 @@ impl<'a> Epilogue<'a> {
     }
 
     /// Dequantizes the `[rows, J]` accumulators `acc` of the `[rows, K]`
-    /// codes `xq` into `out`, output `(r, j)` at `out[r · row_step + j ·
-    /// channel_step]`: `(J, 1)` writes row-major `[rows, J]`, `(1, rows)`
-    /// one image's `[J, rows]` NCHW planes.
-    fn write(
-        &self,
-        xq: &[u16],
-        acc: &[i64],
-        out: &mut [f32],
-        (row_step, channel_step): (usize, usize),
-    ) {
+    /// codes `xq` into one image's `[J, rows]` NCHW planes `out`.
+    fn write(&self, xq: &[u16], acc: &[i64], out: &mut [f32]) {
         let j = self.channel.len();
+        let rows = acc.len() / j.max(1);
         // A row's code sum fits `u32` (which vectorizes, unlike an `i64`
         // fold) whenever `K` of the largest `u16` codes do.
         let narrow_sum_x = self.k as u64 * u64::from(u16::MAX) <= u64::from(u32::MAX);
@@ -278,7 +269,7 @@ impl<'a> Epilogue<'a> {
             let row_term = self.zw * sum_x + self.row_const;
             let terms = acc_row.iter().zip(&self.channel).zip(self.bias);
             for (ji, ((&a, &c), &b)) in terms.enumerate() {
-                out[r * row_step + ji * channel_step] = self.scale * (a - c - row_term) as f32 + b;
+                out[ji * rows + r] = self.scale * (a - c - row_term) as f32 + b;
             }
         }
     }
@@ -290,7 +281,7 @@ impl<'a> Epilogue<'a> {
 struct GemmCache {
     w: WeightSide,
     xq: Vec<u16>,     // [M, K] quantized activations
-    xclip: Vec<bool>, // Q'(x) != 0 per layer input element (per NCHW pixel for the conv)
+    xclip: Vec<bool>, // Q'(x) != 0 per NCHW input pixel
     xq_params: Option<QuantParams>,
     scheme: QuantScheme,
     m: usize,
@@ -370,17 +361,6 @@ impl Sched {
         let floor = (self.floor_macs / reduction.max(1)).div_ceil(per_unit.max(1));
         self.pool.with_min_elems(floor)
     }
-
-    /// The pool for the forward GEMM of `j` outputs per batch row and `k`
-    /// MACs each: the GEMM floor, raised to one kernel M tile of rows so
-    /// that each block's hoisted LUT rows serve at least one full tile.
-    fn forward_pool(&self, j: usize, k: usize) -> Pool {
-        let pool = self.pool(k, 1);
-        if self.floor_macs == 0 {
-            return pool;
-        }
-        pool.with_min_elems(pool.min_elems().max(M_TILE * j))
-    }
 }
 
 /// Splits `data` into `n` consecutive equal slices, one per image (all
@@ -425,45 +405,9 @@ fn count_lookups(xq: &[u16], (m, j, k): (usize, usize, usize)) {
     }
 }
 
-/// LUT forward pass of the linear layer: `out[m][j] = DQ(sum_k
-/// AM(Wq[j][k], Xq[m][k])) + bias[j]`.
-///
-/// Output rows are independent, so the batch dimension `M` is partitioned
-/// across the pool's workers and each worker runs the selected
-/// `appmult-kernels` engine over its chunk (tiles compose with worker
-/// chunks), then the [`Epilogue`]. The LUT accumulator is an exact `i64`,
-/// so the tiled kernel's re-association is bit-safe and the result is
-/// bit-identical for any kernel and thread count.
-fn gemm_forward(
-    cache: &mut GemmCache,
-    lut: &MultiplierLut,
-    bias: &[f32],
-    sched: Sched,
-    kernel: Kernel,
-) -> Tensor {
-    let _span = appmult_obs::global().span("gemm_forward");
-    let (m, j, k) = (cache.m, cache.w.j, cache.w.k);
-    count_lookups(&cache.xq, (m, j, k));
-    let epilogue = Epilogue::new(cache, bias);
-    // One plan for the whole batch, shared by every block.
-    let plan = cache.w.plan(kernel, lut, m);
-    let xq = &cache.xq;
-    let mut out = vec![0.0f32; m * j];
-    // Per output element this GEMM performs `k` MACs.
-    sched
-        .forward_pool(j, k)
-        .run_rows(&mut out, j, |mi0, chunk| {
-            let xq = &xq[mi0 * k..][..chunk.len() / j * k];
-            let mut acc = vec![0i64; chunk.len()];
-            plan.run(xq, &mut acc);
-            epilogue.write(xq, &acc, chunk, (j, 1));
-        });
-    Tensor::from_vec(out, &[m, j])
-}
-
-/// LUT backward pass (Eq. 9) for `g = dL/d(out)`: runs the `dW` half and
-/// returns it with the `dX` half, which each layer runs in its own
-/// partition ([`DxPass`]).
+/// LUT backward pass (Eq. 9) for the `[M, J]` `g = dL/d(out)`: runs the
+/// `dW` half and returns it with the `dX` half ([`DxPass`]), which the conv
+/// folds into its input gradient one image at a time.
 ///
 /// The `dW` half is partitioned over the output-channel dimension `J`
 /// (each worker owns whole `dw` rows and accumulates over `M` in
@@ -542,9 +486,8 @@ fn gemm_backward<'a>(
 }
 
 /// The `dX` half of one Eq. 9 backward pass, `dL/dx = dL/dy * s_w *
-/// (dAM/dX - Z_w)` per `[M, K]` operand element, gated by Q'(x). The conv
-/// folds it into its input gradient one image at a time; the linear layer
-/// partitions it by batch rows.
+/// (dAM/dX - Z_w)` per `[M, K]` operand element, gated by Q'(x) once the
+/// conv has folded it into its input pixels.
 struct DxPass<'a> {
     cache: &'a GemmCache,
     kernel: Kernel,
@@ -572,20 +515,6 @@ impl DxPass<'_> {
             self.zero,
             dx,
         );
-    }
-
-    /// The masked `[M, K]` `dX`, row-partitioned over the batch: the
-    /// linear layer's input gradient, whose input elements are the GEMM
-    /// operand's.
-    fn rows(&self, sched: Sched) -> Tensor {
-        let (m, j, k) = (self.cache.m, self.shape.j, self.shape.k);
-        let mut dx = vec![0.0f32; m * k];
-        // Per dx element: `j` gradient-table MACs.
-        sched.pool(j, 1).run_rows(&mut dx, k, |mi0, chunk| {
-            self.add_rows(mi0, chunk);
-            mask_clipped(chunk, &self.cache.xclip[mi0 * k..mi0 * k + chunk.len()]);
-        });
-        Tensor::from_vec(dx, &[m, k])
     }
 }
 
@@ -645,7 +574,7 @@ fn conv_forward(
                 params.quantize_slice(&pixels[ni * plane..][..plane], &mut codes, clip);
                 im2col_gather(&codes, &image, spec, pad, xq);
                 plan.run(xq, &mut acc);
-                epilogue.write(xq, &acc, y, (1, rows));
+                epilogue.write(xq, &acc, y);
             }
         });
     count_lookups(&cache.xq, (m, j, k));
@@ -806,14 +735,8 @@ impl ApproxConv2d {
         }
     }
 
-    /// The GEMM kernel this layer runs ([`Kernel::global`] at
-    /// construction).
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Overrides the GEMM kernel for this layer (e.g. to cross-check
-    /// tiled vs naive in tests).
+    /// Overrides the GEMM kernel for this layer, [`Kernel::global`] at
+    /// construction (e.g. to cross-check tiled vs naive in tests).
     pub fn set_kernel(&mut self, kernel: Kernel) {
         self.kernel = kernel;
     }
@@ -821,11 +744,6 @@ impl ApproxConv2d {
     /// The shape specification.
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
-    }
-
-    /// The product LUT driving the forward pass.
-    pub fn lut(&self) -> &Arc<MultiplierLut> {
-        &self.lut
     }
 
     /// Normalized weight/activation code histograms from the most recent
@@ -921,17 +839,11 @@ impl Module for ApproxConv2d {
 }
 
 /// A fully connected layer with AppMult LUT forward and gradient-LUT
-/// backward, mirroring [`ApproxConv2d`] for `[N, in]` batches.
+/// backward: an [`ApproxConv2d`] with a 1×1 kernel, run over the `[N, in]`
+/// batch as `[N, in, 1, 1]` images.
 #[derive(Debug)]
 pub struct ApproxLinear {
-    weight: Parameter, // [out, in]
-    bias: Parameter,
-    lut: Arc<MultiplierLut>,
-    grads: Arc<GradientLut>,
-    observer: Observer,
-    scheme: QuantScheme,
-    cache: GemmCache,
-    kernel: Kernel,
+    conv: ApproxConv2d,
 }
 
 impl ApproxLinear {
@@ -949,11 +861,12 @@ impl ApproxLinear {
         Self::with_params(weight, Tensor::zeros(&[out_features]), lut, grads, config)
     }
 
-    /// Wraps existing float weights.
+    /// Wraps existing `[out, in]` float weights.
     ///
     /// # Panics
     ///
-    /// Panics if `weight` is not rank 2, `bias` does not match its first
+    /// Panics if `weight` is not rank 2, or as
+    /// [`ApproxConv2d::with_params`] does: `bias` does not match its first
     /// dimension, the LUT bit widths disagree, or the gradient tables fail
     /// [`GradientLut::validate`].
     pub fn with_params(
@@ -963,118 +876,75 @@ impl ApproxLinear {
         grads: Arc<GradientLut>,
         config: QuantConfig,
     ) -> Self {
-        assert_eq!(weight.shape().len(), 2, "weight must be [out, in]");
-        assert_eq!(bias.shape(), &[weight.shape()[0]], "bias shape mismatch");
-        assert_eq!(lut.bits(), grads.bits(), "LUT bit widths disagree");
-        if let Err(e) = grads.validate() {
-            panic!("gradient LUT rejected: {e}");
-        }
+        let &[out_channels, in_channels] = weight.shape() else {
+            panic!("weight must be [out, in]");
+        };
+        let spec = Conv2dSpec {
+            in_channels,
+            out_channels,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+        };
         Self {
-            weight: Parameter::new(weight, true),
-            bias: Parameter::new(bias, false),
-            lut,
-            grads,
-            observer: Observer::new(config.ema_momentum),
-            scheme: config.scheme,
-            cache: GemmCache::default(),
-            kernel: Kernel::global(),
+            conv: ApproxConv2d::with_params(spec, weight, bias, lut, grads, config),
         }
     }
 
-    /// The GEMM kernel this layer runs ([`Kernel::global`] at
-    /// construction).
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Overrides the GEMM kernel for this layer (e.g. to cross-check
-    /// tiled vs naive in tests).
+    /// Overrides the GEMM kernel for this layer, [`Kernel::global`] at
+    /// construction (e.g. to cross-check tiled vs naive in tests).
     pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
+        self.conv.set_kernel(kernel);
     }
 
     /// Output feature count.
     pub fn out_features(&self) -> usize {
-        self.weight.value.shape()[0]
+        self.conv.spec.out_channels
     }
 
     /// Input feature count.
     pub fn in_features(&self) -> usize {
-        self.weight.value.shape()[1]
+        self.conv.spec.in_channels
     }
 
-    /// Normalized weight/activation code histograms from the most recent
-    /// forward pass. `None` before the first forward.
+    /// See [`ApproxConv2d::operand_histograms`].
     pub fn operand_histograms(&self) -> Option<(Vec<f64>, Vec<f64>)> {
-        self.cache.operand_histograms(self.lut.bits())
+        self.conv.operand_histograms()
     }
 
-    /// Number of batches the activation observer rejected for non-finite
-    /// extrema (see [`Observer::rejected`]).
+    /// See [`ApproxConv2d::observer_rejections`].
     pub fn observer_rejections(&self) -> usize {
-        self.observer.rejected()
+        self.conv.observer_rejections()
     }
 
-    /// How many times the weight side (the quantized weights, their
-    /// per-row code sums and the forward plan's tables) has been rebuilt:
-    /// once per train forward, and once per eval forward whose weights
-    /// differ bit for bit from the last eval build's. Flat across eval
-    /// batches with unchanged weights.
+    /// See [`ApproxConv2d::sum_w_rebuilds`].
     pub fn sum_w_rebuilds(&self) -> u64 {
-        self.cache.w.builds
+        self.conv.sum_w_rebuilds()
     }
 }
 
 impl Module for ApproxLinear {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let _span = appmult_obs::global().span("linear.forward");
-        assert_eq!(input.shape().len(), 2, "expected [N, in] input");
-        assert_eq!(input.shape()[1], self.in_features(), "feature mismatch");
-        let bits = self.lut.bits();
-        let xq_params = activation_params(&mut self.observer, input, train, self.scheme, bits);
-        let shape = (self.out_features(), self.in_features());
-        let cache = &mut self.cache;
-        cache
-            .w
-            .refresh(&self.weight.value, shape, self.scheme, bits, train);
-        quantize_into(
-            input.as_slice(),
-            &xq_params,
-            &mut cache.xq,
-            &mut cache.xclip,
-        );
-        (cache.xq_params, cache.scheme, cache.m) = (Some(xq_params), self.scheme, input.shape()[0]);
-        gemm_forward(
-            &mut self.cache,
-            &self.lut,
-            self.bias.value.as_slice(),
-            Sched::global(),
-            self.kernel,
-        )
+        let &[n, features] = input.shape() else {
+            panic!("expected [N, in] input");
+        };
+        assert_eq!(features, self.in_features(), "feature mismatch");
+        let y = self
+            .conv
+            .forward(&input.reshape(&[n, features, 1, 1]), train);
+        y.reshape(&[n, self.out_features()])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let _span = appmult_obs::global().span("linear.backward");
-        assert!(self.cache.populated(), "backward before forward");
-        let sched = Sched::global();
-        let (dw, dx) = gemm_backward(&self.cache, &self.grads, grad_out, sched, self.kernel);
-        let dx = dx.rows(sched);
-        self.weight.grad.add_scaled(&dw, 1.0);
-        let jdim = self.out_features();
-        {
-            let db = self.bias.grad.as_mut_slice();
-            for row in grad_out.as_slice().chunks(jdim) {
-                for (d, g) in db.iter_mut().zip(row) {
-                    *d += g;
-                }
-            }
-        }
-        dx
+        let (n, j) = (grad_out.shape()[0], self.out_features());
+        let dx = self.conv.backward(&grad_out.reshape(&[n, j, 1, 1]));
+        dx.reshape(&[n, self.in_features()])
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
-        visitor(&mut self.weight);
-        visitor(&mut self.bias);
+        self.conv.visit_params(visitor);
     }
 }
 
@@ -1173,12 +1043,12 @@ mod tests {
         approx.backward(&g);
 
         // Reference: dW[j][k] = sum_m g[m][j] * xhat[m][k]
-        let xq = approx.cache.xq_params.expect("populated");
+        let xq = approx.conv.cache.xq_params.expect("populated");
         let mut expect = vec![0.0f32; 2 * 3];
         for m in 0..4 {
             for j in 0..2 {
                 for k in 0..3 {
-                    let code = approx.cache.xq[m * 3 + k];
+                    let code = approx.conv.cache.xq[m * 3 + k];
                     expect[j * 3 + k] += g.at(&[m, j]) * xq.dequantize(code.into());
                 }
             }
@@ -1301,7 +1171,7 @@ mod tests {
             let g = ramp(&[m, j], 0.9);
             let dx = layer.backward(&g);
 
-            let c = &layer.cache;
+            let c = &layer.conv.cache;
             let wqp = c.w.params.expect("populated");
             let xqp = c.xq_params.expect("populated");
             // dX: dL/dx[mi][kk] = sum_j g * s_w * (gX(w, x) - Z_w), gated
@@ -1341,7 +1211,7 @@ mod tests {
                     if !c.w.wclip[ji * k + kk] {
                         expect = 0.0;
                     }
-                    let got = layer.weight.grad.at(&[ji, kk]);
+                    let got = layer.conv.weight.grad.at(&[ji, kk]);
                     assert!(
                         (got - expect).abs() < 1e-4,
                         "{label}: dW[{ji},{kk}] = {got} vs {expect}"
@@ -1462,7 +1332,7 @@ mod tests {
             let g = ramp(&[m, j], 0.9);
             let dx = layer.backward(&g);
 
-            let c = &layer.cache;
+            let c = &layer.conv.cache;
             let wqp = c.w.params.expect("populated");
             let xqp = c.xq_params.expect("populated");
             assert_eq!(wqp.zero_point, 128, "{label}: signed weight zero point");
@@ -1498,7 +1368,7 @@ mod tests {
                     if !c.w.wclip[ji * k + kk] {
                         expect = 0.0;
                     }
-                    let got = layer.weight.grad.at(&[ji, kk]);
+                    let got = layer.conv.weight.grad.at(&[ji, kk]);
                     assert!(
                         (got - expect).abs() < 1e-4,
                         "{label}: dW[{ji},{kk}] = {got} vs {expect}"
@@ -1527,12 +1397,12 @@ mod tests {
         let g = ramp(&[4, 2], 0.7);
         approx.backward(&g);
 
-        let xq = approx.cache.xq_params.expect("populated");
+        let xq = approx.conv.cache.xq_params.expect("populated");
         let mut expect = vec![0.0f32; 2 * 3];
         for m in 0..4 {
             for j in 0..2 {
                 for k in 0..3 {
-                    let code = approx.cache.xq[m * 3 + k];
+                    let code = approx.conv.cache.xq[m * 3 + k];
                     expect[j * 3 + k] += g.at(&[m, j]) * xq.dequantize(code.into());
                 }
             }
@@ -1616,7 +1486,8 @@ mod tests {
         assert!((wh.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!((xh.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // Feed the marginals into the distribution-aware metrics.
-        let metrics = appmult_mult::ErrorMetrics::with_marginals(approx.lut.as_ref(), &wh, &xh);
+        let metrics =
+            appmult_mult::ErrorMetrics::with_marginals(approx.conv.lut.as_ref(), &wh, &xh);
         assert_eq!(metrics.max_ed, 0, "exact multiplier has no error");
     }
 
@@ -1640,51 +1511,36 @@ mod tests {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Runs one forward to populate the cache, then evaluates both GEMM
-    /// kernels serially and with `threads` workers scheduled by `sched`,
-    /// asserting bit-identical outputs (`f32::to_bits`, not approximate
+    /// Runs the linear layer's forward and backward with both GEMM kernels
+    /// serially and with `threads` workers scheduled by `sched`, asserting
+    /// bit-identical outputs and gradients (`f32::to_bits`, not approximate
     /// equality).
     fn assert_gemm_parity(m: usize, j: usize, k: usize, threads: usize, sched: fn(Pool) -> Sched) {
         let lut = Arc::new(TruncatedMultiplier::new(8, 6).to_lut());
         let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(8)));
-        let mut layer = ApproxLinear::with_params(
-            ramp(&[j, k], 1.2),
-            ramp(&[j], 0.2),
-            lut.clone(),
-            grads.clone(),
-            QuantConfig::default(),
-        );
-        let x = ramp(&[m, k], 1.7);
-        layer.forward(&x, true);
-
-        let (serial, pool) = (sched(Pool::serial()), sched(Pool::new(threads)));
-        let bias = layer.bias.value.as_slice();
-        let g = ramp(&[m, j], 0.9);
+        let (x, g) = (ramp(&[m, k, 1, 1], 1.7), ramp(&[m, j, 1, 1], 0.9));
+        let run = |sched: Sched, kernel: Kernel| {
+            let mut layer = ApproxLinear::with_params(
+                ramp(&[j, k], 1.2),
+                ramp(&[j], 0.2),
+                lut.clone(),
+                grads.clone(),
+                QuantConfig::default(),
+            );
+            layer.set_kernel(kernel);
+            let conv = &mut layer.conv;
+            let y = conv.forward_on(&x, true, sched);
+            let dx = conv.backward_on(&g, sched);
+            (bits_of(&y), bits_of(&dx), bits_of(&conv.weight.grad))
+        };
         // Serial naive is the reference; every (kernel, pool) combination
         // must reproduce it bit for bit.
-        let y_ref = gemm_forward(&mut layer.cache, &lut, bias, serial, Kernel::Naive);
-        let (dw_ref, dx_ref) = gemm_backward(&layer.cache, &grads, &g, serial, Kernel::Naive);
-        let dx_ref = dx_ref.rows(serial);
+        let want = run(sched(Pool::serial()), Kernel::Naive);
+        let pool = sched(Pool::new(threads));
         for kernel in [Kernel::Naive, Kernel::Tiled] {
-            let y = gemm_forward(&mut layer.cache, &lut, bias, pool, kernel);
-            assert_eq!(
-                bits_of(&y_ref),
-                bits_of(&y),
-                "forward m={m} j={j} k={k} threads={threads} kernel={}",
-                kernel.label()
-            );
-            let (dw, dx) = gemm_backward(&layer.cache, &grads, &g, pool, kernel);
-            let dx = dx.rows(pool);
-            assert_eq!(
-                bits_of(&dw_ref),
-                bits_of(&dw),
-                "dW m={m} j={j} k={k} threads={threads} kernel={}",
-                kernel.label()
-            );
-            assert_eq!(
-                bits_of(&dx_ref),
-                bits_of(&dx),
-                "dX m={m} j={j} k={k} threads={threads} kernel={}",
+            assert!(
+                run(pool, kernel) == want,
+                "m={m} j={j} k={k} threads={threads} kernel={}",
                 kernel.label()
             );
         }
@@ -1709,7 +1565,7 @@ mod tests {
             let dx = lin.backward(&Tensor::zeros(&[0, 3]));
             assert_eq!(dx.shape(), &[0, 4]);
             assert!(
-                lin.weight.grad.as_slice().iter().all(|&v| v == 0.0),
+                lin.conv.weight.grad.as_slice().iter().all(|&v| v == 0.0),
                 "no batch rows, no weight gradient"
             );
 
@@ -1752,16 +1608,20 @@ mod tests {
         );
         lin.forward(&Tensor::zeros(&[0, 4]), true);
         conv.forward(&Tensor::zeros(&[0, 1, 4, 4]), true);
-        assert_eq!(lin.observer.range(), None, "linear: fresh range not pinned");
+        assert_eq!(
+            lin.conv.observer.range(),
+            None,
+            "linear: fresh range not pinned"
+        );
         assert_eq!(conv.observer.range(), None, "conv: fresh range not pinned");
 
         lin.forward(&ramp(&[3, 4], 1.5), true);
         conv.forward(&ramp(&[2, 1, 4, 4], 1.5), true);
-        let (lin_range, conv_range) = (lin.observer.range(), conv.observer.range());
+        let (lin_range, conv_range) = (lin.conv.observer.range(), conv.observer.range());
         assert!(lin_range.is_some() && conv_range.is_some());
         lin.forward(&Tensor::zeros(&[0, 4]), true);
         conv.forward(&Tensor::zeros(&[0, 1, 4, 4]), true);
-        assert_eq!(lin.observer.range(), lin_range, "linear: range moved");
+        assert_eq!(lin.conv.observer.range(), lin_range, "linear: range moved");
         assert_eq!(conv.observer.range(), conv_range, "conv: range moved");
         assert_eq!(lin.observer_rejections(), 0);
         assert_eq!(conv.observer_rejections(), 0);
@@ -1787,7 +1647,7 @@ mod tests {
         assert_eq!(lin.sum_w_rebuilds(), 1, "unchanged weights reuse the sums");
         assert_eq!(y1, y1_again, "memoization must not change outputs");
         // A weight update requantizes and invalidates the memo.
-        lin.weight.value.as_mut_slice()[0] += 0.5;
+        lin.conv.weight.value.as_mut_slice()[0] += 0.5;
         lin.forward(&x1, false);
         assert_eq!(lin.sum_w_rebuilds(), 2, "changed weights rebuild the sums");
     }
@@ -1834,7 +1694,7 @@ mod tests {
     #[test]
     fn epilogue_is_dequantize_dot_bit_for_bit() {
         // Random accumulators (including ones far past any real GEMM's),
-        // codes and bias, under both schemes and both output layouts.
+        // codes and bias, under both schemes.
         use crate::quant::{dequantize_dot, dequantize_dot_offset};
         let mut rng = appmult_rng::Rng64::seed_from_u64(0xE91);
         let (rows, j, k) = (7usize, 5usize, 13usize);
@@ -1877,9 +1737,8 @@ mod tests {
                 .collect();
             let bias: Vec<f32> = (0..j).map(|_| rng.uniform_f32(-0.5, 0.5)).collect();
             let epilogue = Epilogue::new(&cache, &bias);
-            let (mut by_row, mut by_channel) = (vec![0.0f32; rows * j], vec![0.0f32; rows * j]);
-            epilogue.write(&cache.xq, &acc, &mut by_row, (j, 1));
-            epilogue.write(&cache.xq, &acc, &mut by_channel, (1, rows));
+            let mut out = vec![0.0f32; rows * j];
+            epilogue.write(&cache.xq, &acc, &mut out);
             for r in 0..rows {
                 let sum_x = cache.xq[r * k..][..k].iter().map(|&v| i64::from(v)).sum();
                 for ji in 0..j {
@@ -1891,12 +1750,7 @@ mod tests {
                         QuantScheme::SignedOffset => dequantize_dot_offset(&wp, &xp, a, k),
                     } + bias[ji];
                     assert_eq!(
-                        by_row[r * j + ji].to_bits(),
-                        want.to_bits(),
-                        "{scheme:?} ({r}, {ji})"
-                    );
-                    assert_eq!(
-                        by_channel[ji * rows + r].to_bits(),
+                        out[ji * rows + r].to_bits(),
                         want.to_bits(),
                         "{scheme:?} ({r}, {ji})"
                     );
@@ -2038,7 +1892,7 @@ mod tests {
             }
         }
         // LeNet-sized fully connected shapes through the linear layer's
-        // GEMMs.
+        // 1×1 conv.
         for (j, k) in [(120usize, 400usize), (84, 120)] {
             for m in [1usize, 7, 32] {
                 for threads in [2usize, 3, 5] {
@@ -2095,12 +1949,12 @@ mod tests {
         );
         // First eval forward calibrates (initial-accuracy use case).
         approx.forward(&ramp(&[2, 3], 1.0), false);
-        let r1 = approx.observer.range().expect("calibrated");
+        let r1 = approx.conv.observer.range().expect("calibrated");
         // Subsequent eval forwards do not move the range.
         approx.forward(&ramp(&[2, 3], 10.0), false);
-        assert_eq!(approx.observer.range().expect("still calibrated"), r1);
+        assert_eq!(approx.conv.observer.range().expect("still calibrated"), r1);
         // A train forward does.
         approx.forward(&ramp(&[2, 3], 10.0), true);
-        assert_ne!(approx.observer.range().expect("updated"), r1);
+        assert_ne!(approx.conv.observer.range().expect("updated"), r1);
     }
 }

@@ -7,8 +7,8 @@
 //!    `B`-bit integers with per-tensor scale/zero-point (Eq. 7; [`QuantParams`],
 //!    [`Observer`]).
 //! 2. **Approximate multiply** — products are served from the AppMult's
-//!    precomputed LUT and dequantized (Eq. 8; [`ApproxConv2d`],
-//!    [`ApproxLinear`]).
+//!    precomputed LUT and dequantized (Eq. 8; [`ApproxConv2d`], and
+//!    [`ApproxLinear`], which runs as a 1×1 [`ApproxConv2d`]).
 //! 3. **Backpropagate** — `dAM/dW` and `dAM/dX` come from a gradient LUT
 //!    ([`GradientLut`]) built with either the baseline STE rule or the
 //!    paper's smoothed difference-based rule (Eqs. 4-6; [`GradientMode`],

@@ -57,16 +57,16 @@
 //! [`Kernel::Naive`]. The tile extents are compile-time constants
 //! (`64 × 16 × 64`; DESIGN.md §11 gives the reasons).
 //!
-//! The kernels are chunk-level: callers (the `appmult-retrain` layers)
-//! split output rows into `appmult-pool` blocks and invoke a kernel per
-//! block, so tiles compose with pool blocks. The forward caller builds
-//! one [`ForwardPlan`] per GEMM before it splits, so all blocks share one
-//! row table; [`forward_acc`] plans per call. A caller whose weights stay
-//! put across GEMMs (an eval layer) keeps the plan's weight-derived
-//! tables in a [`PlanTables`] and builds each at most once, so its row
-//! table is worth building even for one batch row. [`M_TILE`] is
-//! public so the forward caller can keep its blocks at least one M tile
-//! tall.
+//! The kernels are chunk-level: the caller (the `appmult-retrain` conv,
+//! which the linear layer runs as a 1×1 conv) splits each GEMM into
+//! `appmult-pool` blocks, of whole images for the forward and `dX` GEMMs
+//! and of whole weight rows for `dW`, and invokes a kernel per image or
+//! block, so tiles compose with pool blocks. The forward caller builds one
+//! [`ForwardPlan`] per GEMM before it splits, so all blocks share one row
+//! table; [`forward_acc`] plans per call. A caller whose weights stay put
+//! across GEMMs (an eval layer) keeps the plan's weight-derived tables in
+//! a [`PlanTables`] and builds each at most once, so its row table is
+//! worth building even for one batch row.
 //!
 //! # Example
 //!
@@ -90,10 +90,8 @@ use std::borrow::Cow;
 use std::sync::Mutex;
 
 /// Batch-dimension (M) tile extent of the tiled kernel: the reuse
-/// distance of each hoisted LUT row. A caller that splits the forward
-/// GEMM's batch rows into chunks of at least this many rows lets each
-/// chunk's hoists serve at least one full tile.
-pub const M_TILE: usize = 64;
+/// distance of each hoisted LUT row.
+const M_TILE: usize = 64;
 /// Output-dimension (J) tile extent of the tiled forward kernel.
 const JK: usize = 16;
 /// Reduction-dimension (K) tile extent: the hoisted-row working set

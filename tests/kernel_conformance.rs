@@ -26,7 +26,10 @@
 //!   gradients must agree across kernels for all five `GradientMode`s.
 //!   Every layer test names both kernels explicitly, so the result does
 //!   not depend on the process-wide default; the CI kernel-parity job
-//!   runs this file at 1 and 4 threads.
+//!   runs this file at 1 and 4 threads;
+//! * at the layer level again, where one FNV-1a digest per (design,
+//!   gradient mode) pins every `ApproxLinear` output and gradient bit
+//!   across kernels, train and eval forwards and batch sizes.
 //!
 //! Comparisons are `to_bits`, never approximate: no case may diverge by
 //! even one bit.
@@ -36,7 +39,7 @@ use std::sync::Arc;
 use appmult::kernels::{
     backward_dw, backward_dx, forward_acc, ForwardPlan, GemmShape, Kernel, PlanTables,
 };
-use appmult::mult::{Multiplier, MultiplierLut, SignMagnitudeMultiplier, TruncatedMultiplier};
+use appmult::mult::{zoo, Multiplier, MultiplierLut, SignMagnitudeMultiplier, TruncatedMultiplier};
 use appmult::nn::layers::Conv2dSpec;
 use appmult::nn::{Module, Tensor};
 use appmult::retrain::{ApproxConv2d, ApproxLinear, GradientLut, GradientMode, QuantConfig};
@@ -643,6 +646,97 @@ fn degenerate_layer_shapes_conform() {
             linear_run(&lut, &grads, m, j, k, Kernel::Tiled),
             "degenerate m={m} j={j} k={k}"
         );
+    }
+}
+
+/// FNV-1a over the little-endian bytes of `values`' `to_bits`, continuing
+/// from `hash`.
+fn fnv1a(mut hash: u64, values: &[f32]) -> u64 {
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Folds into `hash` every output and gradient of a fresh 24 → 10
+/// `ApproxLinear` on a batch of `m` rows: a train forward (after a
+/// calibrating one, so a huge and a NaN activation clip), its backward,
+/// every parameter gradient, then an eval forward on fresh rows.
+fn linear_digest(
+    hash: u64,
+    (lut, grads, config): (&Arc<MultiplierLut>, &Arc<GradientLut>, QuantConfig),
+    m: usize,
+    kernel: Kernel,
+) -> u64 {
+    let (j, k) = (10, 24);
+    let mut lin = ApproxLinear::with_params(
+        ramp(&[j, k], 1.2),
+        ramp(&[j], 0.2),
+        lut.clone(),
+        grads.clone(),
+        config,
+    );
+    lin.set_kernel(kernel);
+    lin.forward(&ramp(&[2, k], 1.0), true);
+    let mut x = ramp(&[m, k], 1.7);
+    for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+        match i % 23 {
+            5 => *v = 1e6,
+            17 => *v = f32::NAN,
+            _ => {}
+        }
+    }
+    let mut hash = fnv1a(hash, lin.forward(&x, true).as_slice());
+    hash = fnv1a(hash, lin.backward(&ramp(&[m, j], 0.9)).as_slice());
+    lin.visit_params(&mut |p| hash = fnv1a(hash, p.grad.as_slice()));
+    fnv1a(hash, lin.forward(&ramp(&[m, k], 0.6), false).as_slice())
+}
+
+#[test]
+fn linear_layer_bytes_are_pinned() {
+    // Literals recorded before the linear layer ran through the conv's
+    // forward and input-gradient passes; every bit must survive.
+    const GOLDEN: [(&str, &str, u64); 6] = [
+        ("mul7u_rm6", "ste", 0x6b7c_37b0_b5a0_5b41),
+        ("mul7u_rm6", "diff_h4", 0xfe2b_22d6_5dd3_a8a5),
+        ("mul6u_rm4", "ste", 0x4b81_5bff_9af7_64cd),
+        ("mul6u_rm4", "diff_h4", 0x750b_6ccb_7db7_5825),
+        ("mul8u_rm6_signed", "ste", 0x54a8_e841_3de5_b67d),
+        ("mul8u_rm6_signed", "diff_h4", 0x169f_936e_a9ee_8a51),
+    ];
+    let designs = [
+        (zoo::mul7u_rm6().to_lut(), QuantConfig::default()),
+        (zoo::mul6u_rm4().to_lut(), QuantConfig::default()),
+        (
+            SignMagnitudeMultiplier::new(TruncatedMultiplier::new(8, 6)).to_offset_lut(),
+            QuantConfig::signed(),
+        ),
+    ];
+    let mut golden = GOLDEN.iter();
+    for (lut, config) in designs {
+        let lut = Arc::new(lut);
+        for mode in [GradientMode::Ste, GradientMode::difference_based(4)] {
+            let key = mode.key();
+            let grads = Arc::new(
+                GradientLut::try_build_for(&lut, mode, config.scheme, Pool::global())
+                    .expect("built-in estimators build"),
+            );
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for kernel in [Kernel::Naive, Kernel::Tiled] {
+                for m in [0, 1, 32, 700] {
+                    hash = linear_digest(hash, (&lut, &grads, config), m, kernel);
+                }
+            }
+            let &(design, want_key, expected) = golden.next().expect("one golden row per pair");
+            assert_eq!(
+                (design, want_key),
+                (MultiplierLut::name(&lut), key.as_str())
+            );
+            assert_eq!(hash, expected, "{design}/{key}: got {hash:#018x}");
+        }
     }
 }
 
