@@ -17,8 +17,8 @@
 //! cargo run -p appmult-bench --release --bin fault_sweep -- --faults 0,1,2,4,8,16
 //! ```
 //!
-//! A usage error, `--hws 0` among them, exits with status 2 before
-//! pretraining.
+//! A usage error exits with status 2 before pretraining: among them a
+//! `--bits` outside 2..=10, `--hws 0` and `--epochs 0`.
 
 use std::sync::Arc;
 
@@ -47,13 +47,10 @@ fn draw_faults(circuit: &MultiplierCircuit, count: usize, seed: u64) -> Vec<Faul
 
 fn main() {
     let args = Args::from_env("bits seed hws faults epochs", "wallace");
-    let bits: u32 = args.get_or("bits", 8);
+    // 2..=10: the widths both the circuit generator and the quantizer take.
+    let bits: u32 = args.get_in("bits", 8, 2..=10);
     let seed: u64 = args.get_or("seed", 1);
-    let hws: u32 = args.get_or("hws", 16);
-    if hws == 0 {
-        eprintln!("error: `--hws` must be at least 1");
-        std::process::exit(2)
-    }
+    let hws: u32 = args.get_in("hws", 16, 1..);
     let faults_arg = args.value("faults").unwrap_or("0,1,2,4,8");
     let fault_counts: Vec<usize> = faults_arg
         .split(',')
@@ -66,7 +63,7 @@ fn main() {
         .collect();
 
     let mut scale = Scale::cpu_cifar10();
-    scale.retrain_epochs = args.get_or("epochs", 3);
+    scale.retrain_epochs = args.get_in("epochs", 3, 1..);
     let kind = ModelKind::LeNet;
 
     let circuit = if args.flag("wallace") {

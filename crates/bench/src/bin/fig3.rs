@@ -14,26 +14,16 @@
 //! `--hws 0` and a `--wf` past the 7-bit operand range are usage errors:
 //! they exit with status 2 and name the flag.
 
-use std::process::ExitCode;
-
 use appmult_bench::{fig3_csv, write_results, Args};
 use appmult_mult::{zoo, Multiplier};
 use appmult_retrain::{GradientLut, GradientMode};
 
-fn main() -> ExitCode {
+fn main() {
     let args = Args::from_env("wf hws", "");
-    let wf: u32 = args.get_or("wf", 10);
-    let hws: u32 = args.get_or("hws", 4);
-
     let lut = zoo::mul7u_rm6().to_lut();
-    if hws == 0 {
-        eprintln!("error: `--hws` must be at least 1");
-        return ExitCode::from(2);
-    }
-    if wf >= 1 << lut.bits() {
-        eprintln!("error: `--wf` must be below 2^{}", lut.bits());
-        return ExitCode::from(2);
-    }
+    let wf: u32 = args.get_in("wf", 10, ..1 << lut.bits());
+    let hws: u32 = args.get_in("hws", 4, 1..);
+
     let row = lut.row(wf).to_vec();
     let ours = GradientLut::build(&lut, GradientMode::difference_based(hws));
     let ste = GradientLut::build(&lut, GradientMode::Ste);
@@ -58,5 +48,4 @@ fn main() -> ExitCode {
         "\nZero-gradient points: raw difference = {zero_raw}/126, smoothed = {zero_smooth}/128"
     );
     println!("Series written to {}", path.display());
-    ExitCode::SUCCESS
 }

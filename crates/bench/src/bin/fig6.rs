@@ -24,7 +24,7 @@ fn main() {
     let args = Args::from_env("epochs", "");
     let mut scale = Scale::cpu_cifar100();
     scale.model.width_div = 12; // R34/R50 are deep; keep the sweep CPU-sized
-    scale.retrain_epochs = args.get_or("epochs", scale.retrain_epochs);
+    scale.retrain_epochs = args.get_in("epochs", scale.retrain_epochs, 1..);
 
     let entry = zoo::entry("mul6u_rm4").expect("known");
     let lut = Arc::new(entry.multiplier.to_lut());

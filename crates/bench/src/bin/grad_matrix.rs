@@ -7,8 +7,9 @@
 //! exits:
 //!
 //! - `0` on success,
-//! - `2` on a usage error (including `--hws 0` or `--lsq-window 0`,
-//!   rejected before pretraining), or when `--assert-beats-ste` is given
+//! - `2` on a usage error (including a zero `--hws`, `--lsq-window`,
+//!   `--pretrain-epochs` or `--retrain-epochs`, rejected before
+//!   pretraining), or when `--assert-beats-ste` is given
 //!   and no difference-family estimator retrains to higher accuracy than
 //!   STE on any design.
 //!
@@ -34,16 +35,10 @@ fn main() -> ExitCode {
         "assert-beats-ste",
     );
     let mut cfg = GradMatrixConfig::smoke(args.get_or("seed", 1u64));
-    cfg.hws = args.get_or("hws", cfg.hws);
-    cfg.lsq_window = args.get_or("lsq-window", cfg.lsq_window);
-    cfg.pretrain_epochs = args.get_or("pretrain-epochs", cfg.pretrain_epochs);
-    cfg.retrain_epochs = args.get_or("retrain-epochs", cfg.retrain_epochs);
-    for (flag, window) in [("hws", cfg.hws), ("lsq-window", cfg.lsq_window)] {
-        if window == 0 {
-            eprintln!("error: `--{flag}` must be at least 1");
-            return ExitCode::from(2);
-        }
-    }
+    cfg.hws = args.get_in("hws", cfg.hws, 1..);
+    cfg.lsq_window = args.get_in("lsq-window", cfg.lsq_window, 1..);
+    cfg.pretrain_epochs = args.get_in("pretrain-epochs", cfg.pretrain_epochs, 1..);
+    cfg.retrain_epochs = args.get_in("retrain-epochs", cfg.retrain_epochs, 1..);
 
     let outcome = run_grad_matrix(&cfg);
 

@@ -23,7 +23,7 @@ use appmult_retrain::{candidates_for_bits, select_hws, GradientMode};
 fn main() {
     let args = Args::from_env("epochs mult", "");
     let mut scale = Scale::cpu_cifar10();
-    scale.retrain_epochs = args.get_or("epochs", 3);
+    scale.retrain_epochs = args.get_in("epochs", 3, 1..);
     let kind = ModelKind::LeNet;
 
     let names: Vec<&str> = match args.value("mult") {

@@ -62,9 +62,7 @@ fn main() {
         scale.model.width_div = 8;
         scale.retrain_epochs = 8;
     }
-    if let Some(e) = args.get("epochs") {
-        scale.retrain_epochs = e;
-    }
+    scale.retrain_epochs = args.get_in("epochs", scale.retrain_epochs, 1..);
 
     let names: Vec<&str> = if quick {
         vec!["mul8u_rm8", "mul7u_rm6", "mul7u_06Q", "mul8u_1DMU"]

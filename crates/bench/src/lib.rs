@@ -456,6 +456,21 @@ impl Args {
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         self.get(name).unwrap_or(default)
     }
+
+    /// [`get_or`](Self::get_or) for a value that must lie in `range`;
+    /// exits with status 2 naming the flag and the range otherwise. Call
+    /// it before any pretraining, so a bad value costs nothing.
+    pub fn get_in<T, R>(&self, name: &str, default: T, range: R) -> T
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+        R: std::ops::RangeBounds<T> + std::fmt::Debug,
+    {
+        let value = self.get_or(name, default);
+        if !range.contains(&value) {
+            usage_error(&format!("`--{name}` must be in {range:?}, got {value}"));
+        }
+        value
+    }
 }
 
 fn usage_error(message: &str) -> ! {

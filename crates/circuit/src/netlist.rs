@@ -1,8 +1,9 @@
 //! Combinational gate netlist representation.
 //!
 //! A [`Netlist`] is an append-only DAG of gates. Signals are created in
-//! topological order (a gate may only reference signals that already exist),
-//! which makes simulation and levelization single forward passes.
+//! topological order (a gate may only reference signals that already exist,
+//! and the builder refuses any other), which makes simulation and
+//! levelization single forward passes.
 
 use std::fmt;
 
@@ -20,9 +21,10 @@ impl Signal {
     }
 
     /// Reconstructs a signal from a raw node index (e.g. a fault site read
-    /// from a sweep configuration). The index is validated only when the
-    /// signal is used against a concrete netlist (see
-    /// [`Netlist::try_gate`]).
+    /// from a sweep configuration). The index is checked only when the
+    /// signal is used against a concrete netlist: the builder methods and
+    /// [`Netlist::set_outputs`] panic on it, the rewrite methods return
+    /// [`NetlistError::UnknownSignal`].
     pub fn from_index(index: usize) -> Self {
         Self(index as u32)
     }
@@ -108,16 +110,10 @@ pub struct Gate {
     pub fanins: [Signal; 2],
 }
 
-/// Error raised when building or editing a netlist incorrectly.
+/// Error raised when rewriting a netlist in place, or wrapping one as a
+/// multiplier, with a signal or shape that does not fit it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetlistError {
-    /// A fanin refers to a signal that does not precede the gate.
-    ForwardReference {
-        /// The offending gate index.
-        gate: usize,
-        /// The fanin signal that is not yet defined.
-        fanin: Signal,
-    },
     /// A signal index is out of range for this netlist.
     UnknownSignal(Signal),
     /// A rewrite would create a combinational cycle.
@@ -132,9 +128,6 @@ pub enum NetlistError {
 impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetlistError::ForwardReference { gate, fanin } => {
-                write!(f, "gate {gate} references later signal {fanin}")
-            }
             NetlistError::UnknownSignal(s) => write!(f, "unknown signal {s}"),
             NetlistError::WouldCycle { gate, replacement } => {
                 write!(
@@ -152,7 +145,10 @@ impl std::error::Error for NetlistError {}
 ///
 /// Nodes are stored in topological order. Primary inputs are created with
 /// [`Netlist::input`], logic with the gate builder methods, and outputs are
-/// registered with [`Netlist::set_outputs`].
+/// registered with [`Netlist::set_outputs`]. Every builder method panics on
+/// a fanin that does not already exist, and the in-place rewrites refuse a
+/// replacement that would not precede its gate, so no netlist can hold a
+/// forward reference, a dangling fanin or a combinational cycle.
 ///
 /// # Example
 ///
@@ -210,20 +206,6 @@ impl Netlist {
         self.gates[signal.index()]
     }
 
-    /// Non-panicking variant of [`Netlist::gate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownSignal`] if `signal` is out of range
-    /// for this netlist (e.g. a [`Signal::from_index`] value read from an
-    /// external file, or a signal created by a different netlist).
-    pub fn try_gate(&self, signal: Signal) -> Result<Gate, NetlistError> {
-        self.gates
-            .get(signal.index())
-            .copied()
-            .ok_or(NetlistError::UnknownSignal(signal))
-    }
-
     /// Iterates over all nodes in topological order together with their signals.
     pub fn iter(&self) -> impl Iterator<Item = (Signal, Gate)> + '_ {
         self.gates
@@ -232,9 +214,11 @@ impl Netlist {
             .map(|(i, g)| (Signal(i as u32), *g))
     }
 
+    /// Appends a node. Checked in every build profile: a fanin that does
+    /// not precede the new node would break single-pass simulation.
     fn push(&mut self, kind: GateKind, fanins: [Signal; 2]) -> Signal {
         for fanin in fanins.iter().take(kind.arity()) {
-            debug_assert!(
+            assert!(
                 fanin.index() < self.gates.len(),
                 "fanin {fanin} not yet defined"
             );
@@ -307,42 +291,10 @@ impl Netlist {
     ///
     /// Panics if any signal does not belong to this netlist.
     pub fn set_outputs(&mut self, outputs: Vec<Signal>) {
-        self.try_set_outputs(outputs)
-            .unwrap_or_else(|e| panic!("unknown output signal: {e}"));
-    }
-
-    /// Non-panicking variant of [`Netlist::set_outputs`]. On error the
-    /// previous output registration is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownSignal`] naming the first output that
-    /// does not belong to this netlist.
-    pub fn try_set_outputs(&mut self, outputs: Vec<Signal>) -> Result<(), NetlistError> {
         for &o in &outputs {
-            if o.index() >= self.gates.len() {
-                return Err(NetlistError::UnknownSignal(o));
-            }
+            assert!(o.index() < self.gates.len(), "unknown output signal {o}");
         }
         self.outputs = outputs;
-        Ok(())
-    }
-
-    /// Assembles a netlist directly from raw parts, e.g. when importing an
-    /// externally generated design.
-    ///
-    /// **No validation is performed**: the gate table may contain forward
-    /// references (combinational cycles), dangling fanins, or an input list
-    /// inconsistent with the `Input` nodes. Callers must run
-    /// [`Netlist::validate`] or the `appmult-verify` structural lints before
-    /// trusting the result; the simulator's behaviour on an invalid netlist
-    /// is unspecified (but memory-safe).
-    pub fn from_raw_parts(gates: Vec<Gate>, inputs: Vec<Signal>, outputs: Vec<Signal>) -> Self {
-        Self {
-            gates,
-            inputs,
-            outputs,
-        }
     }
 
     /// Builds a half adder over `(a, b)`, returning `(sum, carry)`.
@@ -445,17 +397,12 @@ impl Netlist {
     /// Number of gate fanin slots each signal drives.
     ///
     /// Primary outputs are not counted — a fanout-free signal that is
-    /// registered as an output is still observable. Fanin slots referencing
-    /// out-of-range signals (possible after [`Netlist::from_raw_parts`]) are
-    /// skipped; the `appmult-verify` structural lints report those
-    /// separately.
+    /// registered as an output is still observable.
     pub fn fanout_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.gates.len()];
         for g in &self.gates {
             for k in 0..g.kind.arity() {
-                if let Some(c) = counts.get_mut(g.fanins[k].index()) {
-                    *c += 1;
-                }
+                counts[g.fanins[k].index()] += 1;
             }
         }
         counts
@@ -490,25 +437,6 @@ impl Netlist {
             .filter(|(g, &l)| l && g.kind.is_physical())
             .count()
     }
-
-    /// Checks the topological invariant (every fanin precedes its gate).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::ForwardReference`] describing the first violation.
-    pub fn validate(&self) -> Result<(), NetlistError> {
-        for (i, g) in self.gates.iter().enumerate() {
-            for k in 0..g.kind.arity() {
-                if g.fanins[k].index() >= i {
-                    return Err(NetlistError::ForwardReference {
-                        gate: i,
-                        fanin: g.fanins[k],
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -533,14 +461,22 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_builder_output() {
+    #[should_panic(expected = "fanin n3 not yet defined")]
+    fn builder_rejects_a_fanin_that_does_not_precede_the_gate() {
         let mut nl = Netlist::new();
         let a = nl.input();
         let b = nl.input();
         let x = nl.xor(a, b);
-        let y = nl.nand(x, a);
-        nl.set_outputs(vec![y]);
-        assert!(nl.validate().is_ok());
+        // n3 would be the gate itself: a forward reference in every profile.
+        nl.and(x, Signal::from_index(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown output signal n7")]
+    fn set_outputs_rejects_foreign_signals() {
+        let mut nl = Netlist::new();
+        let a = nl.input();
+        nl.set_outputs(vec![a, Signal::from_index(7)]);
     }
 
     #[test]
@@ -605,43 +541,6 @@ mod tests {
         let twin = nl.xor(a, a);
         assert_eq!(nl.fanout_counts()[a.index()], counts[a.index()] + 2);
         assert_eq!(nl.fanout_counts()[twin.index()], 0);
-    }
-
-    #[test]
-    fn try_gate_rejects_foreign_signals() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        assert_eq!(nl.try_gate(a).unwrap().kind, GateKind::Input);
-        let foreign = Signal::from_index(7);
-        assert_eq!(
-            nl.try_gate(foreign),
-            Err(NetlistError::UnknownSignal(foreign))
-        );
-    }
-
-    #[test]
-    fn try_set_outputs_keeps_previous_registration_on_error() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let g = nl.or(a, b);
-        nl.set_outputs(vec![g]);
-        let err = nl.try_set_outputs(vec![g, Signal::from_index(99)]);
-        assert!(err.is_err());
-        assert_eq!(nl.outputs(), &[g]);
-    }
-
-    #[test]
-    fn from_raw_parts_round_trips_builder_output() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let g = nl.xor(a, b);
-        nl.set_outputs(vec![g]);
-        let gates: Vec<Gate> = nl.iter().map(|(_, g)| g).collect();
-        let raw = Netlist::from_raw_parts(gates, vec![a, b], vec![g]);
-        assert_eq!(raw, nl);
-        assert!(raw.validate().is_ok());
     }
 
     #[test]

@@ -21,15 +21,17 @@ fn array_multiplier_matches_integers() {
     }
 }
 
-/// Wallace and array reductions compute the same function.
+/// Wallace and array reductions compute the same function, over the
+/// whole operand space, at every width the workspace builds a Wallace
+/// tree for (8 bits is `fault_sweep --wallace`'s default).
 #[test]
 fn wallace_equals_array() {
-    let mut rng = Rng64::seed_from_u64(0xC2);
-    let a = MultiplierCircuit::array(5);
-    let b = MultiplierCircuit::wallace(5);
-    for _ in 0..48 {
-        let (w, x) = (rng.below(32), rng.below(32));
-        assert_eq!(a.multiply(w, x), b.multiply(w, x), "{w}*{x}");
+    for bits in 5..=8 {
+        assert_eq!(
+            MultiplierCircuit::wallace(bits).exhaustive_products(),
+            MultiplierCircuit::array(bits).exhaustive_products(),
+            "{bits}-bit"
+        );
     }
 }
 
@@ -73,7 +75,6 @@ fn word_sim_equals_bool_sim() {
         }
         let last = *signals.last().expect("nonempty");
         nl.set_outputs(vec![last]);
-        assert!(nl.validate().is_ok());
 
         let scalar = appmult_circuit::simulate_bools(&nl, &seed_bits)[0];
         let words: Vec<u64> = seed_bits

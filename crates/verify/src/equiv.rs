@@ -1,318 +1,29 @@
-//! Miter-based equivalence checking.
+//! Equivalence against the exact multiplier as a product-table scan.
 //!
-//! Two netlists with identical bus shapes are checked by building a
-//! *miter*: both circuits share the primary inputs, corresponding outputs
-//! are XORed, and the XOR bits are OR-reduced to a single `diff` output.
-//! The circuits are equivalent iff `diff` is constant 0.
+//! Every design in the workspace is at most 10×10 bits, so its whole
+//! function is one exhaustive product table: a LUT for behavioural
+//! designs, [`MultiplierCircuit::exhaustive_products`] for gate-level
+//! ones. Equivalence is a w-major scan of that table against `w·x`.
 //!
-//! Up to [`EquivConfig::exhaustive_limit_bits`] shared input bits the miter
-//! is proved exhaustively with the 64-way bit-parallel engine
-//! ([`ExhaustiveTable`]); above that, corner patterns plus seeded random
-//! vectors (batched 64 lanes per simulation) give a high-confidence sample.
+//! [`MultiplierCircuit::exhaustive_products`]: appmult_circuit::MultiplierCircuit::exhaustive_products
 
 use std::fmt;
-
-use appmult_circuit::{
-    simulate_bools, simulate_words, ExhaustiveTable, GateKind, MultiplierCircuit, Netlist,
-    NetlistError, Signal,
-};
-use appmult_mult::MultiplierLut;
-use appmult_rng::Rng64;
-
-/// Tuning knobs of the equivalence checker.
-#[derive(Debug, Clone)]
-pub struct EquivConfig {
-    /// Largest shared input width proved exhaustively (capped at 24 by the
-    /// simulation engine).
-    pub exhaustive_limit_bits: u32,
-    /// Number of random vectors sampled above the exhaustive limit.
-    pub random_vectors: usize,
-    /// Seed of the random vector generator.
-    pub seed: u64,
-}
-
-impl Default for EquivConfig {
-    fn default() -> Self {
-        Self {
-            exhaustive_limit_bits: 16,
-            random_vectors: 4096,
-            seed: 0xA99_F00D,
-        }
-    }
-}
-
-/// Outcome of a netlist equivalence check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Equivalence {
-    /// No differing pattern was found.
-    Equivalent {
-        /// Number of input patterns checked.
-        patterns: u64,
-        /// Whether the whole input space was covered (a proof) or only a
-        /// sample of it.
-        exhaustive: bool,
-    },
-    /// A differing input pattern was found.
-    Counterexample(Counterexample),
-}
-
-/// A concrete input on which two netlists disagree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Counterexample {
-    /// Input bus value (input 0 = LSB).
-    pub input: u64,
-    /// Output bus of the first (candidate) netlist.
-    pub a_output: u64,
-    /// Output bus of the second (reference) netlist.
-    pub b_output: u64,
-}
-
-/// Why a miter could not be constructed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MiterError {
-    /// The two netlists have different bus shapes.
-    ShapeMismatch {
-        /// Primary input counts of the two netlists.
-        inputs: (usize, usize),
-        /// Primary output counts of the two netlists.
-        outputs: (usize, usize),
-    },
-    /// A source netlist is malformed (dangling or forward reference); run
-    /// the structural lints for details.
-    InvalidSource(NetlistError),
-}
-
-impl fmt::Display for MiterError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MiterError::ShapeMismatch { inputs, outputs } => write!(
-                f,
-                "bus shapes differ: {} vs {} inputs, {} vs {} outputs",
-                inputs.0, inputs.1, outputs.0, outputs.1
-            ),
-            MiterError::InvalidSource(e) => write!(f, "malformed source netlist: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for MiterError {}
-
-/// Copies `src` into `dst`, substituting `shared_inputs` for the primary
-/// inputs, and returns the signals of `src`'s outputs inside `dst`.
-fn append_netlist(
-    dst: &mut Netlist,
-    src: &Netlist,
-    shared_inputs: &[Signal],
-) -> Result<Vec<Signal>, MiterError> {
-    let remap = |map: &[Signal], gate: usize, s: Signal| -> Result<Signal, MiterError> {
-        map.get(s.index()).copied().ok_or(MiterError::InvalidSource(
-            NetlistError::ForwardReference { gate, fanin: s },
-        ))
-    };
-    let mut map: Vec<Signal> = Vec::with_capacity(src.num_nodes());
-    let mut next_input = 0usize;
-    for (sig, gate) in src.iter() {
-        let new = match gate.kind {
-            GateKind::Input => {
-                let s = *shared_inputs
-                    .get(next_input)
-                    .ok_or(MiterError::InvalidSource(NetlistError::UnknownSignal(sig)))?;
-                next_input += 1;
-                s
-            }
-            GateKind::Const0 => dst.const0(),
-            GateKind::Const1 => dst.const1(),
-            GateKind::Buf | GateKind::Not => {
-                let a = remap(&map, sig.index(), gate.fanins[0])?;
-                if gate.kind == GateKind::Buf {
-                    dst.buf(a)
-                } else {
-                    dst.not(a)
-                }
-            }
-            _ => {
-                let a = remap(&map, sig.index(), gate.fanins[0])?;
-                let b = remap(&map, sig.index(), gate.fanins[1])?;
-                match gate.kind {
-                    GateKind::And => dst.and(a, b),
-                    GateKind::Or => dst.or(a, b),
-                    GateKind::Xor => dst.xor(a, b),
-                    GateKind::Nand => dst.nand(a, b),
-                    GateKind::Nor => dst.nor(a, b),
-                    GateKind::Xnor => dst.xnor(a, b),
-                    _ => unreachable!("0/1-arity kinds handled above"),
-                }
-            }
-        };
-        map.push(new);
-    }
-    src.outputs()
-        .iter()
-        .map(|&o| {
-            map.get(o.index())
-                .copied()
-                .ok_or(MiterError::InvalidSource(NetlistError::UnknownSignal(o)))
-        })
-        .collect()
-}
-
-/// Builds the miter of two netlists: shared inputs, XORed output pairs,
-/// OR-reduced to a single `diff` output that is 1 iff the circuits
-/// disagree on the applied input.
-///
-/// # Errors
-///
-/// Returns [`MiterError::ShapeMismatch`] if the bus shapes differ, or
-/// [`MiterError::InvalidSource`] if either netlist violates the
-/// topological invariant.
-pub fn miter(a: &Netlist, b: &Netlist) -> Result<Netlist, MiterError> {
-    if a.num_inputs() != b.num_inputs() || a.outputs().len() != b.outputs().len() {
-        return Err(MiterError::ShapeMismatch {
-            inputs: (a.num_inputs(), b.num_inputs()),
-            outputs: (a.outputs().len(), b.outputs().len()),
-        });
-    }
-    let mut m = Netlist::new();
-    let shared: Vec<Signal> = (0..a.num_inputs()).map(|_| m.input()).collect();
-    let outs_a = append_netlist(&mut m, a, &shared)?;
-    let outs_b = append_netlist(&mut m, b, &shared)?;
-    let mut diffs: Vec<Signal> = outs_a
-        .iter()
-        .zip(&outs_b)
-        .map(|(&oa, &ob)| m.xor(oa, ob))
-        .collect();
-    while diffs.len() > 1 {
-        let mut next = Vec::with_capacity(diffs.len().div_ceil(2));
-        for pair in diffs.chunks(2) {
-            next.push(if pair.len() == 2 {
-                m.or(pair[0], pair[1])
-            } else {
-                pair[0]
-            });
-        }
-        diffs = next;
-    }
-    let diff = match diffs.pop() {
-        Some(d) => d,
-        None => m.const0(), // zero outputs: vacuously equivalent
-    };
-    m.set_outputs(vec![diff]);
-    Ok(m)
-}
-
-fn pack_outputs(bits: &[bool]) -> u64 {
-    bits.iter()
-        .enumerate()
-        .fold(0u64, |acc, (k, &b)| acc | (u64::from(b) << k))
-}
-
-fn counterexample_at(a: &Netlist, b: &Netlist, input: u64) -> Counterexample {
-    let bools: Vec<bool> = (0..a.num_inputs()).map(|i| (input >> i) & 1 == 1).collect();
-    Counterexample {
-        input,
-        a_output: pack_outputs(&simulate_bools(a, &bools)),
-        b_output: pack_outputs(&simulate_bools(b, &bools)),
-    }
-}
-
-/// Checks whether `a` and `b` compute the same function.
-///
-/// With at most [`EquivConfig::exhaustive_limit_bits`] shared input bits
-/// the miter is evaluated over the whole input space (a proof); above
-/// that, corner patterns (all-zero, all-one, one-hot, one-cold,
-/// alternating) and seeded random vectors are sampled. The first failing
-/// input — lowest input value on the exhaustive path — is returned as a
-/// [`Counterexample`].
-///
-/// # Errors
-///
-/// Propagates [`MiterError`] from miter construction.
-pub fn prove_equivalence(
-    a: &Netlist,
-    b: &Netlist,
-    cfg: &EquivConfig,
-) -> Result<Equivalence, MiterError> {
-    let m = miter(a, b)?;
-    let n = m.num_inputs() as u32;
-    if n <= cfg.exhaustive_limit_bits.min(24) {
-        let table = ExhaustiveTable::build(&m);
-        for (v, &d) in table.values().iter().enumerate() {
-            if d != 0 {
-                return Ok(Equivalence::Counterexample(counterexample_at(
-                    a, b, v as u64,
-                )));
-            }
-        }
-        return Ok(Equivalence::Equivalent {
-            patterns: 1u64 << n,
-            exhaustive: true,
-        });
-    }
-
-    let mask = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let mut vectors: Vec<u64> = vec![
-        0,
-        mask,
-        0xAAAA_AAAA_AAAA_AAAA & mask,
-        0x5555_5555_5555_5555 & mask,
-    ];
-    for i in 0..n.min(64) {
-        vectors.push(1u64 << i);
-        vectors.push(mask ^ (1u64 << i));
-    }
-    let mut rng = Rng64::seed_from_u64(cfg.seed);
-    for _ in 0..cfg.random_vectors {
-        vectors.push(rng.next_u64() & mask);
-    }
-
-    let mut input_words = vec![0u64; n as usize];
-    let mut checked = 0u64;
-    for batch in vectors.chunks(64) {
-        input_words.iter_mut().for_each(|w| *w = 0);
-        for (lane, &v) in batch.iter().enumerate() {
-            for (i, word) in input_words.iter_mut().enumerate() {
-                *word |= ((v >> i) & 1) << lane;
-            }
-        }
-        let lanes_mask = if batch.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << batch.len()) - 1
-        };
-        let diff = simulate_words(&m, &input_words)[0] & lanes_mask;
-        if diff != 0 {
-            let lane = diff.trailing_zeros() as usize;
-            return Ok(Equivalence::Counterexample(counterexample_at(
-                a,
-                b,
-                batch[lane],
-            )));
-        }
-        checked += batch.len() as u64;
-    }
-    Ok(Equivalence::Equivalent {
-        patterns: checked,
-        exhaustive: false,
-    })
-}
 
 /// Outcome of a multiplier equivalence check, with the counterexample
 /// decoded into operand values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MultiplierEquiv {
-    /// No differing operand pair was found.
+    /// Every operand pair agrees with the exact product.
     Equivalent {
-        /// Number of operand pairs checked.
+        /// Number of operand pairs checked (the whole operand space).
         patterns: u64,
-        /// Whether the whole operand space was covered.
-        exhaustive: bool,
     },
     /// A differing operand pair was found.
     Counterexample(MultiplierCounterexample),
 }
 
 /// A concrete operand pair on which a candidate multiplier differs from
-/// the reference.
+/// the exact product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiplierCounterexample {
     /// Weight operand.
@@ -321,7 +32,7 @@ pub struct MultiplierCounterexample {
     pub x: u64,
     /// Product computed by the candidate.
     pub got: u64,
-    /// Product computed by the reference.
+    /// The exact product `w·x`.
     pub expected: u64,
 }
 
@@ -335,187 +46,86 @@ impl fmt::Display for MultiplierCounterexample {
     }
 }
 
-/// Checks a candidate multiplier circuit against a reference circuit of
-/// the same width by miter construction (exhaustively for widths up to
-/// `exhaustive_limit_bits / 2` operand bits).
-///
-/// # Errors
-///
-/// Propagates [`MiterError`] from miter construction (including the
-/// width mismatch case).
-pub fn prove_multiplier_equivalence(
-    candidate: &MultiplierCircuit,
-    reference: &MultiplierCircuit,
-    cfg: &EquivConfig,
-) -> Result<MultiplierEquiv, MiterError> {
-    let bits = candidate.bits();
-    let r = prove_equivalence(candidate.netlist(), reference.netlist(), cfg)?;
-    Ok(match r {
-        Equivalence::Equivalent {
-            patterns,
-            exhaustive,
-        } => MultiplierEquiv::Equivalent {
-            patterns,
-            exhaustive,
-        },
-        Equivalence::Counterexample(c) => {
-            // Input bus layout: w (LSB-first), then x.
-            let mask = (1u64 << bits) - 1;
-            MultiplierEquiv::Counterexample(MultiplierCounterexample {
-                w: c.input & mask,
-                x: (c.input >> bits) & mask,
-                got: c.a_output,
-                expected: c.b_output,
-            })
+/// Scans a `bits`-bit product table in the workspace LUT convention
+/// (entry `(w << bits) | x` holds the product of `w` and `x`) against the
+/// exact multiplier. Returns the lowest differing `(w, x)` pair in w-major
+/// order.
+pub fn table_equivalence_vs_exact(
+    bits: u32,
+    products: impl IntoIterator<Item = u64>,
+) -> MultiplierEquiv {
+    let mask = (1u64 << bits) - 1;
+    let mut patterns = 0u64;
+    for (idx, got) in (0u64..).zip(products) {
+        let (w, x) = (idx >> bits, idx & mask);
+        if got != w * x {
+            return MultiplierEquiv::Counterexample(MultiplierCounterexample {
+                w,
+                x,
+                got,
+                expected: w * x,
+            });
         }
-    })
-}
-
-/// Exhaustive table-scan equivalence of a product LUT against the exact
-/// multiplier, for designs without a gate-level structure. Returns the
-/// lowest differing `(w, x)` pair in row-major order.
-pub fn lut_equivalence_vs_exact(lut: &MultiplierLut) -> MultiplierEquiv {
-    let n = 1u32 << lut.bits();
-    for w in 0..n {
-        for x in 0..n {
-            let got = u64::from(lut.product(w, x));
-            let expected = u64::from(w) * u64::from(x);
-            if got != expected {
-                return MultiplierEquiv::Counterexample(MultiplierCounterexample {
-                    w: u64::from(w),
-                    x: u64::from(x),
-                    got,
-                    expected,
-                });
-            }
-        }
+        patterns += 1;
     }
-    MultiplierEquiv::Equivalent {
-        patterns: u64::from(n) * u64::from(n),
-        exhaustive: true,
-    }
+    MultiplierEquiv::Equivalent { patterns }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use appmult_circuit::MultiplierStructure;
-    use appmult_mult::Multiplier;
+    use appmult_circuit::{MultiplierCircuit, MultiplierStructure};
+    use appmult_mult::{ExactMultiplier, Multiplier, TruncatedMultiplier};
+
+    fn lut_scan(m: impl Multiplier) -> MultiplierEquiv {
+        let lut = m.to_lut();
+        table_equivalence_vs_exact(lut.bits(), lut.entries().iter().map(|&p| u64::from(p)))
+    }
 
     #[test]
-    fn array_and_wallace_are_equivalent_exhaustively() {
-        let a = MultiplierCircuit::array(5);
-        let b = MultiplierCircuit::wallace(5);
-        let r = prove_multiplier_equivalence(&a, &b, &EquivConfig::default()).unwrap();
+    fn exact_tables_are_equivalent_over_the_whole_operand_space() {
         assert_eq!(
-            r,
-            MultiplierEquiv::Equivalent {
-                patterns: 1 << 10,
-                exhaustive: true
-            }
+            lut_scan(ExactMultiplier::new(6)),
+            MultiplierEquiv::Equivalent { patterns: 1 << 12 }
+        );
+        let wallace = MultiplierCircuit::wallace(5);
+        assert_eq!(
+            table_equivalence_vs_exact(5, wallace.exhaustive_products()),
+            MultiplierEquiv::Equivalent { patterns: 1 << 10 }
         );
     }
 
     #[test]
-    fn truncated_multiplier_yields_first_counterexample() {
+    fn truncated_tables_yield_the_first_counterexample() {
         // mul7u_rm6 removes the 6 rightmost columns: AM(1, 1) = 0, not 1.
-        // The exhaustive scan walks raw input values (w low bits), so the
-        // first failing pattern is w = 1, x = 1.
-        let exact = MultiplierCircuit::array(7);
         let truncated = MultiplierCircuit::with_removed_columns(7, 6, MultiplierStructure::Array);
-        match prove_multiplier_equivalence(&truncated, &exact, &EquivConfig::default()).unwrap() {
-            MultiplierEquiv::Counterexample(c) => {
-                assert_eq!((c.w, c.x), (1, 1));
-                assert_eq!(c.got, 0);
-                assert_eq!(c.expected, 1);
-            }
-            other => panic!("expected counterexample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sampled_path_proves_nothing_but_finds_gross_bugs() {
-        // 9-bit multipliers: 18 shared input bits > 16, so the checker
-        // samples. Array vs Wallace should agree on every sample ...
-        let a = MultiplierCircuit::array(9);
-        let b = MultiplierCircuit::wallace(9);
-        let cfg = EquivConfig {
-            random_vectors: 512,
-            ..EquivConfig::default()
-        };
-        match prove_equivalence(a.netlist(), b.netlist(), &cfg).unwrap() {
-            Equivalence::Equivalent {
-                exhaustive,
-                patterns,
-            } => {
-                assert!(!exhaustive);
-                assert!(patterns >= 512);
-            }
-            other => panic!("expected sampled equivalence, got {other:?}"),
-        }
-        // ... while a truncated 9-bit multiplier fails fast (the all-ones
-        // corner differs).
-        let truncated = MultiplierCircuit::with_removed_columns(9, 8, MultiplierStructure::Array);
-        match prove_multiplier_equivalence(&truncated, &a, &cfg).unwrap() {
-            MultiplierEquiv::Counterexample(c) => {
-                assert_ne!(c.got, c.expected);
-                assert_eq!(c.expected, c.w * c.x);
-            }
-            other => panic!("expected counterexample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shape_mismatch_is_an_error() {
-        let a = MultiplierCircuit::array(4);
-        let b = MultiplierCircuit::array(5);
-        assert!(matches!(
-            prove_equivalence(a.netlist(), b.netlist(), &EquivConfig::default()),
-            Err(MiterError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn malformed_source_is_rejected() {
-        use appmult_circuit::Gate;
-        let gates = vec![
-            Gate {
-                kind: GateKind::Input,
-                fanins: [Signal::from_index(0); 2],
-            },
-            Gate {
-                kind: GateKind::Not,
-                fanins: [Signal::from_index(5); 2],
-            },
-        ];
-        let bad = Netlist::from_raw_parts(
-            gates,
-            vec![Signal::from_index(0)],
-            vec![Signal::from_index(1)],
-        );
-        let mut good = Netlist::new();
-        let i = good.input();
-        let o = good.not(i);
-        good.set_outputs(vec![o]);
-        assert!(matches!(
-            miter(&bad, &good),
-            Err(MiterError::InvalidSource(_))
-        ));
-    }
-
-    #[test]
-    fn lut_scan_agrees_with_miter_for_exact_designs() {
-        let lut = appmult_mult::ExactMultiplier::new(6).to_lut();
         assert_eq!(
-            lut_equivalence_vs_exact(&lut),
-            MultiplierEquiv::Equivalent {
-                patterns: 1 << 12,
-                exhaustive: true
-            }
+            table_equivalence_vs_exact(7, truncated.exhaustive_products()),
+            MultiplierEquiv::Counterexample(MultiplierCounterexample {
+                w: 1,
+                x: 1,
+                got: 0,
+                expected: 1,
+            })
         );
-        let bad = appmult_mult::TruncatedMultiplier::new(6, 4).to_lut();
-        match lut_equivalence_vs_exact(&bad) {
+        match lut_scan(TruncatedMultiplier::new(6, 4)) {
             MultiplierEquiv::Counterexample(c) => assert_eq!((c.w, c.x), (1, 1)),
+            other => panic!("expected counterexample, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_scan_is_w_major() {
+        // Of two wrong cells, (w, x) = (2, 1) comes before (1, 3) in raw
+        // simulation order (w in the low input bits), but not in w-major
+        // order.
+        let mut table: Vec<u64> = (0..16u64).map(|i| (i >> 2) * (i & 3)).collect();
+        table[(2 << 2) | 1] += 1;
+        table[(1 << 2) | 3] += 1;
+        match table_equivalence_vs_exact(2, table) {
+            MultiplierEquiv::Counterexample(c) => {
+                assert_eq!((c.w, c.x, c.got, c.expected), (1, 3, 4, 3));
+            }
             other => panic!("expected counterexample, got {other:?}"),
         }
     }

@@ -5,16 +5,15 @@
 //! assumes the design is well-formed. This crate makes those assumptions
 //! checkable without running a single training step:
 //!
-//! - **Structural netlist lints** ([`lint_netlist`],
-//!   [`lint_multiplier_circuit`]): combinational cycles, dangling and
-//!   undriven signals, dead gates, arity/bus-width violations, and
-//!   const-foldable logic, each reported as a typed [`Diagnostic`].
-//! - **Miter-based equivalence checking** ([`prove_equivalence`],
-//!   [`prove_multiplier_equivalence`]): a candidate netlist is XORed
-//!   against a reference over shared inputs; up to 16 shared input bits
-//!   the miter is proved exhaustively with the 64-way bit-parallel
-//!   simulation engine, above that corner patterns plus seeded random
-//!   vectors are sampled. Counterexamples report the first failing
+//! - **Structural netlist lints** ([`lint_netlist`]): dead gates and
+//!   const-foldable logic, each reported as a typed [`Diagnostic`]. A
+//!   netlist is valid by construction (`appmult-circuit` refuses forward
+//!   references, foreign outputs and bad bus widths), so these are the
+//!   only findings a built netlist can carry.
+//! - **Equivalence against the exact multiplier**
+//!   ([`table_equivalence_vs_exact`]): one w-major scan of a design's
+//!   exhaustive product table (its LUT, or its circuit's exhaustive
+//!   products) against `w·x`. A counterexample reports the first failing
 //!   operand pair.
 //! - **LUT and gradient validators** ([`lint_multiplier_lut`],
 //!   [`lint_gradient_lut`]): error-metric sanity, NaN/Inf detection, and
@@ -37,7 +36,7 @@
 //! let report = lint_multiplier("mul7u_rm6", &TruncatedMultiplier::new(7, 6), 4);
 //! assert_eq!(report.error_count(), 0);
 //! match report.equivalence {
-//!     Some(MultiplierEquiv::Counterexample(c)) => assert_eq!((c.w, c.x), (1, 1)),
+//!     MultiplierEquiv::Counterexample(c) => assert_eq!((c.w, c.x), (1, 1)),
 //!     other => panic!("expected counterexample, got {other:?}"),
 //! }
 //! ```
@@ -52,12 +51,8 @@ mod tables;
 mod zoo_lint;
 
 pub use diag::{count_severity, has_errors, Diagnostic, Severity};
-pub use equiv::{
-    lut_equivalence_vs_exact, miter, prove_equivalence, prove_multiplier_equivalence,
-    Counterexample, EquivConfig, Equivalence, MiterError, MultiplierCounterexample,
-    MultiplierEquiv,
-};
-pub use structural::{lint_multiplier_circuit, lint_netlist};
+pub use equiv::{table_equivalence_vs_exact, MultiplierCounterexample, MultiplierEquiv};
+pub use structural::lint_netlist;
 pub use tables::{lint_gradient_lut, lint_multiplier_lut};
 pub use zoo_lint::{
     lint_multiplier, lint_zoo, lint_zoo_filtered, DesignKind, DesignReport, ZooLintReport,

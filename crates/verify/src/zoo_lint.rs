@@ -1,12 +1,12 @@
 //! Full verification sweep over the multiplier zoo.
 //!
-//! [`lint_zoo`] runs every pass — structural netlist lints, miter
-//! equivalence against the exact array multiplier, LUT metric sanity, and
-//! gradient-table consistency — over all Table I designs plus deliberately
-//! faulty variants (a stuck-at netlist fault and corrupted LUT cells). The
-//! faulty variants act as negative controls: the sweep *fails* if they
-//! pass the equivalence check. The result serializes to the
-//! `results/LINT.json` (`appmult-lint/v3`) schema consumed by CI.
+//! [`lint_zoo`] runs every pass — structural netlist lints, a product-table
+//! scan against the exact multiplier, LUT metric sanity, and gradient-table
+//! consistency — over all Table I designs plus deliberately faulty variants
+//! (a stuck-at netlist fault and corrupted LUT cells). The faulty variants
+//! act as negative controls: the sweep *fails* if they pass the
+//! equivalence check. The result serializes to the `results/LINT.json`
+//! (`appmult-lint/v3`) schema consumed by CI.
 
 use appmult_circuit::{fault_sites, FaultSpec, MultiplierCircuit};
 use appmult_mult::{zoo, Multiplier, MultiplierLut};
@@ -14,10 +14,8 @@ use appmult_obs::json::{self, JsonWriter, Layout};
 use appmult_retrain::{GradientLut, GradientMode};
 
 use crate::diag::{count_severity, Diagnostic, Severity};
-use crate::equiv::{
-    lut_equivalence_vs_exact, prove_multiplier_equivalence, EquivConfig, MultiplierEquiv,
-};
-use crate::structural::lint_multiplier_circuit;
+use crate::equiv::{table_equivalence_vs_exact, MultiplierEquiv};
+use crate::structural::lint_netlist;
 use crate::tables::{lint_gradient_lut, lint_multiplier_lut};
 
 /// What a design is expected to be.
@@ -53,8 +51,8 @@ pub struct DesignReport {
     pub kind: DesignKind,
     /// All pass findings, including the expectation check.
     pub diagnostics: Vec<Diagnostic>,
-    /// Equivalence result against the exact multiplier, when checked.
-    pub equivalence: Option<MultiplierEquiv>,
+    /// Equivalence result against the exact multiplier.
+    pub equivalence: MultiplierEquiv,
 }
 
 impl DesignReport {
@@ -77,22 +75,19 @@ impl DesignReport {
         w.key("warnings").raw(self.warning_count());
         w.key("equivalence");
         match &self.equivalence {
-            Some(MultiplierEquiv::Equivalent {
-                patterns,
-                exhaustive,
-            }) => w.object(Layout::Pretty, |w| {
+            MultiplierEquiv::Equivalent { patterns } => w.object(Layout::Pretty, |w| {
                 w.key("status").str("equivalent");
-                w.key("exhaustive").raw(exhaustive);
+                // The scan covers the whole operand space, always.
+                w.key("exhaustive").raw(true);
                 w.key("patterns").raw(patterns);
             }),
-            Some(MultiplierEquiv::Counterexample(c)) => w.object(Layout::Pretty, |w| {
+            MultiplierEquiv::Counterexample(c) => w.object(Layout::Pretty, |w| {
                 w.key("status").str("counterexample");
                 w.key("w").raw(c.w);
                 w.key("x").raw(c.x);
                 w.key("got").raw(c.got);
                 w.key("expected").raw(c.expected);
             }),
-            None => w.null(),
         };
         w.key("diagnostics").array(Layout::Pretty, |w| {
             for diag in &self.diagnostics {
@@ -147,12 +142,11 @@ impl ZooLintReport {
 
 /// Runs every applicable pass over one multiplier.
 ///
-/// Designs with a gate-level structure get the structural lints, a
+/// Designs with a gate-level structure get the structural lints and a
 /// behaviour cross-check (exhaustive circuit products vs the behavioural
-/// LUT), and miter-based equivalence against the exact array multiplier;
-/// LUT-only designs fall back to an exhaustive table scan. All designs get
-/// the LUT metric sanity pass and the Eq. 5/6 gradient consistency pass at
-/// the given half window size. The expected behaviour class (`kind`) is
+/// LUT), and their equivalence scan reads the circuit's products; LUT-only
+/// designs scan the LUT. All designs get the LUT metric sanity pass and
+/// the Eq. 5/6 gradient consistency pass at the given half window size. The expected behaviour class (`kind`) is
 /// derived from the LUT itself and checked against the equivalence result.
 pub fn lint_multiplier<M: Multiplier + ?Sized>(name: &str, m: &M, hws: u32) -> DesignReport {
     let lut = MultiplierLut::from_multiplier(m);
@@ -174,10 +168,9 @@ fn lint_with_lut<M: Multiplier + ?Sized>(
         DesignKind::Approximate
     });
 
-    let cfg = EquivConfig::default();
     let equivalence = match m.circuit() {
         Some(circuit) => {
-            diagnostics.extend(lint_multiplier_circuit(&circuit));
+            diagnostics.extend(lint_netlist(circuit.netlist()));
             // The gate-level structure must implement the behavioural model.
             let products = circuit.exhaustive_products();
             if let Some(idx) = products
@@ -197,45 +190,11 @@ fn lint_with_lut<M: Multiplier + ?Sized>(
                     ),
                 ));
             }
-            let reference = MultiplierCircuit::array(bits);
-            match prove_multiplier_equivalence(&circuit, &reference, &cfg) {
-                Ok(r) => Some(r),
-                Err(e) => {
-                    diagnostics.push(Diagnostic::error(
-                        "miter",
-                        name.to_string(),
-                        format!("miter construction failed: {e}"),
-                    ));
-                    None
-                }
-            }
+            table_equivalence_vs_exact(bits, products)
         }
-        None => Some(lut_equivalence_vs_exact(lut)),
+        None => table_equivalence_vs_exact(bits, lut.entries().iter().map(|&p| u64::from(p))),
     };
-
-    // The equivalence verdict must agree with the expected behaviour class.
-    match (&equivalence, kind) {
-        (Some(MultiplierEquiv::Counterexample(c)), DesignKind::Exact) => {
-            diagnostics.push(Diagnostic::error(
-                "equivalence",
-                name.to_string(),
-                format!("exact design disagrees with the reference: {c}"),
-            ));
-        }
-        (Some(MultiplierEquiv::Equivalent { exhaustive, .. }), k)
-            if k != DesignKind::Exact && *exhaustive =>
-        {
-            diagnostics.push(Diagnostic::error(
-                "equivalence",
-                name.to_string(),
-                format!(
-                    "{} design proved equivalent to the exact multiplier",
-                    k.as_str()
-                ),
-            ));
-        }
-        _ => {}
-    }
+    diagnostics.extend(expectation_diagnostic(name, kind, &equivalence));
 
     let grads = GradientLut::build(lut, GradientMode::difference_based(hws.max(1)));
     diagnostics.extend(lint_gradient_lut(lut, &grads, hws.max(1)));
@@ -249,8 +208,29 @@ fn lint_with_lut<M: Multiplier + ?Sized>(
     }
 }
 
+/// The equivalence verdict must agree with the expected behaviour class:
+/// an exact design may not differ from `w·x`, and an approximate or faulty
+/// one may not match it.
+fn expectation_diagnostic(
+    name: &str,
+    kind: DesignKind,
+    equivalence: &MultiplierEquiv,
+) -> Option<Diagnostic> {
+    let message = match (equivalence, kind) {
+        (MultiplierEquiv::Counterexample(c), DesignKind::Exact) => {
+            format!("exact design disagrees with the reference: {c}")
+        }
+        (MultiplierEquiv::Equivalent { .. }, k) if k != DesignKind::Exact => format!(
+            "{} design proved equivalent to the exact multiplier",
+            k.as_str()
+        ),
+        _ => return None,
+    };
+    Some(Diagnostic::error("equivalence", name.to_string(), message))
+}
+
 /// Negative control: the 8-bit array multiplier with its first live
-/// physical gate stuck at 1, checked structurally through the miter.
+/// physical gate stuck at 1, scanned through its exhaustive products.
 fn lint_stuck_at_variant() -> DesignReport {
     let base = MultiplierCircuit::array(8);
     let site = fault_sites(base.netlist())[0];
@@ -259,25 +239,13 @@ fn lint_stuck_at_variant() -> DesignReport {
         .expect("fault site belongs to the netlist");
     let name = format!("mul8u_array_sa1@{site}");
 
-    let mut diagnostics = lint_multiplier_circuit(&circuit);
-    let equivalence = match prove_multiplier_equivalence(&circuit, &base, &EquivConfig::default()) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            diagnostics.push(Diagnostic::error(
-                "miter",
-                name.clone(),
-                format!("miter construction failed: {e}"),
-            ));
-            None
-        }
-    };
-    if let Some(MultiplierEquiv::Equivalent { .. }) = equivalence {
-        diagnostics.push(Diagnostic::error(
-            "equivalence",
-            name.clone(),
-            "stuck-at-1 fault was not detected by the miter",
-        ));
-    }
+    let mut diagnostics = lint_netlist(circuit.netlist());
+    let equivalence = table_equivalence_vs_exact(8, circuit.exhaustive_products());
+    diagnostics.extend(expectation_diagnostic(
+        &name,
+        DesignKind::Faulty,
+        &equivalence,
+    ));
     DesignReport {
         name,
         bits: 8,
@@ -291,59 +259,14 @@ fn lint_stuck_at_variant() -> DesignReport {
 fn lint_corrupted_lut_variant() -> DesignReport {
     let clean = appmult_mult::ExactMultiplier::new(8).to_lut();
     let lut = clean.with_flipped_bits(4, 0xBAD_CE11);
-    let name = lut.name().to_string();
     // LUT corruption has no gate-level structure: the control exercises
-    // the table scan, not the netlist passes.
-    let mut report = lint_with_lut(&name, &lut, &lut, 4, Some(DesignKind::Faulty));
-    if let Some(MultiplierEquiv::Equivalent { .. }) = report.equivalence {
-        report.diagnostics.push(Diagnostic::error(
-            "equivalence",
-            name,
-            "corrupted LUT cells were not detected by the table scan",
-        ));
-    }
-    report
-}
-
-/// Above-limit control: 10-bit array vs Wallace (20 shared input bits),
-/// exercising the corner + seeded random sampling path of the checker.
-fn lint_sampled_equivalence() -> DesignReport {
-    let array = MultiplierCircuit::array(10);
-    let wallace = MultiplierCircuit::wallace(10);
-    let name = "mul10u_wallace_vs_array".to_string();
-    let mut diagnostics = lint_multiplier_circuit(&wallace);
-    let equivalence = match prove_multiplier_equivalence(&wallace, &array, &EquivConfig::default())
-    {
-        Ok(r) => Some(r),
-        Err(e) => {
-            diagnostics.push(Diagnostic::error(
-                "miter",
-                name.clone(),
-                format!("miter construction failed: {e}"),
-            ));
-            None
-        }
-    };
-    if let Some(MultiplierEquiv::Counterexample(c)) = &equivalence {
-        diagnostics.push(Diagnostic::error(
-            "equivalence",
-            name.clone(),
-            format!("Wallace and array reductions disagree: {c}"),
-        ));
-    }
-    DesignReport {
-        name,
-        bits: 10,
-        kind: DesignKind::Exact,
-        diagnostics,
-        equivalence,
-    }
+    // the LUT scan, not the netlist passes.
+    lint_with_lut(lut.name(), &lut, &lut, 4, Some(DesignKind::Faulty))
 }
 
 /// Runs the full verification sweep: every Table I zoo entry (including
 /// the cached `_syn` synthesis results) at its recommended half window
-/// size, the two faulty negative controls, and the above-limit sampled
-/// equivalence check.
+/// size and the two faulty negative controls.
 pub fn lint_zoo() -> ZooLintReport {
     lint_zoo_filtered(true)
 }
@@ -365,7 +288,6 @@ pub fn lint_zoo_filtered(include_syn: bool) -> ZooLintReport {
         .collect();
     designs.push(lint_stuck_at_variant());
     designs.push(lint_corrupted_lut_variant());
-    designs.push(lint_sampled_equivalence());
     ZooLintReport { designs }
 }
 
@@ -382,10 +304,7 @@ mod tests {
         assert_eq!(r.error_count(), 0, "{:?}", r.diagnostics);
         assert_eq!(
             r.equivalence,
-            Some(MultiplierEquiv::Equivalent {
-                patterns: 1 << 12,
-                exhaustive: true
-            })
+            MultiplierEquiv::Equivalent { patterns: 1 << 12 }
         );
     }
 
@@ -396,7 +315,7 @@ mod tests {
         assert_eq!(r.kind, DesignKind::Approximate);
         assert_eq!(r.error_count(), 0, "{:?}", r.diagnostics);
         match r.equivalence {
-            Some(MultiplierEquiv::Counterexample(c)) => {
+            MultiplierEquiv::Counterexample(c) => {
                 assert_eq!((c.w, c.x), (1, 1));
                 assert_eq!((c.got, c.expected), (0, 1));
             }
@@ -408,10 +327,7 @@ mod tests {
     fn stuck_at_control_fails_equivalence() {
         let r = lint_stuck_at_variant();
         assert_eq!(r.kind, DesignKind::Faulty);
-        assert!(matches!(
-            r.equivalence,
-            Some(MultiplierEquiv::Counterexample(_))
-        ));
+        assert!(matches!(r.equivalence, MultiplierEquiv::Counterexample(_)));
         // The expectation check adds no error: failing is the expectation.
         assert!(
             r.diagnostics.iter().all(|d| d.pass != "equivalence"),
@@ -424,10 +340,7 @@ mod tests {
     fn corrupted_lut_control_fails_equivalence() {
         let r = lint_corrupted_lut_variant();
         assert_eq!(r.kind, DesignKind::Faulty);
-        assert!(matches!(
-            r.equivalence,
-            Some(MultiplierEquiv::Counterexample(_))
-        ));
+        assert!(matches!(r.equivalence, MultiplierEquiv::Counterexample(_)));
     }
 
     #[test]

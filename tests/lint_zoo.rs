@@ -8,7 +8,6 @@
 #[derive(Debug, Default, Clone)]
 struct DesignRecord {
     name: String,
-    bits: u32,
     kind: String,
     errors: u32,
     status: String,
@@ -36,9 +35,6 @@ fn parse_designs(json: &str) -> Vec<DesignRecord> {
             });
         }
         let Some(d) = current.as_mut() else { continue };
-        if let Some(v) = field(line, "bits") {
-            d.bits = v.parse().expect("bits is an integer");
-        }
         if let Some(v) = field(line, "kind") {
             d.kind = v.trim_matches('"').to_string();
         }
@@ -85,8 +81,8 @@ fn zoo_lint_report_meets_the_acceptance_criteria() {
 
     let designs = parse_designs(&json);
     // 14 (18 minus the four `_syn`) zoo entries + stuck-at control +
-    // corrupted-LUT control + sampled-equivalence control.
-    let floor = if include_syn { 21 } else { 17 };
+    // corrupted-LUT control.
+    let floor = if include_syn { 20 } else { 16 };
     assert!(
         designs.len() >= floor,
         "only {} designs parsed",
@@ -94,15 +90,13 @@ fn zoo_lint_report_meets_the_acceptance_criteria() {
     );
     assert!(designs.iter().all(|d| d.errors == 0), "{designs:?}");
 
-    // Every exact design up to 8x8 is *proved* equivalent (exhaustive
-    // miter over all 2^(2B) patterns); wider exact checks may sample.
+    // Every exact design is *proved* equivalent (a scan of all 2^(2B)
+    // products).
     let exact: Vec<_> = designs.iter().filter(|d| d.kind == "exact").collect();
     assert!(exact.len() >= 3);
     for d in &exact {
         assert_eq!(d.status, "equivalent", "{}", d.name);
-        if d.bits <= 8 {
-            assert!(d.exhaustive, "{} must be proved, not sampled", d.name);
-        }
+        assert!(d.exhaustive, "{} must be proved", d.name);
     }
 
     // Approximate designs all differ from the exact multiplier.
