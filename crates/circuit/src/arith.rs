@@ -116,12 +116,17 @@ impl MultiplierCircuit {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::UnknownSignal`] if the bus shapes do not
-    /// match.
+    /// Returns [`NetlistError::BusShape`], naming the netlist's input and
+    /// output counts, if `bits` is 0 or the bus shapes do not match.
     pub fn from_netlist(netlist: Netlist, bits: u32) -> Result<Self, NetlistError> {
         let bus = 2 * bits as usize;
-        if bits == 0 || netlist.num_inputs() != bus || netlist.outputs().len() != bus {
-            return Err(NetlistError::UnknownSignal(Signal(0)));
+        let (inputs, outputs) = (netlist.num_inputs(), netlist.outputs().len());
+        if bits == 0 || inputs != bus || outputs != bus {
+            return Err(NetlistError::BusShape {
+                inputs,
+                outputs,
+                bits,
+            });
         }
         Ok(Self {
             netlist,
@@ -291,9 +296,22 @@ mod tests {
         let ins: Vec<Signal> = (0..8).map(|_| adder.input()).collect();
         let outs: Vec<Signal> = (0..5).map(|i| adder.xor(ins[i], ins[i + 3])).collect();
         adder.set_outputs(outs);
-        assert!(MultiplierCircuit::from_netlist(adder, 4).is_err());
+        let err = MultiplierCircuit::from_netlist(adder, 4).expect_err("adder");
+        let shape = NetlistError::BusShape {
+            inputs: 8,
+            outputs: 5,
+            bits: 4,
+        };
+        assert_eq!(err, shape);
+        assert_eq!(
+            err.to_string(),
+            "a 4-bit multiplier needs 2·4 inputs and outputs, not 8 inputs and 5 outputs"
+        );
         // Zero-width: the empty bus matches, but there is no multiplier.
-        assert!(MultiplierCircuit::from_netlist(Netlist::new(), 0).is_err());
+        assert!(matches!(
+            MultiplierCircuit::from_netlist(Netlist::new(), 0),
+            Err(NetlistError::BusShape { bits: 0, .. })
+        ));
         let mut nl = Netlist::new();
         let a = nl.input();
         let b = nl.input();

@@ -123,6 +123,16 @@ pub enum NetlistError {
         /// The replacement signal in its transitive fanout.
         replacement: Signal,
     },
+    /// A netlist wrapped as a `bits`-bit multiplier does not have the
+    /// `2 * bits` inputs and `2 * bits` outputs of its buses.
+    BusShape {
+        /// Primary inputs of the netlist.
+        inputs: usize,
+        /// Primary outputs of the netlist.
+        outputs: usize,
+        /// The operand width it was wrapped at.
+        bits: u32,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -135,6 +145,14 @@ impl fmt::Display for NetlistError {
                     "replacing {gate} with {replacement} would create a cycle"
                 )
             }
+            NetlistError::BusShape {
+                inputs,
+                outputs,
+                bits,
+            } => write!(
+                f,
+                "a {bits}-bit multiplier needs 2·{bits} inputs and outputs, not {inputs} inputs and {outputs} outputs"
+            ),
         }
     }
 }

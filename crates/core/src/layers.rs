@@ -407,7 +407,8 @@ fn count_lookups(xq: &[u16], (m, j, k): (usize, usize, usize)) {
 
 /// LUT backward pass (Eq. 9) for the `[M, J]` `g = dL/d(out)`: runs the
 /// `dW` half and returns it with the `dX` half ([`DxPass`]), which the conv
-/// folds into its input gradient one image at a time.
+/// folds into its input gradient one image at a time when `input_grad`
+/// says something reads it.
 ///
 /// The `dW` half is partitioned over the output-channel dimension `J`
 /// (each worker owns whole `dw` rows and accumulates over `M` in
@@ -423,17 +424,20 @@ fn gemm_backward<'a>(
     g: &'a Tensor,
     sched: Sched,
     kernel: Kernel,
+    input_grad: bool,
 ) -> (Tensor, DxPass<'a>) {
     let obs = appmult_obs::global();
     let _span = obs.span("gemm_backward");
     let (m, j, k) = (cache.m, cache.w.j, cache.w.k);
     assert_eq!(g.shape(), &[m, j], "output gradient shape mismatch");
-    // Nominal Eq. 9 table lookups (`dW` and `dX` halves), then the ones
-    // made: both halves skip a zero output gradient for its whole K row.
+    // Nominal Eq. 9 table lookups (`dW` and `dX` halves, whether or not
+    // the `dX` half runs), then the ones made: each half that runs skips a
+    // zero output gradient for its whole K row.
     obs.counter_add("gradlut.lookups", 2 * (m * j * k) as u64);
     if obs.is_enabled() {
         let live = g.as_slice().iter().filter(|&&v| v != 0.0).count();
-        obs.counter_add("gradlut.live_lookups", 2 * (live * k) as u64);
+        let halves = 1 + usize::from(input_grad);
+        obs.counter_add("gradlut.live_lookups", (halves * live * k) as u64);
     }
     let shape = GemmShape {
         j,
@@ -799,19 +803,29 @@ impl ApproxConv2d {
         )
     }
 
-    /// [`Module::backward`], with every dispatch scheduled by `sched`.
-    fn backward_on(&mut self, grad_out: &Tensor, sched: Sched) -> Tensor {
+    /// [`Module::backward`], with every dispatch scheduled by `sched`; the
+    /// input gradient's `dX` pass and col2im run only if `input_grad`.
+    fn backward_on(&mut self, grad_out: &Tensor, sched: Sched, input_grad: bool) -> Option<Tensor> {
         let _span = appmult_obs::global().span("conv2d.backward");
         assert!(self.cache.populated(), "backward before forward");
         let (j, k) = (self.cache.w.j, self.cache.w.k);
         let (_, h, w) = self.input_hw;
         let (oh, ow) = self.spec.out_hw(h, w);
         let g_rows = nchw_to_rows(grad_out);
-        let (dw, dx) = gemm_backward(&self.cache, &self.grads, &g_rows, sched, self.kernel);
+        let (dw, dx) = gemm_backward(
+            &self.cache,
+            &self.grads,
+            &g_rows,
+            sched,
+            self.kernel,
+            input_grad,
+        );
         // The image pass folds the `[M, K]` dX GEMM, `oh * ow * k` elements
         // of `j` MACs per image.
-        let pool = sched.pool(j, oh * ow * k);
-        let grad_in = conv_input_grad(&dx, &self.spec, self.input_hw, pool);
+        let grad_in = input_grad.then(|| {
+            let pool = sched.pool(j, oh * ow * k);
+            conv_input_grad(&dx, &self.spec, self.input_hw, pool)
+        });
         self.weight.grad.add_scaled(&dw, 1.0);
         let db = self.bias.grad.as_mut_slice();
         for row in g_rows.as_slice().chunks(j) {
@@ -829,7 +843,12 @@ impl Module for ApproxConv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_on(grad_out, Sched::global())
+        let grad_in = self.backward_on(grad_out, Sched::global(), true);
+        grad_in.expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward_on(grad_out, Sched::global(), false);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
@@ -1530,7 +1549,7 @@ mod tests {
             layer.set_kernel(kernel);
             let conv = &mut layer.conv;
             let y = conv.forward_on(&x, true, sched);
-            let dx = conv.backward_on(&g, sched);
+            let dx = conv.backward_on(&g, sched, true).expect("input gradient");
             (bits_of(&y), bits_of(&dx), bits_of(&conv.weight.grad))
         };
         // Serial naive is the reference; every (kernel, pool) combination
@@ -1824,7 +1843,7 @@ mod tests {
                     conv.set_kernel(kernel);
                     conv.forward_on(&ramp(&[1, spec.in_channels, h, w], 1.0), true, sched);
                     let y = conv.forward_on(&x, true, sched);
-                    let dx = conv.backward_on(&g, sched);
+                    let dx = conv.backward_on(&g, sched, true).expect("input gradient");
                     (bits_of(&y), bits_of(&dx), bits_of(&conv.weight.grad))
                 };
                 let want = run(unfloored(Pool::serial()), Kernel::Naive);
@@ -1879,7 +1898,7 @@ mod tests {
                     conv.set_kernel(Kernel::Tiled);
                     conv.forward_on(&ramp(&[1, spec.in_channels, hw, hw], 1.0), true, sched);
                     let y = conv.forward_on(&x, true, sched);
-                    let dx = conv.backward_on(&g, sched);
+                    let dx = conv.backward_on(&g, sched, true).expect("input gradient");
                     (bits_of(&y), bits_of(&dx), bits_of(&conv.weight.grad))
                 };
                 let want = run(floored(Pool::serial()));

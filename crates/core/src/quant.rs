@@ -185,12 +185,6 @@ impl QuantParams {
     pub fn dequantize(&self, q: u32) -> f32 {
         self.scale * (q as i32 - self.zero_point) as f32
     }
-
-    /// Fake-quantization round trip: `dequantize(quantize(v))`.
-    #[inline]
-    pub fn fake_quantize(&self, v: f32) -> f32 {
-        self.dequantize(self.quantize(v))
-    }
 }
 
 /// Dequantization of an accumulated dot product of `count` terms (Eq. 8
@@ -314,7 +308,7 @@ mod tests {
         let q = QuantParams::from_range(-1.0, 1.0, 8);
         for i in 0..100 {
             let v = -1.0 + 0.02 * i as f32;
-            let r = q.fake_quantize(v);
+            let r = q.dequantize(q.quantize(v));
             assert!((r - v).abs() <= q.scale * 0.5 + 1e-6, "{v} -> {r}");
         }
     }
@@ -323,7 +317,7 @@ mod tests {
     fn zero_maps_to_zero_point_exactly() {
         let q = QuantParams::from_range(-0.73, 1.9, 8);
         assert_eq!(q.quantize(0.0), q.zero_point as u32);
-        assert_eq!(q.fake_quantize(0.0), 0.0);
+        assert_eq!(q.dequantize(q.quantize(0.0)), 0.0);
     }
 
     #[test]
@@ -511,7 +505,7 @@ mod tests {
     fn degenerate_range_does_not_blow_up() {
         let q = QuantParams::from_range(0.0, 0.0, 8);
         assert!(q.scale > 0.0);
-        let r = q.fake_quantize(0.0);
+        let r = q.dequantize(q.quantize(0.0));
         assert_eq!(r, 0.0);
     }
 
@@ -544,7 +538,7 @@ mod tests {
         let q = QuantParams::signed_symmetric(1.27, 8);
         assert_eq!(q.zero_point, 128);
         assert_eq!(q.quantize(0.0), 128);
-        assert_eq!(q.fake_quantize(0.0), 0.0);
+        assert_eq!(q.dequantize(q.quantize(0.0)), 0.0);
         // Symmetric reach: +/- max_abs hit codes 255 and 1.
         assert_eq!(q.quantize(1.27), 255);
         assert_eq!(q.quantize(-1.27), 1);
@@ -556,7 +550,7 @@ mod tests {
     fn signed_symmetric_degenerate_range_does_not_blow_up() {
         let q = QuantParams::signed_symmetric(0.0, 8);
         assert!(q.scale > 0.0);
-        assert_eq!(q.fake_quantize(0.0), 0.0);
+        assert_eq!(q.dequantize(q.quantize(0.0)), 0.0);
     }
 
     #[test]

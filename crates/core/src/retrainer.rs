@@ -195,7 +195,7 @@ pub fn retrain(
             let (x, labels) = &train[bi];
             let logits = model.forward(x, true);
             let (loss, grad) = softmax_cross_entropy(&logits, labels);
-            model.backward(&grad);
+            model.backward_params(&grad);
             if let Some(g) = &guard {
                 scrubbed_grads += g.scrub(model);
             }

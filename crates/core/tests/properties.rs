@@ -32,7 +32,7 @@ fn fake_quant_error_bounded() {
         let hi = lo + width;
         let q = QuantParams::from_range(lo, hi, 8);
         let v = lo + t * width;
-        let r = q.fake_quantize(v);
+        let r = q.dequantize(q.quantize(v));
         assert!(
             (r - v).abs() <= q.scale * 0.5 + 1e-6,
             "{v} -> {r} (scale {})",
@@ -65,7 +65,7 @@ fn zero_is_exact() {
         let hi = rng.uniform_f32(0.0, 5.0);
         let bits = 2 + rng.below(7) as u32;
         let q = QuantParams::from_range(lo, hi, bits);
-        assert_eq!(q.fake_quantize(0.0), 0.0);
+        assert_eq!(q.dequantize(q.quantize(0.0)), 0.0);
     }
 }
 

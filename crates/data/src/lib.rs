@@ -153,16 +153,6 @@ impl SyntheticDataset {
         &self.config
     }
 
-    /// Number of training samples.
-    pub fn train_len(&self) -> usize {
-        self.train_labels.len()
-    }
-
-    /// Number of test samples.
-    pub fn test_len(&self) -> usize {
-        self.test_labels.len()
-    }
-
     fn batches(
         &self,
         images: &[f32],
@@ -316,8 +306,8 @@ mod tests {
     #[test]
     fn sample_counts_match_config() {
         let data = SyntheticDataset::generate(&DatasetConfig::small(5, 6, 3));
-        assert_eq!(data.train_len(), 30);
-        assert_eq!(data.test_len(), 15);
+        assert_eq!(data.train_labels.len(), 30);
+        assert_eq!(data.test_labels.len(), 15);
     }
 
     #[test]
@@ -359,7 +349,7 @@ mod tests {
                 hits += 1;
             }
         }
-        let acc = hits as f64 / data.test_len() as f64;
+        let acc = hits as f64 / data.test_labels.len() as f64;
         assert!(acc > 0.5, "nearest-prototype accuracy only {acc}");
     }
 

@@ -427,6 +427,22 @@ impl Conv2d {
     pub fn weight(&self) -> &Parameter {
         &self.weight
     }
+
+    /// Accumulates `dW = g^T @ cols` and `db` (the column sums of `g`) for
+    /// the NCHW output gradient; returns `g` as `[M, Cout]` rows.
+    fn add_param_grads(&mut self, grad_out: &Tensor) -> Tensor {
+        let cols = self.cols.as_ref().expect("backward before forward");
+        let g_rows = nchw_to_rows(grad_out); // [M, Cout]
+        let dw = g_rows.transpose2d().matmul(cols); // [Cout, K]
+        self.weight.grad.add_scaled(&dw, 1.0);
+        let db = self.bias.grad.as_mut_slice();
+        for row in g_rows.as_slice().chunks(self.spec.out_channels) {
+            for (d, g) in db.iter_mut().zip(row) {
+                *d += g;
+            }
+        }
+        g_rows
+    }
 }
 
 impl Module for Conv2d {
@@ -451,25 +467,15 @@ impl Module for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cols = self.cols.as_ref().expect("backward before forward");
-        let (n, h, w) = self.input_hw;
-        let g_rows = nchw_to_rows(grad_out); // [M, Cout]
-                                             // dW = g^T @ cols, db = column sums of g.
-        let gt = g_rows.transpose2d(); // [Cout, M]
-        let dw = gt.matmul(cols); // [Cout, K]
-        self.weight.grad.add_scaled(&dw, 1.0);
-        let c = self.spec.out_channels;
-        {
-            let db = self.bias.grad.as_mut_slice();
-            for row in g_rows.as_slice().chunks(c) {
-                for (d, g) in db.iter_mut().zip(row) {
-                    *d += g;
-                }
-            }
-        }
+        let g_rows = self.add_param_grads(grad_out);
         // dX = col2im(g @ W).
+        let (n, h, w) = self.input_hw;
         let dcols = g_rows.matmul(&self.weight.value); // [M, K]
         col2im(&dcols, &self.spec, n, h, w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.add_param_grads(grad_out);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {

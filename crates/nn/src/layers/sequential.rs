@@ -21,12 +21,38 @@ use crate::tensor::Tensor;
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Module>>,
+    reads_data: bool,
 }
 
 impl Sequential {
     /// Creates an empty chain.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty chain that is a whole network: its input is the
+    /// data batch, whose gradient nothing reads.
+    ///
+    /// Its [`Module::backward`] runs [`Module::backward_params`], so the
+    /// first layer skips its input gradient (a stem convolution's `dX`
+    /// GEMM and col2im), and returns a 0-element tensor. Every parameter
+    /// gradient is bit-identical to an unmarked chain's. The return value
+    /// is empty rather than zeros of the input's shape, so a caller that
+    /// wants an input gradient fails on its shape instead of reading
+    /// zeros; such a caller builds its chain with [`Sequential::new`].
+    ///
+    /// ```
+    /// use appmult_nn::{layers::{Linear, Sequential}, Module, Tensor};
+    ///
+    /// let mut net = Sequential::network().push(Linear::new(4, 2, 0));
+    /// let y = net.forward(&Tensor::zeros(&[3, 4]), true);
+    /// assert!(net.backward(&Tensor::full(y.shape(), 1.0)).is_empty());
+    /// ```
+    pub fn network() -> Self {
+        Self {
+            layers: Vec::new(),
+            reads_data: true,
+        }
     }
 
     /// Appends a layer (builder style).
@@ -49,6 +75,11 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
+
+    /// The chain's layers, in order.
+    pub fn into_layers(self) -> Vec<Box<dyn Module>> {
+        self.layers
+    }
 }
 
 impl std::fmt::Debug for Sequential {
@@ -67,11 +98,26 @@ impl Module for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        if self.reads_data {
+            self.backward_params(grad_out);
+            return Tensor::zeros(&[0]);
+        }
         let mut g = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {
             g = layer.backward(&g);
         }
         g
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_out.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {

@@ -37,7 +37,10 @@ impl Parameter {
 /// 2. `backward` consumes `dL/d(output)` for the *most recent* forward call,
 ///    accumulates parameter gradients into [`Parameter::grad`], and returns
 ///    `dL/d(input)`;
-/// 3. `visit_params` exposes parameters in a deterministic order (optimizers
+/// 3. `backward_params` does the same accumulation when nothing reads
+///    `dL/d(input)` (the layer takes the data batch), so a layer may skip
+///    computing it;
+/// 4. `visit_params` exposes parameters in a deterministic order (optimizers
 ///    key their per-parameter state on this order).
 ///
 /// `Send` is a supertrait so that built models can be handed to worker
@@ -59,6 +62,17 @@ pub trait Module: Send {
     /// Implementations may panic if called before `forward` or with a
     /// gradient whose shape does not match the cached activation.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Accumulates the parameter gradients of [`Module::backward`], bit
+    /// for bit, without returning `dL/d(input)`. For a layer whose input
+    /// is the data batch, whose gradient nothing reads.
+    ///
+    /// The default runs `backward` and drops its result; a layer whose
+    /// input gradient costs work of its own (a convolution's `dX` GEMM and
+    /// col2im) overrides it to skip that work.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
 
     /// Visits every trainable parameter in a stable order.
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter));
@@ -82,6 +96,9 @@ impl Module for Box<dyn Module> {
     }
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         (**self).backward(grad_out)
+    }
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        (**self).backward_params(grad_out);
     }
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
         (**self).visit_params(visitor);

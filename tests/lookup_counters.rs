@@ -6,7 +6,9 @@
 //! `kernel.row_table_refusals` those the size cap or a guard refused).
 //! `gradlut.live_lookups` counts the gradient lookups actually made: both
 //! Eq. 9 halves skip a zero output gradient for its whole `K` row, so it
-//! is `2·K` per nonzero entry of the output gradient. `lut.live_lookups`
+//! is `2·K` per nonzero entry of the output gradient, and `K` for a
+//! params-only backward (a network's stem), which skips the `dX` half but
+//! still counts it in `gradlut.lookups`. `lut.live_lookups`
 //! counts the product lookups left once code-0 terms are dropped: `J` per
 //! nonzero activation code, whichever loop the forward runs.
 //!
@@ -170,6 +172,24 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
         0,
     );
     assert_eq!(obs.counter("gradlut.live_lookups") - before, 300);
+
+    // A params-only backward, as a network's stem runs, makes the `dW`
+    // half alone: the nominal count stays 2·m·j·k, the live count is `K`
+    // per nonzero entry of the output gradient.
+    let (mut conv1, spec1) = lenet_conv(3, 6);
+    let mjk = (32 * 12 * 12 * 6 * spec1.patch_len()) as u64;
+    let g = ramp(&[32, 6, 12, 12]);
+    let (nominal, made) = (
+        obs.counter("gradlut.lookups"),
+        obs.counter("gradlut.live_lookups"),
+    );
+    conv1.forward(&relu_ramp(&[32, 3, 16, 16]), true);
+    conv1.backward_params(&g);
+    assert_eq!(obs.counter("gradlut.lookups") - nominal, 2 * mjk);
+    assert_eq!(
+        obs.counter("gradlut.live_lookups") - made,
+        spec1.patch_len() as u64 * nonzeros(&g)
+    );
 
     // One image of LeNet conv1 is 144 rows, below a train forward's rows
     // rule of 8·2^6 = 512: a train forward builds no row table, while a
