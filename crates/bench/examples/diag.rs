@@ -1,19 +1,36 @@
-//! Diagnostic: does each gradient mode descend on a single approx layer?
+//! Diagnostic: does each gradient mode descend on a single approx layer
+//! (a 1×1 conv, i.e. a dense 16 → 8 GEMM)?
 use appmult_mult::{zoo, Multiplier};
+use appmult_nn::layers::Conv2dSpec;
 use appmult_nn::optim::{Adam, Optimizer};
 use appmult_nn::{Module, Tensor};
-use appmult_retrain::{ApproxLinear, GradientLut, GradientMode, QuantConfig};
+use appmult_retrain::{ApproxConv2d, GradientLut, GradientMode, QuantConfig};
 use std::sync::Arc;
 
 fn run(mode: GradientMode, hws_label: &str, lut: &Arc<appmult_mult::MultiplierLut>) {
     let grads = Arc::new(GradientLut::build(lut, mode));
-    let mut layer = ApproxLinear::new(16, 8, 7, lut.clone(), grads, QuantConfig::default());
+    let spec = Conv2dSpec {
+        in_channels: 16,
+        out_channels: 8,
+        kernel: 1,
+        stride: 1,
+        padding: 0,
+    };
+    let weight = appmult_nn::init::uniform_fan_in(&[8, 16], 16, 7);
+    let mut layer = ApproxConv2d::with_params(
+        spec,
+        weight,
+        Tensor::zeros(&[8]),
+        lut.clone(),
+        grads,
+        QuantConfig::default(),
+    );
     // Fixed random input batch and a fixed random target.
     let x = Tensor::from_vec(
         (0..64 * 16)
             .map(|i| ((i * 37) % 23) as f32 / 11.0 - 1.0)
             .collect(),
-        &[64, 16],
+        &[64, 16, 1, 1],
     );
     let target = Tensor::from_vec(
         (0..64 * 8)
@@ -35,7 +52,7 @@ fn run(mode: GradientMode, hws_label: &str, lut: &Arc<appmult_mult::MultiplierLu
         let loss: f32 = diff.iter().map(|d| d * d).sum::<f32>() / diff.len() as f32;
         let grad = Tensor::from_vec(
             diff.iter().map(|d| 2.0 * d / (64.0 * 8.0)).collect(),
-            &[64, 8],
+            &[64, 8, 1, 1],
         );
         layer.backward(&grad);
         opt.step(&mut layer);

@@ -1,6 +1,6 @@
 //! `appmult-lint`: static verification sweep over the multiplier zoo.
 //!
-//! Runs every `appmult-verify` pass — structural netlist lints, a
+//! Runs every `appmult_bench::lint` pass — structural netlist lints, a
 //! product-table scan against the exact multiplier, LUT metric sanity, and
 //! Eq. 5/6 gradient consistency — over all Table I designs (including the
 //! cached `_syn` synthesis results) plus deliberately faulty negative
@@ -9,21 +9,19 @@
 //!
 //! - `0` when the sweep is clean,
 //! - `1` when any design carries an error diagnostic,
-//! - `2` when `--fail-on-warn` is given and the sweep carries warnings
-//!   (but no errors; errors always win).
+//! - `2` when the sweep carries warnings but no errors (errors win).
 //!
 //! ```text
-//! cargo run --release -p appmult-bench --bin appmult-lint -- [--fail-on-warn]
+//! cargo run --release -p appmult-bench --bin appmult-lint
 //! ```
 
 use std::process::ExitCode;
 
+use appmult_bench::lint::{lint_zoo, MultiplierEquiv, Severity};
 use appmult_bench::{markdown_table, write_results, Args};
-use appmult_verify::{lint_zoo, MultiplierEquiv, Severity};
 
 fn main() -> ExitCode {
-    let args = Args::from_env("", "fail-on-warn");
-    let fail_on_warn = args.flag("fail-on-warn");
+    Args::from_env("", "");
     let report = lint_zoo();
 
     let rows: Vec<Vec<String>> = report
@@ -80,7 +78,7 @@ fn main() -> ExitCode {
 
     if report.error_count() > 0 {
         ExitCode::from(1)
-    } else if fail_on_warn && report.warning_count() > 0 {
+    } else if report.warning_count() > 0 {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS

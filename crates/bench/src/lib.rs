@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod grad_matrix_driver;
+pub mod lint;
 
 use std::sync::Arc;
 
@@ -29,11 +30,12 @@ use appmult_data::{DatasetConfig, SyntheticDataset};
 use appmult_models::{copy_params, resnet, vgg, ConvMode, ModelConfig, ResNetDepth, VggDepth};
 use appmult_mult::zoo::ZooEntry;
 use appmult_mult::{Multiplier, MultiplierLut};
-use appmult_nn::layers::Sequential;
+use appmult_nn::layers::{Conv2dSpec, Sequential};
 use appmult_nn::optim::{Adam, StepSchedule};
+use appmult_nn::Tensor;
 use appmult_obs::ObsSink;
 use appmult_retrain::{
-    evaluate, retrain, Batch, GradientLut, GradientMode, QuantConfig, QuantScheme,
+    evaluate, retrain, ApproxConv2d, Batch, GradientLut, GradientMode, QuantConfig, QuantScheme,
     ResiliencePolicy, RetrainConfig, RetrainHistory,
 };
 
@@ -526,25 +528,32 @@ pub fn run_obs_demo() -> ObsDemo {
 
     let lut = Arc::new(appmult_mult::zoo::mul7u_rm6().to_lut());
     let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(8)));
-    let mut model = Sequential::new()
-        .push(appmult_nn::layers::Flatten::new())
-        .push(appmult_retrain::ApproxLinear::new(
-            64,
-            16,
-            11,
+    // An 8x8 kernel over the 1x8x8 images reads each image as one 64-long
+    // row, so the first layer is a dense 64 -> 16 GEMM and the second,
+    // a 1x1 conv, a dense 16 -> 3 one.
+    let approx = |in_channels, out_channels, kernel, seed| {
+        let spec = Conv2dSpec {
+            in_channels,
+            out_channels,
+            kernel,
+            stride: 1,
+            padding: 0,
+        };
+        let fan_in = spec.patch_len();
+        ApproxConv2d::with_params(
+            spec,
+            appmult_nn::init::uniform_fan_in(&[out_channels, fan_in], fan_in, seed),
+            Tensor::zeros(&[out_channels]),
             lut.clone(),
             grads.clone(),
-            appmult_retrain::QuantConfig::default(),
-        ))
+            QuantConfig::default(),
+        )
+    };
+    let mut model = Sequential::new()
+        .push(approx(1, 16, 8, 11))
         .push(appmult_nn::layers::Relu::new())
-        .push(appmult_retrain::ApproxLinear::new(
-            16,
-            3,
-            13,
-            lut,
-            grads,
-            appmult_retrain::QuantConfig::default(),
-        ));
+        .push(approx(16, 3, 1, 13))
+        .push(appmult_nn::layers::Flatten::new());
     let mut opt = Adam::new(5e-3);
     let cfg = RetrainConfig {
         epochs: 6,

@@ -4,8 +4,8 @@ use std::fmt;
 
 /// How serious a diagnostic is.
 ///
-/// Only [`Severity::Error`] diagnostics fail the `appmult-lint` binary;
-/// warnings and infos are reported but do not affect the exit code.
+/// The `appmult-lint` binary exits 1 on an error and 2 on a warning;
+/// infos are reported but do not affect the exit code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Stylistic or informational finding (e.g. a const-foldable gate).
@@ -106,11 +106,6 @@ pub fn count_severity(diags: &[Diagnostic], severity: Severity) -> usize {
     diags.iter().filter(|d| d.severity == severity).count()
 }
 
-/// Whether any diagnostic is an error.
-pub fn has_errors(diags: &[Diagnostic]) -> bool {
-    count_severity(diags, Severity::Error) > 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +132,6 @@ mod tests {
         assert_eq!(count_severity(&diags, Severity::Error), 1);
         assert_eq!(count_severity(&diags, Severity::Warning), 2);
         assert_eq!(count_severity(&diags, Severity::Info), 1);
-        assert!(has_errors(&diags));
-        assert!(!has_errors(&diags[1..]));
+        assert_eq!(count_severity(&diags[1..], Severity::Error), 0);
     }
 }

@@ -10,7 +10,7 @@
 
 use appmult_circuit::{GateKind, Netlist};
 
-use crate::diag::Diagnostic;
+use crate::lint::diag::Diagnostic;
 
 /// Runs every structural pass over `netlist` and collects the findings.
 ///
@@ -108,7 +108,7 @@ fn check_const_foldable(netlist: &Netlist) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::Severity;
+    use crate::lint::diag::Severity;
     use appmult_circuit::MultiplierCircuit;
 
     fn by_pass<'d>(diags: &'d [Diagnostic], pass: &str) -> Vec<&'d Diagnostic> {

@@ -13,10 +13,10 @@ use appmult_mult::{zoo, Multiplier, MultiplierLut};
 use appmult_obs::json::{self, JsonWriter, Layout};
 use appmult_retrain::{GradientLut, GradientMode};
 
-use crate::diag::{count_severity, Diagnostic, Severity};
-use crate::equiv::{table_equivalence_vs_exact, MultiplierEquiv};
-use crate::structural::lint_netlist;
-use crate::tables::{lint_gradient_lut, lint_multiplier_lut};
+use crate::lint::diag::{count_severity, Diagnostic, Severity};
+use crate::lint::equiv::{table_equivalence_vs_exact, MultiplierEquiv};
+use crate::lint::structural::lint_netlist;
+use crate::lint::tables::{lint_gradient_lut, lint_multiplier_lut};
 
 /// What a design is expected to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -103,11 +103,15 @@ pub(crate) fn reduce_ripple_impl(nl: &mut Netlist, mut columns: Vec<Vec<Signal>>
             if n == 2 {
                 let a = columns[c][0];
                 let b = columns[c][1];
-                let (s, carry) = nl.half_adder(a, b);
                 columns[c].clear();
-                columns[c].push(s);
                 if c + 1 < out_bits {
+                    let (s, carry) = nl.half_adder(a, b);
+                    columns[c].push(s);
                     columns[c + 1].push(carry);
+                } else {
+                    // The top column's carry has no column to land in:
+                    // build the sum alone, not a half adder with a dead AND.
+                    columns[c].push(nl.xor(a, b));
                 }
             } else {
                 let a = columns[c].pop().expect("n >= 3");

@@ -71,7 +71,7 @@ pub enum GradientMode {
     },
     /// Journal extension: Eq. 4 average weighted by profiled operand
     /// marginals (e.g. from `ErrorMetrics::with_marginals`-style
-    /// histograms or [`crate::ApproxLinear::operand_histograms`]), so
+    /// histograms or [`crate::ApproxConv2d::operand_histograms`]), so
     /// gradient mass concentrates on operand values the network actually
     /// produces. `wrt_x` tables weight the window by the activation
     /// marginal `x_probs`; `wrt_w` tables by the weight marginal
@@ -348,10 +348,10 @@ impl GradientLut {
     /// Statically validates the tables before they enter the training loop.
     ///
     /// A single NaN/Inf entry silently poisons every gradient that flows
-    /// through the operand pair, so the approximate layers
-    /// ([`crate::ApproxConv2d`], [`crate::ApproxLinear`]) call this hook at
-    /// construction time; the `appmult-verify` crate runs the same check
-    /// (plus Eq. 5/6 consistency) as part of the zoo lint.
+    /// through the operand pair, so the approximate layer
+    /// ([`crate::ApproxConv2d`]) calls this hook at construction time; the
+    /// `appmult-lint` sweep runs the same check (plus Eq. 5/6 consistency)
+    /// over the multiplier zoo.
     ///
     /// # Errors
     ///

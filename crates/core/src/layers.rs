@@ -757,12 +757,6 @@ impl ApproxConv2d {
         self.cache.operand_histograms(self.lut.bits())
     }
 
-    /// Number of batches the activation observer rejected for non-finite
-    /// extrema (see [`Observer::rejected`]).
-    pub fn observer_rejections(&self) -> usize {
-        self.observer.rejected()
-    }
-
     /// How many times the weight side (the quantized weights, their
     /// per-row code sums and the forward plan's tables) has been rebuilt:
     /// once per train forward, and once per eval forward whose weights
@@ -857,116 +851,6 @@ impl Module for ApproxConv2d {
     }
 }
 
-/// A fully connected layer with AppMult LUT forward and gradient-LUT
-/// backward: an [`ApproxConv2d`] with a 1×1 kernel, run over the `[N, in]`
-/// batch as `[N, in, 1, 1]` images.
-#[derive(Debug)]
-pub struct ApproxLinear {
-    conv: ApproxConv2d,
-}
-
-impl ApproxLinear {
-    /// Creates the layer with fan-in uniform initialization.
-    pub fn new(
-        in_features: usize,
-        out_features: usize,
-        seed: u64,
-        lut: Arc<MultiplierLut>,
-        grads: Arc<GradientLut>,
-        config: QuantConfig,
-    ) -> Self {
-        let weight =
-            appmult_nn::init::uniform_fan_in(&[out_features, in_features], in_features, seed);
-        Self::with_params(weight, Tensor::zeros(&[out_features]), lut, grads, config)
-    }
-
-    /// Wraps existing `[out, in]` float weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not rank 2, or as
-    /// [`ApproxConv2d::with_params`] does: `bias` does not match its first
-    /// dimension, the LUT bit widths disagree, or the gradient tables fail
-    /// [`GradientLut::validate`].
-    pub fn with_params(
-        weight: Tensor,
-        bias: Tensor,
-        lut: Arc<MultiplierLut>,
-        grads: Arc<GradientLut>,
-        config: QuantConfig,
-    ) -> Self {
-        let &[out_channels, in_channels] = weight.shape() else {
-            panic!("weight must be [out, in]");
-        };
-        let spec = Conv2dSpec {
-            in_channels,
-            out_channels,
-            kernel: 1,
-            stride: 1,
-            padding: 0,
-        };
-        Self {
-            conv: ApproxConv2d::with_params(spec, weight, bias, lut, grads, config),
-        }
-    }
-
-    /// Overrides the GEMM kernel for this layer, [`Kernel::global`] at
-    /// construction (e.g. to cross-check tiled vs naive in tests).
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.conv.set_kernel(kernel);
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.conv.spec.out_channels
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.conv.spec.in_channels
-    }
-
-    /// See [`ApproxConv2d::operand_histograms`].
-    pub fn operand_histograms(&self) -> Option<(Vec<f64>, Vec<f64>)> {
-        self.conv.operand_histograms()
-    }
-
-    /// See [`ApproxConv2d::observer_rejections`].
-    pub fn observer_rejections(&self) -> usize {
-        self.conv.observer_rejections()
-    }
-
-    /// See [`ApproxConv2d::sum_w_rebuilds`].
-    pub fn sum_w_rebuilds(&self) -> u64 {
-        self.conv.sum_w_rebuilds()
-    }
-}
-
-impl Module for ApproxLinear {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let _span = appmult_obs::global().span("linear.forward");
-        let &[n, features] = input.shape() else {
-            panic!("expected [N, in] input");
-        };
-        assert_eq!(features, self.in_features(), "feature mismatch");
-        let y = self
-            .conv
-            .forward(&input.reshape(&[n, features, 1, 1]), train);
-        y.reshape(&[n, self.out_features()])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let _span = appmult_obs::global().span("linear.backward");
-        let (n, j) = (grad_out.shape()[0], self.out_features());
-        let dx = self.conv.backward(&grad_out.reshape(&[n, j, 1, 1]));
-        dx.reshape(&[n, self.in_features()])
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
-        self.conv.visit_params(visitor);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -988,6 +872,28 @@ mod tests {
                 .collect(),
             shape,
         )
+    }
+
+    /// The 1×1 conv with `[j, k]` weights: a dense layer over `[m, k, 1, 1]`
+    /// batches, whose NCHW output is the `[m, j]` row-major GEMM result.
+    fn dense(
+        weight: Tensor,
+        bias: Tensor,
+        lut: Arc<MultiplierLut>,
+        grads: Arc<GradientLut>,
+        config: QuantConfig,
+    ) -> ApproxConv2d {
+        let &[out_channels, in_channels] = weight.shape() else {
+            panic!("weight must be [out, in]");
+        };
+        let spec = Conv2dSpec {
+            in_channels,
+            out_channels,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+        };
+        ApproxConv2d::with_params(spec, weight, bias, lut, grads, config)
     }
 
     #[test]
@@ -1023,7 +929,7 @@ mod tests {
     fn exact_lut_linear_tracks_float_linear() {
         let (lut, grads) = exact8();
         let mut fl = Linear::new(6, 4, 3);
-        let mut approx = ApproxLinear::with_params(
+        let mut approx = dense(
             Tensor::zeros(&[4, 6]),
             Tensor::zeros(&[4]),
             lut,
@@ -1038,7 +944,7 @@ mod tests {
         });
         let x = ramp(&[3, 6], 2.0);
         let yf = fl.forward(&x, true);
-        let ya = approx.forward(&x, true);
+        let ya = approx.forward(&x.reshape(&[3, 6, 1, 1]), true);
         for (a, b) in ya.as_slice().iter().zip(yf.as_slice()) {
             assert!((a - b).abs() < 0.05, "approx {a} vs float {b}");
         }
@@ -1049,26 +955,26 @@ mod tests {
         // With STE gradients, dL/dw reduces to sum_m g * x_hat where x_hat
         // is the dequantized activation. Verify against a direct evaluation.
         let (lut, grads) = exact8();
-        let mut approx = ApproxLinear::with_params(
+        let mut approx = dense(
             ramp(&[2, 3], 1.0),
             Tensor::zeros(&[2]),
             lut,
             grads,
             QuantConfig::default(),
         );
-        let x = ramp(&[4, 3], 1.5);
+        let x = ramp(&[4, 3, 1, 1], 1.5);
         approx.forward(&x, true);
-        let g = ramp(&[4, 2], 0.7);
+        let g = ramp(&[4, 2, 1, 1], 0.7);
         approx.backward(&g);
 
         // Reference: dW[j][k] = sum_m g[m][j] * xhat[m][k]
-        let xq = approx.conv.cache.xq_params.expect("populated");
+        let xq = approx.cache.xq_params.expect("populated");
         let mut expect = vec![0.0f32; 2 * 3];
         for m in 0..4 {
             for j in 0..2 {
                 for k in 0..3 {
-                    let code = approx.conv.cache.xq[m * 3 + k];
-                    expect[j * 3 + k] += g.at(&[m, j]) * xq.dequantize(code.into());
+                    let code = approx.cache.xq[m * 3 + k];
+                    expect[j * 3 + k] += g.at(&[m, j, 0, 0]) * xq.dequantize(code.into());
                 }
             }
         }
@@ -1086,7 +992,7 @@ mod tests {
         // One weight far outside any reasonable range... weights define the
         // range themselves, so clip via activations instead: feed a batch
         // with a huge outlier after calibrating on a small batch.
-        let mut approx = ApproxLinear::with_params(
+        let mut approx = dense(
             ramp(&[2, 3], 1.0),
             Tensor::zeros(&[2]),
             lut,
@@ -1096,12 +1002,12 @@ mod tests {
                 ..QuantConfig::default()
             },
         );
-        let small = ramp(&[4, 3], 0.5);
+        let small = ramp(&[4, 3, 1, 1], 0.5);
         approx.forward(&small, true); // calibrate on small range
         let mut big = small.clone();
         big.as_mut_slice()[0] = 100.0; // way outside the EMA range
         approx.forward(&big, true);
-        let g = Tensor::full(&[4, 2], 1.0);
+        let g = Tensor::full(&[4, 2, 1, 1], 1.0);
         let dx = approx.backward(&g);
         assert_eq!(dx.as_slice()[0], 0.0, "clipped activation gradient");
         assert!(
@@ -1138,7 +1044,7 @@ mod tests {
     }
 
     #[test]
-    fn approx_linear_gradcheck_under_every_gradient_mode() {
+    fn dense_gradcheck_under_every_gradient_mode() {
         // Finite differences cannot see through the quantized LUT (the
         // float function is piecewise constant), so — as in the conv
         // gradcheck below — each mode's backward pass is checked against a
@@ -1177,7 +1083,7 @@ mod tests {
         {
             let label = format!("{}/{}", mode.key(), kernel.label());
             let grads = Arc::new(GradientLut::build(&lut, mode));
-            let mut layer = ApproxLinear::with_params(
+            let mut layer = dense(
                 ramp(&[j, k], 1.1),
                 Tensor::zeros(&[j]),
                 lut.clone(),
@@ -1185,12 +1091,12 @@ mod tests {
                 QuantConfig::default(),
             );
             layer.set_kernel(kernel);
-            let x = ramp(&[m, k], 1.6);
+            let x = ramp(&[m, k, 1, 1], 1.6);
             layer.forward(&x, true);
-            let g = ramp(&[m, j], 0.9);
+            let g = ramp(&[m, j, 1, 1], 0.9);
             let dx = layer.backward(&g);
 
-            let c = &layer.conv.cache;
+            let c = &layer.cache;
             let wqp = c.w.params.expect("populated");
             let xqp = c.xq_params.expect("populated");
             // dX: dL/dx[mi][kk] = sum_j g * s_w * (gX(w, x) - Z_w), gated
@@ -1201,14 +1107,14 @@ mod tests {
                     for ji in 0..j {
                         let iw = u32::from(c.w.wq[ji * k + kk]);
                         let ix = u32::from(c.xq[mi * k + kk]);
-                        expect += g.at(&[mi, ji])
+                        expect += g.at(&[mi, ji, 0, 0])
                             * wqp.scale
                             * (grads.wrt_x(iw, ix) - wqp.zero_point as f32);
                     }
                     if !c.xclip[mi * k + kk] {
                         expect = 0.0;
                     }
-                    let got = dx.at(&[mi, kk]);
+                    let got = dx.at(&[mi, kk, 0, 0]);
                     assert!(
                         (got - expect).abs() < 1e-4,
                         "{label}: dX[{mi},{kk}] = {got} vs {expect}"
@@ -1223,14 +1129,14 @@ mod tests {
                     for mi in 0..m {
                         let iw = u32::from(c.w.wq[ji * k + kk]);
                         let ix = u32::from(c.xq[mi * k + kk]);
-                        expect += g.at(&[mi, ji])
+                        expect += g.at(&[mi, ji, 0, 0])
                             * xqp.scale
                             * (grads.wrt_w(iw, ix) - xqp.zero_point as f32);
                     }
                     if !c.w.wclip[ji * k + kk] {
                         expect = 0.0;
                     }
-                    let got = layer.conv.weight.grad.at(&[ji, kk]);
+                    let got = layer.weight.grad.at(&[ji, kk]);
                     assert!(
                         (got - expect).abs() < 1e-4,
                         "{label}: dW[{ji},{kk}] = {got} vs {expect}"
@@ -1259,7 +1165,7 @@ mod tests {
         let lut = signed_exact8();
         let grads = Arc::new(signed_grads(&lut, GradientMode::Ste));
         let mut fl = Linear::new(6, 4, 3);
-        let mut approx = ApproxLinear::with_params(
+        let mut approx = dense(
             Tensor::zeros(&[4, 6]),
             Tensor::zeros(&[4]),
             lut,
@@ -1273,7 +1179,7 @@ mod tests {
         });
         let x = ramp(&[3, 6], 2.0); // spans negative and positive values
         let yf = fl.forward(&x, true);
-        let ya = approx.forward(&x, true);
+        let ya = approx.forward(&x.reshape(&[3, 6, 1, 1]), true);
         for (a, b) in ya.as_slice().iter().zip(yf.as_slice()) {
             assert!((a - b).abs() < 0.05, "approx {a} vs float {b}");
         }
@@ -1307,7 +1213,7 @@ mod tests {
     }
 
     #[test]
-    fn approx_linear_signed_gradcheck_under_every_gradient_mode() {
+    fn dense_signed_gradcheck_under_every_gradient_mode() {
         // The signed mirror of the sweep above: offset-binary codes from a
         // sign-magnitude truncated multiplier, gradient tables built under
         // the SignedOffset scheme, and the Eq. 9 sums evaluated with *no*
@@ -1338,7 +1244,7 @@ mod tests {
         {
             let label = format!("signed {}/{}", mode.key(), kernel.label());
             let grads = Arc::new(signed_grads(&lut, mode));
-            let mut layer = ApproxLinear::with_params(
+            let mut layer = dense(
                 ramp(&[j, k], 1.1),
                 Tensor::zeros(&[j]),
                 lut.clone(),
@@ -1346,12 +1252,12 @@ mod tests {
                 QuantConfig::signed(),
             );
             layer.set_kernel(kernel);
-            let x = ramp(&[m, k], 1.6);
+            let x = ramp(&[m, k, 1, 1], 1.6);
             layer.forward(&x, true);
-            let g = ramp(&[m, j], 0.9);
+            let g = ramp(&[m, j, 1, 1], 0.9);
             let dx = layer.backward(&g);
 
-            let c = &layer.conv.cache;
+            let c = &layer.cache;
             let wqp = c.w.params.expect("populated");
             let xqp = c.xq_params.expect("populated");
             assert_eq!(wqp.zero_point, 128, "{label}: signed weight zero point");
@@ -1363,12 +1269,12 @@ mod tests {
                     for ji in 0..j {
                         let iw = u32::from(c.w.wq[ji * k + kk]);
                         let ix = u32::from(c.xq[mi * k + kk]);
-                        expect += g.at(&[mi, ji]) * wqp.scale * grads.wrt_x(iw, ix);
+                        expect += g.at(&[mi, ji, 0, 0]) * wqp.scale * grads.wrt_x(iw, ix);
                     }
                     if !c.xclip[mi * k + kk] {
                         expect = 0.0;
                     }
-                    let got = dx.at(&[mi, kk]);
+                    let got = dx.at(&[mi, kk, 0, 0]);
                     assert!(
                         (got - expect).abs() < 1e-4,
                         "{label}: dX[{mi},{kk}] = {got} vs {expect}"
@@ -1382,12 +1288,12 @@ mod tests {
                     for mi in 0..m {
                         let iw = u32::from(c.w.wq[ji * k + kk]);
                         let ix = u32::from(c.xq[mi * k + kk]);
-                        expect += g.at(&[mi, ji]) * xqp.scale * grads.wrt_w(iw, ix);
+                        expect += g.at(&[mi, ji, 0, 0]) * xqp.scale * grads.wrt_w(iw, ix);
                     }
                     if !c.w.wclip[ji * k + kk] {
                         expect = 0.0;
                     }
-                    let got = layer.conv.weight.grad.at(&[ji, kk]);
+                    let got = layer.weight.grad.at(&[ji, kk]);
                     assert!(
                         (got - expect).abs() < 1e-4,
                         "{label}: dW[{ji},{kk}] = {got} vs {expect}"
@@ -1404,25 +1310,25 @@ mod tests {
         // test, reached through an entirely different dequantization.
         let lut = signed_exact8();
         let grads = Arc::new(signed_grads(&lut, GradientMode::Ste));
-        let mut approx = ApproxLinear::with_params(
+        let mut approx = dense(
             ramp(&[2, 3], 1.0),
             Tensor::zeros(&[2]),
             lut,
             grads,
             QuantConfig::signed(),
         );
-        let x = ramp(&[4, 3], 1.5);
+        let x = ramp(&[4, 3, 1, 1], 1.5);
         approx.forward(&x, true);
-        let g = ramp(&[4, 2], 0.7);
+        let g = ramp(&[4, 2, 1, 1], 0.7);
         approx.backward(&g);
 
-        let xq = approx.conv.cache.xq_params.expect("populated");
+        let xq = approx.cache.xq_params.expect("populated");
         let mut expect = vec![0.0f32; 2 * 3];
         for m in 0..4 {
             for j in 0..2 {
                 for k in 0..3 {
-                    let code = approx.conv.cache.xq[m * 3 + k];
-                    expect[j * 3 + k] += g.at(&[m, j]) * xq.dequantize(code.into());
+                    let code = approx.cache.xq[m * 3 + k];
+                    expect[j * 3 + k] += g.at(&[m, j, 0, 0]) * xq.dequantize(code.into());
                 }
             }
         }
@@ -1490,7 +1396,7 @@ mod tests {
     #[test]
     fn operand_histograms_are_distributions() {
         let (lut, grads) = exact8();
-        let mut approx = ApproxLinear::with_params(
+        let mut approx = dense(
             ramp(&[2, 3], 1.0),
             Tensor::zeros(&[2]),
             lut,
@@ -1498,15 +1404,14 @@ mod tests {
             QuantConfig::default(),
         );
         assert!(approx.operand_histograms().is_none());
-        approx.forward(&ramp(&[4, 3], 1.5), true);
+        approx.forward(&ramp(&[4, 3, 1, 1], 1.5), true);
         let (wh, xh) = approx.operand_histograms().expect("after forward");
         assert_eq!(wh.len(), 256);
         assert_eq!(xh.len(), 256);
         assert!((wh.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!((xh.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // Feed the marginals into the distribution-aware metrics.
-        let metrics =
-            appmult_mult::ErrorMetrics::with_marginals(approx.conv.lut.as_ref(), &wh, &xh);
+        let metrics = appmult_mult::ErrorMetrics::with_marginals(approx.lut.as_ref(), &wh, &xh);
         assert_eq!(metrics.max_ed, 0, "exact multiplier has no error");
     }
 
@@ -1530,7 +1435,7 @@ mod tests {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Runs the linear layer's forward and backward with both GEMM kernels
+    /// Runs a dense layer's forward and backward with both GEMM kernels
     /// serially and with `threads` workers scheduled by `sched`, asserting
     /// bit-identical outputs and gradients (`f32::to_bits`, not approximate
     /// equality).
@@ -1539,15 +1444,14 @@ mod tests {
         let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(8)));
         let (x, g) = (ramp(&[m, k, 1, 1], 1.7), ramp(&[m, j, 1, 1], 0.9));
         let run = |sched: Sched, kernel: Kernel| {
-            let mut layer = ApproxLinear::with_params(
+            let mut conv = dense(
                 ramp(&[j, k], 1.2),
                 ramp(&[j], 0.2),
                 lut.clone(),
                 grads.clone(),
                 QuantConfig::default(),
             );
-            layer.set_kernel(kernel);
-            let conv = &mut layer.conv;
+            conv.set_kernel(kernel);
             let y = conv.forward_on(&x, true, sched);
             let dx = conv.backward_on(&g, sched, true).expect("input gradient");
             (bits_of(&y), bits_of(&dx), bits_of(&conv.weight.grad))
@@ -1571,20 +1475,20 @@ mod tests {
         // kernels without tripping the populated-cache guard.
         let (lut, grads) = exact8();
         for kernel in [Kernel::Naive, Kernel::Tiled] {
-            let mut lin = ApproxLinear::with_params(
+            let mut fc = dense(
                 ramp(&[3, 4], 1.0),
                 Tensor::zeros(&[3]),
                 lut.clone(),
                 grads.clone(),
                 QuantConfig::default(),
             );
-            lin.set_kernel(kernel);
-            let y = lin.forward(&Tensor::zeros(&[0, 4]), true);
-            assert_eq!(y.shape(), &[0, 3]);
-            let dx = lin.backward(&Tensor::zeros(&[0, 3]));
-            assert_eq!(dx.shape(), &[0, 4]);
+            fc.set_kernel(kernel);
+            let y = fc.forward(&Tensor::zeros(&[0, 4, 1, 1]), true);
+            assert_eq!(y.shape(), &[0, 3, 1, 1]);
+            let dx = fc.backward(&Tensor::zeros(&[0, 3, 1, 1]));
+            assert_eq!(dx.shape(), &[0, 4, 1, 1]);
             assert!(
-                lin.conv.weight.grad.as_slice().iter().all(|&v| v == 0.0),
+                fc.weight.grad.as_slice().iter().all(|&v| v == 0.0),
                 "no batch rows, no weight gradient"
             );
 
@@ -1610,7 +1514,7 @@ mod tests {
         // placeholder would shrink a calibrated range, or pin a fresh one
         // to (0, 0) and clip every later activation.
         let (lut, grads) = exact8();
-        let mut lin = ApproxLinear::with_params(
+        let mut fc = dense(
             ramp(&[3, 4], 1.0),
             Tensor::zeros(&[3]),
             lut.clone(),
@@ -1625,50 +1529,46 @@ mod tests {
             grads,
             QuantConfig::default(),
         );
-        lin.forward(&Tensor::zeros(&[0, 4]), true);
+        fc.forward(&Tensor::zeros(&[0, 4, 1, 1]), true);
         conv.forward(&Tensor::zeros(&[0, 1, 4, 4]), true);
-        assert_eq!(
-            lin.conv.observer.range(),
-            None,
-            "linear: fresh range not pinned"
-        );
+        assert_eq!(fc.observer.range(), None, "1×1: fresh range not pinned");
         assert_eq!(conv.observer.range(), None, "conv: fresh range not pinned");
 
-        lin.forward(&ramp(&[3, 4], 1.5), true);
+        fc.forward(&ramp(&[3, 4, 1, 1], 1.5), true);
         conv.forward(&ramp(&[2, 1, 4, 4], 1.5), true);
-        let (lin_range, conv_range) = (lin.conv.observer.range(), conv.observer.range());
-        assert!(lin_range.is_some() && conv_range.is_some());
-        lin.forward(&Tensor::zeros(&[0, 4]), true);
+        let (fc_range, conv_range) = (fc.observer.range(), conv.observer.range());
+        assert!(fc_range.is_some() && conv_range.is_some());
+        fc.forward(&Tensor::zeros(&[0, 4, 1, 1]), true);
         conv.forward(&Tensor::zeros(&[0, 1, 4, 4]), true);
-        assert_eq!(lin.conv.observer.range(), lin_range, "linear: range moved");
+        assert_eq!(fc.observer.range(), fc_range, "1×1: range moved");
         assert_eq!(conv.observer.range(), conv_range, "conv: range moved");
-        assert_eq!(lin.observer_rejections(), 0);
-        assert_eq!(conv.observer_rejections(), 0);
+        assert_eq!(fc.observer.rejected(), 0);
+        assert_eq!(conv.observer.rejected(), 0);
     }
 
     #[test]
     fn sum_w_is_memoized_across_unchanged_weights() {
         let (lut, grads) = exact8();
-        let mut lin = ApproxLinear::with_params(
+        let mut fc = dense(
             ramp(&[2, 3], 1.0),
             Tensor::zeros(&[2]),
             lut,
             grads,
             QuantConfig::default(),
         );
-        assert_eq!(lin.sum_w_rebuilds(), 0);
-        let x1 = ramp(&[4, 3], 1.5);
-        let y1 = lin.forward(&x1, false);
-        assert_eq!(lin.sum_w_rebuilds(), 1, "first forward builds the sums");
+        assert_eq!(fc.sum_w_rebuilds(), 0);
+        let x1 = ramp(&[4, 3, 1, 1], 1.5);
+        let y1 = fc.forward(&x1, false);
+        assert_eq!(fc.sum_w_rebuilds(), 1, "first forward builds the sums");
         // Eval loop: same weights, different batches — sums are reused.
-        lin.forward(&ramp(&[5, 3], 0.7), false);
-        let y1_again = lin.forward(&x1, false);
-        assert_eq!(lin.sum_w_rebuilds(), 1, "unchanged weights reuse the sums");
+        fc.forward(&ramp(&[5, 3, 1, 1], 0.7), false);
+        let y1_again = fc.forward(&x1, false);
+        assert_eq!(fc.sum_w_rebuilds(), 1, "unchanged weights reuse the sums");
         assert_eq!(y1, y1_again, "memoization must not change outputs");
         // A weight update requantizes and invalidates the memo.
-        lin.conv.weight.value.as_mut_slice()[0] += 0.5;
-        lin.forward(&x1, false);
-        assert_eq!(lin.sum_w_rebuilds(), 2, "changed weights rebuild the sums");
+        fc.weight.value.as_mut_slice()[0] += 0.5;
+        fc.forward(&x1, false);
+        assert_eq!(fc.sum_w_rebuilds(), 2, "changed weights rebuild the sums");
     }
 
     /// The conv's weight side, across batches of one and two 8x8 images
@@ -1910,8 +1810,7 @@ mod tests {
                 }
             }
         }
-        // LeNet-sized fully connected shapes through the linear layer's
-        // 1×1 conv.
+        // LeNet-sized fully connected shapes as 1×1 convs.
         for (j, k) in [(120usize, 400usize), (84, 120)] {
             for m in [1usize, 7, 32] {
                 for threads in [2usize, 3, 5] {
@@ -1946,7 +1845,7 @@ mod tests {
                 wrt_x: Arc::new(vec![1.0; 256]),
             },
         ));
-        let _ = ApproxLinear::new(3, 2, 1, lut, grads, QuantConfig::default());
+        let _ = ApproxConv2d::new(3, 2, 1, 1, 0, 1, lut, grads, QuantConfig::default());
     }
 
     #[test]
@@ -1959,7 +1858,7 @@ mod tests {
     #[test]
     fn eval_mode_calibrates_once_then_freezes() {
         let (lut, grads) = exact8();
-        let mut approx = ApproxLinear::with_params(
+        let mut approx = dense(
             ramp(&[2, 3], 1.0),
             Tensor::zeros(&[2]),
             lut,
@@ -1967,13 +1866,13 @@ mod tests {
             QuantConfig::default(),
         );
         // First eval forward calibrates (initial-accuracy use case).
-        approx.forward(&ramp(&[2, 3], 1.0), false);
-        let r1 = approx.conv.observer.range().expect("calibrated");
+        approx.forward(&ramp(&[2, 3, 1, 1], 1.0), false);
+        let r1 = approx.observer.range().expect("calibrated");
         // Subsequent eval forwards do not move the range.
-        approx.forward(&ramp(&[2, 3], 10.0), false);
-        assert_eq!(approx.conv.observer.range().expect("still calibrated"), r1);
+        approx.forward(&ramp(&[2, 3, 1, 1], 10.0), false);
+        assert_eq!(approx.observer.range().expect("still calibrated"), r1);
         // A train forward does.
-        approx.forward(&ramp(&[2, 3], 10.0), true);
-        assert_ne!(approx.conv.observer.range().expect("updated"), r1);
+        approx.forward(&ramp(&[2, 3, 1, 1], 10.0), true);
+        assert_ne!(approx.observer.range().expect("updated"), r1);
     }
 }

@@ -7,8 +7,8 @@
 //!    `B`-bit integers with per-tensor scale/zero-point (Eq. 7; [`QuantParams`],
 //!    [`Observer`]).
 //! 2. **Approximate multiply** — products are served from the AppMult's
-//!    precomputed LUT and dequantized (Eq. 8; [`ApproxConv2d`], and
-//!    [`ApproxLinear`], which runs as a 1×1 [`ApproxConv2d`]).
+//!    precomputed LUT and dequantized (Eq. 8; [`ApproxConv2d`], the one
+//!    approximate layer: the paper replaces convolution multipliers only).
 //! 3. **Backpropagate** — `dAM/dW` and `dAM/dX` come from a gradient LUT
 //!    ([`GradientLut`]) built with either the baseline STE rule or the
 //!    paper's smoothed difference-based rule (Eqs. 4-6; [`GradientMode`],
@@ -48,7 +48,7 @@ pub use gradient::{GradientLut, GradientLutError, GradientMode};
 pub use hws::{
     candidates_for_bits, select_hws, HwsError, HwsSelection, HwsTrial, PAPER_HWS_CANDIDATES,
 };
-pub use layers::{ApproxConv2d, ApproxLinear, QuantConfig};
+pub use layers::{ApproxConv2d, QuantConfig};
 pub use quant::{dequantize_dot, dequantize_dot_offset, Observer, QuantParams, QuantScheme};
 pub use resilience::ResiliencePolicy;
 pub use retrainer::{evaluate, retrain, Batch, EpochStats, RetrainConfig, RetrainHistory};

@@ -477,32 +477,41 @@ mod tests {
         // poisoned extrema and the run must survive end to end, like the
         // float-model test `nan_batch_with_policy_recovers_with_recorded_
         // rollback` does.
-        use crate::{ApproxLinear, GradientLut, GradientMode, QuantConfig};
+        use crate::{ApproxConv2d, GradientLut, GradientMode, QuantConfig};
         use appmult_mult::{ExactMultiplier, Multiplier};
+        use appmult_nn::layers::Conv2dSpec;
         use std::sync::Arc;
 
-        // ApproxLinear wants [N, in] batches; flatten the blob images.
-        let flatten = |batches: Vec<Batch>| -> Vec<Batch> {
-            batches
-                .into_iter()
-                .map(|(t, labels)| {
-                    let n = t.shape()[0];
-                    let features = t.as_slice().len() / n;
-                    (
-                        Tensor::from_vec(t.as_slice().to_vec(), &[n, features]),
-                        labels,
-                    )
-                })
-                .collect()
-        };
-        let mut train = flatten(two_blob_batches(4, 3));
+        let mut train = two_blob_batches(4, 3);
         train[1].0.as_mut_slice()[0] = f32::NAN;
         train[1].0.as_mut_slice()[1] = f32::INFINITY; // non-finite batch maximum
-        let test = flatten(two_blob_batches(2, 99));
+        let test = two_blob_batches(2, 99);
 
         let lut = Arc::new(ExactMultiplier::new(8).to_lut());
         let grads = Arc::new(GradientLut::build(&lut, GradientMode::difference_based(8)));
-        let mut model = ApproxLinear::new(4, 2, 1, lut, grads, QuantConfig::default());
+        // A 2x2 kernel over the 1x2x2 images: one dense 4 -> 2 GEMM.
+        let spec = Conv2dSpec {
+            in_channels: 1,
+            out_channels: 2,
+            kernel: 2,
+            stride: 1,
+            padding: 0,
+        };
+        let weight = appmult_nn::init::uniform_fan_in(&[2, 4], 4, 1);
+        let conv = ApproxConv2d::with_params(
+            spec,
+            weight,
+            Tensor::zeros(&[2]),
+            lut,
+            grads,
+            QuantConfig::default(),
+        );
+        let mut model = Sequential::new().push(conv).push(Flatten::new());
+        // The observer reports its rejections to the process-wide sink.
+        // No other test in this crate reads that sink, and one that feeds
+        // non-finite activations can only raise the count checked below.
+        let obs = ObsSink::recording();
+        appmult_obs::set_global(&obs);
         // Calibrate on clean data first, as every harness does for the
         // Table II "initial accuracy" column.
         let _ = evaluate(&mut model, &test);
@@ -516,13 +525,11 @@ mod tests {
             obs: ObsSink::null(),
         };
         let history = retrain(&mut model, &mut opt, &cfg, &train, &test);
+        appmult_obs::set_global(&ObsSink::null());
         // The poisoned batch fires every epoch; each firing must be
         // rejected by the observer rather than corrupting its range.
-        assert!(
-            model.observer_rejections() >= cfg.epochs,
-            "rejections = {}",
-            model.observer_rejections()
-        );
+        let rejections = obs.counter("observer.rejections");
+        assert!(rejections >= cfg.epochs as u64, "rejections = {rejections}");
         // And the run survives with finite numbers end to end (quantization
         // clamps the poisoned activations, so no rollback is even needed).
         assert!(history.final_train_loss().is_finite(), "{history:?}");

@@ -57,16 +57,15 @@
 //! [`Kernel::Naive`]. The tile extents are compile-time constants
 //! (`64 × 16 × 64`; DESIGN.md §11 gives the reasons).
 //!
-//! The kernels are chunk-level: the caller (the `appmult-retrain` conv,
-//! which the linear layer runs as a 1×1 conv) splits each GEMM into
-//! `appmult-pool` blocks, of whole images for the forward and `dX` GEMMs
-//! and of whole weight rows for `dW`, and invokes a kernel per image or
-//! block, so tiles compose with pool blocks. The forward caller builds one
-//! [`ForwardPlan`] per GEMM before it splits, so all blocks share one row
-//! table; [`forward_acc`] plans per call. A caller whose weights stay put
-//! across GEMMs (an eval layer) keeps the plan's weight-derived tables in
-//! a [`PlanTables`] and builds each at most once, so its row table is
-//! worth building even for one batch row.
+//! The kernels are chunk-level: the caller (the `appmult-retrain` conv)
+//! splits each GEMM into `appmult-pool` blocks, of whole images for the
+//! forward and `dX` GEMMs and of whole weight rows for `dW`, and invokes a
+//! kernel per image or block, so tiles compose with pool blocks. The
+//! forward caller builds one [`ForwardPlan`] per GEMM before it splits, so
+//! all blocks share one row table; [`forward_acc`] plans per call. A
+//! caller whose weights stay put across GEMMs (an eval layer) keeps the
+//! plan's weight-derived tables in a [`PlanTables`] and builds each at most
+//! once, so its row table is worth building even for one batch row.
 //!
 //! # Example
 //!

@@ -11,12 +11,12 @@
 //! Writes must also be seen to rebuild the weight side, so a write that
 //! happens not to move the outputs (the sign of a zero) is still caught.
 //!
-//! Conv and linear layers run on a 7-bit unsigned table and a 7-bit
-//! signed-offset one. An eval forward reads a row table at any batch size
-//! the 512 KiB cap allows: the small conv and the linear layer read one
-//! from their first eval forward, and a 16-channel conv whose table
-//! (576 KiB) is over the cap reads the weight-row bases of the zero-code
-//! skip instead, each kept once built. The eval batches change size in
+//! A 3×3 conv and a dense layer (a 1×1 conv) run on a 7-bit unsigned
+//! table and a 7-bit signed-offset one. An eval forward reads a row table
+//! at any batch size the 512 KiB cap allows: the small conv and the dense
+//! layer read one from their first eval forward, and a 16-channel conv
+//! whose table (576 KiB) is over the cap reads the weight-row bases of the
+//! zero-code skip instead, each kept once built. The eval batches change size in
 //! both directions. The inputs are ReLU-like, about half zeros. The
 //! forward path is chosen per pool block, so CI runs this file at 1 and
 //! 4 threads.
@@ -28,41 +28,17 @@ use appmult::mult::{zoo, Multiplier, MultiplierLut, SignMagnitudeMultiplier, Tru
 use appmult::nn::optim::{Adam, Optimizer};
 use appmult::nn::serialize::{load_params, save_params};
 use appmult::nn::{Module, Tensor};
-use appmult::retrain::{
-    ApproxConv2d, ApproxLinear, GradientLut, GradientMode, QuantConfig, QuantScheme,
-};
+use appmult::retrain::{ApproxConv2d, GradientLut, GradientMode, QuantConfig, QuantScheme};
 use appmult_pool::Pool;
 use appmult_rng::Rng64;
 
-/// The two approximate layers, as far as this test drives them.
-trait Layer: Module {
-    fn set_kernel(&mut self, kernel: Kernel);
-    fn rebuilds(&self) -> u64;
-}
-
-impl Layer for ApproxConv2d {
-    fn set_kernel(&mut self, kernel: Kernel) {
-        ApproxConv2d::set_kernel(self, kernel);
-    }
-    fn rebuilds(&self) -> u64 {
-        self.sum_w_rebuilds()
-    }
-}
-
-impl Layer for ApproxLinear {
-    fn set_kernel(&mut self, kernel: Kernel) {
-        ApproxLinear::set_kernel(self, kernel);
-    }
-    fn rebuilds(&self) -> u64 {
-        self.sum_w_rebuilds()
-    }
-}
+mod common;
 
 /// A layer under test, how to build its twin, and what its observer saw.
 struct Subject {
     label: String,
-    layer: Box<dyn Layer>,
-    build: Box<dyn Fn() -> Box<dyn Layer>>,
+    layer: ApproxConv2d,
+    build: Box<dyn Fn() -> ApproxConv2d>,
     /// Every input the activation observer folded in, in order.
     observed: Vec<Tensor>,
     /// Eval batches, run in this order: growing and shrinking.
@@ -90,7 +66,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-fn weights(layer: &mut dyn Layer) -> Vec<Tensor> {
+fn weights(layer: &mut ApproxConv2d) -> Vec<Tensor> {
     let mut values = Vec::new();
     layer.visit_params(&mut |p| values.push(p.value.clone()));
     values
@@ -99,7 +75,7 @@ fn weights(layer: &mut dyn Layer) -> Vec<Tensor> {
 impl Subject {
     fn new(
         label: &str,
-        build: Box<dyn Fn() -> Box<dyn Layer>>,
+        build: Box<dyn Fn() -> ApproxConv2d>,
         input: impl Fn(&mut Rng64, usize) -> Tensor,
         sizes: &[usize],
         seed: u64,
@@ -131,7 +107,7 @@ impl Subject {
     /// fold each input exactly as the calibrating eval forward did).
     fn check(&mut self, step: &str) {
         let mut twin = (self.build)();
-        let mut values = weights(self.layer.as_mut()).into_iter();
+        let mut values = weights(&mut self.layer).into_iter();
         twin.visit_params(&mut |p| p.value = values.next().expect("same parameters"));
         for x in &self.observed {
             twin.forward(x, true);
@@ -151,10 +127,10 @@ impl Subject {
     /// [`check`](Self::check) after a weight write, which must rebuild
     /// the weight side once.
     fn check_rebuilt(&mut self, step: &str) {
-        let before = self.layer.rebuilds();
+        let before = self.layer.sum_w_rebuilds();
         self.check(step);
         assert_eq!(
-            self.layer.rebuilds(),
+            self.layer.sum_w_rebuilds(),
             before + 1,
             "{}: {step} must rebuild the weight side once",
             self.label
@@ -201,19 +177,7 @@ fn subjects() -> Vec<Subject> {
         // images give 64 rows each, so 16 images reach the rows rule of a
         // train forward's plan; an eval plan ignores it.
         let (l, g) = (lut.clone(), grads.clone());
-        let conv = move || -> Box<dyn Layer> {
-            Box::new(ApproxConv2d::new(
-                3,
-                9,
-                3,
-                1,
-                1,
-                5,
-                l.clone(),
-                g.clone(),
-                config,
-            ))
-        };
+        let conv = move || ApproxConv2d::new(3, 9, 3, 1, 1, 5, l.clone(), g.clone(), config);
         out.push(Subject::new(
             &format!("{scheme} conv"),
             Box::new(conv),
@@ -224,19 +188,7 @@ fn subjects() -> Vec<Subject> {
         // 16 → 16 channels, K = 144: a 7-bit row table of 144 × 128 × 2
         // entries of 16 bytes, 576 KiB, is over the cap at every batch.
         let (l, g) = (lut.clone(), grads.clone());
-        let wide = move || -> Box<dyn Layer> {
-            Box::new(ApproxConv2d::new(
-                16,
-                16,
-                3,
-                1,
-                1,
-                7,
-                l.clone(),
-                g.clone(),
-                config,
-            ))
-        };
+        let wide = move || ApproxConv2d::new(16, 16, 3, 1, 1, 7, l.clone(), g.clone(), config);
         out.push(Subject::new(
             &format!("{scheme} conv over the cap"),
             Box::new(wide),
@@ -244,20 +196,16 @@ fn subjects() -> Vec<Subject> {
             &[1, 16, 4, 1],
             seed + 3,
         ));
-        let linear = move || -> Box<dyn Layer> {
-            Box::new(ApproxLinear::new(
-                20,
-                10,
-                6,
-                lut.clone(),
-                grads.clone(),
-                config,
-            ))
+        // A dense 20 -> 10 layer.
+        let dense = move || {
+            let weight = appmult::nn::init::uniform_fan_in(&[10, 20], 20, 6);
+            let bias = Tensor::zeros(&[10]);
+            common::dense(weight, bias, lut.clone(), grads.clone(), config)
         };
         out.push(Subject::new(
-            &format!("{scheme} linear"),
-            Box::new(linear),
-            |rng, n| relu_input(rng, &[n, 20]),
+            &format!("{scheme} dense"),
+            Box::new(dense),
+            |rng, n| relu_input(rng, &[n, 20, 1, 1]),
             &[1, 16, 1024, 4, 1024],
             seed + 2,
         ));
@@ -274,10 +222,10 @@ fn subjects() -> Vec<Subject> {
 fn eval_forwards_match_a_fresh_layer_after_every_weight_write() {
     for mut s in subjects() {
         s.check("the calibrating forward");
-        let rebuilds = s.layer.rebuilds();
+        let rebuilds = s.layer.sum_w_rebuilds();
         s.check("nothing");
         assert_eq!(
-            s.layer.rebuilds(),
+            s.layer.sum_w_rebuilds(),
             rebuilds,
             "{}: unchanged weights",
             s.label
@@ -286,18 +234,18 @@ fn eval_forwards_match_a_fresh_layer_after_every_weight_write() {
         let mut adam = Adam::new(0.01);
         s.train_forward();
         s.layer.backward(&s.train.1);
-        adam.step(s.layer.as_mut());
+        adam.step(&mut s.layer);
         s.check_rebuilt("an Adam step");
 
         let mut other = (s.build)();
-        let mut values = weights(s.layer.as_mut()).into_iter();
+        let mut values = weights(&mut s.layer).into_iter();
         other.visit_params(&mut |p| {
             let v = values.next().expect("same parameters");
             p.value = Tensor::from_vec(v.as_slice().iter().map(|x| x * 0.75).collect(), v.shape());
         });
         let mut bytes = Vec::new();
-        save_params(other.as_mut(), &mut bytes).expect("in-memory save");
-        load_params(s.layer.as_mut(), bytes.as_slice()).expect("same architecture");
+        save_params(&mut other, &mut bytes).expect("in-memory save");
+        load_params(&mut s.layer, bytes.as_slice()).expect("same architecture");
         s.check_rebuilt("load_params");
 
         s.write_first_weight(0.3);

@@ -22,14 +22,15 @@
 //!   3/8 zero-share rule), since the hoisted-row forward leaves out
 //!   code-0 terms when the table's code-0 column is all zero, plus two
 //!   tables whose code-0 column is not, which must keep those terms;
-//! * at the layer level, where `ApproxLinear`/`ApproxConv2d` outputs and
-//!   gradients must agree across kernels for all five `GradientMode`s.
+//! * at the layer level, where `ApproxConv2d` outputs and gradients, as
+//!   a dense 1×1 conv and as a 3×3 one, must agree across kernels for all
+//!   five `GradientMode`s.
 //!   Every layer test names both kernels explicitly, so the result does
 //!   not depend on the process-wide default; the CI kernel-parity job
 //!   runs this file at 1 and 4 threads;
 //! * at the layer level again, where one FNV-1a digest per (design,
-//!   gradient mode) pins every `ApproxLinear` output and gradient bit
-//!   across kernels, train and eval forwards and batch sizes.
+//!   gradient mode) pins every output and gradient bit of a dense 1×1
+//!   conv across kernels, train and eval forwards and batch sizes.
 //!
 //! Comparisons are `to_bits`, never approximate: no case may diverge by
 //! even one bit.
@@ -42,9 +43,11 @@ use appmult::kernels::{
 use appmult::mult::{zoo, Multiplier, MultiplierLut, SignMagnitudeMultiplier, TruncatedMultiplier};
 use appmult::nn::layers::Conv2dSpec;
 use appmult::nn::{Module, Tensor};
-use appmult::retrain::{ApproxConv2d, ApproxLinear, GradientLut, GradientMode, QuantConfig};
+use appmult::retrain::{ApproxConv2d, GradientLut, GradientMode, QuantConfig};
 use appmult_pool::Pool;
 use appmult_rng::{prop, Rng64};
+
+mod common;
 
 /// One conformance case: `((m, j, k), seed)`.
 type Case = ((usize, usize, usize), u64);
@@ -559,8 +562,8 @@ fn all_modes(lut: &MultiplierLut) -> Vec<GradientMode> {
     ]
 }
 
-/// Forward output, input gradient, and weight gradient of a fresh
-/// `ApproxLinear` under the given kernel.
+/// Forward output, input gradient, and weight gradient of a fresh dense
+/// `[j, k]` layer (a 1×1 conv) on `m` rows under the given kernel.
 fn linear_run(
     lut: &Arc<MultiplierLut>,
     grads: &Arc<GradientLut>,
@@ -569,7 +572,7 @@ fn linear_run(
     k: usize,
     kernel: Kernel,
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let mut lin = ApproxLinear::with_params(
+    let mut lin = common::dense(
         ramp(&[j, k], 1.2),
         ramp(&[j], 0.2),
         lut.clone(),
@@ -577,8 +580,8 @@ fn linear_run(
         QuantConfig::default(),
     );
     lin.set_kernel(kernel);
-    let y = lin.forward(&ramp(&[m, k], 1.7), true);
-    let dx = lin.backward(&ramp(&[m, j], 0.9));
+    let y = lin.forward(&ramp(&[m, k, 1, 1], 1.7), true);
+    let dx = lin.backward(&ramp(&[m, j, 1, 1], 0.9));
     let mut dw = Vec::new();
     lin.visit_params(&mut |p| {
         if p.value.shape().len() == 2 {
@@ -661,8 +664,8 @@ fn fnv1a(mut hash: u64, values: &[f32]) -> u64 {
     hash
 }
 
-/// Folds into `hash` every output and gradient of a fresh 24 → 10
-/// `ApproxLinear` on a batch of `m` rows: a train forward (after a
+/// Folds into `hash` every output and gradient of a fresh dense 24 → 10
+/// layer (a 1×1 conv) on a batch of `m` rows: a train forward (after a
 /// calibrating one, so a huge and a NaN activation clip), its backward,
 /// every parameter gradient, then an eval forward on fresh rows.
 fn linear_digest(
@@ -672,7 +675,7 @@ fn linear_digest(
     kernel: Kernel,
 ) -> u64 {
     let (j, k) = (10, 24);
-    let mut lin = ApproxLinear::with_params(
+    let mut lin = common::dense(
         ramp(&[j, k], 1.2),
         ramp(&[j], 0.2),
         lut.clone(),
@@ -680,8 +683,8 @@ fn linear_digest(
         config,
     );
     lin.set_kernel(kernel);
-    lin.forward(&ramp(&[2, k], 1.0), true);
-    let mut x = ramp(&[m, k], 1.7);
+    lin.forward(&ramp(&[2, k, 1, 1], 1.0), true);
+    let mut x = ramp(&[m, k, 1, 1], 1.7);
     for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
         match i % 23 {
             5 => *v = 1e6,
@@ -690,15 +693,19 @@ fn linear_digest(
         }
     }
     let mut hash = fnv1a(hash, lin.forward(&x, true).as_slice());
-    hash = fnv1a(hash, lin.backward(&ramp(&[m, j], 0.9)).as_slice());
+    hash = fnv1a(hash, lin.backward(&ramp(&[m, j, 1, 1], 0.9)).as_slice());
     lin.visit_params(&mut |p| hash = fnv1a(hash, p.grad.as_slice()));
-    fnv1a(hash, lin.forward(&ramp(&[m, k], 0.6), false).as_slice())
+    fnv1a(
+        hash,
+        lin.forward(&ramp(&[m, k, 1, 1], 0.6), false).as_slice(),
+    )
 }
 
 #[test]
 fn linear_layer_bytes_are_pinned() {
-    // Literals recorded before the linear layer ran through the conv's
-    // forward and input-gradient passes; every bit must survive.
+    // Literals recorded when a separate linear layer type still ran these
+    // GEMMs with its own forward and input-gradient passes; the 1×1 conv
+    // must reproduce every bit.
     const GOLDEN: [(&str, &str, u64); 6] = [
         ("mul7u_rm6", "ste", 0x6b7c_37b0_b5a0_5b41),
         ("mul7u_rm6", "diff_h4", 0xfe2b_22d6_5dd3_a8a5),

@@ -63,7 +63,7 @@ fn zoo_lint_report_meets_the_acceptance_criteria() {
     // unoptimized runtimes; as in zoo_coverage.rs they are covered by
     // `appmult-mult`'s own tests and by the release-mode CI sweep.
     let include_syn = !cfg!(debug_assertions);
-    let report = appmult_verify::lint_zoo_filtered(include_syn);
+    let report = appmult_bench::lint::lint_zoo_filtered(include_syn);
     let json = report.to_json();
 
     // Persist the same artefact the appmult-lint binary writes, so the
@@ -116,4 +116,25 @@ fn zoo_lint_report_meets_the_acceptance_criteria() {
             .any(|d| d.status == "counterexample" && d.counterexample_fields == 4),
         "{faulty:?}"
     );
+}
+
+#[test]
+fn generated_multipliers_carry_no_dead_gate() {
+    // Every gate the generators build reaches an output. In particular the
+    // Wallace tree's top column gets a lone sum XOR where a half adder's
+    // carry AND would have no column to land in (7 to 10 bits).
+    use appmult::circuit::MultiplierCircuit;
+    for bits in 2..=10 {
+        for (kind, circuit) in [
+            ("array", MultiplierCircuit::array(bits)),
+            ("wallace", MultiplierCircuit::wallace(bits)),
+        ] {
+            let dead: Vec<String> = appmult_bench::lint::lint_netlist(circuit.netlist())
+                .iter()
+                .filter(|d| d.pass == "dead-gate")
+                .map(ToString::to_string)
+                .collect();
+            assert!(dead.is_empty(), "{kind}({bits}): {dead:?}");
+        }
+    }
 }

@@ -24,7 +24,9 @@ use std::sync::Arc;
 use appmult_mult::{Multiplier, TruncatedMultiplier};
 use appmult_nn::layers::{im2col, Conv2dSpec};
 use appmult_nn::{Module, Tensor};
-use appmult_retrain::{ApproxConv2d, ApproxLinear, GradientLut, GradientMode, QuantConfig};
+use appmult_retrain::{ApproxConv2d, GradientLut, GradientMode, QuantConfig};
+
+mod common;
 
 fn ramp(shape: &[usize]) -> Tensor {
     let n: usize = shape.iter().product();
@@ -110,7 +112,7 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
     let patches = im2col(&x, &spec2);
     check(&mut conv2, &x, &patches, &ramp(&[32, 16, 2, 2]), mjk, 0);
 
-    // A padded, strided conv and a linear layer.
+    // A padded, strided conv and a dense layer (a 1×1 conv).
     let spec = Conv2dSpec {
         in_channels: 2,
         out_channels: 3,
@@ -136,26 +138,31 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
         mjk,
         0,
     );
-    let mut linear =
-        ApproxLinear::new(10, 4, 1, lut.clone(), grads.clone(), QuantConfig::default());
-    let x = relu_ramp(&[6, 10]);
-    check(&mut linear, &x, &x, &ramp(&[6, 4]), 6 * 4 * 10, 0);
+    let mut dense = common::dense(
+        appmult_nn::init::uniform_fan_in(&[4, 10], 10, 1),
+        Tensor::zeros(&[4]),
+        lut.clone(),
+        grads.clone(),
+        QuantConfig::default(),
+    );
+    let x = relu_ramp(&[6, 10, 1, 1]);
+    check(&mut dense, &x, &x, &ramp(&[6, 4, 1, 1]), 6 * 4 * 10, 0);
 
     // An input with known zero codes: 20 of its 60 entries are 0.0 and
     // the rest at least 0.05 (5% of the largest), so 40 codes are nonzero
     // and the forward makes 4·40 = 160 of its 240 nominal lookups.
-    let mut x = ramp(&[6, 10]);
+    let mut x = ramp(&[6, 10, 1, 1]);
     for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
         *v = if i % 3 == 0 { 0.0 } else { *v + 0.5 };
     }
     let before = obs.counter("lut.live_lookups");
-    check(&mut linear, &x, &x, &ramp(&[6, 4]), 6 * 4 * 10, 0);
+    check(&mut dense, &x, &x, &ramp(&[6, 4, 1, 1]), 6 * 4 * 10, 0);
     assert_eq!(obs.counter("lut.live_lookups") - before, 160);
 
     // A gradient with known zeros: 8 of its 24 entries are 0.0 and one is
     // -0.0, so 15 are live and the step makes 2·10·15 = 300 of its 480
     // nominal gradient lookups. (The ramps above have no zeros.)
-    let mut g = ramp(&[6, 4]).as_slice().to_vec();
+    let mut g = ramp(&[6, 4, 1, 1]).as_slice().to_vec();
     for (i, v) in g.iter_mut().enumerate() {
         if i % 3 == 0 {
             *v = 0.0;
@@ -164,10 +171,10 @@ fn one_step_counts_m_j_k_product_and_2_m_j_k_gradient_lookups() {
     g[1] = -0.0;
     let before = obs.counter("gradlut.live_lookups");
     check(
-        &mut linear,
+        &mut dense,
         &x,
         &x,
-        &Tensor::from_vec(g, &[6, 4]),
+        &Tensor::from_vec(g, &[6, 4, 1, 1]),
         6 * 4 * 10,
         0,
     );

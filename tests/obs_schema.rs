@@ -113,11 +113,11 @@ fn obs_demo_report_meets_the_acceptance_criteria() {
         .map(|v| v.trim_matches('"'))
         .collect();
     assert!(
-        hist_names.iter().any(|n| n.ends_with("linear.forward")),
+        hist_names.iter().any(|n| n.ends_with("conv2d.forward")),
         "no per-layer forward latency histogram in {hist_names:?}"
     );
     assert!(
-        hist_names.iter().any(|n| n.ends_with("linear.backward")),
+        hist_names.iter().any(|n| n.ends_with("conv2d.backward")),
         "no per-layer backward latency histogram in {hist_names:?}"
     );
     assert!(hist_names.contains(&"grad_norm"));
